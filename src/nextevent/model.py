@@ -5,8 +5,10 @@ Forward pass per history window:
 
 1. embed every event (type column + positional encoding),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
-   of scale s (each query's keys are that frontier, optionally causally
-   restricted), carried-over nodes pass through untouched; then average-pool
+   of scale s, with each query's keys given as one boolean mask over that
+   frontier (all of it, or with ``causal`` the nodes no later than the
+   query; the counted score multiplications are ``mask.sum() * d_k`` per
+   head); carried-over nodes pass through untouched; then average-pool
    along the merge tree to the next scale's active set and re-inject each
    node's positional context through a concat + projection,
 3. a final attention pass at the top scale with the temporally last node as
@@ -114,6 +116,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
 
 
@@ -210,7 +215,11 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 class FlopCounter:
-    """Counts query-key score multiplications actually executed."""
+    """Counts the query-key score multiplications the attention masks allow.
+
+    A masked block still computes every score and discards the masked ones,
+    so the count is what restricted attention needs, not what numpy runs.
+    """
 
     def __init__(self):
         self.count = 0
@@ -265,18 +274,18 @@ def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
 
 def cross_scale_attention(
     H: DiffNode,
-    key_sets: list[list[int]],
+    mask: np.ndarray | None,
     params: ModelParams,
     s: int,
     counter: FlopCounter | None = None,
-    trace: list | None = None,
 ) -> DiffNode:
-    """Multi-head attention where query row j may only look at ``key_sets[j]``.
+    """Multi-head attention where query row j reads only the keys in ``mask[j]``.
 
-    ``key_sets`` holds row positions into ``H`` and must include j itself.
-    When every key set is the full row range the scores reduce to one dense
-    matmul per head; otherwise each query gathers just its keys, so the
-    executed score multiplications match the accounted ones either way.
+    ``mask`` is a boolean ``(n, n)`` array over the rows of ``H``, or ``None``
+    for all-pair attention. Every query must be allowed to read itself, so
+    the diagonal must be all true. Each head is one
+    :func:`tensor.masked_attention` node; the counted score multiplications
+    are ``mask.sum() * d_k`` per head (``n * n * d_k`` for ``None``).
     Output = concat(heads) @ W_O + residual.
     """
     n = H.shape[0]
@@ -284,36 +293,19 @@ def cross_scale_attention(
     sp = params.attn[s - 1]
     dk = cfg.head_dim
     inv_sqrt = 1.0 / math.sqrt(dk)
-    full = all(len(ks) == n for ks in key_sets)
+    if mask is not None:
+        missing = np.flatnonzero(~np.diagonal(mask))
+        if missing.size:
+            raise HierarchyError(f"key set of query {missing[0]} must include itself")
+    keys = n * n if mask is None else int(np.count_nonzero(mask))
     head_outputs = []
-    for h, (wq, wk, wv) in enumerate(sp.heads):
+    for wq, wk, wv in sp.heads:
         Q = T.matmul(H, wq)
         K = T.matmul(H, wk)
         V = T.matmul(H, wv)
-        if full:
-            scores = T.scale(T.matmul(Q, T.transpose(K)), inv_sqrt)
-            probs = T.softmax(scores, axis=1)
-            if counter is not None:
-                counter.add(n * n * dk)
-            if trace is not None:
-                trace.append((s, h, probs.value.copy()))
-            head_outputs.append(T.matmul(probs, V))
-        else:
-            rows = []
-            for j, ks in enumerate(key_sets):
-                if j not in ks:
-                    raise HierarchyError(f"key set of query {j} must include itself")
-                q = T.gather_rows(Q, [j])
-                Kj = T.gather_rows(K, ks)
-                Vj = T.gather_rows(V, ks)
-                scores = T.scale(T.matmul(q, T.transpose(Kj)), inv_sqrt)
-                probs = T.softmax(scores, axis=1)
-                if counter is not None:
-                    counter.add(len(ks) * dk)
-                if trace is not None:
-                    trace.append((s, h, j, probs.value.copy()))
-                rows.append(T.matmul(probs, Vj))
-            head_outputs.append(T.concat_rows(rows))
+        head_outputs.append(T.masked_attention(Q, K, V, mask, inv_sqrt))
+        if counter is not None:
+            counter.add(keys * dk)
     out = T.add(T.matmul(T.concat_cols(head_outputs), sp.w_out), H)
     if cfg.layer_norm:
         out = _layer_norm(out)
@@ -347,7 +339,6 @@ def encode(
     seq: EventSequence,
     hierarchy: ScaleHierarchy | None = None,
     counter: FlopCounter | None = None,
-    trace: list | None = None,
 ) -> tuple[DiffNode, ScaleHierarchy]:
     """Run the iterative cross-scale encoder over one history window.
 
@@ -366,18 +357,17 @@ def encode(
     for s in range(1, S + 1):
         active = hierarchy.active_nodes(s)
         frontier = hierarchy.frontier(s)
-        pos_of = {node_id: i for i, node_id in enumerate(active)}
-        fpos = [pos_of[i] for i in frontier]
-        fpos_of = {node_id: i for i, node_id in enumerate(frontier)}
-        key_sets = [
-            [fpos_of[k] for k in hierarchy.key_set(s, node_id, causal=cfg.causal)]
-            for node_id in frontier
-        ]
-        if len(fpos) == len(active):
-            H = cross_scale_attention(H, key_sets, params, s, counter, trace)
+        mask = None
+        if cfg.causal:
+            # The rule ScaleHierarchy.key_set applies: keys no later than the query.
+            rt = np.array([hierarchy.nodes[i].representative_time for i in frontier])
+            mask = rt[None, :] <= rt[:, None]
+        if len(frontier) == len(active):
+            H = cross_scale_attention(H, mask, params, s, counter)
         else:
-            Hf = T.gather_rows(H, fpos)
-            Hf = cross_scale_attention(Hf, key_sets, params, s, counter, trace)
+            pos_of = {node_id: i for i, node_id in enumerate(active)}
+            fpos = [pos_of[i] for i in frontier]
+            Hf = cross_scale_attention(T.gather_rows(H, fpos), mask, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
             H = hierarchical_pool(H, hierarchy, s, params, seq.types)
@@ -594,6 +584,8 @@ def load_checkpoint(path):
             raise ConfigError(
                 f"checkpoint {name!r}: shape {arr.shape} vs expected {named[name].value.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise NumericsError(f"checkpoint {name!r} holds non-finite values")
         named[name].value[...] = arr
     norm = payload.get("norm")
     stats = NormStats.from_dict(norm) if norm else None

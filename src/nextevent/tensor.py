@@ -49,6 +49,7 @@ __all__ = [
     "softplus",
     "softmax",
     "logsumexp",
+    "masked_attention",
     "mean_pool",
     "zero_grad",
     "check_gradients",
@@ -539,6 +540,52 @@ def logsumexp(a, axis: int = -1) -> DiffNode:
     def backward(g):
         soft = np.exp(a.value - value)
         a.grad += g * soft
+
+    out._backward = backward
+    return out
+
+
+def masked_attention(q, k, v, mask, scale: float) -> DiffNode:
+    """``softmax(scale * q @ k.T) @ v`` with keys outside ``mask`` excluded.
+
+    ``mask`` is a boolean ``(n, m)`` array (row j lists the keys query j may
+    read; no row may be empty), or ``None`` for every key. One node stands
+    for the whole block, and its hand-written backward needs only the kept
+    probabilities rather than a node per query. The products follow
+    :func:`matmul`, :func:`transpose`, :func:`scale` and :func:`softmax`
+    operation for operation, so with ``mask=None`` value and gradients round
+    exactly as that chain of nodes does.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    for x in (q, k, v):
+        if x.value.ndim != 2:
+            raise ValueError(f"masked_attention requires 2-D operands, got {x.shape}")
+    n, m = q.shape[0], k.shape[0]
+    if q.shape[1] != k.shape[1] or v.shape[0] != m:
+        raise ValueError(
+            f"masked_attention: shapes q {q.shape}, k {k.shape}, v {v.shape} disagree"
+        )
+    c = float(scale)
+    kt = as_tensor(k.value.T)
+    scores = (q.value @ kt) * c
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (n, m):
+            raise ValueError(f"masked_attention: mask shape {mask.shape} != {(n, m)}")
+        if not mask.any(axis=1).all():
+            raise ValueError("masked_attention: every query needs at least one key")
+        scores[~mask] = -np.inf
+    shifted = scores - np.max(scores, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / np.sum(e, axis=1, keepdims=True)
+    out = DiffNode(p @ v.value, parents=(q, k, v))
+
+    def backward(g):
+        v.grad += p.T @ g
+        dp = g @ v.value.T
+        ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * c
+        q.grad += ds @ kt.T
+        k.grad += (q.value.T @ ds).T
 
     out._backward = backward
     return out

@@ -1,0 +1,116 @@
+"""Tests for the encoder's attention masks, score accounting and boundaries."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nextevent import model as M
+from nextevent import tensor as T
+from nextevent.errors import ConfigError, HierarchyError, NumericsError
+from nextevent.events import generate_multiscale, make_examples, normalize_times
+from oracles import dense_masked_attention
+
+
+def _example(length=64, seed=0):
+    seqs = generate_multiscale(
+        1, burst_rate=1.0, burst_size=16, gap_scale=4.0, num_types=4, seed=seed,
+        num_bursts=length // 16 + 2,
+    )
+    seqs, _ = normalize_times(seqs, "shift_and_scale")
+    return make_examples(seqs[0], length)[3]
+
+
+def _config(causal, **kw):
+    return M.ModelConfig(d_model=8, num_heads=2, num_scales=4, num_types=4, causal=causal, **kw)
+
+
+def _key_set_mask(hierarchy, s, causal):
+    """Mask over the frontier of scale s built from ScaleHierarchy.key_set."""
+    frontier = hierarchy.frontier(s)
+    pos = {node_id: i for i, node_id in enumerate(frontier)}
+    mask = np.zeros((len(frontier), len(frontier)), dtype=bool)
+    for j, node_id in enumerate(frontier):
+        mask[j, [pos[k] for k in hierarchy.key_set(s, node_id, causal=causal)]] = True
+    return mask
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_encode_masks_and_counts_follow_the_key_sets(monkeypatch, causal):
+    cfg = _config(causal)
+    params = M.init_model_params(cfg, seed=0)
+    example = _example()
+    masks = {}
+    original = M.cross_scale_attention
+
+    def recording(H, mask, params, s, counter=None):
+        masks[s] = np.ones((H.shape[0],) * 2, dtype=bool) if mask is None else mask
+        return original(H, mask, params, s, counter)
+
+    monkeypatch.setattr(M, "cross_scale_attention", recording)
+    counter = M.FlopCounter()
+    M.forward(params, example, counter=counter)
+
+    h = M.hierarchy_for(cfg, example.history.times)
+    sizes = M.hierarchy_key_set_sizes(h, causal=causal)
+    assert sorted(masks) == list(range(1, h.num_scales + 1))
+    for s in masks:
+        np.testing.assert_array_equal(masks[s], _key_set_mask(h, s, causal))
+        assert masks[s].sum(axis=1).tolist() == sizes[s - 1]
+    n_top = len(h.active_nodes(h.num_scales))
+    assert counter.count == cfg.num_heads * cfg.head_dim * (sum(map(sum, sizes)) + n_top)
+
+
+@pytest.mark.parametrize("kind", ["none", "causal", "restricted"])
+def test_cross_scale_attention_matches_dense_oracle(kind):
+    cfg = _config(False)
+    params = M.init_model_params(cfg, seed=1)
+    n = 7
+    H = np.random.default_rng(2).normal(size=(n, cfg.d_model))
+    mask = {
+        "none": None,
+        "causal": np.tril(np.ones((n, n), dtype=bool)),
+        "restricted": np.eye(n, dtype=bool) | (np.arange(n)[None, :] % 3 == 0),
+    }[kind]
+    out = M.cross_scale_attention(T.constant(H), mask, params, 1)
+
+    keys = [range(n)] * n if mask is None else [np.flatnonzero(row) for row in mask]
+    sp = params.attn[0]
+    heads = [
+        dense_masked_attention(H, wq.value, wk.value, wv.value, keys,
+                               1.0 / math.sqrt(cfg.head_dim))[0]
+        for wq, wk, wv in sp.heads
+    ]
+    expected = np.concatenate(heads, axis=1) @ sp.w_out.value + H
+    np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_cross_scale_attention_requires_each_query_to_read_itself():
+    cfg = _config(True)
+    params = M.init_model_params(cfg, seed=0)
+    mask = np.ones((4, 4), dtype=bool)
+    mask[2, 2] = False
+    with pytest.raises(HierarchyError, match="query 2 must include itself"):
+        M.cross_scale_attention(T.constant(np.zeros((4, cfg.d_model))), mask, params, 1)
+
+
+def test_config_from_dict_rejects_unknown_keys():
+    d = M.ModelConfig().to_dict()
+    assert M.ModelConfig.from_dict(d) == M.ModelConfig()
+    with pytest.raises(ConfigError, match="unknown config keys.*'depth'"):
+        M.ModelConfig.from_dict({**d, "depth": 3})
+
+
+def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
+    params = M.init_model_params(_config(False), seed=0)
+    good = tmp_path / "good.json"
+    M.save_checkpoint(good, params)
+    loaded, _ = M.load_checkpoint(good)
+    for name, node in params.all_named().items():
+        np.testing.assert_array_equal(loaded.all_named()[name].value, node.value)
+
+    params.w_type.value[0, 1] = np.nan
+    bad = tmp_path / "bad.json"
+    M.save_checkpoint(bad, params)
+    with pytest.raises(NumericsError, match="dec.type"):
+        M.load_checkpoint(bad)

@@ -5,6 +5,7 @@ import pytest
 
 from nextevent import tensor as T
 from nextevent.errors import HierarchyError, NumericsError
+from oracles import dense_masked_attention
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -193,6 +194,84 @@ class TestBackwardRules:
         out = T.add(T.scale(x, 2.0), T.mul(x, x))
         out.backward()
         np.testing.assert_allclose(x.grad, [[2.0 + 2.0 * 1.5]])
+
+
+def _attention_masks(n):
+    """Named masks over an n x n block: all keys, causal, random (no empty row)."""
+    rng = np.random.default_rng(7)
+    rand = rng.random((n, n)) < 0.4
+    rand[np.arange(n), rng.integers(0, n, size=n)] = True
+    return {"none": None, "causal": np.tril(np.ones((n, n), dtype=bool)), "random": rand}
+
+
+class TestMaskedAttention:
+    N, D, DK = 6, 5, 3
+    C = 1.0 / np.sqrt(DK)
+
+    def _weights(self):
+        rng = np.random.default_rng(3)
+        H = rng.normal(size=(self.N, self.D))
+        return H, [rng.normal(size=(self.D, self.DK)) for _ in range(3)]
+
+    @pytest.mark.parametrize("name", ["none", "causal", "random"])
+    def test_matches_dense_oracle(self, name):
+        mask = _attention_masks(self.N)[name]
+        H, (wq, wk, wv) = self._weights()
+        out = T.masked_attention(H @ wq, H @ wk, H @ wv, mask, self.C)
+        if mask is None:
+            keys = [range(self.N)] * self.N
+        else:
+            keys = [np.flatnonzero(row) for row in mask]
+        expected, _ = dense_masked_attention(H, wq, wk, wv, keys, self.C)
+        np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["none", "causal", "random"])
+    def test_gradients(self, name):
+        mask = _attention_masks(self.N)[name]
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=(self.N, self.DK)) for _ in range(3)]
+        assert_grad_matches(lambda q, k, v: T.masked_attention(q, k, v, mask, self.C), arrays)
+
+    def test_unmasked_rounds_like_the_node_chain(self):
+        # Large enough that BLAS rounds a product with a strided k.T
+        # differently from one with a contiguous copy.
+        n, dk = 300, 8
+        c = 1.0 / np.sqrt(dk)
+        rng = np.random.default_rng(5)
+        arrays = [rng.normal(size=(n, dk)) for _ in range(3)]
+        upstream = rng.normal(size=(n, dk))
+        results = []
+        for build in (
+            lambda q, k, v: T.masked_attention(q, k, v, None, c),
+            lambda q, k, v: T.matmul(T.softmax(T.scale(T.matmul(q, T.transpose(k)), c), axis=1), v),
+        ):
+            nodes = [T.parameter(a) for a in arrays]
+            out = build(*nodes)
+            T.sum_all(T.mul(out, T.constant(upstream))).backward()
+            results.append([out.value] + [n.grad for n in nodes])
+        for fused, chain in zip(*results):
+            assert np.array_equal(fused, chain)
+
+    def test_masked_keys_get_no_weight_or_gradient(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (T.parameter(rng.normal(size=(4, 2))) for _ in range(3))
+        mask = np.eye(4, dtype=bool)
+        out = T.masked_attention(q, k, v, mask, 1.0)
+        np.testing.assert_array_equal(out.value, v.value)
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(q.grad, 0.0)
+        np.testing.assert_array_equal(k.grad, 0.0)
+
+    def test_rejects_empty_row_and_bad_shapes(self):
+        x = T.constant(np.ones((3, 2)))
+        mask = np.eye(3, dtype=bool)
+        mask[1, 1] = False
+        with pytest.raises(ValueError, match="at least one key"):
+            T.masked_attention(x, x, x, mask, 1.0)
+        with pytest.raises(ValueError, match="mask shape"):
+            T.masked_attention(x, x, x, np.ones((3, 2), dtype=bool), 1.0)
+        with pytest.raises(ValueError, match="disagree"):
+            T.masked_attention(x, T.constant(np.ones((3, 4))), x, None, 1.0)
 
 
 class TestCheckGradients:
