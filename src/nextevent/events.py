@@ -91,7 +91,8 @@ class PredictionExample:
 
 
 def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
-    """Nudge exact duplicate timestamps forward by 1e-9 * mean gap."""
+    """Nudge exact duplicate timestamps forward by 1e-9 * mean gap, and by at
+    least one ulp so that large timestamps still become distinct."""
     if times.size < 2:
         return times
     diffs = np.diff(times)
@@ -104,9 +105,10 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     out = times.copy()
     for i in range(1, len(out)):
         if out[i] <= out[i - 1]:
-            out[i] = out[i - 1] + eps
+            out[i] = max(out[i - 1] + eps, np.nextafter(out[i - 1], np.inf))
     warnings.warn(
-        f"sequence {seq_id!r}: duplicate timestamps perturbed by {eps:.3g}",
+        f"sequence {seq_id!r}: duplicate timestamps perturbed by up to"
+        f" {np.max(out - times):.3g}",
         stacklevel=3,
     )
     return out

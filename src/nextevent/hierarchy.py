@@ -6,6 +6,12 @@ sequence can be produced in O(L log L) with a heap over adjacent gaps. The
 merge order is then sliced into consecutive intervals; the interval index
 gives the temporal scale.
 
+Because only neighbours merge, every cluster is a contiguous span of leaves
+``[lo, hi]``. :class:`ScaleHierarchy` therefore stores the tree as integer
+arrays over node ids (span bounds, the merge orders that form and consume
+each node, its scale and its mean time), all filled once when the merge
+order is sliced. Disjoint spans ordered by ``lo`` are also in time order.
+
 Two node-set views matter downstream and are deliberately distinct:
 
 * ``frontier(s)`` -- the clusters that exist when interval ``s`` begins and
@@ -21,7 +27,7 @@ For a single scale the two views coincide with the full leaf set.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from .errors import ConfigError, HierarchyError
 
 __all__ = [
     "MergeStep",
-    "HierarchyNode",
     "ScaleHierarchy",
     "agglomerate",
     "assign_scales",
@@ -124,27 +129,24 @@ def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
 
 
 @dataclass
-class HierarchyNode:
-    """A cluster in the merge tree (leaves are the original events)."""
-
-    id: int
-    scale: int
-    children: tuple[int, ...]
-    members: np.ndarray  # leaf indices, ascending
-    representative_time: float
-    formed_step: int  # 0 for leaves, else the creating merge's order
-    consumed_step: int | None  # order of the merge absorbing this node; None for root
-
-
-@dataclass
 class ScaleHierarchy:
-    """Merge tree plus the scale slicing derived from ``merge_counts``."""
+    """Merge tree plus the scale slicing derived from ``merge_counts``.
+
+    Every per-node array is indexed by node id (leaves 0..L-1, merge ``o``
+    creates L-1+o) and is filled once by :func:`assign_scales`.
+    """
 
     times: np.ndarray
     steps: list[MergeStep]
     merge_counts: list[int]
-    nodes: list[HierarchyNode] = field(default_factory=list)
-    per_scale: dict[int, list[int]] = field(default_factory=dict)
+    lo: np.ndarray  # first leaf of the node's span
+    hi: np.ndarray  # last leaf of the node's span
+    formed: np.ndarray  # order of the creating merge; 0 for leaves
+    consumed: np.ndarray  # order of the absorbing merge; len(steps) + 1 for the root
+    scale: np.ndarray
+    rep_time: np.ndarray  # mean time of the span's leaves
+    active: list[np.ndarray]  # per scale: ids of active_nodes(s), ordered by lo
+    frontier_pos: list[np.ndarray]  # per scale: positions of frontier(s) in active
 
     @property
     def num_scales(self) -> int:
@@ -158,17 +160,11 @@ class ScaleHierarchy:
     def root_id(self) -> int:
         return self.steps[-1].result if self.steps else 0
 
-    def _boundary(self, s: int) -> int:
-        """Number of merge steps completed before interval ``s`` begins."""
-        return sum(self.merge_counts[: s - 1])
-
     def interval_of_step(self, order: int) -> int:
-        done = 0
-        for s, count in enumerate(self.merge_counts, start=1):
-            done += count
-            if order <= done:
-                return s
-        raise HierarchyError(f"merge order {order} beyond {done} steps")
+        s = int(np.searchsorted(np.cumsum(self.merge_counts), order)) + 1
+        if s > self.num_scales:
+            raise HierarchyError(f"merge order {order} beyond {len(self.steps)} steps")
+        return s
 
     def _check_scale(self, s: int) -> None:
         if not 1 <= s <= self.num_scales:
@@ -176,29 +172,15 @@ class ScaleHierarchy:
 
     def active_nodes(self, s: int) -> list[int]:
         """Clusters alive at the start of interval ``s``: a partition of all
-        leaves, ordered by representative time."""
+        leaves, in time order."""
         self._check_scale(s)
-        cut = self._boundary(s)
-        ids = [
-            n.id
-            for n in self.nodes
-            if n.formed_step <= cut and (n.consumed_step is None or n.consumed_step > cut)
-        ]
-        return self._time_ordered(ids)
+        return self.active[s - 1].tolist()
 
     def frontier(self, s: int) -> list[int]:
         """Attention participants at scale ``s``: the active clusters that one
-        of interval ``s``'s merges consumes, ordered by representative time."""
+        of interval ``s``'s merges consumes, in time order."""
         self._check_scale(s)
-        start, end = self._boundary(s), self._boundary(s) + self.merge_counts[s - 1]
-        ids = [
-            n.id
-            for n in self.nodes
-            if n.formed_step <= start
-            and n.consumed_step is not None
-            and start < n.consumed_step <= end
-        ]
-        return self._time_ordered(ids)
+        return self.active[s - 1][self.frontier_pos[s - 1]].tolist()
 
     def key_set(self, s: int, node_id: int, causal: bool = False) -> list[int]:
         """Keys for query ``node_id`` at scale ``s``: the whole frontier there
@@ -209,9 +191,9 @@ class ScaleHierarchy:
                 return [node_id]  # carried-over node: attends to itself only
             raise HierarchyError(f"node {node_id} is not active at scale {s}")
         if not causal:
-            return list(frontier)
-        t_q = self.nodes[node_id].representative_time
-        return [i for i in frontier if self.nodes[i].representative_time <= t_q]
+            return frontier
+        t_q = self.rep_time[node_id]
+        return [i for i in frontier if self.rep_time[i] <= t_q]
 
     def pool_groups(self, s: int) -> tuple[list[int], list[list[int]]]:
         """Grouping that takes active_nodes(s) to active_nodes(s+1).
@@ -222,52 +204,35 @@ class ScaleHierarchy:
         """
         if not 1 <= s < self.num_scales:
             raise ConfigError(f"pooling needs 1 <= s < {self.num_scales}, got {s}")
-        current = self.active_nodes(s)
-        nxt = self.active_nodes(s + 1)
-        pos = {node_id: i for i, node_id in enumerate(current)}
-        cut = self._boundary(s + 1)
-        groups: dict[int, list[int]] = {node_id: [] for node_id in nxt}
-        for node_id in current:
-            anc = node_id
-            while anc not in groups:
-                step = self.nodes[anc].consumed_step
-                if step is None or step > cut:
-                    raise HierarchyError(f"node {node_id} has no ancestor in scale {s + 1}")
-                anc = self._parent_of(anc)
-            groups[anc].append(pos[node_id])
-        return nxt, [groups[node_id] for node_id in nxt]
-
-    def _parent_of(self, node_id: int) -> int:
-        step_order = self.nodes[node_id].consumed_step
-        if step_order is None:
-            raise HierarchyError(f"node {node_id} is the root")
-        return self.steps[step_order - 1].result
-
-    def _time_ordered(self, ids: list[int]) -> list[int]:
-        return sorted(
-            ids,
-            key=lambda i: (self.nodes[i].representative_time, int(self.nodes[i].members[0])),
-        )
+        nxt = self.active[s]
+        # Both sets partition the leaves into spans ordered by lo, so each
+        # next node absorbs the run of current nodes from its own lo onward.
+        starts = np.searchsorted(self.lo[self.active[s - 1]], self.lo[nxt]).tolist()
+        ends = starts[1:] + [len(self.active[s - 1])]
+        return nxt.tolist(), [list(range(a, b)) for a, b in zip(starts, ends)]
 
     def type_mixture(self, node_id: int, types: np.ndarray, num_types: int) -> np.ndarray:
         """Distribution of member leaf types (one-hot for a leaf)."""
-        mix = np.zeros(num_types)
-        member_types = types[self.nodes[node_id].members]
-        for k in member_types:
-            mix[k] += 1.0
-        return mix / len(member_types)
+        lo, hi = self.lo[node_id], self.hi[node_id]
+        return np.bincount(types[lo : hi + 1], minlength=num_types) / (hi - lo + 1)
+
+    def _children(self, node_id: int) -> list[int]:
+        if node_id < self.num_leaves:
+            return []
+        step = self.steps[node_id - self.num_leaves]
+        return [step.left, step.right]
 
     def to_dict(self) -> dict:
         return {
             "nodes": [
                 {
-                    "id": n.id,
-                    "scale": n.scale,
-                    "children": list(n.children),
-                    "members": [int(m) for m in n.members],
-                    "time": n.representative_time,
+                    "id": i,
+                    "scale": int(self.scale[i]),
+                    "children": self._children(i),
+                    "members": list(range(self.lo[i], self.hi[i] + 1)),
+                    "time": float(self.rep_time[i]),
                 }
-                for n in self.nodes
+                for i in range(len(self.lo))
             ]
         }
 
@@ -276,14 +241,15 @@ class ScaleHierarchy:
         lines: list[str] = []
 
         def walk(node_id: int, depth: int):
-            n = self.nodes[node_id]
-            kind = "leaf" if not n.children else "node"
+            children = self._children(node_id)
+            kind = "node" if children else "leaf"
             lines.append(
                 "  " * depth
-                + f"{kind} id={n.id} scale={n.scale} t={n.representative_time:.6g}"
-                + f" members={n.members.tolist()}"
+                + f"{kind} id={node_id} scale={self.scale[node_id]}"
+                + f" t={self.rep_time[node_id]:.6g}"
+                + f" members={list(range(self.lo[node_id], self.hi[node_id] + 1))}"
             )
-            for c in n.children:
+            for c in children:
                 walk(c, depth + 1)
 
         walk(self.root_id, 0)
@@ -306,46 +272,31 @@ def assign_scales(times, steps: list[MergeStep], merge_counts) -> ScaleHierarchy
             f"merge counts sum to {sum(merge_counts)} but there are {len(steps)} steps"
         )
 
-    h = ScaleHierarchy(times=t, steps=steps, merge_counts=merge_counts)
-
-    consumed: dict[int, int] = {}
-    for step in steps:
-        consumed[step.left] = step.order
-        consumed[step.right] = step.order
-
     n = len(t)
-    for leaf in range(n):
-        scale = h.interval_of_step(consumed[leaf]) if leaf in consumed else 1
-        h.nodes.append(
-            HierarchyNode(
-                id=leaf,
-                scale=scale,
-                children=(),
-                members=np.array([leaf]),
-                representative_time=float(t[leaf]),
-                formed_step=0,
-                consumed_step=consumed.get(leaf),
-            )
-        )
+    lo = np.arange(n + len(steps))
+    hi = lo.copy()
+    formed = np.zeros_like(lo)
+    consumed = np.full_like(lo, len(steps) + 1)
+    rep_time = np.concatenate([t, np.empty(len(steps))])
     for step in steps:
-        members = np.sort(
-            np.concatenate([h.nodes[step.left].members, h.nodes[step.right].members])
-        )
-        h.nodes.append(
-            HierarchyNode(
-                id=step.result,
-                scale=h.interval_of_step(step.order),
-                children=(step.left, step.right),
-                members=members,
-                representative_time=float(t[members].mean()),
-                formed_step=step.order,
-                consumed_step=consumed.get(step.result),
-            )
-        )
+        r = step.result
+        lo[r], hi[r] = lo[step.left], hi[step.right]
+        formed[r] = step.order
+        consumed[step.left] = consumed[step.right] = step.order
+        rep_time[r] = t[lo[r] : hi[r] + 1].mean()
 
-    for s in range(1, h.num_scales + 1):
-        h.per_scale[s] = h.frontier(s)
-    return h
+    ends = np.cumsum(merge_counts)
+    scale = np.searchsorted(ends, np.where(formed > 0, formed, consumed)) + 1
+    active, frontier_pos = [], []
+    for start, end in zip(np.concatenate([[0], ends[:-1]]), ends):
+        ids = np.flatnonzero((formed <= start) & (consumed > start))
+        ids = ids[np.argsort(lo[ids])]
+        active.append(ids)
+        frontier_pos.append(np.flatnonzero(consumed[ids] <= end))
+    return ScaleHierarchy(
+        t, steps, merge_counts, lo, hi, formed, consumed, scale, rep_time, active,
+        frontier_pos,
+    )
 
 
 def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> ScaleHierarchy:

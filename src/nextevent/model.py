@@ -320,17 +320,16 @@ def hierarchical_pool(
     concat each row with its positional context and project back to d_model."""
     cfg = params.config
     nxt_ids, groups = hierarchy.pool_groups(s)
-    if H_active.shape[0] != len(hierarchy.active_nodes(s)):
+    if H_active.shape[0] != len(hierarchy.active[s - 1]):
         raise HierarchyError(
             f"pooling at scale {s}: got {H_active.shape[0]} rows for"
-            f" {len(hierarchy.active_nodes(s))} active nodes"
+            f" {len(hierarchy.active[s - 1])} active nodes"
         )
     pooled = T.mean_pool(H_active, groups)
-    rep_times = [hierarchy.nodes[i].representative_time for i in nxt_ids]
     mixtures = np.stack(
         [hierarchy.type_mixture(i, types, cfg.num_types) for i in nxt_ids]
     )
-    context = _positional(params, rep_times, mixtures)
+    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -355,18 +354,15 @@ def encode(
     S = hierarchy.num_scales
     H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types))
     for s in range(1, S + 1):
-        active = hierarchy.active_nodes(s)
-        frontier = hierarchy.frontier(s)
-        mask = None
-        if cfg.causal:
-            # The rule ScaleHierarchy.key_set applies: keys no later than the query.
-            rt = np.array([hierarchy.nodes[i].representative_time for i in frontier])
-            mask = rt[None, :] <= rt[:, None]
-        if len(frontier) == len(active):
+        fpos = hierarchy.frontier_pos[s - 1]
+        # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
+        # is no later than the query's. Frontier spans are disjoint and times
+        # strictly increase, so those means strictly increase along the
+        # frontier and the rule is the lower triangle.
+        mask = np.tri(len(fpos), dtype=bool) if cfg.causal else None
+        if len(fpos) == H.shape[0]:
             H = cross_scale_attention(H, mask, params, s, counter)
         else:
-            pos_of = {node_id: i for i, node_id in enumerate(active)}
-            fpos = [pos_of[i] for i in frontier]
             Hf = cross_scale_attention(T.gather_rows(H, fpos), mask, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:

@@ -432,10 +432,13 @@ def add_n(nodes) -> DiffNode:
 
 def exp(a) -> DiffNode:
     a = _wrap(a)
-    out = DiffNode(np.exp(a.value), parents=(a,))
+    value = np.exp(a.value)
+    out = DiffNode(value, parents=(a,))
 
+    # Capturing ``out`` here would make a reference cycle that keeps the
+    # whole upstream graph alive until the cyclic garbage collector runs.
     def backward(g):
-        a.grad += g * out.value
+        a.grad += g * value
 
     out._backward = backward
     return out

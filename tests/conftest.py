@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 # Make the sibling oracle helpers importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -15,3 +17,9 @@ def nine_point_layout():
     scale 2, and e7, e8, e9 at scale 3.
     """
     return [0.0, 1.0, 4.0, 5.2, 10.0, 12.5, 30.0, 34.0, 39.0]
+
+
+# Property tests draw the same examples on every run and never time out on a
+# slow or shared host.
+settings.register_profile("nextevent", deadline=None, derandomize=True)
+settings.load_profile("nextevent")

@@ -17,6 +17,7 @@ from nextevent.events import (
     normalize_times,
     save_sequences,
 )
+from nextevent.hierarchy import build_hierarchy
 
 
 class TestEventSequence:
@@ -76,6 +77,19 @@ class TestLoadSequences:
         with pytest.warns(UserWarning, match="duplicate"):
             seqs = load_sequences(p)
         assert np.all(np.diff(seqs[0].times) > 0)
+
+    def test_duplicate_epoch_times_become_distinct(self, tmp_path):
+        # At ~1.7e9 s, 1e-9 of the mean gap is below one ulp (2.4e-7).
+        t0 = 1.7e9
+        times = [t0, t0 + 10, t0 + 10, t0 + 25, t0 + 40]
+        p = tmp_path / "epoch.csv"
+        p.write_text("seq_id,time,type\n" + "".join(f"0,{t!r},0\n" for t in times))
+        with pytest.warns(UserWarning, match=r"perturbed by up to 2\.38e-07"):
+            seqs = load_sequences(p)
+        out = seqs[0].times
+        assert np.all(np.diff(out) > 0)
+        assert out[2] == np.nextafter(t0 + 10, np.inf)
+        assert build_hierarchy(out).num_leaves == 5
 
     def test_jsonl_round_trip(self, tmp_path):
         seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nextevent.errors import ConfigError, HierarchyError
 from nextevent.hierarchy import (
@@ -89,7 +91,7 @@ class TestAssignScales:
     def test_nine_point_scales(self):
         t = nine_point_layout()
         h = assign_scales(t, agglomerate(t), [2, 2, 3, 1])
-        leaf_scales = [h.nodes[i].scale for i in range(9)]
+        leaf_scales = [h.scale[i] for i in range(9)]
         assert leaf_scales[:4] == [1, 1, 1, 1]
         assert [leaf_scales[4], leaf_scales[5]] == [2, 2]
         assert leaf_scales[6:] == [3, 3, 3]
@@ -99,7 +101,7 @@ class TestAssignScales:
         t = [0.0, 1.0, 3.0, 7.0, 20.0]
         h = assign_scales(t, agglomerate(t), [4])
         assert h.num_scales == 1
-        assert all(h.nodes[i].scale == 1 for i in range(len(h.nodes)))
+        assert all(h.scale[i] == 1 for i in range(len(h.scale)))
 
     def test_counts_mismatch(self):
         t = [0.0, 1.0, 3.0]
@@ -112,9 +114,9 @@ class TestAssignScales:
     def test_representative_time_is_member_mean(self):
         t = nine_point_layout()
         h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
-        for n in h.nodes:
+        for i in range(len(h.scale)):
             np.testing.assert_allclose(
-                n.representative_time, np.mean(np.asarray(t)[n.members])
+                h.rep_time[i], np.mean(np.asarray(t)[h.lo[i] : h.hi[i] + 1])
             )
 
     def test_active_nodes_partition_every_scale(self):
@@ -126,7 +128,7 @@ class TestAssignScales:
             h = build_hierarchy(t, num_scales=S)
             for s in range(1, S + 1):
                 members = np.concatenate(
-                    [h.nodes[i].members for i in h.active_nodes(s)]
+                    [np.arange(h.lo[i], h.hi[i] + 1) for i in h.active_nodes(s)]
                 )
                 assert sorted(members.tolist()) == list(range(n))
 
@@ -178,14 +180,14 @@ class TestFrontier:
             h = build_hierarchy(random_times(rng, n))
             seen = []
             for s in range(1, h.num_scales + 1):
-                seen.extend(i for i in h.frontier(s) if not h.nodes[i].children)
+                seen.extend(i for i in h.frontier(s) if i < h.num_leaves)
             assert sorted(seen) == list(range(n))
 
     def test_frontier_ordered_by_representative_time(self):
         rng = np.random.default_rng(10)
         h = build_hierarchy(random_times(rng, 20), num_scales=5)
         for s in range(1, 6):
-            reps = [h.nodes[i].representative_time for i in h.frontier(s)]
+            reps = [h.rep_time[i] for i in h.frontier(s)]
             assert reps == sorted(reps)
 
 
@@ -264,3 +266,88 @@ class TestSerialization:
         text = h.format_tree()
         assert text.count("leaf") == 9
         assert text.count("node id=") == 8
+
+
+# Strictly increasing floats: distinct values, sorted (0.0 and -0.0 count as one).
+increasing_times = st.lists(
+    st.floats(-1e12, 1e12, allow_nan=False), min_size=2, max_size=24, unique=True
+).map(sorted)
+
+
+def oracle_members(times):
+    """Leaf set of every node id, unioned along the brute-force merge steps."""
+    n = len(times)
+    members = {i: {i} for i in range(n)}
+    for _, left, right, result, _ in brute_force_single_linkage(times):
+        members[result] = members[left] | members[right]
+    return members
+
+
+def merge_tree(h):
+    return [(s.order, s.left, s.right, s.result) for s in h.steps]
+
+
+class TestHierarchyProperties:
+    @given(increasing_times)
+    def test_every_slicing_matches_the_brute_force_member_sets(self, times):
+        t = np.asarray(times)
+        n = len(t)
+        oracle = brute_force_single_linkage(t)
+        members = oracle_members(t)
+        types = np.arange(n) * 7 % 3
+        for S in range(1, n):
+            h = build_hierarchy(t, num_scales=S)
+            assert merge_tree(h) == [step[:4] for step in oracle]
+            nodes = h.to_dict()["nodes"]
+            assert [node["id"] for node in nodes] == list(range(2 * n - 1))
+            for node in nodes:
+                expected = sorted(members[node["id"]])
+                assert node["members"] == expected
+                assert node["time"] == t[expected].mean()
+                counts = np.zeros(3)
+                for leaf in expected:
+                    counts[types[leaf]] += 1.0
+                mixture = h.type_mixture(node["id"], types, 3)
+                np.testing.assert_array_equal(mixture, counts / len(expected))
+            bounds = np.concatenate([[0], np.cumsum(h.merge_counts)])
+            for s in range(1, S + 1):
+                start, end = bounds[s - 1], bounds[s]
+                done = [step for step in oracle if step[0] <= start]
+                alive = set(range(n)) | {step[3] for step in done}
+                alive -= {child for step in done for child in step[1:3]}
+                merging = {child for step in oracle if start < step[0] <= end
+                           for child in step[1:3]}
+                active = h.active_nodes(s)
+                assert set(active) == alive
+                spans = [sorted(members[i]) for i in active]
+                assert [i for span in spans for i in span] == list(range(n))
+                frontier = h.frontier(s)
+                assert frontier == [i for i in active if i in merging]
+                if s < S:
+                    nxt, groups = h.pool_groups(s)
+                    assert nxt == h.active_nodes(s + 1)
+                    assert [p for g in groups for p in g] == list(range(len(active)))
+                    for node_id, group in zip(nxt, groups):
+                        absorbed = set().union(*(members[active[p]] for p in group))
+                        assert absorbed == members[node_id]
+
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=1, max_size=40, unique=True),
+        st.integers(-8, 8),
+        st.integers(-(10**9), 10**9),
+        st.data(),
+    )
+    def test_merge_tree_is_invariant_under_affine_maps(self, gaps, log2_a, b, data):
+        # Distinct integer gaps, a power-of-two scale and an integer shift keep
+        # every time and distance exact, so no tie-breaking enters.
+        t = np.concatenate([[0.0], np.cumsum(np.asarray(gaps, dtype=np.float64))])
+        a = 2.0**log2_a
+        S = data.draw(st.integers(1, len(t) - 1))
+        h = build_hierarchy(t, num_scales=S)
+        g = build_hierarchy(a * t + b, num_scales=S)
+        assert merge_tree(g) == merge_tree(h)
+        assert [s.distance for s in g.steps] == [a * s.distance for s in h.steps]
+        assert g.merge_counts == h.merge_counts
+        for s in range(1, S + 1):
+            assert g.active_nodes(s) == h.active_nodes(s)
+            assert g.frontier(s) == h.frontier(s)
