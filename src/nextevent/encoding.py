@@ -11,10 +11,10 @@ of the event-type one-hot. The induced dot-product kernel
 depends on times only through their difference, which is what makes the
 downstream attention scores stable under global time shifts of the inputs.
 
-``mu`` is unconstrained by default; ``nonneg=True`` routes it through
-softplus so the kernel's discrete spectrum is non-negative for equal-type
-pairs. Feed post-normalization times so the initial frequencies land in a
-sensible range.
+The fixed sinusoidal baseline is the same map with unit amplitudes on the
+frozen DFT grid: an all-ones ``density_map`` gives ``mu = 1`` for every row
+of type weights that sums to one. Feed post-normalization times so the
+initial frequencies land in a sensible range.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .tensor import DiffNode
 __all__ = [
     "FcpeParams",
     "init_fcpe_params",
-    "density",
-    "fcpe",
-    "embed_event",
+    "initial_frequencies",
     "fcpe_matrix",
-    "embed_events",
+    "onehot_matrix",
 ]
 
 
@@ -84,15 +82,6 @@ def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> Fcpe
     return FcpeParams(dim, num_types, freqs, density_map, type_embed)
 
 
-def _check_onehot(type_onehot: np.ndarray, num_types: int) -> np.ndarray:
-    v = np.asarray(type_onehot, dtype=np.float64).reshape(-1)
-    if v.shape != (num_types,):
-        raise ConfigError(f"one-hot must have length {num_types}, got {v.shape}")
-    if not (np.count_nonzero(v) == 1 and np.isclose(v.sum(), 1.0) and v.max() == 1.0):
-        raise ConfigError("type_onehot must have exactly one entry equal to 1")
-    return v
-
-
 def _interleave_index(dim: int) -> np.ndarray:
     half = dim // 2
     idx = np.empty(dim, dtype=np.int64)
@@ -101,7 +90,7 @@ def _interleave_index(dim: int) -> np.ndarray:
     return idx
 
 
-def fcpe_matrix(params: FcpeParams, times, type_weights, nonneg: bool = False) -> DiffNode:
+def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
     """Encodings for a batch: times (n,), type_weights (n, K) rows of one-hots
     or mixture weights. Returns (n, d)."""
     t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
@@ -109,47 +98,9 @@ def fcpe_matrix(params: FcpeParams, times, type_weights, nonneg: bool = False) -
     phases = T.matmul(t_col, w_row)  # (n, d/2)
     weights = T.constant(np.asarray(type_weights, dtype=np.float64))
     mu = T.matmul(weights, T.transpose(params.density_map))  # (n, d/2)
-    if nonneg:
-        mu = T.softplus(mu)
     cos_part = T.mul(mu, T.cos(phases))
     sin_part = T.mul(mu, T.sin(phases))
     return T.gather_cols(T.concat_cols(cos_part, sin_part), _interleave_index(params.dim))
-
-
-def density(params: FcpeParams, type_onehot, nonneg: bool = False) -> DiffNode:
-    """Amplitude vector mu for one event type: the selected density_map column."""
-    v = _check_onehot(type_onehot, params.num_types)
-    mu = T.matmul(params.density_map, T.constant(v.reshape(-1, 1)))  # (d/2, 1)
-    if nonneg:
-        mu = T.softplus(mu)
-    return T.reshape(mu, (params.dim // 2,))
-
-
-def fcpe(params: FcpeParams, t: float, type_onehot, nonneg: bool = False) -> DiffNode:
-    """Positional encoding of one timestamp, shape (d,)."""
-    v = _check_onehot(type_onehot, params.num_types)
-    row = fcpe_matrix(params, [float(t)], v.reshape(1, -1), nonneg=nonneg)
-    return T.reshape(row, (params.dim,))
-
-
-def embed_event(params: FcpeParams, t: float, type_onehot, nonneg: bool = False) -> DiffNode:
-    """Full event embedding: type-embedding column plus positional encoding."""
-    v = _check_onehot(type_onehot, params.num_types)
-    rows = embed_events(params, [float(t)], v.reshape(1, -1), nonneg=nonneg)
-    return T.reshape(rows, (params.dim,))
-
-
-def embed_events(params: FcpeParams, times, type_weights, nonneg: bool = False) -> DiffNode:
-    """Batched embeddings (n, d): W_type one-hots + positional encodings."""
-    weights = T.constant(np.asarray(type_weights, dtype=np.float64))
-    type_part = T.matmul(weights, T.transpose(params.type_embed))  # (n, d)
-    return T.add(type_part, fcpe_matrix(params, times, type_weights, nonneg=nonneg))
-
-
-def onehot(k: int, num_types: int) -> np.ndarray:
-    v = np.zeros(num_types)
-    v[k] = 1.0
-    return v
 
 
 def onehot_matrix(types, num_types: int) -> np.ndarray:

@@ -432,12 +432,19 @@ def normalize_times(
 
 
 def apply_normalization(seqs: list[EventSequence], stats: NormStats) -> list[EventSequence]:
+    """Shift and scale ``seqs`` with ``stats``, recording each sequence's shift
+    under its ``seq_id``; an id already recorded with another shift is
+    rejected, because :func:`denormalize_times` could not tell them apart."""
     out = []
     for seq in seqs:
         times = seq.times
         if stats.mode in ("shift_to_zero", "shift_and_scale") and len(seq):
             first = float(times[0])
-            stats.first_times[seq.seq_id] = first
+            if stats.first_times.setdefault(seq.seq_id, first) != first:
+                raise DataError(
+                    f"sequence {seq.seq_id!r}: id already normalized with first time"
+                    f" {stats.first_times[seq.seq_id]!r}, got {first!r}"
+                )
             times = times - first
         if stats.mode == "shift_and_scale":
             times = times / stats.mean_gap

@@ -3,7 +3,8 @@ decoder that predicts the next event's type and a Weibull gap distribution.
 
 Forward pass per history window:
 
-1. embed every event (type column + positional encoding),
+1. embed every event (type column + positional encoding; ``pe="base"`` is
+   the same encoding initialized to unit amplitudes and kept frozen),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
    of scale s, with each query's keys given as one boolean mask over that
    frontier (all of it, or with ``causal`` the nodes no later than the
@@ -11,8 +12,9 @@ Forward pass per history window:
    head); carried-over nodes pass through untouched; then average-pool
    along the merge tree to the next scale's active set and re-inject each
    node's positional context through a concat + projection,
-3. a final attention pass at the top scale with the temporally last node as
-   the sole query, then a dense layer, gives the sequence summary ``H_L``,
+3. a final pass of the same masked-attention kernel at the top scale, with
+   the temporally last node as the sole query, then a dense layer, gives
+   the sequence summary ``H_L``,
 4. ``H_L`` feeds a softmax type head and a positive (scale, shape) time head.
 
 ``attention="dense"`` collapses the hierarchy to a single scale, which makes
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .encoding import FcpeParams, fcpe_matrix, init_fcpe_params, initial_frequencies, onehot_matrix
+from .encoding import FcpeParams, fcpe_matrix, init_fcpe_params, onehot_matrix
 from .errors import ConfigError, DataError, HierarchyError, NumericsError
 from .events import EventSequence, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
@@ -79,7 +81,6 @@ class ModelConfig:
     distribution: str = "weibull"
     attention: str = "cross_scale"
     pe: str = "fcpe"
-    nonneg: bool = False
     causal: bool = False
     layer_norm: bool = False
 
@@ -161,7 +162,7 @@ class ModelParams:
 
     def named_parameters(self) -> dict[str, DiffNode]:
         """Trainable leaves only: base positional encoding freezes the
-        frequencies and amplitude map."""
+        frequencies and the unit amplitude map."""
         out = self.all_named()
         if self.config.pe == "base":
             out.pop("fcpe.freqs")
@@ -194,9 +195,9 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     sigma = 1.0 / math.sqrt(d)
     fcpe = init_fcpe_params(d, config.num_types, rng)
     if config.pe == "base":
-        # Fixed sinusoidal encoding: unit amplitudes, frozen frequency grid.
-        fcpe.density_map.value[...] = 0.0
-        fcpe.freqs.value[...] = initial_frequencies(d)
+        # Fixed sinusoidal encoding: unit amplitudes on the DFT grid that
+        # init_fcpe_params already set, both frozen by named_parameters.
+        fcpe.density_map.value[...] = 1.0
     attn = []
     for _ in range(config.effective_scales):
         heads = [
@@ -239,25 +240,11 @@ def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     return build_hierarchy(times, merge_counts=default_merge_counts(n, S))
 
 
-def _positional(params: ModelParams, times, type_weights) -> DiffNode:
-    """Positional context rows honoring the configured encoding mode."""
-    cfg = params.config
-    if cfg.pe == "fcpe":
-        return fcpe_matrix(params.fcpe, times, type_weights, nonneg=cfg.nonneg)
-    # Fixed sinusoidal variant: unit amplitudes on the frozen frequency grid.
-    t = np.asarray(times, dtype=np.float64).reshape(-1, 1)
-    w = params.fcpe.freqs.value.reshape(1, -1)
-    phases = t @ w
-    pos = np.empty((len(t), cfg.d_model))
-    pos[:, 0::2] = np.cos(phases)
-    pos[:, 1::2] = np.sin(phases)
-    return T.constant(pos)
-
-
 def _embed(params: ModelParams, times, type_weights) -> DiffNode:
+    """Event embeddings (n, d): type-embedding rows plus positional encodings."""
     weights = T.constant(np.asarray(type_weights, dtype=np.float64))
     type_part = T.matmul(weights, T.transpose(params.fcpe.type_embed))
-    return T.add(type_part, _positional(params, times, type_weights))
+    return T.add(type_part, fcpe_matrix(params.fcpe, times, type_weights))
 
 
 def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
@@ -270,6 +257,25 @@ def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
     var = T.scale(T.matmul(T.mul(centered, centered), ones_col), 1.0 / d)
     inv = T.pow_const(T.add(var, T.constant(np.full((n, 1), eps))), -0.5)
     return T.mul(centered, inv)
+
+
+def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
+            sp: ScaleAttentionParams, counter: FlopCounter | None) -> DiffNode:
+    """Rows of ``Hq`` attend to rows of ``H``: one :func:`tensor.masked_attention`
+    node per head, concat(heads) @ W_O, plus the ``Hq`` residual. Counts
+    ``mask.sum() * d_k`` score multiplications per head (all pairs for
+    ``None``)."""
+    keys = Hq.shape[0] * H.shape[0] if mask is None else int(np.count_nonzero(mask))
+    head_outputs = []
+    for wq, wk, wv in sp.heads:
+        dk = wq.shape[1]
+        Q = T.matmul(Hq, wq)
+        K = T.matmul(H, wk)
+        V = T.matmul(H, wv)
+        head_outputs.append(T.masked_attention(Q, K, V, mask, 1.0 / math.sqrt(dk)))
+        if counter is not None:
+            counter.add(keys * dk)
+    return T.add(T.matmul(T.concat_cols(head_outputs), sp.w_out), Hq)
 
 
 def cross_scale_attention(
@@ -288,26 +294,12 @@ def cross_scale_attention(
     are ``mask.sum() * d_k`` per head (``n * n * d_k`` for ``None``).
     Output = concat(heads) @ W_O + residual.
     """
-    n = H.shape[0]
-    cfg = params.config
-    sp = params.attn[s - 1]
-    dk = cfg.head_dim
-    inv_sqrt = 1.0 / math.sqrt(dk)
     if mask is not None:
         missing = np.flatnonzero(~np.diagonal(mask))
         if missing.size:
             raise HierarchyError(f"key set of query {missing[0]} must include itself")
-    keys = n * n if mask is None else int(np.count_nonzero(mask))
-    head_outputs = []
-    for wq, wk, wv in sp.heads:
-        Q = T.matmul(H, wq)
-        K = T.matmul(H, wk)
-        V = T.matmul(H, wv)
-        head_outputs.append(T.masked_attention(Q, K, V, mask, inv_sqrt))
-        if counter is not None:
-            counter.add(keys * dk)
-    out = T.add(T.matmul(T.concat_cols(head_outputs), sp.w_out), H)
-    if cfg.layer_norm:
+    out = _attend(H, H, mask, params.attn[s - 1], counter)
+    if params.config.layer_norm:
         out = _layer_norm(out)
     return out
 
@@ -329,7 +321,7 @@ def hierarchical_pool(
     mixtures = np.stack(
         [hierarchy.type_mixture(i, types, cfg.num_types) for i in nxt_ids]
     )
-    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures)
+    context = fcpe_matrix(params.fcpe, hierarchy.rep_time[nxt_ids], mixtures)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -374,23 +366,8 @@ def summarize(params: ModelParams, H_top: DiffNode,
               counter: FlopCounter | None = None) -> DiffNode:
     """Decoder attention at the top scale: the temporally last node queries
     every top node, then a dense layer produces the sequence summary H_L."""
-    cfg = params.config
-    n = H_top.shape[0]
-    sp = params.attn[-1]
-    dk = cfg.head_dim
-    inv_sqrt = 1.0 / math.sqrt(dk)
-    last = T.gather_rows(H_top, [n - 1])
-    head_outputs = []
-    for wq, wk, wv in sp.heads:
-        q = T.matmul(last, wq)
-        K = T.matmul(H_top, wk)
-        V = T.matmul(H_top, wv)
-        scores = T.scale(T.matmul(q, T.transpose(K)), inv_sqrt)
-        probs = T.softmax(scores, axis=1)
-        if counter is not None:
-            counter.add(n * dk)
-        head_outputs.append(T.matmul(probs, V))
-    attended = T.add(T.matmul(T.concat_cols(head_outputs), sp.w_out), last)
+    last = T.gather_rows(H_top, [H_top.shape[0] - 1])
+    attended = _attend(last, H_top, None, params.attn[-1], counter)
     return T.matmul(attended, params.w_summary)
 
 
@@ -536,7 +513,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None, extra: dict | None = None) -> None:

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.encoding import (
     FcpeParams,
-    density,
-    embed_event,
-    fcpe,
+    fcpe_matrix,
     init_fcpe_params,
     initial_frequencies,
-    onehot,
+    onehot_matrix,
 )
 from nextevent.errors import ConfigError
 
@@ -20,64 +19,65 @@ def make_params(dim=8, num_types=3, seed=0):
     return init_fcpe_params(dim, num_types, np.random.default_rng(seed))
 
 
-def kernel(params, ta, tb, ka, kb, nonneg=False):
-    pa = fcpe(params, ta, onehot(ka, params.num_types), nonneg=nonneg).value
-    pb = fcpe(params, tb, onehot(kb, params.num_types), nonneg=nonneg).value
+def encode_rows(params, times, types):
+    """fcpe_matrix rows for one-hot types, as a numpy array (n, d)."""
+    return fcpe_matrix(params, times, onehot_matrix(types, params.num_types)).value
+
+
+def amplitudes(params, types):
+    """mu per row: the even slots of the encoding at time 0."""
+    return encode_rows(params, np.zeros(len(types)), types)[:, 0::2]
+
+
+def kernel(params, ta, tb, ka, kb):
+    pa, pb = encode_rows(params, [ta, tb], [ka, kb])
     return float(pa @ pb)
+
+
+def make_model(dim=6, num_types=2, seed=0):
+    config = M.ModelConfig(d_model=dim, num_heads=1, num_scales=1, num_types=num_types)
+    return M.init_model_params(config, seed)
+
+
+def embed_rows(model, times, types):
+    return M._embed(model, times, onehot_matrix(types, model.config.num_types)).value
 
 
 class TestDensity:
     def test_column_selection(self):
         params = make_params(dim=4, num_types=2)
         params.density_map.value[:] = np.array([[1.0, 5.0], [0.0, 6.0]])
-        np.testing.assert_array_equal(density(params, [1, 0]).value, [1.0, 0.0])
-        np.testing.assert_array_equal(density(params, [0, 1]).value, [5.0, 6.0])
+        np.testing.assert_array_equal(amplitudes(params, [0, 1]), [[1.0, 0.0], [5.0, 6.0]])
 
     def test_same_type_same_density(self):
         params = make_params()
-        a = density(params, onehot(2, 3)).value
-        b = density(params, onehot(2, 3)).value
-        np.testing.assert_array_equal(a, b)
-
-    def test_invalid_onehot(self):
-        params = make_params()
-        with pytest.raises(ConfigError):
-            density(params, [1, 1, 0])
-        with pytest.raises(ConfigError):
-            density(params, [0.5, 0.5, 0.0])
+        mu = amplitudes(params, [2, 0, 2])
+        np.testing.assert_array_equal(mu[0], mu[2])
 
     def test_gradient_through_density_map(self):
         params = make_params(dim=6, num_types=2)
 
         def f(_leaves):
-            mu = density(params, onehot(1, 2))
-            return T.sum_all(T.mul(mu, mu))
+            enc = fcpe_matrix(params, [0.0, 1.7], onehot_matrix([1, 0], 2))
+            return T.sum_all(T.mul(enc, enc))
 
         report = T.check_gradients(f, {"W_mu": params.density_map})
         assert report.max_rel_error < 1e-4
-
-    def test_nonneg_mode_positive(self):
-        params = make_params()
-        params.density_map.value[:] = -3.0
-        mu = density(params, onehot(0, 3), nonneg=True).value
-        assert np.all(mu > 0)
 
 
 class TestFcpe:
     def test_time_zero_gives_mu_and_zero_pairs(self):
         params = make_params(dim=6, num_types=2)
-        mu = density(params, onehot(0, 2)).value
-        enc = fcpe(params, 0.0, onehot(0, 2)).value
-        np.testing.assert_allclose(enc[0::2], mu, atol=1e-15)
-        np.testing.assert_allclose(enc[1::2], 0.0, atol=1e-15)
+        enc = encode_rows(params, [0.0, 0.0], [0, 1])
+        np.testing.assert_allclose(enc[:, 0::2], params.density_map.value.T, atol=1e-15)
+        np.testing.assert_allclose(enc[:, 1::2], 0.0, atol=1e-15)
 
     def test_unit_amplitude_norm_identity(self):
         params = make_params(dim=10, num_types=2)
         params.density_map.value[:] = 0.0
         params.density_map.value[:, 0] = 1.0
-        for t in (0.0, 0.37, 12.9, -4.0):
-            enc = fcpe(params, t, onehot(0, 2)).value
-            np.testing.assert_allclose(enc @ enc, params.dim / 2, rtol=1e-12)
+        enc = encode_rows(params, [0.0, 0.37, 12.9, -4.0], [0, 0, 0, 0])
+        np.testing.assert_allclose(np.sum(enc * enc, axis=1), params.dim / 2, rtol=1e-12)
 
     def test_dot_product_kernel_closed_form(self):
         params = make_params(dim=12, num_types=3, seed=4)
@@ -86,8 +86,7 @@ class TestFcpe:
         for _ in range(50):
             ta, tb = rng.uniform(-5, 5, size=2)
             ka, kb = rng.integers(0, 3, size=2)
-            mu_a = density(params, onehot(ka, 3)).value
-            mu_b = density(params, onehot(kb, 3)).value
+            mu_a, mu_b = amplitudes(params, [ka, kb])
             expected = float(np.sum(mu_a * mu_b * np.cos(w * (ta - tb))))
             np.testing.assert_allclose(kernel(params, ta, tb, ka, kb), expected, atol=1e-10)
 
@@ -101,22 +100,15 @@ class TestFcpe:
             moved = kernel(params, ta + shift, tb + shift, k, k)
             assert abs(base - moved) < 1e-10
 
-    def test_nonneg_spectrum_is_nonnegative(self):
-        params = make_params(dim=8, num_types=2, seed=2)
-        params.density_map.value[:] = np.random.default_rng(0).normal(size=(4, 2))
-        mu = density(params, onehot(1, 2), nonneg=True).value
-        assert np.all(mu**2 >= 0) and np.all(mu > 0)
-
     def test_per_component_periodicity(self):
         params = make_params(dim=10, num_types=2, seed=3)
         w = params.freqs.value.reshape(-1)
         t = 0.731
-        enc = fcpe(params, t, onehot(0, 2)).value
-        for k in range(1, len(w)):  # pair 0 is the DC component
-            period = 2 * np.pi / w[k]
-            shifted = fcpe(params, t + period, onehot(0, 2)).value
-            assert abs(enc[2 * k] - shifted[2 * k]) < 1e-10
-            assert abs(enc[2 * k + 1] - shifted[2 * k + 1]) < 1e-10
+        periods = 2 * np.pi / w[1:]  # pair 0 is the DC component
+        enc = encode_rows(params, np.concatenate([[t], t + periods]), np.zeros(len(w), int))
+        for k in range(1, len(w)):
+            np.testing.assert_allclose(enc[k, 2 * k:2 * k + 2], enc[0, 2 * k:2 * k + 2],
+                                       rtol=0, atol=1e-10)
 
     def test_initial_frequencies_follow_dft_grid(self):
         params = make_params(dim=8, num_types=2)
@@ -127,41 +119,39 @@ class TestFcpe:
 
 
 class TestEmbedEvent:
+    """The model's single embedding path: type column plus fcpe_matrix."""
+
     def test_zero_type_embedding_reduces_to_fcpe(self):
-        params = make_params(dim=6, num_types=2)
-        params.type_embed.value[:] = 0.0
-        emb = embed_event(params, 1.3, onehot(1, 2)).value
-        enc = fcpe(params, 1.3, onehot(1, 2)).value
-        np.testing.assert_allclose(emb, enc, atol=1e-15)
+        model = make_model()
+        model.fcpe.type_embed.value[:] = 0.0
+        emb = embed_rows(model, [1.3, 2.0], [1, 0])
+        np.testing.assert_allclose(emb, encode_rows(model.fcpe, [1.3, 2.0], [1, 0]), atol=1e-15)
 
     def test_zero_density_reduces_to_type_column(self):
-        params = make_params(dim=6, num_types=2)
-        params.density_map.value[:] = 0.0
-        emb = embed_event(params, 2.9, onehot(1, 2)).value
-        np.testing.assert_allclose(emb, params.type_embed.value[:, 1], atol=1e-15)
+        model = make_model()
+        model.fcpe.density_map.value[:] = 0.0
+        emb = embed_rows(model, [2.9], [1])
+        np.testing.assert_allclose(emb[0], model.fcpe.type_embed.value[:, 1], atol=1e-15)
 
     def test_same_type_kernel_translation_after_embedding(self):
         # With zero type columns the embedding kernel inherits the
         # positional kernel's shift invariance.
-        params = make_params(dim=8, num_types=2, seed=5)
-        params.type_embed.value[:] = 0.0
+        model = make_model(dim=8, seed=5)
+        model.fcpe.type_embed.value[:] = 0.0
         rng = np.random.default_rng(17)
         for _ in range(50):
             ta, tb, c = rng.uniform(-10, 10, size=3)
-            a0 = embed_event(params, ta, onehot(0, 2)).value
-            b0 = embed_event(params, tb, onehot(0, 2)).value
-            a1 = embed_event(params, ta + c, onehot(0, 2)).value
-            b1 = embed_event(params, tb + c, onehot(0, 2)).value
+            a0, b0, a1, b1 = embed_rows(model, [ta, tb, ta + c, tb + c], [0, 0, 0, 0])
             assert abs(a0 @ b0 - a1 @ b1) < 1e-10
 
     def test_gradients_through_all_parameters(self):
-        params = make_params(dim=6, num_types=2, seed=6)
+        model = make_model(seed=6)
 
-        def f(leaves):
-            emb = embed_event(params, 0.8, onehot(1, 2), nonneg=True)
+        def f(_leaves):
+            emb = M._embed(model, [0.8, 1.9], onehot_matrix([1, 0], 2))
             return T.sum_all(T.mul(emb, emb))
 
-        report = T.check_gradients(f, params.named())
+        report = T.check_gradients(f, model.fcpe.named())
         assert report.max_rel_error < 1e-4
 
     def test_dim_must_be_even(self):

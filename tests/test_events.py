@@ -262,6 +262,14 @@ class TestNormalization:
         )
         np.testing.assert_allclose(held[0].times, [0.0, 0.5])
 
+    def test_duplicate_seq_id_with_another_shift_rejected(self):
+        # Both sequences use the default seq_id "", so one shift would be
+        # lost and denormalize_times would restore the other sequence wrongly.
+        seqs = [EventSequence([10.0, 11.0, 13.0], [0, 0, 0], 1),
+                EventSequence([100.0, 102.0], [0, 0], 1)]
+        with pytest.raises(DataError, match="already normalized"):
+            normalize_times(seqs, "shift_to_zero")
+
     def test_stats_round_trip_dict(self):
         stats = NormStats("shift_and_scale", 2.5, {"a": 1.0})
         again = NormStats.from_dict(stats.to_dict())

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nextevent import model as M
+from nextevent import tensor as T
+from nextevent.encoding import onehot_matrix
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 from oracles import weibull_mean_by_quadrature
 
@@ -38,6 +40,51 @@ def test_dense_attention_is_the_single_scale_hierarchy(pe):
     dense = M.ModelConfig(attention="dense", num_scales=4, **base)
     one_scale = M.ModelConfig(attention="cross_scale", num_scales=1, **base)
     assert _loss(dense, example) == _loss(one_scale, example)
+
+
+def _numpy_embedding(params, times, type_weights):
+    """Type rows plus interleaved amplitude * (cos, sin) pairs, in plain numpy:
+    learned amplitudes for pe="fcpe", unit amplitudes for pe="base"."""
+    fcpe = params.fcpe
+    weights = np.asarray(type_weights, dtype=np.float64)
+    phases = np.asarray(times, dtype=np.float64).reshape(-1, 1) * fcpe.freqs.value.reshape(1, -1)
+    mu = weights @ fcpe.density_map.value.T if params.config.pe == "fcpe" else 1.0
+    pos = np.empty((len(weights), params.config.d_model))
+    pos[:, 0::2] = mu * np.cos(phases)
+    pos[:, 1::2] = mu * np.sin(phases)
+    return weights @ fcpe.type_embed.value.T + pos
+
+
+@pytest.mark.parametrize("pe", ["fcpe", "base"])
+def test_embedding_matches_a_numpy_encoding(pe):
+    params = M.init_model_params(M.ModelConfig(d_model=8, num_heads=2, num_types=3, pe=pe), 2)
+    rng = np.random.default_rng(5)
+    times = rng.uniform(-4.0, 9.0, size=7)
+    weights = onehot_matrix(rng.integers(0, 3, size=7), 3)
+    got = M._embed(params, times, weights).value
+    np.testing.assert_allclose(got, _numpy_embedding(params, times, weights), rtol=0, atol=1e-15)
+
+
+def test_base_mode_pooled_context_has_unit_amplitude():
+    # Pooled rows carry a cluster's type mixture, which sums to one only
+    # within rounding.
+    params = M.init_model_params(M.ModelConfig(d_model=8, num_heads=2, num_types=3, pe="base"), 2)
+    mixture = np.array([[3.0, 2.0, 2.0]]) / 7.0
+    got = M._embed(params, [2.37], mixture).value
+    np.testing.assert_allclose(got, _numpy_embedding(params, [2.37], mixture), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("extra", [
+    dict(pe="fcpe"), dict(pe="base"), dict(causal=True, layer_norm=True),
+], ids=["fcpe", "base", "causal-layer_norm"])
+def test_loss_gradients_match_finite_differences(extra):
+    example = _example(length=16)
+    config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, **extra)
+    params = M.init_model_params(config, seed=1)
+    report = T.check_gradients(
+        lambda _: M.loss(params, example), params.named_parameters(), max_entries=6
+    )
+    assert report.max_rel_error < 1e-4
 
 
 def test_checkpoint_round_trip_reproduces_the_loss(tmp_path):
