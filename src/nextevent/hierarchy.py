@@ -20,6 +20,9 @@ Two node-set views matter downstream and are deliberately distinct:
 * ``active_nodes(s)`` -- every cluster alive when interval ``s`` begins.
   This is a partition of all leaves (frontier(s) plus carried-over nodes
   that merge at a later scale) and is what hierarchical pooling walks.
+  Each node of ``active_nodes(s+1)`` absorbs a contiguous run of
+  ``active_nodes(s)``, so ``pool_groups(s)`` describes the pooling by the
+  run starts alone.
 
 For a single scale the two views coincide with the full leaf set.
 """
@@ -195,26 +198,36 @@ class ScaleHierarchy:
         t_q = self.rep_time[node_id]
         return [i for i in frontier if self.rep_time[i] <= t_q]
 
-    def pool_groups(self, s: int) -> tuple[list[int], list[list[int]]]:
+    def pool_groups(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Grouping that takes active_nodes(s) to active_nodes(s+1).
 
-        Returns the ordered ids of active_nodes(s+1) together with, for each,
-        the positions (within active_nodes(s)) of the clusters it absorbs;
-        carried-over nodes map to a singleton group.
+        Returns the ids of active_nodes(s+1) in time order and, for each,
+        the position within active_nodes(s) of the first cluster it absorbs.
+        Both sets partition the leaves into spans ordered by ``lo``, so next
+        node ``g`` absorbs the contiguous run of positions from ``starts[g]``
+        up to ``starts[g + 1]`` (the last run goes to the end); a carried-over
+        node is a run of one.
         """
         if not 1 <= s < self.num_scales:
             raise ConfigError(f"pooling needs 1 <= s < {self.num_scales}, got {s}")
-        nxt = self.active[s]
-        # Both sets partition the leaves into spans ordered by lo, so each
-        # next node absorbs the run of current nodes from its own lo onward.
-        starts = np.searchsorted(self.lo[self.active[s - 1]], self.lo[nxt]).tolist()
-        ends = starts[1:] + [len(self.active[s - 1])]
-        return nxt.tolist(), [list(range(a, b)) for a, b in zip(starts, ends)]
+        nxt = self.active[s].copy()  # callers may not write into the hierarchy
+        return nxt, np.searchsorted(self.lo[self.active[s - 1]], self.lo[nxt])
 
-    def type_mixture(self, node_id: int, types: np.ndarray, num_types: int) -> np.ndarray:
-        """Distribution of member leaf types (one-hot for a leaf)."""
-        lo, hi = self.lo[node_id], self.hi[node_id]
-        return np.bincount(types[lo : hi + 1], minlength=num_types) / (hi - lo + 1)
+    def type_mixture(self, node_ids: int | np.ndarray, types: np.ndarray,
+                     num_types: int) -> np.ndarray:
+        """Distribution of member leaf types (one-hot for a leaf): shape
+        ``(num_types,)`` for one id, ``(len(node_ids), num_types)`` for an
+        array of ids.
+
+        Counts are differences of per-type prefix counts over the leaves.
+        They are exact integers, so each row equals ``bincount / size`` bit
+        for bit.
+        """
+        ids = np.asarray(node_ids)
+        prefix = np.zeros((self.num_leaves + 1, num_types), dtype=np.int64)
+        np.cumsum(np.eye(num_types, dtype=np.int64)[types], axis=0, out=prefix[1:])
+        lo, end = self.lo[ids], self.hi[ids] + 1
+        return (prefix[end] - prefix[lo]) / (end - lo)[..., None]
 
     def _children(self, node_id: int) -> list[int]:
         if node_id < self.num_leaves:
@@ -283,7 +296,9 @@ def assign_scales(times, steps: list[MergeStep], merge_counts) -> ScaleHierarchy
         lo[r], hi[r] = lo[step.left], hi[step.right]
         formed[r] = step.order
         consumed[step.left] = consumed[step.right] = step.order
-        rep_time[r] = t[lo[r] : hi[r] + 1].mean()
+        # Same float64 sum and division as .mean(), without numpy's _mean
+        # wrapper, which costs more than the sum on spans this short.
+        rep_time[r] = t[lo[r] : hi[r] + 1].sum() / (hi[r] - lo[r] + 1)
 
     ends = np.cumsum(merge_counts)
     scale = np.searchsorted(ends, np.where(formed > 0, formed, consumed)) + 1

@@ -9,9 +9,12 @@ Forward pass per history window:
    of scale s, with each query's keys given as one boolean mask over that
    frontier (all of it, or with ``causal`` the nodes no later than the
    query; the counted score multiplications are ``mask.sum() * d_k`` per
-   head); carried-over nodes pass through untouched; then average-pool
-   along the merge tree to the next scale's active set and re-inject each
-   node's positional context through a concat + projection,
+   head); carried-over nodes pass through untouched; then pool to the next
+   scale's active set as a segment mean: the active nodes and the next ones
+   are both leaf spans in time order, so each next node is the mean of the
+   contiguous run of rows it absorbs (a carried-over node is a run of one);
+   each pooled row is concatenated with its node's positional context and
+   projected back to ``d_model``,
 3. a final pass of the same masked-attention kernel at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
@@ -308,19 +311,17 @@ def hierarchical_pool(
     H_active: DiffNode, hierarchy: ScaleHierarchy, s: int, params: ModelParams,
     types: np.ndarray,
 ) -> DiffNode:
-    """Ascend one scale: tree-mean the merged clusters, carry the rest, then
+    """Ascend one scale: each next-scale node is the mean of the contiguous run
+    of active rows it absorbs (carried-over nodes are runs of one), then
     concat each row with its positional context and project back to d_model."""
-    cfg = params.config
-    nxt_ids, groups = hierarchy.pool_groups(s)
+    nxt_ids, starts = hierarchy.pool_groups(s)
     if H_active.shape[0] != len(hierarchy.active[s - 1]):
         raise HierarchyError(
             f"pooling at scale {s}: got {H_active.shape[0]} rows for"
             f" {len(hierarchy.active[s - 1])} active nodes"
         )
-    pooled = T.mean_pool(H_active, groups)
-    mixtures = np.stack(
-        [hierarchy.type_mixture(i, types, cfg.num_types) for i in nxt_ids]
-    )
+    pooled = T.segment_mean(H_active, starts)
+    mixtures = hierarchy.type_mixture(nxt_ids, types, params.config.num_types)
     context = fcpe_matrix(params.fcpe, hierarchy.rep_time[nxt_ids], mixtures)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 

@@ -5,8 +5,8 @@ nodes, and a closure that routes the output gradient back to those parents.
 The graph is rebuilt on every forward pass, which keeps variable-length
 sequences simple. ``backward()`` on a scalar root runs a topological sort
 and accumulates gradients by addition, so a node feeding several consumers
-receives every contribution exactly once; call :func:`zero_grad` (or
-``DiffNode.zero_grad``) between optimization steps.
+receives every contribution exactly once; call ``DiffNode.zero_grad`` on
+each leaf between optimization steps.
 
 Everything is 64-bit: the finite-difference checks in
 :func:`check_gradients` target relative errors around 1e-4, which 32-bit
@@ -32,15 +32,11 @@ __all__ = [
     "scale",
     "matmul",
     "transpose",
-    "reshape",
-    "concat_rows",
     "concat_cols",
     "gather_rows",
     "gather_cols",
     "scatter_rows",
     "sum_all",
-    "mean_all",
-    "add_n",
     "exp",
     "log",
     "cos",
@@ -50,8 +46,7 @@ __all__ = [
     "softmax",
     "logsumexp",
     "masked_attention",
-    "mean_pool",
-    "zero_grad",
+    "segment_mean",
     "check_gradients",
     "GradCheckReport",
 ]
@@ -113,30 +108,6 @@ class DiffNode:
     def __repr__(self):
         return f"DiffNode(shape={self.shape})"
 
-    # Operator sugar; the named module functions are the primary surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, DiffNode):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _toposort(root: DiffNode) -> list[DiffNode]:
     """Reverse topological order (root first), iterative to spare the stack."""
@@ -171,11 +142,6 @@ def parameter(data) -> DiffNode:
 
 def _wrap(x) -> DiffNode:
     return x if isinstance(x, DiffNode) else constant(x)
-
-
-def zero_grad(nodes) -> None:
-    for node in nodes:
-        node.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -296,49 +262,23 @@ def transpose(a) -> DiffNode:
     return out
 
 
-def reshape(a, shape) -> DiffNode:
-    a = _wrap(a)
-    shape = tuple(shape)
-    out = DiffNode(a.value.reshape(shape), parents=(a,))
-
-    def backward(g):
-        a.grad += g.reshape(a.shape)
-
-    out._backward = backward
-    return out
-
-
-def _concat(nodes, axis: int) -> DiffNode:
-    nodes = [_wrap(n) for n in nodes]
-    if not nodes:
-        raise ValueError("concat of zero nodes")
-    values = [n.value for n in nodes]
-    out = DiffNode(np.concatenate(values, axis=axis), parents=tuple(nodes))
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-
-    def backward(g):
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if axis == 0:
-                node.grad += g[lo:hi]
-            else:
-                node.grad += g[:, lo:hi]
-
-    out._backward = backward
-    return out
-
-
-def concat_rows(*nodes) -> DiffNode:
-    """Stack matrices vertically (axis 0)."""
-    if len(nodes) == 1 and isinstance(nodes[0], (list, tuple)):
-        nodes = tuple(nodes[0])
-    return _concat(nodes, axis=0)
-
-
 def concat_cols(*nodes) -> DiffNode:
     """Stack matrices horizontally (axis 1)."""
     if len(nodes) == 1 and isinstance(nodes[0], (list, tuple)):
         nodes = tuple(nodes[0])
-    return _concat(nodes, axis=1)
+    nodes = [_wrap(n) for n in nodes]
+    if not nodes:
+        raise ValueError("concat of zero nodes")
+    values = [n.value for n in nodes]
+    out = DiffNode(np.concatenate(values, axis=1), parents=tuple(nodes))
+    offsets = np.cumsum([0] + [v.shape[1] for v in values])
+
+    def backward(g):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            node.grad += g[:, lo:hi]
+
+    out._backward = backward
+    return out
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
@@ -405,26 +345,6 @@ def sum_all(a) -> DiffNode:
 
     def backward(g):
         a.grad += np.broadcast_to(g, a.shape)
-
-    out._backward = backward
-    return out
-
-
-def mean_all(a) -> DiffNode:
-    a = _wrap(a)
-    return scale(sum_all(a), 1.0 / a.size)
-
-
-def add_n(nodes) -> DiffNode:
-    """Sum a list of same-shaped nodes."""
-    nodes = [_wrap(n) for n in nodes]
-    if not nodes:
-        raise ValueError("add_n of zero nodes")
-    out = DiffNode(sum(n.value for n in nodes), parents=tuple(nodes))
-
-    def backward(g):
-        for node in nodes:
-            node.grad += g
 
     out._backward = backward
     return out
@@ -594,27 +514,33 @@ def masked_attention(q, k, v, mask, scale: float) -> DiffNode:
     return out
 
 
-def mean_pool(a, group_index) -> DiffNode:
-    """Row ``g`` of the output is the mean of input rows ``group_index[g]``.
+def segment_mean(a, starts) -> DiffNode:
+    """Row ``g`` of the output is the mean of input rows
+    ``starts[g]:starts[g + 1]`` (the last segment runs to the end).
 
-    The backward rule hands each member 1/|group| of the output-row
-    gradient. Groups must be non-empty and indices valid.
+    The segments partition the rows in order, so ``starts`` must begin at 0,
+    strictly increase and stay below the row count. Forward adds each
+    segment's rows in order, as ``np.mean`` does, and divides by the count;
+    backward hands each member 1/count of its output row's gradient.
     """
     a = _wrap(a)
-    groups = [np.asarray(g, dtype=np.int64) for g in group_index]
-    if not groups:
-        raise HierarchyError("mean_pool: no groups given")
-    for g in groups:
-        if g.size == 0:
-            raise HierarchyError("mean_pool: empty group")
-        if g.min() < 0 or g.max() >= a.shape[0]:
-            raise HierarchyError(f"mean_pool: index out of range [0, {a.shape[0]})")
-    value = np.stack([a.value[g].mean(axis=0) for g in groups])
-    out = DiffNode(value, parents=(a,))
+    starts = np.asarray(starts, dtype=np.int64)
+    n = a.shape[0]
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
+        raise HierarchyError("segment_mean: starts must be a 1-D array beginning at 0")
+    if np.any(np.diff(starts) <= 0):
+        raise HierarchyError("segment_mean: empty segment (starts must strictly increase)")
+    if starts[-1] >= n:
+        raise HierarchyError(f"segment_mean: start {starts[-1]} out of range [0, {n})")
+    counts = np.diff(starts, append=n)
+    sums = np.zeros((len(starts),) + a.shape[1:])
+    # np.add.reduceat sums in another order and rounds unlike np.mean.
+    np.add.at(sums, np.repeat(np.arange(len(starts)), counts), a.value)
+    per_row = counts.reshape((-1,) + (1,) * (a.value.ndim - 1))
+    out = DiffNode(sums / per_row, parents=(a,))
 
-    def backward(gout):
-        for row, g in enumerate(groups):
-            np.add.at(a.grad, g, gout[row] / g.size)
+    def backward(g):
+        a.grad += np.repeat(g / per_row, counts, axis=0)
 
     out._backward = backward
     return out

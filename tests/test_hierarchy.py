@@ -226,10 +226,17 @@ class TestKeySet:
             h.key_set(3, 0)  # e1 was absorbed during interval 1
 
 
+def position_groups(h, s):
+    """pool_groups(s) as the next ids and, for each, its run of positions."""
+    nxt, starts = h.pool_groups(s)
+    runs = np.split(np.arange(len(h.active_nodes(s))), starts[1:])
+    return nxt.tolist(), [run.tolist() for run in runs]
+
+
 class TestPoolGroups:
     def test_nine_point_pooling_path(self):
         h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
-        nxt, groups = h.pool_groups(1)
+        nxt, groups = position_groups(h, 1)
         active1 = h.active_nodes(1)
         assert active1 == list(range(9))
         assert nxt == h.active_nodes(2)
@@ -242,7 +249,7 @@ class TestPoolGroups:
         # Interval 3 merges e7+e8 and then absorbs e9 through a chain; the
         # next active set must group all three leaves together.
         h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
-        nxt, groups = h.pool_groups(3)
+        nxt, groups = position_groups(h, 3)
         assert len(nxt) == 2
         sizes = sorted(len(g) for g in groups)
         assert sizes == [2, 3]
@@ -300,6 +307,7 @@ class TestHierarchyProperties:
             assert merge_tree(h) == [step[:4] for step in oracle]
             nodes = h.to_dict()["nodes"]
             assert [node["id"] for node in nodes] == list(range(2 * n - 1))
+            mixtures = h.type_mixture(np.arange(2 * n - 1), types, 3)
             for node in nodes:
                 expected = sorted(members[node["id"]])
                 assert node["members"] == expected
@@ -309,6 +317,7 @@ class TestHierarchyProperties:
                     counts[types[leaf]] += 1.0
                 mixture = h.type_mixture(node["id"], types, 3)
                 np.testing.assert_array_equal(mixture, counts / len(expected))
+                np.testing.assert_array_equal(mixtures[node["id"]], counts / len(expected))
             bounds = np.concatenate([[0], np.cumsum(h.merge_counts)])
             for s in range(1, S + 1):
                 start, end = bounds[s - 1], bounds[s]
@@ -324,7 +333,7 @@ class TestHierarchyProperties:
                 frontier = h.frontier(s)
                 assert frontier == [i for i in active if i in merging]
                 if s < S:
-                    nxt, groups = h.pool_groups(s)
+                    nxt, groups = position_groups(h, s)
                     assert nxt == h.active_nodes(s + 1)
                     assert [p for g in groups for p in g] == list(range(len(active)))
                     for node_id, group in zip(nxt, groups):

@@ -42,9 +42,9 @@ def test_dense_attention_is_the_single_scale_hierarchy(pe):
     assert _loss(dense, example) == _loss(one_scale, example)
 
 
-def _numpy_embedding(params, times, type_weights):
-    """Type rows plus interleaved amplitude * (cos, sin) pairs, in plain numpy:
-    learned amplitudes for pe="fcpe", unit amplitudes for pe="base"."""
+def _numpy_positional(params, times, type_weights):
+    """Interleaved amplitude * (cos, sin) pairs, in plain numpy: learned
+    amplitudes for pe="fcpe", unit amplitudes for pe="base"."""
     fcpe = params.fcpe
     weights = np.asarray(type_weights, dtype=np.float64)
     phases = np.asarray(times, dtype=np.float64).reshape(-1, 1) * fcpe.freqs.value.reshape(1, -1)
@@ -52,7 +52,13 @@ def _numpy_embedding(params, times, type_weights):
     pos = np.empty((len(weights), params.config.d_model))
     pos[:, 0::2] = mu * np.cos(phases)
     pos[:, 1::2] = mu * np.sin(phases)
-    return weights @ fcpe.type_embed.value.T + pos
+    return pos
+
+
+def _numpy_embedding(params, times, type_weights):
+    """Type rows plus the positional pairs of :func:`_numpy_positional`."""
+    weights = np.asarray(type_weights, dtype=np.float64)
+    return weights @ params.fcpe.type_embed.value.T + _numpy_positional(params, times, weights)
 
 
 @pytest.mark.parametrize("pe", ["fcpe", "base"])
@@ -72,6 +78,33 @@ def test_base_mode_pooled_context_has_unit_amplitude():
     mixture = np.array([[3.0, 2.0, 2.0]]) / 7.0
     got = M._embed(params, [2.37], mixture).value
     np.testing.assert_allclose(got, _numpy_embedding(params, [2.37], mixture), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("pe", ["fcpe", "base"])
+def test_hierarchical_pool_matches_a_numpy_pooling(pe):
+    # Each next-scale node's row is the mean of the rows of the active nodes
+    # whose leaves it contains, next to the positional encoding of its mean
+    # time and type mixture, projected by pool_proj.
+    config = M.ModelConfig(d_model=8, num_heads=2, num_scales=4, num_types=3, pe=pe)
+    params = M.init_model_params(config, seed=4)
+    seq = _example(length=64).history
+    h = M.hierarchy_for(config, seq.times)
+    nodes = h.to_dict()["nodes"]
+    rng = np.random.default_rng(8)
+    for s in range(1, h.num_scales):
+        active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
+        H = rng.normal(size=(len(active), config.d_model))
+        got = M.hierarchical_pool(T.constant(H), h, s, params, seq.types).value
+        pooled, mixtures = [], []
+        for node_id in nxt:
+            members = nodes[node_id]["members"]
+            run = [p for p, a in enumerate(active) if set(nodes[a]["members"]) <= set(members)]
+            pooled.append(H[run].mean(axis=0))
+            mixtures.append(np.bincount(seq.types[members], minlength=3) / len(members))
+        times = [nodes[i]["time"] for i in nxt]
+        context = _numpy_positional(params, times, np.array(mixtures))
+        expected = np.concatenate([np.array(pooled), context], axis=1) @ params.pool_proj[s - 1].value
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("extra", [
