@@ -98,8 +98,9 @@ def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
     phases = T.matmul(t_col, w_row)  # (n, d/2)
     weights = T.constant(np.asarray(type_weights, dtype=np.float64))
     mu = T.matmul(weights, T.transpose(params.density_map))  # (n, d/2)
-    cos_part = T.mul(mu, T.cos(phases))
-    sin_part = T.mul(mu, T.sin(phases))
+    cos_phases, sin_phases = T.cos_sin(phases)
+    cos_part = T.mul(mu, cos_phases)
+    sin_part = T.mul(mu, sin_phases)
     return T.gather_cols(T.concat_cols(cos_part, sin_part), _interleave_index(params.dim))
 
 

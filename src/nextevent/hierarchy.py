@@ -1,10 +1,20 @@
 """Multi-scale time hierarchy from bottom-up clustering of 1-D timestamps.
 
-Clusters are merged by single linkage (minimum pairwise distance), which on
-sorted 1-D input always joins time-adjacent clusters, so the whole merge
-sequence can be produced in O(L log L) with a heap over adjacent gaps. The
-merge order is then sliced into consecutive intervals; the interval index
-gives the temporal scale.
+Clusters are merged by single linkage (minimum pairwise distance). Single
+linkage follows the Kruskal order of the minimum spanning tree (Gower & Ross
+1969), and on sorted 1-D input that tree is the chain of neighbour gaps: each
+merge joins two time-adjacent clusters across the smallest remaining gap. The
+whole merge order is therefore ``np.argsort(np.diff(t), kind="stable")``; the
+stable order breaks distance ties toward the pair whose left cluster starts
+first. The merge order is then sliced into consecutive intervals; the
+interval index gives the temporal scale.
+
+The tree follows from the gap ranks (positions in that order) alone. The
+cluster formed across gap ``g`` spans from one past the nearest gap on its
+left with a larger rank to the nearest gap on its right with a larger rank;
+one monotone-stack pass finds both. A cluster's parent is formed across
+whichever of its two bounding gaps has the lower rank (for leaf ``i``: gaps
+``i - 1`` and ``i``).
 
 Because only neighbours merge, every cluster is a contiguous span of leaves
 ``[lo, hi]``. :class:`ScaleHierarchy` therefore stores the tree as integer
@@ -29,7 +39,6 @@ For a single scale the two views coincide with the full leaf set.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +49,6 @@ __all__ = [
     "MergeStep",
     "ScaleHierarchy",
     "agglomerate",
-    "assign_scales",
     "default_merge_counts",
     "build_hierarchy",
 ]
@@ -57,6 +65,53 @@ class MergeStep:
     distance: float
 
 
+def _merge_tree(times):
+    """Validated times plus the single-linkage tree as arrays.
+
+    Returns ``(t, distance, left, right, lo, hi, consumed)``: per merge (index
+    ``k`` is merge order ``k + 1``) its distance and two child ids, and per
+    node id its leaf span and the order of the merge that absorbs it.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    n = len(t)
+    if n < 2:
+        raise HierarchyError(f"need at least 2 points to agglomerate, got {n}")
+    gaps = np.diff(t)
+    if not np.all(gaps > 0):  # also rejects NaN, which no gap order can place
+        raise HierarchyError("times must be strictly increasing with no duplicates")
+
+    m = n - 1
+    order = np.argsort(gaps, kind="stable")  # order[k]: the gap merge k + 1 fuses
+    rank = np.full(n, m)  # rank[m] == rank[-1] == m: "no gap" past either end
+    rank[order] = np.arange(m)
+    # Nearest gap with a larger rank on each side (-1 / m when there is none),
+    # from one monotone-stack pass. The floor -1 outranks every gap.
+    ranks = rank.tolist()
+    prev_larger, next_larger = [-1] * m, [m] * m
+    stack = [-1]
+    for g, r in enumerate(ranks[:m]):
+        while ranks[stack[-1]] < r:
+            next_larger[stack.pop()] = g
+        prev_larger[g] = stack[-1]
+        stack.append(g)
+
+    # Each node lies between two bounding gaps: leaf i between gaps i - 1 and
+    # i, the node merged across gap g between g's nearest larger-rank gaps.
+    # Its parent is merged across whichever of the two has the lower rank,
+    # and it is that merge's left child when that gap lies on its right.
+    left_gap = np.concatenate([np.arange(-1, m), np.asarray(prev_larger)[order]])
+    right_gap = np.concatenate([np.arange(n), np.asarray(next_larger)[order]])
+    rank_left, rank_right = rank[left_gap], rank[right_gap]
+    absorbed_by = np.minimum(rank_left, rank_right)  # merge index; m for the root
+    # The root is the last id and the only node without a parent.
+    up, is_left = absorbed_by[:-1], (rank_right < rank_left)[:-1]
+    ids = np.arange(n + m - 1)
+    left, right = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    left[up[is_left]] = ids[is_left]
+    right[up[~is_left]] = ids[~is_left]
+    return t, gaps[order], left, right, left_gap + 1, right_gap, absorbed_by + 1
+
+
 def agglomerate(times) -> list[MergeStep]:
     """Single-linkage merge sequence over sorted 1-D points.
 
@@ -64,59 +119,7 @@ def agglomerate(times) -> list[MergeStep]:
     earliest first point. Cluster ids: leaves are 0..L-1 in time order, the
     merge at ``order`` o creates id L-1+o. Exactly L-1 steps are returned.
     """
-    t = np.asarray(times, dtype=np.float64)
-    n = len(t)
-    if n < 2:
-        raise HierarchyError(f"need at least 2 points to agglomerate, got {n}")
-    if np.any(np.diff(t) <= 0):
-        raise HierarchyError("times must be strictly increasing with no duplicates")
-
-    # Active clusters are contiguous spans [lo, hi] of leaf indices, tracked
-    # through a doubly linked list of gap slots. Gap g sits between leaf g
-    # and g+1; merging across it fuses the flanking spans.
-    left_span_lo = list(range(n - 1))  # gap g: lowest leaf of the span ending at g
-    cluster_id_left = list(range(n - 1))
-    cluster_id_right = list(range(1, n))
-    prev_gap = list(range(-1, n - 2))
-    next_gap = list(range(1, n - 1)) + [-1]
-    alive = [True] * (n - 1)
-    version = [0] * (n - 1)
-
-    heap: list[tuple[float, float, int, int]] = []
-    for g in range(n - 1):
-        heapq.heappush(heap, (t[g + 1] - t[g], t[left_span_lo[g]], g, 0))
-
-    steps: list[MergeStep] = []
-    next_id = n
-    order = 0
-    while len(steps) < n - 1:
-        dist, _, g, ver = heapq.heappop(heap)
-        if not alive[g] or version[g] != ver:
-            continue
-        order += 1
-        left_id = cluster_id_left[g]
-        right_id = cluster_id_right[g]
-        new_id = next_id
-        next_id += 1
-        steps.append(MergeStep(order, left_id, right_id, new_id, float(dist)))
-        alive[g] = False
-
-        lo = left_span_lo[g]
-        pg, ng = prev_gap[g], next_gap[g]
-        if pg >= 0:
-            # Left neighbour's right cluster becomes the merged one; its key
-            # (distance, left-cluster first time) is unchanged.
-            cluster_id_right[pg] = new_id
-            next_gap[pg] = ng
-        if ng >= 0:
-            # Right neighbour's left cluster grew leftward: its tie-break key
-            # changes, so push a fresh entry and invalidate the stale one.
-            cluster_id_left[ng] = new_id
-            left_span_lo[ng] = lo
-            prev_gap[ng] = pg
-            version[ng] += 1
-            heapq.heappush(heap, (t[ng + 1] - t[ng], t[lo], ng, version[ng]))
-    return steps
+    return build_hierarchy(times, num_scales=1).steps
 
 
 def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
@@ -136,16 +139,19 @@ class ScaleHierarchy:
     """Merge tree plus the scale slicing derived from ``merge_counts``.
 
     Every per-node array is indexed by node id (leaves 0..L-1, merge ``o``
-    creates L-1+o) and is filled once by :func:`assign_scales`.
+    creates L-1+o) and is filled once by :func:`build_hierarchy`. Per-merge
+    arrays are indexed by merge order minus one.
     """
 
     times: np.ndarray
-    steps: list[MergeStep]
     merge_counts: list[int]
+    left: np.ndarray  # per merge: the child whose span lies earlier
+    right: np.ndarray  # per merge: the other child
+    distance: np.ndarray  # per merge: the gap it fused
     lo: np.ndarray  # first leaf of the node's span
     hi: np.ndarray  # last leaf of the node's span
     formed: np.ndarray  # order of the creating merge; 0 for leaves
-    consumed: np.ndarray  # order of the absorbing merge; len(steps) + 1 for the root
+    consumed: np.ndarray  # order of the absorbing merge; L for the root
     scale: np.ndarray
     rep_time: np.ndarray  # mean time of the span's leaves
     active: list[np.ndarray]  # per scale: ids of active_nodes(s), ordered by lo
@@ -161,12 +167,23 @@ class ScaleHierarchy:
 
     @property
     def root_id(self) -> int:
-        return self.steps[-1].result if self.steps else 0
+        return len(self.lo) - 1
+
+    @property
+    def steps(self) -> list[MergeStep]:
+        """The merge sequence as :class:`MergeStep` records, built on demand."""
+        n = self.num_leaves
+        return [
+            MergeStep(k + 1, a, b, n + k, d)
+            for k, (a, b, d) in enumerate(
+                zip(self.left.tolist(), self.right.tolist(), self.distance.tolist())
+            )
+        ]
 
     def interval_of_step(self, order: int) -> int:
         s = int(np.searchsorted(np.cumsum(self.merge_counts), order)) + 1
         if s > self.num_scales:
-            raise HierarchyError(f"merge order {order} beyond {len(self.steps)} steps")
+            raise HierarchyError(f"merge order {order} beyond {len(self.left)} steps")
         return s
 
     def _check_scale(self, s: int) -> None:
@@ -232,8 +249,8 @@ class ScaleHierarchy:
     def _children(self, node_id: int) -> list[int]:
         if node_id < self.num_leaves:
             return []
-        step = self.steps[node_id - self.num_leaves]
-        return [step.left, step.right]
+        k = node_id - self.num_leaves
+        return [int(self.left[k]), int(self.right[k])]
 
     def to_dict(self) -> dict:
         return {
@@ -269,36 +286,39 @@ class ScaleHierarchy:
         return "\n".join(lines)
 
 
-def assign_scales(times, steps: list[MergeStep], merge_counts) -> ScaleHierarchy:
-    """Slice the merge order into intervals and label every node with a scale.
+def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> ScaleHierarchy:
+    """Agglomerate and slice the merge order into scale intervals.
 
-    Interval ``s`` holds ``merge_counts[s-1]`` consecutive steps. A cluster
-    created by a step in interval ``s`` gets scale ``s``; a leaf inherits the
-    scale of the interval in which it is first merged away.
+    Exactly one of ``num_scales`` / ``merge_counts`` may be given; the
+    default is ceil(log2 L) scales (capped at L-1). Interval ``s`` holds
+    ``merge_counts[s-1]`` consecutive merges. A cluster created by a merge in
+    interval ``s`` gets scale ``s``; a leaf inherits the scale of the
+    interval in which it is first merged away.
     """
-    t = np.asarray(times, dtype=np.float64)
+    t, distance, left, right, lo, hi, consumed = _merge_tree(times)
+    n = len(t)
+    if merge_counts is None:
+        if num_scales is None:
+            num_scales = max(1, min(n - 1, int(np.ceil(np.log2(n)))))
+        merge_counts = default_merge_counts(n, num_scales)
+    elif num_scales is not None and num_scales != len(merge_counts):
+        raise ConfigError("give either num_scales or merge_counts, not conflicting both")
     merge_counts = [int(c) for c in merge_counts]
     if any(c < 1 for c in merge_counts):
         raise ConfigError(f"merge counts must all be >= 1, got {merge_counts}")
-    if sum(merge_counts) != len(steps):
+    if sum(merge_counts) != n - 1:
         raise ConfigError(
-            f"merge counts sum to {sum(merge_counts)} but there are {len(steps)} steps"
+            f"merge counts sum to {sum(merge_counts)} but there are {n - 1} steps"
         )
 
-    n = len(t)
-    lo = np.arange(n + len(steps))
-    hi = lo.copy()
-    formed = np.zeros_like(lo)
-    consumed = np.full_like(lo, len(steps) + 1)
-    rep_time = np.concatenate([t, np.empty(len(steps))])
-    for step in steps:
-        r = step.result
-        lo[r], hi[r] = lo[step.left], hi[step.right]
-        formed[r] = step.order
-        consumed[step.left] = consumed[step.right] = step.order
-        # Same float64 sum and division as .mean(), without numpy's _mean
-        # wrapper, which costs more than the sum on spans this short.
-        rep_time[r] = t[lo[r] : hi[r] + 1].sum() / (hi[r] - lo[r] + 1)
+    formed = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
+    # Each span's mean is the float64 sum .mean() takes (add.reduce over the
+    # slice, without numpy's wrappers, which cost more than the sum on spans
+    # this short) and the same division by the count. Prefix sums or
+    # np.add.reduceat would round differently.
+    add = np.add.reduce
+    sums = [add(t[a:b]) for a, b in zip(lo[n:].tolist(), (hi[n:] + 1).tolist())]
+    rep_time = np.concatenate([t, np.array(sums) / (hi[n:] - lo[n:] + 1)])
 
     ends = np.cumsum(merge_counts)
     scale = np.searchsorted(ends, np.where(formed > 0, formed, consumed)) + 1
@@ -309,23 +329,6 @@ def assign_scales(times, steps: list[MergeStep], merge_counts) -> ScaleHierarchy
         active.append(ids)
         frontier_pos.append(np.flatnonzero(consumed[ids] <= end))
     return ScaleHierarchy(
-        t, steps, merge_counts, lo, hi, formed, consumed, scale, rep_time, active,
-        frontier_pos,
+        t, merge_counts, left, right, distance, lo, hi, formed, consumed, scale,
+        rep_time, active, frontier_pos,
     )
-
-
-def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> ScaleHierarchy:
-    """Agglomerate and slice in one call.
-
-    Exactly one of ``num_scales`` / ``merge_counts`` may be given; the
-    default is ceil(log2 L) scales (capped at L-1).
-    """
-    t = np.asarray(times, dtype=np.float64)
-    steps = agglomerate(t)
-    if merge_counts is None:
-        if num_scales is None:
-            num_scales = max(1, min(len(t) - 1, int(np.ceil(np.log2(len(t))))))
-        merge_counts = default_merge_counts(len(t), num_scales)
-    elif num_scales is not None and num_scales != len(merge_counts):
-        raise ConfigError("give either num_scales or merge_counts, not conflicting both")
-    return assign_scales(t, steps, merge_counts)

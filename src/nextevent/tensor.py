@@ -39,8 +39,7 @@ __all__ = [
     "sum_all",
     "exp",
     "log",
-    "cos",
-    "sin",
+    "cos_sin",
     "pow_const",
     "softplus",
     "softmax",
@@ -377,26 +376,21 @@ def log(a) -> DiffNode:
     return out
 
 
-def cos(a) -> DiffNode:
+def cos_sin(a) -> tuple[DiffNode, DiffNode]:
+    """Elementwise cosine and sine of one node. Each backward reuses the
+    other's forward values instead of recomputing the trig."""
     a = _wrap(a)
-    out = DiffNode(np.cos(a.value), parents=(a,))
+    # The closures hold the arrays, not the nodes, so no reference cycle forms.
+    cos_value, sin_value = np.cos(a.value), np.sin(a.value)
 
-    def backward(g):
-        a.grad += -g * np.sin(a.value)
+    def cos_backward(g):
+        a.grad += -g * sin_value
 
-    out._backward = backward
-    return out
+    def sin_backward(g):
+        a.grad += g * cos_value
 
-
-def sin(a) -> DiffNode:
-    a = _wrap(a)
-    out = DiffNode(np.sin(a.value), parents=(a,))
-
-    def backward(g):
-        a.grad += g * np.cos(a.value)
-
-    out._backward = backward
-    return out
+    return (DiffNode(cos_value, (a,), cos_backward),
+            DiffNode(sin_value, (a,), sin_backward))
 
 
 def pow_const(a, p: float) -> DiffNode:

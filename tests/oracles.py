@@ -1,9 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately avoid the production code paths: brute-force O(n^3)
-single linkage over explicit member sets, dense masked attention in plain
-numpy, and quadrature for distribution moments.
+single linkage over explicit member sets, heap-driven single linkage over
+adjacent gaps (fast enough for benchmark-sized windows), dense masked
+attention in plain numpy, and quadrature for distribution moments.
 """
+
+import heapq
 
 import numpy as np
 
@@ -40,6 +43,65 @@ def brute_force_single_linkage(times):
         clusters[next_id] = merged
         steps.append((order, left, right, next_id, float(dist)))
         next_id += 1
+    return steps
+
+
+def heap_single_linkage(times):
+    """Single linkage on sorted 1-D points with a heap over adjacent gaps.
+
+    Returns the same (order, left_id, right_id, result_id, distance) tuples
+    as :func:`brute_force_single_linkage`, in O(n log n). Heap keys are
+    (distance, first time of the left cluster, gap index, version); a gap
+    whose left cluster grows is pushed again and its stale entry skipped.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    n = len(t)
+
+    # Active clusters are contiguous spans [lo, hi] of leaf indices, tracked
+    # through a doubly linked list of gap slots. Gap g sits between leaf g
+    # and g+1; merging across it fuses the flanking spans.
+    left_span_lo = list(range(n - 1))  # gap g: lowest leaf of the span ending at g
+    cluster_id_left = list(range(n - 1))
+    cluster_id_right = list(range(1, n))
+    prev_gap = list(range(-1, n - 2))
+    next_gap = list(range(1, n - 1)) + [-1]
+    alive = [True] * (n - 1)
+    version = [0] * (n - 1)
+
+    heap = []
+    for g in range(n - 1):
+        heapq.heappush(heap, (t[g + 1] - t[g], t[left_span_lo[g]], g, 0))
+
+    steps = []
+    next_id = n
+    order = 0
+    while len(steps) < n - 1:
+        dist, _, g, ver = heapq.heappop(heap)
+        if not alive[g] or version[g] != ver:
+            continue
+        order += 1
+        left_id = cluster_id_left[g]
+        right_id = cluster_id_right[g]
+        new_id = next_id
+        next_id += 1
+        steps.append((order, left_id, right_id, new_id, float(dist)))
+        alive[g] = False
+
+        lo = left_span_lo[g]
+        pg, ng = prev_gap[g], next_gap[g]
+        if pg >= 0:
+            # Left neighbour's right cluster becomes the merged one; its key
+            # (distance, left-cluster first time) is unchanged.
+            cluster_id_right[pg] = new_id
+            next_gap[pg] = ng
+        if ng >= 0:
+            # Right neighbour's left cluster grew leftward: its tie-break key
+            # changes, so push a fresh entry and invalidate the stale one.
+            cluster_id_left[ng] = new_id
+            left_span_lo[ng] = lo
+            prev_gap[ng] = pg
+            version[ng] += 1
+            heapq.heappush(heap, (t[ng + 1] - t[ng], t[lo], ng, version[ng]))
     return steps
 
 

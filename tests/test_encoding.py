@@ -117,6 +117,34 @@ class TestFcpe:
         )
         assert params.freqs.value[0, 0] == 0.0
 
+    def test_gradient_through_frequencies(self):
+        params = make_params(dim=6, num_types=2)
+
+        def f(_leaves):
+            enc = fcpe_matrix(params, [0.3, 1.7, 4.1], onehot_matrix([1, 0, 1], 2))
+            return T.sum_all(T.mul(enc, enc))
+
+        report = T.check_gradients(f, {"freqs": params.freqs})
+        assert report.max_rel_error < 1e-4
+
+    def test_phase_gradient_is_exact(self):
+        # At t = 1 the phases are the frequencies themselves. Loss on the
+        # cosine slots alone (or the sine slots alone) makes the frequency
+        # gradient exactly -g sin(w) (or g cos(w)), with g the loss weight
+        # times the amplitude.
+        params = make_params(dim=8, num_types=2, seed=2)
+        w = params.freqs.value[:, 0]
+        mu = params.density_map.value[:, 1]
+        weight = np.random.default_rng(3).normal(size=(1, 8))
+        for slot, expected in ((0, -(weight[0, 0::2] * mu) * np.sin(w)),
+                               (1, weight[0, 1::2] * mu * np.cos(w))):
+            params.freqs.zero_grad()
+            only = np.zeros_like(weight)
+            only[:, slot::2] = weight[:, slot::2]
+            enc = fcpe_matrix(params, [1.0], onehot_matrix([1], 2))
+            T.sum_all(T.mul(enc, T.constant(only))).backward()
+            np.testing.assert_array_equal(params.freqs.grad[:, 0], expected)
+
 
 class TestEmbedEvent:
     """The model's single embedding path: type column plus fcpe_matrix."""

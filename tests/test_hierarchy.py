@@ -1,20 +1,22 @@
 """Tests for agglomeration, scale slicing, frontiers, and key sets."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nextevent import events as E
 from nextevent.errors import ConfigError, HierarchyError
 from nextevent.hierarchy import (
     agglomerate,
-    assign_scales,
     build_hierarchy,
     default_merge_counts,
 )
 
 from conftest import nine_point_layout
-from oracles import brute_force_single_linkage
+from oracles import brute_force_single_linkage, heap_single_linkage
 
 
 def random_times(rng, n):
@@ -42,12 +44,20 @@ class TestAgglomerate:
         assert first_three == [(0, 1), (2, 3), (4, 5)]
 
     def test_requires_two_points(self):
-        with pytest.raises(HierarchyError):
+        with pytest.raises(HierarchyError, match="at least 2 points"):
+            build_hierarchy([1.0])
+        with pytest.raises(HierarchyError, match="at least 2 points"):
             agglomerate([1.0])
 
     def test_rejects_duplicates(self):
         with pytest.raises(HierarchyError, match="duplicates"):
+            build_hierarchy([0.0, 1.0, 1.0, 3.0], merge_counts=[1, 1, 1])
+        with pytest.raises(HierarchyError, match="duplicates"):
             agglomerate([0.0, 1.0, 1.0, 3.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(HierarchyError, match="strictly increasing"):
+            build_hierarchy([0.0, float("nan"), 2.0, 3.0])
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(7)
@@ -69,6 +79,28 @@ class TestAgglomerate:
                 assert f[:4] == s[:4]
                 assert abs(f[4] - s[4]) < 1e-12
 
+    def test_matches_heap_oracle_on_long_windows(self):
+        # Benchmark-sized windows of both generators, plus integer gaps drawn
+        # from three values so that most gaps tie.
+        multiscale = E.generate_multiscale(
+            2, burst_rate=1.0, burst_size=16, gap_scale=4.0, num_types=4, seed=3,
+            num_bursts=34,
+        )
+        hawkes = E.generate_hawkes(
+            1, 600.0, base_rate=1.0, excitation=0.5, decay=1.0, num_types=4, seed=4
+        )
+        rng = np.random.default_rng(11)
+        windows = [
+            seq.times[start : start + L]
+            for seq, L, start in itertools.product(multiscale + hawkes, (64, 256, 512), (0, 17))
+        ] + [np.cumsum(rng.integers(1, 4, size=L)).astype(float) for L in (64, 256, 512)]
+        for t in windows:
+            fast = [(s.order, s.left, s.right, s.result, s.distance) for s in agglomerate(t)]
+            assert fast == heap_single_linkage(t)
+            h = build_hierarchy(t, num_scales=4)
+            for i in range(len(h.lo)):
+                assert h.rep_time[i] == t[h.lo[i] : h.hi[i] + 1].mean()
+
 
 class TestDefaultMergeCounts:
     def test_even_split(self):
@@ -88,9 +120,11 @@ class TestDefaultMergeCounts:
 
 
 class TestAssignScales:
+    """Slicing the merge order into scale intervals (build_hierarchy)."""
+
     def test_nine_point_scales(self):
         t = nine_point_layout()
-        h = assign_scales(t, agglomerate(t), [2, 2, 3, 1])
+        h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
         leaf_scales = [h.scale[i] for i in range(9)]
         assert leaf_scales[:4] == [1, 1, 1, 1]
         assert [leaf_scales[4], leaf_scales[5]] == [2, 2]
@@ -99,25 +133,22 @@ class TestAssignScales:
 
     def test_single_interval_degenerates(self):
         t = [0.0, 1.0, 3.0, 7.0, 20.0]
-        h = assign_scales(t, agglomerate(t), [4])
+        h = build_hierarchy(t, merge_counts=[4])
         assert h.num_scales == 1
         assert all(h.scale[i] == 1 for i in range(len(h.scale)))
 
     def test_counts_mismatch(self):
         t = [0.0, 1.0, 3.0]
-        steps = agglomerate(t)
         with pytest.raises(ConfigError):
-            assign_scales(t, steps, [1])
+            build_hierarchy(t, merge_counts=[1])
         with pytest.raises(ConfigError):
-            assign_scales(t, steps, [2, 0])
+            build_hierarchy(t, merge_counts=[2, 0])
 
     def test_representative_time_is_member_mean(self):
         t = nine_point_layout()
         h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
         for i in range(len(h.scale)):
-            np.testing.assert_allclose(
-                h.rep_time[i], np.mean(np.asarray(t)[h.lo[i] : h.hi[i] + 1])
-            )
+            assert h.rep_time[i] == np.mean(np.asarray(t)[h.lo[i] : h.hi[i] + 1])
 
     def test_active_nodes_partition_every_scale(self):
         rng = np.random.default_rng(5)

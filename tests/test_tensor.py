@@ -183,8 +183,9 @@ class TestBackwardRules:
         assert_grad_matches(T.sub, [a, b])
         assert_grad_matches(lambda x: T.scale(x, -1.7), [a])
         assert_grad_matches(T.exp, [a])
-        assert_grad_matches(T.cos, [a])
-        assert_grad_matches(T.sin, [a])
+        assert_grad_matches(lambda x: T.cos_sin(x)[0], [a])
+        assert_grad_matches(lambda x: T.cos_sin(x)[1], [a])
+        assert_grad_matches(lambda x: T.add(*T.cos_sin(x)), [a])
         assert_grad_matches(lambda x: T.log(T.softplus(x)), [a])
         assert_grad_matches(lambda x: T.pow_const(T.softplus(x), 1.7), [a])
 
