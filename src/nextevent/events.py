@@ -52,6 +52,10 @@ class EventSequence:
                 f"sequence {self.seq_id!r}: times and types must be equal-length"
                 f" 1-D arrays, got {self.times.shape} and {self.types.shape}"
             )
+        finite = np.isfinite(self.times)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DataError(f"sequence {self.seq_id!r}: non-finite time at event {bad}")
         if np.any(np.diff(self.times) < 0):
             bad = int(np.argmax(np.diff(self.times) < 0)) + 1
             raise DataError(f"sequence {self.seq_id!r}: time regression at event {bad}")

@@ -46,23 +46,10 @@ import numpy as np
 from .errors import ConfigError, HierarchyError
 
 __all__ = [
-    "MergeStep",
     "ScaleHierarchy",
-    "agglomerate",
     "default_merge_counts",
     "build_hierarchy",
 ]
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One agglomeration step: clusters ``left`` and ``right`` -> ``result``."""
-
-    order: int  # 1-based merge index
-    left: int
-    right: int
-    result: int
-    distance: float
 
 
 def _merge_tree(times):
@@ -75,7 +62,7 @@ def _merge_tree(times):
     t = np.asarray(times, dtype=np.float64)
     n = len(t)
     if n < 2:
-        raise HierarchyError(f"need at least 2 points to agglomerate, got {n}")
+        raise HierarchyError(f"need at least 2 points to cluster, got {n}")
     gaps = np.diff(t)
     if not np.all(gaps > 0):  # also rejects NaN, which no gap order can place
         raise HierarchyError("times must be strictly increasing with no duplicates")
@@ -112,16 +99,6 @@ def _merge_tree(times):
     return t, gaps[order], left, right, left_gap + 1, right_gap, absorbed_by + 1
 
 
-def agglomerate(times) -> list[MergeStep]:
-    """Single-linkage merge sequence over sorted 1-D points.
-
-    Ties on distance are broken toward the pair whose left cluster has the
-    earliest first point. Cluster ids: leaves are 0..L-1 in time order, the
-    merge at ``order`` o creates id L-1+o. Exactly L-1 steps are returned.
-    """
-    return build_hierarchy(times, num_scales=1).steps
-
-
 def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
     """Split L-1 merges into S near-equal interval counts, remainder first."""
     merges = num_points - 1
@@ -140,7 +117,9 @@ class ScaleHierarchy:
 
     Every per-node array is indexed by node id (leaves 0..L-1, merge ``o``
     creates L-1+o) and is filled once by :func:`build_hierarchy`. Per-merge
-    arrays are indexed by merge order minus one.
+    arrays are indexed by merge order minus one: the merge tree is
+    ``left``/``right``/``distance``, and merge ``k + 1`` joins ``left[k]``
+    and ``right[k]`` across a gap of ``distance[k]`` into node L+k.
     """
 
     times: np.ndarray
@@ -169,23 +148,6 @@ class ScaleHierarchy:
     def root_id(self) -> int:
         return len(self.lo) - 1
 
-    @property
-    def steps(self) -> list[MergeStep]:
-        """The merge sequence as :class:`MergeStep` records, built on demand."""
-        n = self.num_leaves
-        return [
-            MergeStep(k + 1, a, b, n + k, d)
-            for k, (a, b, d) in enumerate(
-                zip(self.left.tolist(), self.right.tolist(), self.distance.tolist())
-            )
-        ]
-
-    def interval_of_step(self, order: int) -> int:
-        s = int(np.searchsorted(np.cumsum(self.merge_counts), order)) + 1
-        if s > self.num_scales:
-            raise HierarchyError(f"merge order {order} beyond {len(self.left)} steps")
-        return s
-
     def _check_scale(self, s: int) -> None:
         if not 1 <= s <= self.num_scales:
             raise ConfigError(f"scale {s} out of range [1, {self.num_scales}]")
@@ -204,11 +166,17 @@ class ScaleHierarchy:
 
     def key_set(self, s: int, node_id: int, causal: bool = False) -> list[int]:
         """Keys for query ``node_id`` at scale ``s``: the whole frontier there
-        (itself included), optionally restricted to nodes no later than it."""
+        (itself included), optionally restricted to nodes no later than it.
+
+        A carried-over node (active at ``s`` but not in the frontier) runs no
+        query: ``encode`` passes its row through untouched and
+        ``hierarchy_key_set_sizes`` counts frontier queries only. Its key set
+        is ``[node_id]`` by convention.
+        """
         frontier = self.frontier(s)
         if node_id not in frontier:
             if node_id in self.active_nodes(s):
-                return [node_id]  # carried-over node: attends to itself only
+                return [node_id]
             raise HierarchyError(f"node {node_id} is not active at scale {s}")
         if not causal:
             return frontier

@@ -20,9 +20,9 @@ Forward pass per history window:
    the sequence summary ``H_L``,
 4. ``H_L`` feeds a softmax type head and a positive (scale, shape) time head.
 
-``attention="dense"`` collapses the hierarchy to a single scale, which makes
-the encoder one all-pair attention pass; a cross-scale run configured with
-``num_scales=1`` takes literally the same code path.
+``num_scales=1`` is the dense, all-pair baseline: the hierarchy has a single
+scale whose frontier is every event, so the encoder is one all-pair
+attention pass and nothing is pooled.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import tensor as T
 from .encoding import FcpeParams, fcpe_matrix, init_fcpe_params, onehot_matrix
 from .errors import ConfigError, DataError, HierarchyError, NumericsError
 from .events import EventSequence, PredictionExample
-from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
+from .hierarchy import ScaleHierarchy, build_hierarchy
 from .tensor import DiffNode
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "encode",
     "summarize",
     "type_logits",
-    "predict_type",
     "predict_time_params",
     "time_nll",
     "point_estimate_time",
@@ -67,7 +66,6 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("weibull", "exponential")
-ATTENTION_MODES = ("cross_scale", "dense")
 PE_MODES = ("fcpe", "base")
 POSITIVE_FLOOR = 1e-6
 
@@ -82,7 +80,6 @@ class ModelConfig:
     num_types: int = 2
     alpha: float = 0.5
     distribution: str = "weibull"
-    attention: str = "cross_scale"
     pe: str = "fcpe"
     causal: bool = False
     layer_norm: bool = False
@@ -102,18 +99,12 @@ class ModelConfig:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.distribution not in DISTRIBUTIONS:
             raise ConfigError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.attention not in ATTENTION_MODES:
-            raise ConfigError(f"attention must be one of {ATTENTION_MODES}")
         if self.pe not in PE_MODES:
             raise ConfigError(f"pe must be one of {PE_MODES}")
 
     @property
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
-
-    @property
-    def effective_scales(self) -> int:
-        return 1 if self.attention == "dense" else self.num_scales
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -202,7 +193,7 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
         # init_fcpe_params already set, both frozen by named_parameters.
         fcpe.density_map.value[...] = 1.0
     attn = []
-    for _ in range(config.effective_scales):
+    for _ in range(config.num_scales):
         heads = [
             tuple(T.parameter(rng.normal(0.0, sigma, size=(d, dk))) for _ in range(3))
             for _ in range(config.num_heads)
@@ -210,7 +201,7 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
         attn.append(ScaleAttentionParams(heads, T.parameter(rng.normal(0.0, sigma, size=(d, d)))))
     pool_proj = [
         T.parameter(rng.normal(0.0, 1.0 / math.sqrt(2 * d), size=(2 * d, d)))
-        for _ in range(config.effective_scales - 1)
+        for _ in range(config.num_scales - 1)
     ]
     w_summary = T.parameter(rng.normal(0.0, sigma, size=(d, d)))
     w_type = T.parameter(rng.normal(0.0, sigma, size=(d, config.num_types)))
@@ -234,13 +225,7 @@ class FlopCounter:
 
 def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     """Build the per-window hierarchy the encoder walks."""
-    n = len(times)
-    S = config.effective_scales
-    if S > n - 1:
-        raise ConfigError(
-            f"num_scales={S} needs at most {n - 1} for a history of {n} events"
-        )
-    return build_hierarchy(times, merge_counts=default_merge_counts(n, S))
+    return build_hierarchy(times, num_scales=config.num_scales)
 
 
 def _embed(params: ModelParams, times, type_weights) -> DiffNode:
@@ -259,7 +244,7 @@ def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
     centered = T.sub(x, T.matmul(m, ones_row))
     var = T.scale(T.matmul(T.mul(centered, centered), ones_col), 1.0 / d)
     inv = T.pow_const(T.add(var, T.constant(np.full((n, 1), eps))), -0.5)
-    return T.mul(centered, inv)
+    return T.mul(centered, T.matmul(inv, ones_row))
 
 
 def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
@@ -278,7 +263,7 @@ def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
         head_outputs.append(T.masked_attention(Q, K, V, mask, 1.0 / math.sqrt(dk)))
         if counter is not None:
             counter.add(keys * dk)
-    return T.add(T.matmul(T.concat_cols(head_outputs), sp.w_out), Hq)
+    return T.add(T.matmul(T.concat_cols(*head_outputs), sp.w_out), Hq)
 
 
 def cross_scale_attention(
@@ -326,24 +311,18 @@ def hierarchical_pool(
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
-def encode(
-    params: ModelParams,
-    seq: EventSequence,
-    hierarchy: ScaleHierarchy | None = None,
-    counter: FlopCounter | None = None,
-) -> tuple[DiffNode, ScaleHierarchy]:
+def encode(params: ModelParams, seq: EventSequence,
+           counter: FlopCounter | None = None) -> DiffNode:
     """Run the iterative cross-scale encoder over one history window.
 
-    Returns the top-scale active-node representations (rows in time order)
-    and the hierarchy used.
+    Returns the top-scale active-node representations (rows in time order).
     """
     cfg = params.config
     if seq.num_types != cfg.num_types:
         raise ConfigError(
             f"sequence has {seq.num_types} types but model expects {cfg.num_types}"
         )
-    if hierarchy is None:
-        hierarchy = hierarchy_for(cfg, seq.times)
+    hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
     H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types))
     for s in range(1, S + 1):
@@ -360,7 +339,7 @@ def encode(
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
             H = hierarchical_pool(H, hierarchy, s, params, seq.types)
-    return H, hierarchy
+    return H
 
 
 def summarize(params: ModelParams, H_top: DiffNode,
@@ -374,11 +353,6 @@ def summarize(params: ModelParams, H_top: DiffNode,
 
 def type_logits(params: ModelParams, H_L: DiffNode) -> DiffNode:
     return T.matmul(H_L, params.w_type)
-
-
-def predict_type(params: ModelParams, H_L: DiffNode) -> DiffNode:
-    """Next-type probability row (sums to one)."""
-    return T.softmax(type_logits(params, H_L), axis=1)
 
 
 def predict_time_params(params: ModelParams, H_L: DiffNode) -> tuple[DiffNode, DiffNode]:
@@ -435,15 +409,11 @@ class ForwardResult:
         return point_estimate_time(self.lam, self.gamma)
 
 
-def forward(
-    params: ModelParams,
-    example: PredictionExample,
-    hierarchy: ScaleHierarchy | None = None,
-    counter: FlopCounter | None = None,
-) -> ForwardResult:
+def forward(params: ModelParams, example: PredictionExample,
+            counter: FlopCounter | None = None) -> ForwardResult:
     """Forward pass producing the combined loss node plus decoded readouts."""
     cfg = params.config
-    H_top, _ = encode(params, example.history, hierarchy, counter)
+    H_top = encode(params, example.history, counter)
     H_L = summarize(params, H_top, counter)
     logits = type_logits(params, H_L)
     target = int(example.target_type)
@@ -466,10 +436,9 @@ def forward(
     )
 
 
-def loss(params: ModelParams, example: PredictionExample,
-         hierarchy: ScaleHierarchy | None = None) -> DiffNode:
+def loss(params: ModelParams, example: PredictionExample) -> DiffNode:
     """Combined objective (1 - alpha) * time NLL + alpha * type cross-entropy."""
-    return forward(params, example, hierarchy).total
+    return forward(params, example).total
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +483,10 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
-def save_checkpoint(path, params: ModelParams, norm_stats=None, extra: dict | None = None) -> None:
+def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:
     """Single JSON file: config + named parameter tensors (shape + row-major
     data) + optional normalization stats. Floats round-trip exactly."""
     payload = {
@@ -529,8 +498,6 @@ def save_checkpoint(path, params: ModelParams, norm_stats=None, extra: dict | No
         },
         "norm": norm_stats.to_dict() if norm_stats is not None else None,
     }
-    if extra:
-        payload["extra"] = extra
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 

@@ -10,8 +10,8 @@ each leaf between optimization steps.
 
 Everything is 64-bit: the finite-difference checks in
 :func:`check_gradients` target relative errors around 1e-4, which 32-bit
-arithmetic cannot reach. Broadcasting is deliberately minimal (scalars, and
-column vectors against matrices); anything wider raises.
+arithmetic cannot reach. Nothing broadcasts: the elementwise operations take
+two operands of the same shape and raise otherwise.
 """
 
 from __future__ import annotations
@@ -148,45 +148,20 @@ def _wrap(x) -> DiffNode:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_to(grad: np.ndarray, shape) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of the allowed broadcasts)."""
-    if grad.shape == tuple(shape):
-        return grad
-    out = grad
-    # Scalar target: sum everything.
-    if int(np.prod(shape)) == 1:
-        return np.sum(out).reshape(shape)
-    # Column vector (n,1) against matrix (n,m).
-    if len(shape) == 2 and shape[1] == 1 and out.ndim == 2 and out.shape[0] == shape[0]:
-        return np.sum(out, axis=1, keepdims=True)
-    raise ValueError(f"cannot reduce gradient of shape {grad.shape} to {tuple(shape)}")
-
-
-def _check_broadcast(a: DiffNode, b: DiffNode, op: str) -> None:
-    if a.shape == b.shape:
-        return
-    if a.size == 1 or b.size == 1:
-        return
-    # (n,1) column against (n,m) matrix, either side.
-    for x, y in ((a, b), (b, a)):
-        if (
-            x.value.ndim == 2
-            and y.value.ndim == 2
-            and x.shape[1] == 1
-            and x.shape[0] == y.shape[0]
-        ):
-            return
-    raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+def _check_same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a, b) -> DiffNode:
+    """Elementwise sum of two nodes of the same shape."""
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast(a, b, "add")
+    _check_same_shape(a, b, "add")
     out = DiffNode(a.value + b.value, parents=(a, b))
 
     def backward(g):
-        a.grad += _reduce_to(g, a.shape)
-        b.grad += _reduce_to(g, b.shape)
+        a.grad += g
+        b.grad += g
 
     out._backward = backward
     return out
@@ -208,14 +183,14 @@ def neg(a) -> DiffNode:
 
 
 def mul(a, b) -> DiffNode:
-    """Elementwise product (same shape, scalar, or (n,1)-column broadcast)."""
+    """Elementwise product of two nodes of the same shape."""
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast(a, b, "mul")
+    _check_same_shape(a, b, "mul")
     out = DiffNode(a.value * b.value, parents=(a, b))
 
     def backward(g):
-        a.grad += _reduce_to(g * b.value, a.shape)
-        b.grad += _reduce_to(g * a.value, b.shape)
+        a.grad += g * b.value
+        b.grad += g * a.value
 
     out._backward = backward
     return out
@@ -263,8 +238,6 @@ def transpose(a) -> DiffNode:
 
 def concat_cols(*nodes) -> DiffNode:
     """Stack matrices horizontally (axis 1)."""
-    if len(nodes) == 1 and isinstance(nodes[0], (list, tuple)):
-        nodes = tuple(nodes[0])
     nodes = [_wrap(n) for n in nodes]
     if not nodes:
         raise ValueError("concat of zero nodes")

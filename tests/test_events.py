@@ -29,6 +29,12 @@ class TestEventSequence:
         with pytest.raises(DataError, match="type ids"):
             EventSequence([0.0, 1.0], [0, 3], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # NaN compares false, so the order check alone lets it through.
+        with pytest.raises(DataError, match="non-finite time at event 1"):
+            EventSequence(np.array([0.0, bad, 2.0]), np.array([0, 0, 0]), 1)
+
     def test_example_requires_future_target(self):
         seq = EventSequence([0.0, 1.0], [0, 0], 1)
         from nextevent.events import PredictionExample

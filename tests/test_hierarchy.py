@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 
 from nextevent import events as E
 from nextevent.errors import ConfigError, HierarchyError
-from nextevent.hierarchy import (
-    agglomerate,
-    build_hierarchy,
-    default_merge_counts,
-)
+from nextevent.hierarchy import build_hierarchy, default_merge_counts
 
 from conftest import nine_point_layout
 from oracles import brute_force_single_linkage, heap_single_linkage
@@ -30,30 +26,43 @@ def random_times(rng, n):
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def merge_steps(h):
+    """The merge tree as (order, left, right, result, distance) tuples."""
+    n = h.num_leaves
+    return [(k + 1, a, b, n + k, d) for k, (a, b, d) in
+            enumerate(zip(h.left.tolist(), h.right.tolist(), h.distance.tolist()))]
+
+
+def single_linkage(times):
+    return merge_steps(build_hierarchy(times, num_scales=1))
+
+
 class TestAgglomerate:
     def test_obvious_nearest_pair_first(self):
-        steps = agglomerate([0.0, 1.0, 10.0])
-        assert (steps[0].left, steps[0].right) == (0, 1)
-        assert steps[0].distance == 1.0
-        assert (steps[1].left, steps[1].right) == (3, 2)
-        assert steps[1].result == 4
+        steps = single_linkage([0.0, 1.0, 10.0])
+        _, left, right, _, distance = steps[0]
+        assert (left, right) == (0, 1)
+        assert distance == 1.0
+        _, left, right, result, _ = steps[1]
+        assert (left, right) == (3, 2)
+        assert result == 4
 
     def test_nine_point_layout_merge_order(self):
-        steps = agglomerate(nine_point_layout())
-        first_three = [(s.left, s.right) for s in steps[:3]]
+        steps = single_linkage(nine_point_layout())
+        first_three = [(left, right) for _, left, right, _, _ in steps[:3]]
         assert first_three == [(0, 1), (2, 3), (4, 5)]
 
     def test_requires_two_points(self):
         with pytest.raises(HierarchyError, match="at least 2 points"):
             build_hierarchy([1.0])
         with pytest.raises(HierarchyError, match="at least 2 points"):
-            agglomerate([1.0])
+            build_hierarchy([1.0], num_scales=1)
 
     def test_rejects_duplicates(self):
         with pytest.raises(HierarchyError, match="duplicates"):
             build_hierarchy([0.0, 1.0, 1.0, 3.0], merge_counts=[1, 1, 1])
         with pytest.raises(HierarchyError, match="duplicates"):
-            agglomerate([0.0, 1.0, 1.0, 3.0])
+            build_hierarchy([0.0, 1.0, 1.0, 3.0], num_scales=1)
 
     def test_rejects_nan(self):
         with pytest.raises(HierarchyError, match="strictly increasing"):
@@ -63,8 +72,7 @@ class TestAgglomerate:
         rng = np.random.default_rng(7)
         for _ in range(200):
             n = rng.integers(2, 30)
-            steps = agglomerate(random_times(rng, n))
-            d = [s.distance for s in steps]
+            d = [step[4] for step in single_linkage(random_times(rng, n))]
             assert all(a <= b + 1e-12 for a, b in zip(d, d[1:]))
 
     def test_matches_brute_force_oracle(self):
@@ -72,7 +80,7 @@ class TestAgglomerate:
         for _ in range(500):
             n = int(rng.integers(2, 13))
             t = random_times(rng, n)
-            fast = [(s.order, s.left, s.right, s.result, s.distance) for s in agglomerate(t)]
+            fast = single_linkage(t)
             slow = brute_force_single_linkage(t)
             assert len(fast) == len(slow) == n - 1
             for f, s in zip(fast, slow):
@@ -95,7 +103,7 @@ class TestAgglomerate:
             for seq, L, start in itertools.product(multiscale + hawkes, (64, 256, 512), (0, 17))
         ] + [np.cumsum(rng.integers(1, 4, size=L)).astype(float) for L in (64, 256, 512)]
         for t in windows:
-            fast = [(s.order, s.left, s.right, s.result, s.distance) for s in agglomerate(t)]
+            fast = single_linkage(t)
             assert fast == heap_single_linkage(t)
             h = build_hierarchy(t, num_scales=4)
             for i in range(len(h.lo)):
@@ -178,8 +186,8 @@ class TestAssignScales:
         rng = np.random.default_rng(8)
         t = random_times(rng, 16)
         h = build_hierarchy(t, num_scales=4)
-        scales = [h.interval_of_step(s.order) for s in h.steps]
-        assert scales == sorted(scales)
+        # Merge ids increase with merge order, so their scales never decrease.
+        assert np.all(np.diff(h.scale[h.num_leaves:]) >= 0)
 
 
 class TestFrontier:
@@ -322,7 +330,7 @@ def oracle_members(times):
 
 
 def merge_tree(h):
-    return [(s.order, s.left, s.right, s.result) for s in h.steps]
+    return [step[:4] for step in merge_steps(h)]
 
 
 class TestHierarchyProperties:
@@ -386,7 +394,7 @@ class TestHierarchyProperties:
         h = build_hierarchy(t, num_scales=S)
         g = build_hierarchy(a * t + b, num_scales=S)
         assert merge_tree(g) == merge_tree(h)
-        assert [s.distance for s in g.steps] == [a * s.distance for s in h.steps]
+        assert [s[4] for s in merge_steps(g)] == [a * s[4] for s in merge_steps(h)]
         assert g.merge_counts == h.merge_counts
         for s in range(1, S + 1):
             assert g.active_nodes(s) == h.active_nodes(s)

@@ -1,5 +1,6 @@
 """Tests for the encoder's attention masks, score accounting and boundaries."""
 
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,25 @@ def test_config_from_dict_rejects_unknown_keys():
     assert M.ModelConfig.from_dict(d) == M.ModelConfig()
     with pytest.raises(ConfigError, match="unknown config keys.*'depth'"):
         M.ModelConfig.from_dict({**d, "depth": 3})
+    with pytest.raises(ConfigError, match="unknown config keys.*'attention'"):
+        M.ModelConfig.from_dict({**d, "attention": "dense"})
+
+
+def test_hierarchy_for_rejects_more_scales_than_merges():
+    times = np.arange(5.0)
+    assert M.hierarchy_for(_config(False), times).num_scales == 4
+    with pytest.raises(ConfigError, match="num_scales must lie in"):
+        M.hierarchy_for(M.ModelConfig(d_model=8, num_heads=2, num_scales=5), times)
+
+
+def test_load_checkpoint_rejects_an_older_version(tmp_path):
+    path = tmp_path / "v2.json"
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
+    payload = json.loads(path.read_text())
+    payload["version"] = 2
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
+        M.load_checkpoint(path)
 
 
 def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):

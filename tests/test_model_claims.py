@@ -21,25 +21,12 @@ def _example(length=32, seed=0):
     return make_examples(seqs[0], length)[5]
 
 
-def _loss(config, example, seed=0):
-    return M.forward(M.init_model_params(config, seed), example).total.value.item()
-
-
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 @pytest.mark.parametrize("gamma", [0.7, 1.0, 3.5])
 def test_point_estimate_is_the_weibull_mean(lam, gamma):
     # The quadrature stops at 50 lambda, which drops ~8e-6 of the mean at 0.7.
     expected = weibull_mean_by_quadrature(lam, gamma)
     assert M.point_estimate_time(lam, gamma) == pytest.approx(expected, rel=1e-4)
-
-
-@pytest.mark.parametrize("pe", ["fcpe", "base"])
-def test_dense_attention_is_the_single_scale_hierarchy(pe):
-    example = _example()
-    base = dict(d_model=8, num_heads=2, num_types=3, pe=pe)
-    dense = M.ModelConfig(attention="dense", num_scales=4, **base)
-    one_scale = M.ModelConfig(attention="cross_scale", num_scales=1, **base)
-    assert _loss(dense, example) == _loss(one_scale, example)
 
 
 def _numpy_positional(params, times, type_weights):

@@ -189,10 +189,13 @@ class TestBackwardRules:
         assert_grad_matches(lambda x: T.log(T.softplus(x)), [a])
         assert_grad_matches(lambda x: T.pow_const(T.softplus(x), 1.7), [a])
 
-    def test_column_broadcast_grads(self):
-        col, mat = self.rand(3, 1, seed=14), self.rand(3, 4, seed=15)
-        assert_grad_matches(T.mul, [col, mat])
-        assert_grad_matches(T.add, [mat, col])
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    def test_elementwise_ops_do_not_broadcast(self, op):
+        col, mat = T.constant(self.rand(3, 1, seed=14)), T.constant(self.rand(3, 4, seed=15))
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            op(col, mat)
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            op(mat, col)
 
     def test_logsumexp_grad(self):
         assert_grad_matches(lambda x: T.logsumexp(x, axis=1), [self.rand(2, 6, seed=16)])
