@@ -6,16 +6,17 @@ Forward pass per history window:
 1. embed every event (type column + positional encoding; ``pe="base"`` is
    the same encoding initialized to unit amplitudes and kept frozen),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
-   of scale s, with each query's keys given as one boolean mask over that
-   frontier (all of it, or with ``causal`` the nodes no later than the
-   query; the counted score multiplications are ``mask.sum() * d_k`` per
-   head); carried-over nodes pass through untouched; then pool to the next
+   of scale s, one :func:`tensor.multi_head_attention` node for all heads,
+   with each query's keys given as one boolean mask over that frontier (all
+   of it, or with ``causal`` the nodes no later than the query; the counted
+   score multiplications are ``mask.sum() * d_k`` per head); carried-over
+   nodes pass through untouched; then pool to the next
    scale's active set as a segment mean: the active nodes and the next ones
    are both leaf spans in time order, so each next node is the mean of the
    contiguous run of rows it absorbs (a carried-over node is a run of one);
    each pooled row is concatenated with its node's positional context and
    projected back to ``d_model``,
-3. a final pass of the same masked-attention kernel at the top scale, with
+3. one more :func:`tensor.multi_head_attention` node at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
 4. ``H_L`` feeds a softmax type head and a positive (scale, shape) time head.
@@ -249,21 +250,15 @@ def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
 
 def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
             sp: ScaleAttentionParams, counter: FlopCounter | None) -> DiffNode:
-    """Rows of ``Hq`` attend to rows of ``H``: one :func:`tensor.masked_attention`
-    node per head, concat(heads) @ W_O, plus the ``Hq`` residual. Counts
-    ``mask.sum() * d_k`` score multiplications per head (all pairs for
-    ``None``)."""
-    keys = Hq.shape[0] * H.shape[0] if mask is None else int(np.count_nonzero(mask))
-    head_outputs = []
-    for wq, wk, wv in sp.heads:
-        dk = wq.shape[1]
-        Q = T.matmul(Hq, wq)
-        K = T.matmul(H, wk)
-        V = T.matmul(H, wv)
-        head_outputs.append(T.masked_attention(Q, K, V, mask, 1.0 / math.sqrt(dk)))
-        if counter is not None:
-            counter.add(keys * dk)
-    return T.add(T.matmul(T.concat_cols(*head_outputs), sp.w_out), Hq)
+    """Rows of ``Hq`` attend to rows of ``H``: one
+    :func:`tensor.multi_head_attention` node for every head, concat(heads)
+    @ W_O and the ``Hq`` residual. Counts ``mask.sum() * d_k`` score
+    multiplications per head (all pairs for ``None``)."""
+    dk = sp.heads[0][0].shape[1]
+    if counter is not None:
+        keys = Hq.shape[0] * H.shape[0] if mask is None else int(np.count_nonzero(mask))
+        counter.add(len(sp.heads) * keys * dk)
+    return T.multi_head_attention(Hq, H, sp.heads, sp.w_out, mask, 1.0 / math.sqrt(dk))
 
 
 def cross_scale_attention(
@@ -277,10 +272,10 @@ def cross_scale_attention(
 
     ``mask`` is a boolean ``(n, n)`` array over the rows of ``H``, or ``None``
     for all-pair attention. Every query must be allowed to read itself, so
-    the diagonal must be all true. Each head is one
-    :func:`tensor.masked_attention` node; the counted score multiplications
-    are ``mask.sum() * d_k`` per head (``n * n * d_k`` for ``None``).
-    Output = concat(heads) @ W_O + residual.
+    the diagonal must be all true. All heads, W_O and the residual are one
+    :func:`tensor.multi_head_attention` node; the counted score
+    multiplications are ``mask.sum() * d_k`` per head (``n * n * d_k`` for
+    ``None``). Output = concat(heads) @ W_O + residual.
     """
     if mask is not None:
         missing = np.flatnonzero(~np.diagonal(mask))
@@ -383,10 +378,19 @@ def time_nll(lam: DiffNode, gamma: DiffNode, gap: float) -> DiffNode:
 
 
 def point_estimate_time(lam: float, gamma: float) -> float:
-    """Weibull mean lambda * Gamma(1 + 1/gamma) as the point prediction."""
+    """Weibull mean lambda * Gamma(1 + 1/gamma) as the point prediction.
+
+    Raises :class:`NumericsError` when the mean is too large for a float,
+    which happens for shapes below about 1/171."""
     if lam <= 0 or gamma <= 0:
         raise ConfigError("Weibull parameters must be positive")
-    return lam * math.gamma(1.0 + 1.0 / gamma)
+    try:
+        mean = lam * math.gamma(1.0 + 1.0 / gamma)
+    except OverflowError:
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise NumericsError(f"Weibull mean overflows for lambda={lam}, gamma={gamma}")
+    return mean
 
 
 @dataclass

@@ -44,7 +44,7 @@ __all__ = [
     "softplus",
     "softmax",
     "logsumexp",
-    "masked_attention",
+    "multi_head_attention",
     "segment_mean",
     "check_gradients",
     "GradCheckReport",
@@ -435,47 +435,104 @@ def logsumexp(a, axis: int = -1) -> DiffNode:
     return out
 
 
-def masked_attention(q, k, v, mask, scale: float) -> DiffNode:
-    """``softmax(scale * q @ k.T) @ v`` with keys outside ``mask`` excluded.
+# Heads whose score blocks together hold at most this many entries (256 KB)
+# share one pass of the in-place softmax and its backward, so that the pass
+# runs in cache; a larger block takes one head at a time.
+_GROUP_ENTRIES = 1 << 15
 
-    ``mask`` is a boolean ``(n, m)`` array (row j lists the keys query j may
-    read; no row may be empty), or ``None`` for every key. One node stands
-    for the whole block, and its hand-written backward needs only the kept
-    probabilities rather than a node per query. The products follow
-    :func:`matmul`, :func:`transpose`, :func:`scale` and :func:`softmax`
-    operation for operation, so with ``mask=None`` value and gradients round
-    exactly as that chain of nodes does.
+
+def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
+    """``concat_h(softmax(scale * (xq Wq_h) (x Wk_h).T) (x Wv_h)) @ w_out + xq``
+    with keys outside ``mask`` excluded.
+
+    ``heads`` holds one ``(Wq, Wk, Wv)`` triple of ``(d, d_k)`` weights per
+    head, and ``w_out`` is ``(heads * d_k, d)``. ``mask`` is a boolean
+    ``(n, m)`` array over the rows of ``xq`` and ``x`` (row j lists the keys
+    query j may read; no row may be empty), or ``None`` for every key.
+
+    One node stands for the whole block: the heads' projections, scores and
+    products are batched ``np.matmul`` calls, which make the same 2-D BLAS
+    call per head as :func:`matmul`, and the softmax and its backward work in
+    place on the ``(heads, n, m)`` scores, a group of heads at a time (see
+    ``_GROUP_ENTRIES``). The operations and the order in
+    which gradients are added follow the chain of :func:`matmul`,
+    :func:`transpose`, :func:`scale`, :func:`softmax`, :func:`concat_cols`
+    and :func:`add` nodes, so value and gradients round exactly as that chain
+    does (with a 0/-inf constant added to the scores for a mask).
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    for x in (q, k, v):
-        if x.value.ndim != 2:
-            raise ValueError(f"masked_attention requires 2-D operands, got {x.shape}")
-    n, m = q.shape[0], k.shape[0]
-    if q.shape[1] != k.shape[1] or v.shape[0] != m:
+    xq, x, w_out = _wrap(xq), _wrap(x), _wrap(w_out)
+    heads = [tuple(_wrap(w) for w in triple) for triple in heads]
+    nh = len(heads)
+    # Stacked as all the Wq, then all the Wk, then all the Wv.
+    weights = [triple[i] for i in range(3) for triple in heads]
+    if nh == 0 or any(w.value.ndim != 2 for w in (xq, x, w_out, *weights)):
+        raise ValueError("multi_head_attention requires 2-D operands and at least one head")
+    n, m = xq.shape[0], x.shape[0]
+    d, dk = xq.shape[1], weights[0].shape[1]
+    if (x.shape[1] != d or any(w.shape != (d, dk) for w in weights)
+            or w_out.shape != (nh * dk, d)):
         raise ValueError(
-            f"masked_attention: shapes q {q.shape}, k {k.shape}, v {v.shape} disagree"
+            f"multi_head_attention: shapes xq {xq.shape}, x {x.shape},"
+            f" weights {weights[0].shape} x {3 * nh}, w_out {w_out.shape} disagree"
         )
-    c = float(scale)
-    kt = as_tensor(k.value.T)
-    scores = (q.value @ kt) * c
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (n, m):
-            raise ValueError(f"masked_attention: mask shape {mask.shape} != {(n, m)}")
+            raise ValueError(f"multi_head_attention: mask shape {mask.shape} != {(n, m)}")
         if not mask.any(axis=1).all():
-            raise ValueError("masked_attention: every query needs at least one key")
-        scores[~mask] = -np.inf
-    shifted = scores - np.max(scores, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / np.sum(e, axis=1, keepdims=True)
-    out = DiffNode(p @ v.value, parents=(q, k, v))
+            raise ValueError("multi_head_attention: every query needs at least one key")
+    c = float(scale)
+    stacked = np.stack([w.value for w in weights])  # (3 * heads, d, d_k)
+    q = np.matmul(xq.value, stacked[:nh])  # (heads, n, d_k)
+    kv = np.matmul(x.value, stacked[nh:])  # (2 * heads, m, d_k)
+    kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))
+    v = kv[nh:]
+    excluded = None if mask is None else ~mask
+    step = max(1, _GROUP_ENTRIES // (n * m))
+    groups = [slice(lo, lo + step) for lo in range(0, nh, step)]
+    probs = []  # one (heads in the group, n, m) array per group
+    o = np.empty((nh, n, dk))
+    for hs in groups:
+        p = np.matmul(q[hs], kt[hs])
+        p *= c
+        if excluded is not None:
+            np.copyto(p, -np.inf, where=excluded)
+        p -= np.max(p, axis=2, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=2, keepdims=True)
+        np.matmul(p, v[hs], out=o[hs])
+        probs.append(p)
+    # concat_cols of the heads' outputs
+    a = as_tensor(o.transpose(1, 0, 2).reshape(n, nh * dk))
+    out = DiffNode(a @ w_out.value + xq.value, parents=(xq, x, *weights, w_out))
 
     def backward(g):
-        v.grad += p.T @ g
-        dp = g @ v.value.T
-        ds = p * (dp - np.sum(dp * p, axis=1, keepdims=True)) * c
-        q.grad += ds @ kt.T
-        k.grad += (q.value.T @ ds).T
+        # The chain adds the residual first, then each head's Q, K and V parts.
+        xq.grad += g
+        w_out.grad += a.T @ g
+        ga = (g @ w_out.value.T).reshape(n, nh, dk)
+        go = np.ascontiguousarray(ga.transpose(1, 0, 2))  # (heads, n, d_k)
+        gq = np.empty_like(q)
+        gkv = np.empty_like(kv)
+        gk, gv = gkv[:nh], gkv[nh:]
+        for hs, p in zip(groups, probs):
+            np.matmul(p.transpose(0, 2, 1), go[hs], out=gv[hs])
+            ds = np.matmul(go[hs], v[hs].transpose(0, 2, 1))
+            ds -= np.sum(ds * p, axis=2, keepdims=True)
+            ds *= p
+            ds *= c
+            np.matmul(ds, kt[hs].transpose(0, 2, 1), out=gq[hs])
+            gk[hs] = np.matmul(q[hs].transpose(0, 2, 1), ds).transpose(0, 2, 1)
+        wt = stacked.transpose(0, 2, 1)
+        dxq = np.matmul(gq, wt[:nh])
+        dx = np.matmul(gkv, wt[nh:])
+        gw = np.concatenate([np.matmul(xq.value.T, gq), np.matmul(x.value.T, gkv)])
+        for h in range(nh):
+            xq.grad += dxq[h]
+            x.grad += dx[h]
+            x.grad += dx[nh + h]
+        for node, gw_i in zip(weights, gw):
+            node.grad += gw_i
 
     out._backward = backward
     return out

@@ -86,6 +86,27 @@ def test_cross_scale_attention_matches_dense_oracle(kind):
     np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_summarize_matches_dense_oracle():
+    cfg = _config(False)
+    params = M.init_model_params(cfg, seed=3)
+    n = 9
+    H = np.random.default_rng(4).normal(size=(n, cfg.d_model))
+    counter = M.FlopCounter()
+    out = M.summarize(params, T.constant(H), counter)
+
+    # Every row attends to all rows; the summary keeps the last one.
+    sp = params.attn[-1]
+    heads = [
+        dense_masked_attention(H, wq.value, wk.value, wv.value, [range(n)] * n,
+                               1.0 / math.sqrt(cfg.head_dim))[0][-1]
+        for wq, wk, wv in sp.heads
+    ]
+    attended = np.concatenate(heads) @ sp.w_out.value + H[-1]
+    expected = (attended @ params.w_summary.value)[None, :]
+    np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+    assert counter.count == cfg.num_heads * cfg.head_dim * n
+
+
 def test_cross_scale_attention_requires_each_query_to_read_itself():
     cfg = _config(True)
     params = M.init_model_params(cfg, seed=0)

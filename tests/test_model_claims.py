@@ -1,6 +1,7 @@
 """Checks of the model's documented behaviour against oracles and reruns."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.encoding import onehot_matrix
+from nextevent.errors import NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 from oracles import weibull_mean_by_quadrature
 
@@ -27,6 +29,15 @@ def test_point_estimate_is_the_weibull_mean(lam, gamma):
     # The quadrature stops at 50 lambda, which drops ~8e-6 of the mean at 0.7.
     expected = weibull_mean_by_quadrature(lam, gamma)
     assert M.point_estimate_time(lam, gamma) == pytest.approx(expected, rel=1e-4)
+
+
+def test_point_estimate_rejects_an_overflowing_mean():
+    # Gamma(1 + 1/gamma) overflows a float for gamma below about 1/171.
+    with pytest.raises(NumericsError, match="Weibull mean"):
+        M.point_estimate_time(1.0, 0.0058)
+    with pytest.raises(NumericsError, match="Weibull mean"):
+        M.point_estimate_time(1e300, 0.05)
+    assert M.point_estimate_time(1.0, 0.006) == math.gamma(1.0 + 1.0 / 0.006)
 
 
 def _numpy_positional(params, times, type_weights):

@@ -225,73 +225,112 @@ def _attention_masks(n):
 
 
 class TestMaskedAttention:
-    N, D, DK = 6, 5, 3
+    """``multi_head_attention``: one node for every head of a masked block."""
+
+    N, D, DK, HEADS = 6, 5, 3, 4
     C = 1.0 / np.sqrt(DK)
 
-    def _weights(self):
-        rng = np.random.default_rng(3)
-        H = rng.normal(size=(self.N, self.D))
-        return H, [rng.normal(size=(self.D, self.DK)) for _ in range(3)]
+    def _arrays(self, n=N, nq=None, seed=3, d=D, dk=DK):
+        """x, then xq (``nq`` rows, or x itself), the (Wq, Wk, Wv) triples and W_O."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        xq = x if nq is None else rng.normal(size=(nq, d))
+        heads = [[rng.normal(size=(d, dk)) for _ in range(3)] for _ in range(self.HEADS)]
+        return x, xq, heads, rng.normal(size=(self.HEADS * dk, d))
+
+    def _node(self, mask, c=C):
+        """Build a node from flat arguments (xq, x, Wq0, Wk0, Wv0, ..., W_O)."""
+        def build(xq, x, *ws):
+            heads = [ws[3 * h:3 * h + 3] for h in range(self.HEADS)]
+            return T.multi_head_attention(xq, x, heads, ws[-1], mask, c)
+        return build
 
     @pytest.mark.parametrize("name", ["none", "causal", "random"])
     def test_matches_dense_oracle(self, name):
         mask = _attention_masks(self.N)[name]
-        H, (wq, wk, wv) = self._weights()
-        out = T.masked_attention(H @ wq, H @ wk, H @ wv, mask, self.C)
+        x, _, heads, w_out = self._arrays()
+        out = T.multi_head_attention(x, x, heads, w_out, mask, self.C)
         if mask is None:
             keys = [range(self.N)] * self.N
         else:
             keys = [np.flatnonzero(row) for row in mask]
-        expected, _ = dense_masked_attention(H, wq, wk, wv, keys, self.C)
+        per_head = [dense_masked_attention(x, *w, keys, self.C)[0] for w in heads]
+        expected = np.concatenate(per_head, axis=1) @ w_out + x
         np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["none", "causal", "random"])
     def test_gradients(self, name):
         mask = _attention_masks(self.N)[name]
-        rng = np.random.default_rng(4)
-        arrays = [rng.normal(size=(self.N, self.DK)) for _ in range(3)]
-        assert_grad_matches(lambda q, k, v: T.masked_attention(q, k, v, mask, self.C), arrays)
+        x, xq, heads, w_out = self._arrays(nq=self.N, seed=4)
+        arrays = [xq, x, *(w for triple in heads for w in triple), w_out]
+        assert_grad_matches(self._node(mask), arrays)
 
     def test_unmasked_rounds_like_the_node_chain(self):
         # Large enough that BLAS rounds a product with a strided k.T
-        # differently from one with a contiguous copy.
-        n, dk = 300, 8
-        c = 1.0 / np.sqrt(dk)
-        rng = np.random.default_rng(5)
-        arrays = [rng.normal(size=(n, dk)) for _ in range(3)]
-        upstream = rng.normal(size=(n, dk))
+        # differently from one with a contiguous copy. The chain is built
+        # from the other primitives, with a mask as an additive 0/-inf
+        # constant; the last case is one query row apart from x (the summary).
+        # Widths are the benchmark model's: d_model 32, 4 heads of 8.
+        n = 300
+        for name in ("none", "causal", "random", "one-query"):
+            self._check_rounds_like_the_chain(n, name)
+
+    def _check_rounds_like_the_chain(self, n, name):
+        mask = None if name == "one-query" else _attention_masks(n)[name]
+        nq = 1 if name == "one-query" else None
+        x, xq, heads, w_out = self._arrays(n, nq=nq, seed=5, d=32, dk=8)
+        c = 1.0 / np.sqrt(8)
+        upstream = np.random.default_rng(6).normal(size=xq.shape)
+
+        def chain(xq, x, *ws):
+            outs = []
+            for h in range(self.HEADS):
+                wq, wk, wv = ws[3 * h:3 * h + 3]
+                scores = T.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
+                if mask is not None:
+                    scores = T.add(scores, T.constant(np.where(mask, 0.0, -np.inf)))
+                outs.append(T.matmul(T.softmax(scores, axis=1), T.matmul(x, wv)))
+            return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
+
         results = []
-        for build in (
-            lambda q, k, v: T.masked_attention(q, k, v, None, c),
-            lambda q, k, v: T.matmul(T.softmax(T.scale(T.matmul(q, T.transpose(k)), c), axis=1), v),
-        ):
-            nodes = [T.parameter(a) for a in arrays]
-            out = build(*nodes)
+        for build in (self._node(mask, c), chain):
+            ws = [T.parameter(w) for triple in heads for w in triple] + [T.parameter(w_out)]
+            x_node = T.parameter(x)
+            xq_node = x_node if xq is x else T.parameter(xq)
+            out = build(xq_node, x_node, *ws)
             T.sum_all(T.mul(out, T.constant(upstream))).backward()
-            results.append([out.value] + [n.grad for n in nodes])
-        for fused, chain in zip(*results):
-            assert np.array_equal(fused, chain)
+            results.append([out.value, xq_node.grad, x_node.grad] + [w.grad for w in ws])
+        assert len(results[0]) == 3 + 3 * self.HEADS + 1
+        for fused, chained in zip(*results):
+            assert np.array_equal(fused, chained), name
 
     def test_masked_keys_get_no_weight_or_gradient(self):
-        rng = np.random.default_rng(6)
-        q, k, v = (T.parameter(rng.normal(size=(4, 2))) for _ in range(3))
-        mask = np.eye(4, dtype=bool)
-        out = T.masked_attention(q, k, v, mask, 1.0)
-        np.testing.assert_array_equal(out.value, v.value)
+        x, xq, heads, w_out = self._arrays(4, nq=4, seed=6)
+        nodes = [T.parameter(a) for a in (xq, x, *(w for triple in heads for w in triple), w_out)]
+        out = self._node(np.eye(4, dtype=bool))(*nodes)
+        # Each query reads only its own key, with weight exactly one.
+        values = np.concatenate([x @ wv for _, _, wv in heads], axis=1)
+        np.testing.assert_array_equal(out.value, values @ w_out + xq)
         T.sum_all(out).backward()
-        np.testing.assert_array_equal(q.grad, 0.0)
-        np.testing.assert_array_equal(k.grad, 0.0)
+        np.testing.assert_array_equal(nodes[0].grad, 1.0)  # the residual alone
+        for h in range(self.HEADS):
+            np.testing.assert_array_equal(nodes[2 + 3 * h].grad, 0.0)  # Wq
+            np.testing.assert_array_equal(nodes[3 + 3 * h].grad, 0.0)  # Wk
 
     def test_rejects_empty_row_and_bad_shapes(self):
         x = T.constant(np.ones((3, 2)))
+        heads = [[T.constant(np.ones((2, 2)))] * 3]
+        w_out = T.constant(np.ones((2, 2)))
         mask = np.eye(3, dtype=bool)
         mask[1, 1] = False
         with pytest.raises(ValueError, match="at least one key"):
-            T.masked_attention(x, x, x, mask, 1.0)
+            T.multi_head_attention(x, x, heads, w_out, mask, 1.0)
         with pytest.raises(ValueError, match="mask shape"):
-            T.masked_attention(x, x, x, np.ones((3, 2), dtype=bool), 1.0)
+            T.multi_head_attention(x, x, heads, w_out, np.ones((3, 2), dtype=bool), 1.0)
         with pytest.raises(ValueError, match="disagree"):
-            T.masked_attention(x, T.constant(np.ones((3, 4))), x, None, 1.0)
+            T.multi_head_attention(x, T.constant(np.ones((3, 4))), heads, w_out, None, 1.0)
+        with pytest.raises(ValueError, match="disagree"):
+            T.multi_head_attention(x, x, heads, T.constant(np.ones((4, 2))), None, 1.0)
 
 
 class TestCheckGradients:
