@@ -37,7 +37,8 @@ __all__ = [
 
 @dataclass
 class EventSequence:
-    """Ordered (time, type) pairs; types are dense integers in [0, num_types)."""
+    """(time, type) pairs: finite, strictly increasing times (no ties) and
+    dense integer types in [0, num_types)."""
 
     times: np.ndarray
     types: np.ndarray
@@ -56,9 +57,11 @@ class EventSequence:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise DataError(f"sequence {self.seq_id!r}: non-finite time at event {bad}")
-        if np.any(np.diff(self.times) < 0):
-            bad = int(np.argmax(np.diff(self.times) < 0)) + 1
-            raise DataError(f"sequence {self.seq_id!r}: time regression at event {bad}")
+        gaps = np.diff(self.times)
+        if np.any(gaps <= 0):
+            bad = int(np.argmax(gaps <= 0))
+            kind = "tied time" if gaps[bad] == 0 else "time regression"
+            raise DataError(f"sequence {self.seq_id!r}: {kind} at event {bad + 1}")
         if self.num_types <= 0:
             raise DataError("num_types must be positive")
         if self.types.size and (self.types.min() < 0 or self.types.max() >= self.num_types):
@@ -428,9 +431,9 @@ def normalize_times(
         raise ConfigError(f"unknown normalization mode {mode!r}, expected {NORM_MODES}")
     stats = NormStats(mode)
     if mode == "shift_and_scale":
-        gaps = np.concatenate([np.diff(s.times) for s in seqs if len(s) >= 2])
-        if gaps.size == 0 or gaps.mean() == 0.0:
-            raise ConfigError("cannot scale: mean inter-event gap is zero")
+        gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
+        if gaps.size == 0:  # times strictly increase, so any gap is positive
+            raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
         stats.mean_gap = float(gaps.mean())
     return apply_normalization(seqs, stats), stats
 

@@ -18,9 +18,8 @@ whichever of its two bounding gaps has the lower rank (for leaf ``i``: gaps
 
 Because only neighbours merge, every cluster is a contiguous span of leaves
 ``[lo, hi]``. :class:`ScaleHierarchy` therefore stores the tree as integer
-arrays over node ids (span bounds, the merge orders that form and consume
-each node, its scale and its mean time), all filled once when the merge
-order is sliced. Disjoint spans ordered by ``lo`` are also in time order.
+arrays over node ids (span bounds, scale and mean time), filled once when the
+merge order is sliced. Disjoint spans ordered by ``lo`` are also in time order.
 
 Two node-set views matter downstream and are deliberately distinct:
 
@@ -129,8 +128,6 @@ class ScaleHierarchy:
     distance: np.ndarray  # per merge: the gap it fused
     lo: np.ndarray  # first leaf of the node's span
     hi: np.ndarray  # last leaf of the node's span
-    formed: np.ndarray  # order of the creating merge; 0 for leaves
-    consumed: np.ndarray  # order of the absorbing merge; L for the root
     scale: np.ndarray
     rep_time: np.ndarray  # mean time of the span's leaves
     active: list[np.ndarray]  # per scale: ids of active_nodes(s), ordered by lo
@@ -279,6 +276,7 @@ def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> 
             f"merge counts sum to {sum(merge_counts)} but there are {n - 1} steps"
         )
 
+    # Order of the merge that creates each node (0 for leaves).
     formed = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
     # Each span's mean is the float64 sum .mean() takes (add.reduce over the
     # slice, without numpy's wrappers, which cost more than the sum on spans
@@ -297,6 +295,6 @@ def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> 
         active.append(ids)
         frontier_pos.append(np.flatnonzero(consumed[ids] <= end))
     return ScaleHierarchy(
-        t, merge_counts, left, right, distance, lo, hi, formed, consumed, scale,
-        rep_time, active, frontier_pos,
+        t, merge_counts, left, right, distance, lo, hi, scale, rep_time, active,
+        frontier_pos,
     )

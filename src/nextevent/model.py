@@ -120,9 +120,10 @@ class ModelConfig:
 
 @dataclass
 class ScaleAttentionParams:
-    """Per-scale projections: one (W_Q, W_K, W_V) triple per head plus W_O."""
+    """Per-scale projections: ``w_qkv`` stacks every head's W_Q, then W_K,
+    then W_V, as :func:`tensor.multi_head_attention` takes them; W_O."""
 
-    heads: list[tuple[DiffNode, DiffNode, DiffNode]]
+    w_qkv: DiffNode
     w_out: DiffNode
 
 
@@ -143,10 +144,7 @@ class ModelParams:
     def all_named(self) -> dict[str, DiffNode]:
         out = dict(self.fcpe.named())
         for s, sp in enumerate(self.attn, start=1):
-            for h, (wq, wk, wv) in enumerate(sp.heads):
-                out[f"attn{s}.h{h}.wq"] = wq
-                out[f"attn{s}.h{h}.wk"] = wk
-                out[f"attn{s}.h{h}.wv"] = wv
+            out[f"attn{s}.wqkv"] = sp.w_qkv
             out[f"attn{s}.wo"] = sp.w_out
         for s, wc in enumerate(self.pool_proj, start=1):
             out[f"pool{s}.wc"] = wc
@@ -195,11 +193,10 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
         fcpe.density_map.value[...] = 1.0
     attn = []
     for _ in range(config.num_scales):
-        heads = [
-            tuple(T.parameter(rng.normal(0.0, sigma, size=(d, dk))) for _ in range(3))
-            for _ in range(config.num_heads)
-        ]
-        attn.append(ScaleAttentionParams(heads, T.parameter(rng.normal(0.0, sigma, size=(d, d)))))
+        # Drawn head by head as (W_Q, W_K, W_V), stored as Q, K and V blocks.
+        qkv = rng.normal(0.0, sigma, size=(config.num_heads, 3, d, dk))
+        w_qkv = T.parameter(qkv.transpose(1, 0, 2, 3).reshape(-1, d, dk))
+        attn.append(ScaleAttentionParams(w_qkv, T.parameter(rng.normal(0.0, sigma, size=(d, d)))))
     pool_proj = [
         T.parameter(rng.normal(0.0, 1.0 / math.sqrt(2 * d), size=(2 * d, d)))
         for _ in range(config.num_scales - 1)
@@ -254,11 +251,11 @@ def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
     :func:`tensor.multi_head_attention` node for every head, concat(heads)
     @ W_O and the ``Hq`` residual. Counts ``mask.sum() * d_k`` score
     multiplications per head (all pairs for ``None``)."""
-    dk = sp.heads[0][0].shape[1]
+    dk = sp.w_qkv.shape[2]
     if counter is not None:
         keys = Hq.shape[0] * H.shape[0] if mask is None else int(np.count_nonzero(mask))
-        counter.add(len(sp.heads) * keys * dk)
-    return T.multi_head_attention(Hq, H, sp.heads, sp.w_out, mask, 1.0 / math.sqrt(dk))
+        counter.add(sp.w_qkv.shape[0] // 3 * keys * dk)
+    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, mask, 1.0 / math.sqrt(dk))
 
 
 def cross_scale_attention(
@@ -487,7 +484,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:

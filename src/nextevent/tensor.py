@@ -441,14 +441,15 @@ def logsumexp(a, axis: int = -1) -> DiffNode:
 _GROUP_ENTRIES = 1 << 15
 
 
-def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
+def multi_head_attention(xq, x, w_qkv, w_out, mask, scale: float) -> DiffNode:
     """``concat_h(softmax(scale * (xq Wq_h) (x Wk_h).T) (x Wv_h)) @ w_out + xq``
     with keys outside ``mask`` excluded.
 
-    ``heads`` holds one ``(Wq, Wk, Wv)`` triple of ``(d, d_k)`` weights per
-    head, and ``w_out`` is ``(heads * d_k, d)``. ``mask`` is a boolean
-    ``(n, m)`` array over the rows of ``xq`` and ``x`` (row j lists the keys
-    query j may read; no row may be empty), or ``None`` for every key.
+    ``w_qkv`` is ``(3 * heads, d, d_k)``: head ``h``'s Wq, Wk and Wv are
+    ``w_qkv[h]``, ``w_qkv[heads + h]`` and ``w_qkv[2 * heads + h]``, and
+    ``w_out`` is ``(heads * d_k, d)``. ``mask`` is a boolean ``(n, m)`` array
+    over the rows of ``xq`` and ``x`` (row j lists the keys query j may read;
+    no row may be empty), or ``None`` for every key.
 
     One node stands for the whole block: the heads' projections, scores and
     products are batched ``np.matmul`` calls, which make the same 2-D BLAS
@@ -460,20 +461,17 @@ def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
     and :func:`add` nodes, so value and gradients round exactly as that chain
     does (with a 0/-inf constant added to the scores for a mask).
     """
-    xq, x, w_out = _wrap(xq), _wrap(x), _wrap(w_out)
-    heads = [tuple(_wrap(w) for w in triple) for triple in heads]
-    nh = len(heads)
-    # Stacked as all the Wq, then all the Wk, then all the Wv.
-    weights = [triple[i] for i in range(3) for triple in heads]
-    if nh == 0 or any(w.value.ndim != 2 for w in (xq, x, w_out, *weights)):
-        raise ValueError("multi_head_attention requires 2-D operands and at least one head")
-    n, m = xq.shape[0], x.shape[0]
-    d, dk = xq.shape[1], weights[0].shape[1]
-    if (x.shape[1] != d or any(w.shape != (d, dk) for w in weights)
-            or w_out.shape != (nh * dk, d)):
+    xq, x, w_qkv, w_out = _wrap(xq), _wrap(x), _wrap(w_qkv), _wrap(w_out)
+    if (any(a.value.ndim != 2 for a in (xq, x, w_out)) or w_qkv.value.ndim != 3
+            or w_qkv.shape[0] % 3 or not w_qkv.shape[0]):
+        raise ValueError("multi_head_attention requires 2-D operands and a"
+                         " (3 * heads, d, d_k) w_qkv with at least one head")
+    n, d = xq.shape
+    m, nh, dk = x.shape[0], w_qkv.shape[0] // 3, w_qkv.shape[2]
+    if x.shape[1] != d or w_qkv.shape[1] != d or w_out.shape != (nh * dk, d):
         raise ValueError(
             f"multi_head_attention: shapes xq {xq.shape}, x {x.shape},"
-            f" weights {weights[0].shape} x {3 * nh}, w_out {w_out.shape} disagree"
+            f" w_qkv {w_qkv.shape}, w_out {w_out.shape} disagree"
         )
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -482,9 +480,8 @@ def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
         if not mask.any(axis=1).all():
             raise ValueError("multi_head_attention: every query needs at least one key")
     c = float(scale)
-    stacked = np.stack([w.value for w in weights])  # (3 * heads, d, d_k)
-    q = np.matmul(xq.value, stacked[:nh])  # (heads, n, d_k)
-    kv = np.matmul(x.value, stacked[nh:])  # (2 * heads, m, d_k)
+    q = np.matmul(xq.value, w_qkv.value[:nh])  # (heads, n, d_k)
+    kv = np.matmul(x.value, w_qkv.value[nh:])  # (2 * heads, m, d_k)
     kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))
     v = kv[nh:]
     excluded = None if mask is None else ~mask
@@ -504,7 +501,7 @@ def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
         probs.append(p)
     # concat_cols of the heads' outputs
     a = as_tensor(o.transpose(1, 0, 2).reshape(n, nh * dk))
-    out = DiffNode(a @ w_out.value + xq.value, parents=(xq, x, *weights, w_out))
+    out = DiffNode(a @ w_out.value + xq.value, parents=(xq, x, w_qkv, w_out))
 
     def backward(g):
         # The chain adds the residual first, then each head's Q, K and V parts.
@@ -523,16 +520,15 @@ def multi_head_attention(xq, x, heads, w_out, mask, scale: float) -> DiffNode:
             ds *= c
             np.matmul(ds, kt[hs].transpose(0, 2, 1), out=gq[hs])
             gk[hs] = np.matmul(q[hs].transpose(0, 2, 1), ds).transpose(0, 2, 1)
-        wt = stacked.transpose(0, 2, 1)
+        wt = w_qkv.value.transpose(0, 2, 1)
         dxq = np.matmul(gq, wt[:nh])
         dx = np.matmul(gkv, wt[nh:])
-        gw = np.concatenate([np.matmul(xq.value.T, gq), np.matmul(x.value.T, gkv)])
         for h in range(nh):
             xq.grad += dxq[h]
             x.grad += dx[h]
             x.grad += dx[nh + h]
-        for node, gw_i in zip(weights, gw):
-            node.grad += gw_i
+        w_qkv.grad[:nh] += np.matmul(xq.value.T, gq)
+        w_qkv.grad[nh:] += np.matmul(x.value.T, gkv)
 
     out._backward = backward
     return out

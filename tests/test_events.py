@@ -25,6 +25,10 @@ class TestEventSequence:
         with pytest.raises(DataError, match="regression"):
             EventSequence([0.0, 2.0, 1.0], [0, 0, 0], 1)
 
+    def test_rejects_tied_times(self):
+        with pytest.raises(DataError, match="'s': tied time at event 2"):
+            EventSequence([0.0, 1.0, 1.0, 2.0], [0, 0, 0, 0], 1, seq_id="s")
+
     def test_rejects_out_of_range_type(self):
         with pytest.raises(DataError, match="type ids"):
             EventSequence([0.0, 1.0], [0, 3], 2)
@@ -250,9 +254,12 @@ class TestNormalization:
             np.testing.assert_allclose(rec.times, orig.times, rtol=1e-12, atol=1e-12)
 
     def test_zero_mean_gap_rejected(self):
-        # Duplicate handling happens at load; feeding all-duplicate times
-        # directly must fail loudly rather than divide by zero.
-        seqs = [EventSequence([1.0, 1.0], [0, 0], 1, seq_id="a")]
+        # Duplicate handling happens at load; all-duplicate times fed directly
+        # fail at the sequence, and sequences without a single gap fail to
+        # scale rather than divide by zero.
+        with pytest.raises(DataError, match="tied time"):
+            EventSequence([1.0, 1.0], [0, 0], 1, seq_id="a")
+        seqs = [EventSequence([1.0], [0], 1, seq_id="a")]
         with pytest.raises(ConfigError, match="mean inter-event gap"):
             normalize_times(seqs, "shift_and_scale")
 

@@ -26,6 +26,12 @@ def _config(causal, **kw):
     return M.ModelConfig(d_model=8, num_heads=2, num_scales=4, num_types=4, causal=causal, **kw)
 
 
+def _heads(sp):
+    """Each head's (W_Q, W_K, W_V) slices of the scale's stacked W_QKV."""
+    w, nh = sp.w_qkv.value, sp.w_qkv.shape[0] // 3
+    return [(w[h], w[nh + h], w[2 * nh + h]) for h in range(nh)]
+
+
 def _key_set_mask(hierarchy, s, causal):
     """Mask over the frontier of scale s built from ScaleHierarchy.key_set."""
     frontier = hierarchy.frontier(s)
@@ -78,9 +84,8 @@ def test_cross_scale_attention_matches_dense_oracle(kind):
     keys = [range(n)] * n if mask is None else [np.flatnonzero(row) for row in mask]
     sp = params.attn[0]
     heads = [
-        dense_masked_attention(H, wq.value, wk.value, wv.value, keys,
-                               1.0 / math.sqrt(cfg.head_dim))[0]
-        for wq, wk, wv in sp.heads
+        dense_masked_attention(H, wq, wk, wv, keys, 1.0 / math.sqrt(cfg.head_dim))[0]
+        for wq, wk, wv in _heads(sp)
     ]
     expected = np.concatenate(heads, axis=1) @ sp.w_out.value + H
     np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
@@ -97,9 +102,9 @@ def test_summarize_matches_dense_oracle():
     # Every row attends to all rows; the summary keeps the last one.
     sp = params.attn[-1]
     heads = [
-        dense_masked_attention(H, wq.value, wk.value, wv.value, [range(n)] * n,
+        dense_masked_attention(H, wq, wk, wv, [range(n)] * n,
                                1.0 / math.sqrt(cfg.head_dim))[0][-1]
-        for wq, wk, wv in sp.heads
+        for wq, wk, wv in _heads(sp)
     ]
     attended = np.concatenate(heads) @ sp.w_out.value + H[-1]
     expected = (attended @ params.w_summary.value)[None, :]
@@ -133,12 +138,12 @@ def test_hierarchy_for_rejects_more_scales_than_merges():
 
 
 def test_load_checkpoint_rejects_an_older_version(tmp_path):
-    path = tmp_path / "v2.json"
+    path = tmp_path / "v3.json"
     M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
     payload = json.loads(path.read_text())
-    payload["version"] = 2
+    payload["version"] = 3
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 2"):
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 3"):
         M.load_checkpoint(path)
 
 

@@ -112,10 +112,57 @@ def test_loss_gradients_match_finite_differences(extra):
     example = _example(length=16)
     config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, **extra)
     params = M.init_model_params(config, seed=1)
+    # 36 entries per leaf: each scale's W_QKV (2 heads x 3 of 8 x 4) gets as
+    # many checked entries as six separate per-head leaves at 6 each did.
     report = T.check_gradients(
-        lambda _: M.loss(params, example), params.named_parameters(), max_entries=6
+        lambda _: M.loss(params, example), params.named_parameters(), max_entries=36
     )
     assert report.max_rel_error < 1e-4
+
+
+# Loss, lambda, gamma and type probabilities as float.hex for configs that
+# bench/reference.json does not cover, recorded when each head still had its
+# own W_Q, W_K and W_V leaves.
+PINNED_OUTPUTS = {
+    "causal-layer_norm": (
+        "0x1.6c5d367d36106p+1", "0x1.325cd14b24705p-1", "0x1.c42d1e26f0945p-2",
+        ("0x1.e9accb03c673ep-1", "0x1.07113f467ac28p-5", "0x1.788841f477ff8p-7"),
+    ),
+    "base": (
+        "0x1.08c6af52727c8p+0", "0x1.702844679a520p-1", "0x1.1ffc66dc79e84p-1",
+        ("0x1.69a4dce0180aep-2", "0x1.3878189209574p-2", "0x1.5de30a8dde9dfp-2"),
+    ),
+    "exponential": (
+        "0x1.f0bd09d671b86p-1", "0x1.522380537d5a1p-1", "0x1.0000000000000p+0",
+        ("0x1.097551e6f744cp-1", "0x1.0c641501d4d4bp-2", "0x1.c1628e6079437p-3"),
+    ),
+    "one-scale": (
+        "0x1.b91a9aadf0b2fp-1", "0x1.345ebc99ea6dfp-1", "0x1.8ca563485c363p-1",
+        ("0x1.4c517e3e61de5p-2", "0x1.4fbd55e5a81d5p-2", "0x1.63f12bdbf6047p-2"),
+    ),
+}
+
+
+PINNED_CONFIGS = {
+    "causal-layer_norm": dict(causal=True, layer_norm=True),
+    "base": dict(pe="base"),
+    "exponential": dict(distribution="exponential"),
+    "one-scale": dict(num_scales=1),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_outputs_match_pinned_values(name):
+    # These match bit for bit where they were recorded; numpy picks its exp,
+    # log and BLAS kernels by CPU, so another machine may differ in the last
+    # bits. The tolerance is bench/reference.json's.
+    base = dict(d_model=8, num_heads=2, num_scales=3, num_types=3)
+    config = M.ModelConfig(**{**base, **PINNED_CONFIGS[name]})
+    result = M.forward(M.init_model_params(config, seed=1), _example())
+    loss, lam, gamma, probs = PINNED_OUTPUTS[name]
+    got = [result.total.value.item(), result.lam, result.gamma, *result.type_probs]
+    want = [float.fromhex(v) for v in (loss, lam, gamma, *probs)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_checkpoint_round_trip_reproduces_the_loss(tmp_path):

@@ -231,39 +231,44 @@ class TestMaskedAttention:
     C = 1.0 / np.sqrt(DK)
 
     def _arrays(self, n=N, nq=None, seed=3, d=D, dk=DK):
-        """x, then xq (``nq`` rows, or x itself), the (Wq, Wk, Wv) triples and W_O."""
+        """x, then xq (``nq`` rows, or x itself), the (3 * heads, d, d_k) W_QKV
+        and W_O."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
         xq = x if nq is None else rng.normal(size=(nq, d))
-        heads = [[rng.normal(size=(d, dk)) for _ in range(3)] for _ in range(self.HEADS)]
-        return x, xq, heads, rng.normal(size=(self.HEADS * dk, d))
+        w_qkv = rng.normal(size=(self.HEADS, 3, d, dk)).transpose(1, 0, 2, 3).reshape(-1, d, dk)
+        return x, xq, w_qkv, rng.normal(size=(self.HEADS * dk, d))
+
+    def _head(self, w_qkv, h):
+        """Head h's (Wq, Wk, Wv) slices of W_QKV."""
+        return w_qkv[h], w_qkv[self.HEADS + h], w_qkv[2 * self.HEADS + h]
 
     def _node(self, mask, c=C):
-        """Build a node from flat arguments (xq, x, Wq0, Wk0, Wv0, ..., W_O)."""
-        def build(xq, x, *ws):
-            heads = [ws[3 * h:3 * h + 3] for h in range(self.HEADS)]
-            return T.multi_head_attention(xq, x, heads, ws[-1], mask, c)
+        def build(xq, x, w_qkv, w_out):
+            return T.multi_head_attention(xq, x, w_qkv, w_out, mask, c)
         return build
 
     @pytest.mark.parametrize("name", ["none", "causal", "random"])
     def test_matches_dense_oracle(self, name):
         mask = _attention_masks(self.N)[name]
-        x, _, heads, w_out = self._arrays()
-        out = T.multi_head_attention(x, x, heads, w_out, mask, self.C)
+        x, _, w_qkv, w_out = self._arrays()
+        out = T.multi_head_attention(x, x, w_qkv, w_out, mask, self.C)
         if mask is None:
             keys = [range(self.N)] * self.N
         else:
             keys = [np.flatnonzero(row) for row in mask]
-        per_head = [dense_masked_attention(x, *w, keys, self.C)[0] for w in heads]
+        per_head = [
+            dense_masked_attention(x, *self._head(w_qkv, h), keys, self.C)[0]
+            for h in range(self.HEADS)
+        ]
         expected = np.concatenate(per_head, axis=1) @ w_out + x
         np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["none", "causal", "random"])
     def test_gradients(self, name):
         mask = _attention_masks(self.N)[name]
-        x, xq, heads, w_out = self._arrays(nq=self.N, seed=4)
-        arrays = [xq, x, *(w for triple in heads for w in triple), w_out]
-        assert_grad_matches(self._node(mask), arrays)
+        x, xq, w_qkv, w_out = self._arrays(nq=self.N, seed=4)
+        assert_grad_matches(self._node(mask), [xq, x, w_qkv, w_out])
 
     def test_unmasked_rounds_like_the_node_chain(self):
         # Large enough that BLAS rounds a product with a strided k.T
@@ -278,14 +283,15 @@ class TestMaskedAttention:
     def _check_rounds_like_the_chain(self, n, name):
         mask = None if name == "one-query" else _attention_masks(n)[name]
         nq = 1 if name == "one-query" else None
-        x, xq, heads, w_out = self._arrays(n, nq=nq, seed=5, d=32, dk=8)
+        x, xq, w_qkv, w_out = self._arrays(n, nq=nq, seed=5, d=32, dk=8)
         c = 1.0 / np.sqrt(8)
         upstream = np.random.default_rng(6).normal(size=xq.shape)
 
         def chain(xq, x, *ws):
+            """One leaf per slice of W_QKV, in its order, then W_O."""
             outs = []
             for h in range(self.HEADS):
-                wq, wk, wv = ws[3 * h:3 * h + 3]
+                wq, wk, wv = self._head(ws, h)
                 scores = T.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
                 if mask is not None:
                     scores = T.add(scores, T.constant(np.where(mask, 0.0, -np.inf)))
@@ -293,44 +299,53 @@ class TestMaskedAttention:
             return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
 
         results = []
-        for build in (self._node(mask, c), chain):
-            ws = [T.parameter(w) for triple in heads for w in triple] + [T.parameter(w_out)]
+        for build, ws in ((self._node(mask, c), [w_qkv]), (chain, list(w_qkv))):
+            ws = [T.parameter(w) for w in ws] + [T.parameter(w_out)]
             x_node = T.parameter(x)
             xq_node = x_node if xq is x else T.parameter(xq)
             out = build(xq_node, x_node, *ws)
             T.sum_all(T.mul(out, T.constant(upstream))).backward()
-            results.append([out.value, xq_node.grad, x_node.grad] + [w.grad for w in ws])
-        assert len(results[0]) == 3 + 3 * self.HEADS + 1
+            w_grads = [np.stack([w.grad for w in ws[:-1]]).reshape(w_qkv.shape), ws[-1].grad]
+            results.append([out.value, xq_node.grad, x_node.grad] + w_grads)
         for fused, chained in zip(*results):
             assert np.array_equal(fused, chained), name
 
     def test_masked_keys_get_no_weight_or_gradient(self):
-        x, xq, heads, w_out = self._arrays(4, nq=4, seed=6)
-        nodes = [T.parameter(a) for a in (xq, x, *(w for triple in heads for w in triple), w_out)]
+        x, xq, w_qkv, w_out = self._arrays(4, nq=4, seed=6)
+        nodes = [T.parameter(a) for a in (xq, x, w_qkv, w_out)]
         out = self._node(np.eye(4, dtype=bool))(*nodes)
         # Each query reads only its own key, with weight exactly one.
-        values = np.concatenate([x @ wv for _, _, wv in heads], axis=1)
+        values = np.concatenate([x @ w_qkv[2 * self.HEADS + h] for h in range(self.HEADS)], axis=1)
         np.testing.assert_array_equal(out.value, values @ w_out + xq)
         T.sum_all(out).backward()
         np.testing.assert_array_equal(nodes[0].grad, 1.0)  # the residual alone
-        for h in range(self.HEADS):
-            np.testing.assert_array_equal(nodes[2 + 3 * h].grad, 0.0)  # Wq
-            np.testing.assert_array_equal(nodes[3 + 3 * h].grad, 0.0)  # Wk
+        np.testing.assert_array_equal(nodes[2].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
 
     def test_rejects_empty_row_and_bad_shapes(self):
         x = T.constant(np.ones((3, 2)))
-        heads = [[T.constant(np.ones((2, 2)))] * 3]
+        w_qkv = T.constant(np.ones((3, 2, 2)))
         w_out = T.constant(np.ones((2, 2)))
         mask = np.eye(3, dtype=bool)
         mask[1, 1] = False
         with pytest.raises(ValueError, match="at least one key"):
-            T.multi_head_attention(x, x, heads, w_out, mask, 1.0)
+            T.multi_head_attention(x, x, w_qkv, w_out, mask, 1.0)
         with pytest.raises(ValueError, match="mask shape"):
-            T.multi_head_attention(x, x, heads, w_out, np.ones((3, 2), dtype=bool), 1.0)
+            T.multi_head_attention(x, x, w_qkv, w_out, np.ones((3, 2), dtype=bool), 1.0)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, T.constant(np.ones((3, 4))), heads, w_out, None, 1.0)
+            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, None, 1.0)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, heads, T.constant(np.ones((4, 2))), None, 1.0)
+            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), None, 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
+    def test_rejects_w_qkv_without_whole_heads(self, shape):
+        x = T.constant(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="at least one head"):
+            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), None, 1.0)
+
+    def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
+        x = T.constant(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="disagree"):
+            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), None, 1.0)
 
 
 class TestCheckGradients:
