@@ -37,8 +37,8 @@ __all__ = [
 
 @dataclass
 class EventSequence:
-    """(time, type) pairs: finite, strictly increasing times (no ties) and
-    dense integer types in [0, num_types)."""
+    """(time, type) pairs: finite, strictly increasing times and dense
+    integer types in [0, num_types)."""
 
     times: np.ndarray
     types: np.ndarray

@@ -112,17 +112,16 @@ def test_loss_gradients_match_finite_differences(extra):
     example = _example(length=16)
     config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, **extra)
     params = M.init_model_params(config, seed=1)
-    # 36 entries per leaf: each scale's W_QKV (2 heads x 3 of 8 x 4) gets as
-    # many checked entries as six separate per-head leaves at 6 each did.
+    # 36 entries per leaf, so each scale's W_QKV (2 heads x Q, K, V) gets six
+    # checks per projection matrix on average.
     report = T.check_gradients(
         lambda _: M.loss(params, example), params.named_parameters(), max_entries=36
     )
     assert report.max_rel_error < 1e-4
 
 
-# Loss, lambda, gamma and type probabilities as float.hex for configs that
-# bench/reference.json does not cover, recorded when each head still had its
-# own W_Q, W_K and W_V leaves.
+# Loss, lambda, gamma and type probabilities, as float.hex, for configs that
+# bench/reference.json does not cover.
 PINNED_OUTPUTS = {
     "causal-layer_norm": (
         "0x1.6c5d367d36106p+1", "0x1.325cd14b24705p-1", "0x1.c42d1e26f0945p-2",
