@@ -1,10 +1,13 @@
-"""Event sequence data model, file ingestion, synthetic generators, windowing.
+"""Event sequence data model, file ingestion, synthetic generators, windowing
+and time normalization.
 
 An event sequence is an ordered list of (time, type) pairs with integer
 types in ``[0, num_types)``. Loaders validate ordering rather than silently
 re-sorting; exact duplicate timestamps are nudged forward by a tiny fraction
 of the mean gap (with a warning) because exact ties would make the
-clustering hierarchy order-dependent.
+clustering hierarchy order-dependent. Normalization shifts every sequence to
+start at zero and may divide by one global mean gap; it keeps no state per
+sequence, so sequences that share an id are normalized independently.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,6 @@ __all__ = [
     "make_examples",
     "normalize_times",
     "apply_normalization",
-    "denormalize_times",
 ]
 
 
@@ -387,48 +389,46 @@ def make_examples(seq: EventSequence, window: int) -> list[PredictionExample]:
     return out
 
 
+NORM_MODES = ("shift_to_zero", "shift_and_scale")
+
+
 @dataclass
 class NormStats:
-    """Normalization state: per-sequence shifts plus a global gap scale.
+    """Normalization state: the mode and the global gap scale.
 
     ``mean_gap`` is the mean inter-event gap of the sequences the stats were
     fit on (1.0 when scaling is off), so a predicted gap in model units maps
-    back to original units via :meth:`gap_to_original`.
+    back to original units via :meth:`gap_to_original`. Each sequence's shift
+    is its own first time and is not kept.
     """
 
     mode: str
     mean_gap: float = 1.0
-    first_times: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.mode not in NORM_MODES:
+            raise ConfigError(f"unknown normalization mode {self.mode!r}, expected {NORM_MODES}")
 
     def gap_to_original(self, gap: float) -> float:
         return gap * self.mean_gap
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "mean_gap": self.mean_gap,
-            "first_times": {k: v for k, v in sorted(self.first_times.items())},
-        }
+        return {"mode": self.mode, "mean_gap": self.mean_gap}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(d["mode"], float(d["mean_gap"]), dict(d.get("first_times", {})))
-
-
-NORM_MODES = ("none", "shift_to_zero", "shift_and_scale")
+        return cls(d["mode"], float(d["mean_gap"]))
 
 
 def normalize_times(
     seqs: list[EventSequence], mode: str
 ) -> tuple[list[EventSequence], NormStats]:
-    """Shift each sequence to start at zero and/or scale by the mean gap.
+    """Shift each sequence to start at zero, and with ``"shift_and_scale"``
+    divide by the mean gap: the times become ``(times - times[0]) / mean_gap``.
 
     The scale is fit on ``seqs`` (use :func:`apply_normalization` to reuse it
-    on held-out data). Round trip via :func:`denormalize_times` is exact to
-    floating point.
+    on held-out data); ``"shift_to_zero"`` keeps ``mean_gap`` at 1.0.
     """
-    if mode not in NORM_MODES:
-        raise ConfigError(f"unknown normalization mode {mode!r}, expected {NORM_MODES}")
     stats = NormStats(mode)
     if mode == "shift_and_scale":
         gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
@@ -439,34 +439,10 @@ def normalize_times(
 
 
 def apply_normalization(seqs: list[EventSequence], stats: NormStats) -> list[EventSequence]:
-    """Shift and scale ``seqs`` with ``stats``, recording each sequence's shift
-    under its ``seq_id``; an id already recorded with another shift is
-    rejected, because :func:`denormalize_times` could not tell them apart."""
-    out = []
-    for seq in seqs:
-        times = seq.times
-        if stats.mode in ("shift_to_zero", "shift_and_scale") and len(seq):
-            first = float(times[0])
-            if stats.first_times.setdefault(seq.seq_id, first) != first:
-                raise DataError(
-                    f"sequence {seq.seq_id!r}: id already normalized with first time"
-                    f" {stats.first_times[seq.seq_id]!r}, got {first!r}"
-                )
-            times = times - first
-        if stats.mode == "shift_and_scale":
-            times = times / stats.mean_gap
-        out.append(EventSequence(times, seq.types.copy(), seq.num_types, seq.seq_id))
-    return out
-
-
-def denormalize_times(seqs: list[EventSequence], stats: NormStats) -> list[EventSequence]:
-    """Invert :func:`apply_normalization` using the recorded per-sequence shifts."""
-    out = []
-    for seq in seqs:
-        times = seq.times
-        if stats.mode == "shift_and_scale":
-            times = times * stats.mean_gap
-        if stats.mode in ("shift_to_zero", "shift_and_scale"):
-            times = times + stats.first_times.get(seq.seq_id, 0.0)
-        out.append(EventSequence(times, seq.types.copy(), seq.num_types, seq.seq_id))
-    return out
+    """Shift each of ``seqs`` to start at zero and divide by ``stats.mean_gap``;
+    ``stats`` is only read, and each sequence is normalized on its own."""
+    return [
+        EventSequence((seq.times - seq.times[:1]) / stats.mean_gap, seq.types.copy(),
+                      seq.num_types, seq.seq_id)
+        for seq in seqs
+    ]

@@ -4,7 +4,8 @@ decoder that predicts the next event's type and a Weibull gap distribution.
 Forward pass per history window:
 
 1. embed every event (type column + positional encoding; ``pe="base"`` is
-   the same encoding initialized to unit amplitudes and kept frozen),
+   the same encoding initialized to unit amplitudes, frozen and fed in as a
+   constant),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
    of scale s, one :func:`tensor.multi_head_attention` node for all heads,
    with each query's keys given as one boolean mask over that frontier (all
@@ -83,7 +84,6 @@ class ModelConfig:
     distribution: str = "weibull"
     pe: str = "fcpe"
     causal: bool = False
-    layer_norm: bool = False
 
     def __post_init__(self):
         if self.d_model <= 0 or self.d_model % 2 != 0:
@@ -226,23 +226,18 @@ def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     return build_hierarchy(times, num_scales=config.num_scales)
 
 
+def _positional(params: ModelParams, times, type_weights) -> DiffNode:
+    """Positional encodings (n, d); a constant under ``pe="base"``, whose
+    frequencies and amplitudes are frozen, so backward skips them."""
+    pos = fcpe_matrix(params.fcpe, times, type_weights)
+    return T.constant(pos.value) if params.config.pe == "base" else pos
+
+
 def _embed(params: ModelParams, times, type_weights) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
     weights = T.constant(np.asarray(type_weights, dtype=np.float64))
     type_part = T.matmul(weights, T.transpose(params.fcpe.type_embed))
-    return T.add(type_part, fcpe_matrix(params.fcpe, times, type_weights))
-
-
-def _layer_norm(x: DiffNode, eps: float = 1e-5) -> DiffNode:
-    """Row-wise normalization (no learned gain/bias), built from primitives."""
-    n, d = x.shape
-    ones_col = T.constant(np.ones((d, 1)))
-    ones_row = T.constant(np.ones((1, d)))
-    m = T.scale(T.matmul(x, ones_col), 1.0 / d)
-    centered = T.sub(x, T.matmul(m, ones_row))
-    var = T.scale(T.matmul(T.mul(centered, centered), ones_col), 1.0 / d)
-    inv = T.pow_const(T.add(var, T.constant(np.full((n, 1), eps))), -0.5)
-    return T.mul(centered, T.matmul(inv, ones_row))
+    return T.add(type_part, _positional(params, times, type_weights))
 
 
 def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
@@ -278,10 +273,7 @@ def cross_scale_attention(
         missing = np.flatnonzero(~np.diagonal(mask))
         if missing.size:
             raise HierarchyError(f"key set of query {missing[0]} must include itself")
-    out = _attend(H, H, mask, params.attn[s - 1], counter)
-    if params.config.layer_norm:
-        out = _layer_norm(out)
-    return out
+    return _attend(H, H, mask, params.attn[s - 1], counter)
 
 
 def hierarchical_pool(
@@ -299,7 +291,7 @@ def hierarchical_pool(
         )
     pooled = T.segment_mean(H_active, starts)
     mixtures = hierarchy.type_mixture(nxt_ids, types, params.config.num_types)
-    context = fcpe_matrix(params.fcpe, hierarchy.rep_time[nxt_ids], mixtures)
+    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -371,7 +363,7 @@ def time_nll(lam: DiffNode, gamma: DiffNode, gap: float) -> DiffNode:
     u = T.sub(log_t, T.log(lam))  # log(t / lambda)
     z = T.exp(T.mul(gamma, u))  # (t / lambda)^gamma
     term = T.sub(T.add(T.sub(T.log(gamma), T.log(lam)), T.mul(T.sub(gamma, T.constant([[1.0]])), u)), z)
-    return T.neg(term)
+    return T.scale(term, -1.0)
 
 
 def point_estimate_time(lam: float, gamma: float) -> float:
@@ -484,7 +476,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:

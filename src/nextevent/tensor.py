@@ -28,7 +28,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "neg",
     "scale",
     "matmul",
     "transpose",
@@ -40,7 +39,6 @@ __all__ = [
     "exp",
     "log",
     "cos_sin",
-    "pow_const",
     "softplus",
     "softmax",
     "logsumexp",
@@ -168,15 +166,14 @@ def add(a, b) -> DiffNode:
 
 
 def sub(a, b) -> DiffNode:
-    return add(a, neg(_wrap(b)))
-
-
-def neg(a) -> DiffNode:
-    a = _wrap(a)
-    out = DiffNode(-a.value, parents=(a,))
+    """Elementwise difference of two nodes of the same shape."""
+    a, b = _wrap(a), _wrap(b)
+    _check_same_shape(a, b, "sub")
+    out = DiffNode(a.value - b.value, parents=(a, b))
 
     def backward(g):
-        a.grad += -g
+        a.grad += g
+        b.grad += -g
 
     out._backward = backward
     return out
@@ -364,21 +361,6 @@ def cos_sin(a) -> tuple[DiffNode, DiffNode]:
 
     return (DiffNode(cos_value, (a,), cos_backward),
             DiffNode(sin_value, (a,), sin_backward))
-
-
-def pow_const(a, p: float) -> DiffNode:
-    """Elementwise power with a constant exponent (positive base)."""
-    a = _wrap(a)
-    p = float(p)
-    if np.any(a.value <= 0.0):
-        raise NumericsError("pow_const requires strictly positive base")
-    out = DiffNode(a.value**p, parents=(a,))
-
-    def backward(g):
-        a.grad += g * p * a.value ** (p - 1.0)
-
-    out._backward = backward
-    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

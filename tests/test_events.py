@@ -9,7 +9,6 @@ from nextevent.events import (
     EventSequence,
     NormStats,
     apply_normalization,
-    denormalize_times,
     generate_hawkes,
     generate_multiscale,
     load_sequences,
@@ -237,22 +236,6 @@ class TestNormalization:
         assert stats.mean_gap == 1.5
         np.testing.assert_allclose(out[0].times, [0.0, 1.0 / 1.5, 3.0 / 1.5])
 
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(2)
-        seqs = [
-            EventSequence(
-                np.cumsum(rng.exponential(2.0, size=12)) + 100 * i,
-                rng.integers(0, 2, size=12),
-                2,
-                seq_id=f"s{i}",
-            )
-            for i in range(3)
-        ]
-        out, stats = normalize_times(seqs, "shift_and_scale")
-        back = denormalize_times(out, stats)
-        for orig, rec in zip(seqs, back):
-            np.testing.assert_allclose(rec.times, orig.times, rtol=1e-12, atol=1e-12)
-
     def test_zero_mean_gap_rejected(self):
         # Duplicate handling happens at load; all-duplicate times fed directly
         # fail at the sequence, and sequences without a single gap fail to
@@ -266,6 +249,8 @@ class TestNormalization:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             normalize_times([], "weird")
+        with pytest.raises(ConfigError, match="'none'"):
+            NormStats.from_dict({"mode": "none", "mean_gap": 1.0})
 
     def test_apply_reuses_fit_scale(self):
         train = [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")]
@@ -275,15 +260,24 @@ class TestNormalization:
         )
         np.testing.assert_allclose(held[0].times, [0.0, 0.5])
 
-    def test_duplicate_seq_id_with_another_shift_rejected(self):
-        # Both sequences use the default seq_id "", so one shift would be
-        # lost and denormalize_times would restore the other sequence wrongly.
+    def test_apply_leaves_stats_unchanged(self):
+        _, stats = normalize_times(
+            [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")], "shift_and_scale"
+        )
+        before = stats.to_dict()
+        apply_normalization([EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], stats)
+        assert stats.to_dict() == before == {"mode": "shift_and_scale", "mean_gap": 2.0}
+
+    def test_sequences_sharing_an_id_normalize_independently(self):
+        # Both use the default seq_id "": each still starts at its own zero.
         seqs = [EventSequence([10.0, 11.0, 13.0], [0, 0, 0], 1),
                 EventSequence([100.0, 102.0], [0, 0], 1)]
-        with pytest.raises(DataError, match="already normalized"):
-            normalize_times(seqs, "shift_to_zero")
+        out, stats = normalize_times(seqs, "shift_and_scale")
+        assert stats.mean_gap == 5.0 / 3.0
+        np.testing.assert_array_equal(out[0].times, np.array([0.0, 1.0, 3.0]) / stats.mean_gap)
+        np.testing.assert_array_equal(out[1].times, np.array([0.0, 2.0]) / stats.mean_gap)
 
     def test_stats_round_trip_dict(self):
-        stats = NormStats("shift_and_scale", 2.5, {"a": 1.0})
+        stats = NormStats("shift_and_scale", 2.5)
         again = NormStats.from_dict(stats.to_dict())
         assert again == stats

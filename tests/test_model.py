@@ -128,6 +128,8 @@ def test_config_from_dict_rejects_unknown_keys():
         M.ModelConfig.from_dict({**d, "depth": 3})
     with pytest.raises(ConfigError, match="unknown config keys.*'attention'"):
         M.ModelConfig.from_dict({**d, "attention": "dense"})
+    with pytest.raises(ConfigError, match="unknown config keys.*'layer_norm'"):
+        M.ModelConfig.from_dict({**d, "layer_norm": False})
 
 
 def test_hierarchy_for_rejects_more_scales_than_merges():
@@ -138,12 +140,12 @@ def test_hierarchy_for_rejects_more_scales_than_merges():
 
 
 def test_load_checkpoint_rejects_an_older_version(tmp_path):
-    path = tmp_path / "v3.json"
+    path = tmp_path / "v4.json"
     M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
     payload = json.loads(path.read_text())
-    payload["version"] = 3
+    payload["version"] = 4
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 3"):
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 4"):
         M.load_checkpoint(path)
 
 

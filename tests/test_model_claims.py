@@ -78,6 +78,17 @@ def test_base_mode_pooled_context_has_unit_amplitude():
     np.testing.assert_allclose(got, _numpy_embedding(params, [2.37], mixture), rtol=0, atol=1e-15)
 
 
+def test_base_mode_backward_leaves_the_frozen_encoding_alone():
+    # Under pe="base" the embedding and every pooled context row are
+    # constants, so backward reaches neither frozen leaf.
+    config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, pe="base")
+    params = M.init_model_params(config, seed=1)
+    M.loss(params, _example()).backward()
+    assert not params.fcpe.freqs.grad.any()
+    assert not params.fcpe.density_map.grad.any()
+    assert params.fcpe.type_embed.grad.any()
+
+
 @pytest.mark.parametrize("pe", ["fcpe", "base"])
 def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     # Each next-scale node's row is the mean of the rows of the active nodes
@@ -106,8 +117,8 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
 
 
 @pytest.mark.parametrize("extra", [
-    dict(pe="fcpe"), dict(pe="base"), dict(causal=True, layer_norm=True),
-], ids=["fcpe", "base", "causal-layer_norm"])
+    dict(pe="fcpe"), dict(pe="base"), dict(causal=True),
+], ids=["fcpe", "base", "causal"])
 def test_loss_gradients_match_finite_differences(extra):
     example = _example(length=16)
     config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, **extra)
@@ -123,9 +134,9 @@ def test_loss_gradients_match_finite_differences(extra):
 # Loss, lambda, gamma and type probabilities, as float.hex, for configs that
 # bench/reference.json does not cover.
 PINNED_OUTPUTS = {
-    "causal-layer_norm": (
-        "0x1.6c5d367d36106p+1", "0x1.325cd14b24705p-1", "0x1.c42d1e26f0945p-2",
-        ("0x1.e9accb03c673ep-1", "0x1.07113f467ac28p-5", "0x1.788841f477ff8p-7"),
+    "causal": (
+        "0x1.3955882f94966p+0", "0x1.4c65515a02b99p-1", "0x1.0747b239b7838p-1",
+        ("0x1.d401ea3d10334p-2", "0x1.27ee80539c1a7p-2", "0x1.040f956f53b25p-2"),
     ),
     "base": (
         "0x1.08c6af52727c8p+0", "0x1.702844679a520p-1", "0x1.1ffc66dc79e84p-1",
@@ -143,7 +154,7 @@ PINNED_OUTPUTS = {
 
 
 PINNED_CONFIGS = {
-    "causal-layer_norm": dict(causal=True, layer_norm=True),
+    "causal": dict(causal=True),
     "base": dict(pe="base"),
     "exponential": dict(distribution="exponential"),
     "one-scale": dict(num_scales=1),
@@ -166,9 +177,7 @@ def test_outputs_match_pinned_values(name):
 
 def test_checkpoint_round_trip_reproduces_the_loss(tmp_path):
     example = _example()
-    config = M.ModelConfig(
-        d_model=8, num_heads=2, num_scales=3, num_types=3, causal=True, layer_norm=True
-    )
+    config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, causal=True)
     params = M.init_model_params(config, seed=3)
     path = tmp_path / "ckpt.json"
     M.save_checkpoint(path, params)
