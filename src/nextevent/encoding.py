@@ -15,6 +15,9 @@ The fixed sinusoidal baseline is the same map with unit amplitudes on the
 frozen DFT grid: an all-ones ``density_map`` gives ``mu = 1`` for every row
 of type weights that sums to one. Feed post-normalization times so the
 initial frequencies land in a sensible range.
+
+:func:`fcpe_matrix` is one graph node per call, with a hand-written backward
+to the frequencies and the amplitude map.
 """
 
 from __future__ import annotations
@@ -82,26 +85,34 @@ def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> Fcpe
     return FcpeParams(dim, num_types, freqs, density_map, type_embed)
 
 
-def _interleave_index(dim: int) -> np.ndarray:
-    half = dim // 2
-    idx = np.empty(dim, dtype=np.int64)
-    idx[0::2] = np.arange(half)
-    idx[1::2] = np.arange(half) + half
-    return idx
-
-
 def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
     """Encodings for a batch: times (n,), type_weights (n, K) rows of one-hots
-    or mixture weights. Returns (n, d)."""
-    t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
-    w_row = T.transpose(params.freqs)  # (1, d/2)
-    phases = T.matmul(t_col, w_row)  # (n, d/2)
-    weights = T.constant(np.asarray(type_weights, dtype=np.float64))
-    mu = T.matmul(weights, T.transpose(params.density_map))  # (n, d/2)
-    cos_phases, sin_phases = T.cos_sin(phases)
-    cos_part = T.mul(mu, cos_phases)
-    sin_part = T.mul(mu, sin_phases)
-    return T.gather_cols(T.concat_cols(cos_part, sin_part), _interleave_index(params.dim))
+    or mixture weights. Returns (n, d) with ``mu^k cos(w_k t)`` in column 2k
+    and ``mu^k sin(w_k t)`` in column 2k + 1.
+
+    One node whose backward goes to ``freqs`` and ``density_map``. Forward
+    and backward run the operations of the matmul, cos/sin, product and
+    interleave chain it stands for, and add gradients in the chain's order,
+    so value and gradients round exactly as that chain does.
+    """
+    freqs, density_map = params.freqs, params.density_map
+    t = T.as_tensor(np.reshape(times, (-1, 1)))
+    w = T.as_tensor(type_weights)
+    phases = t @ T.as_tensor(freqs.value.T)  # (n, d/2)
+    mu = w @ T.as_tensor(density_map.value.T)  # (n, d/2)
+    c, s = np.cos(phases), np.sin(phases)
+    out = np.empty((len(t), params.dim))
+    np.multiply(mu, c, out=out[:, 0::2])
+    np.multiply(mu, s, out=out[:, 1::2])
+
+    def backward(g):
+        gc, gs = g[:, 0::2], g[:, 1::2]
+        g_mu = gc * c + gs * s
+        g_phases = (gs * mu) * c + (-(gc * mu)) * s
+        freqs.grad += (t.T @ g_phases).T
+        density_map.grad += (w.T @ g_mu).T
+
+    return DiffNode(out, (freqs, density_map), backward)
 
 
 def onehot_matrix(types, num_types: int) -> np.ndarray:

@@ -3,9 +3,9 @@ decoder that predicts the next event's type and a Weibull gap distribution.
 
 Forward pass per history window:
 
-1. embed every event (type column + positional encoding; ``pe="base"`` is
-   the same encoding initialized to unit amplitudes, frozen and fed in as a
-   constant),
+1. embed every event: type column + positional encoding, one
+   :func:`encoding.fcpe_matrix` node (``pe="base"`` is the same encoding
+   initialized to unit amplitudes, frozen and fed in as a constant),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
    of scale s, one :func:`tensor.multi_head_attention` node for all heads,
    with each query's keys given as one boolean mask over that frontier (all
@@ -15,12 +15,15 @@ Forward pass per history window:
    scale's active set as a segment mean: the active nodes and the next ones
    are both leaf spans in time order, so each next node is the mean of the
    contiguous run of rows it absorbs (a carried-over node is a run of one);
-   each pooled row is concatenated with its node's positional context and
-   projected back to ``d_model``,
+   each pooled row is concatenated with its node's positional context (one
+   more ``fcpe_matrix`` node per scale) and projected back to ``d_model``,
 3. one more :func:`tensor.multi_head_attention` node at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
-4. ``H_L`` feeds a softmax type head and a positive (scale, shape) time head.
+4. one node (``_decode``) maps ``H_L`` to the loss: a softmax type head's
+   cross-entropy plus a positive (scale, shape) time head's Weibull NLL,
+   computed in log space; it also gives the readouts of
+   :class:`ForwardResult`.
 
 ``num_scales=1`` is the dense, all-pair baseline: the hierarchy has a single
 scale whose frontier is every event, so the encoder is one all-pair
@@ -53,9 +56,6 @@ __all__ = [
     "hierarchical_pool",
     "encode",
     "summarize",
-    "type_logits",
-    "predict_time_params",
-    "time_nll",
     "point_estimate_time",
     "loss",
     "forward",
@@ -335,37 +335,6 @@ def summarize(params: ModelParams, H_top: DiffNode,
     return T.matmul(attended, params.w_summary)
 
 
-def type_logits(params: ModelParams, H_L: DiffNode) -> DiffNode:
-    return T.matmul(H_L, params.w_type)
-
-
-def predict_time_params(params: ModelParams, H_L: DiffNode) -> tuple[DiffNode, DiffNode]:
-    """Positive Weibull (scale, shape); exponential mode pins shape to 1."""
-    pre = T.matmul(H_L, params.w_time)  # (1, 2)
-    floor = T.constant([[POSITIVE_FLOOR]])
-    lam = T.add(T.softplus(T.gather_cols(pre, [0])), floor)
-    if params.config.distribution == "exponential":
-        gamma = T.constant([[1.0]])
-    else:
-        gamma = T.add(T.softplus(T.gather_cols(pre, [1])), floor)
-    return lam, gamma
-
-
-def time_nll(lam: DiffNode, gamma: DiffNode, gap: float) -> DiffNode:
-    """Negative log Weibull density of the inter-event gap, in log space:
-
-        -[ log g - log l + (g - 1)(log t - log l) - (t / l)^g ]
-    """
-    gap = float(gap)
-    if gap <= 0.0:
-        raise DataError(f"inter-event gap must be positive, got {gap}")
-    log_t = T.constant([[math.log(gap)]])
-    u = T.sub(log_t, T.log(lam))  # log(t / lambda)
-    z = T.exp(T.mul(gamma, u))  # (t / lambda)^gamma
-    term = T.sub(T.add(T.sub(T.log(gamma), T.log(lam)), T.mul(T.sub(gamma, T.constant([[1.0]])), u)), z)
-    return T.scale(term, -1.0)
-
-
 def point_estimate_time(lam: float, gamma: float) -> float:
     """Weibull mean lambda * Gamma(1 + 1/gamma) as the point prediction.
 
@@ -402,31 +371,94 @@ class ForwardResult:
         return point_estimate_time(self.lam, self.gamma)
 
 
+# exp overflows above this; the head raises before it gets there.
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> ForwardResult:
+    """The decoder head as one node over ``H_L``, ``w_time`` and ``w_type``:
+
+        (1 - alpha) * time NLL + alpha * type cross-entropy
+
+    with softplus (lambda, gamma) above ``POSITIVE_FLOOR`` (exponential mode
+    pins gamma to 1) and the Weibull NLL kept in log space,
+
+        -[ log g - log l + (g - 1) u - exp(g u) ],  u = log t - log l.
+
+    Forward and backward run the operations of the matmul, softplus, log,
+    exp, logsumexp and sum chain the node stands for, and add gradients in
+    the chain's order (gamma's: the ``g - 1`` term, ``log g``, then ``g u``),
+    so value and gradients round exactly as that chain does.
+    """
+    gap = float(gap)
+    if gap <= 0.0:
+        raise DataError(f"inter-event gap must be positive, got {gap}")
+    cfg = params.config
+    alpha, c_time = float(cfg.alpha), float(1.0 - cfg.alpha)
+    w_time, w_type = params.w_time, params.w_type
+    h = H_L.value
+    logits = h @ w_type.value  # (1, K)
+    m = np.max(logits, axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    e_sum = np.sum(e, axis=1, keepdims=True)
+    lse = m + np.log(e_sum)
+    ce = lse - logits[:, [target]]
+    pre = h @ w_time.value  # (1, 2)
+    exponential = cfg.distribution == "exponential"
+    lam = np.logaddexp(0.0, pre[:, [0]]) + POSITIVE_FLOOR
+    gamma = np.ones((1, 1)) if exponential else np.logaddexp(0.0, pre[:, [1]]) + POSITIVE_FLOOR
+    log_lam = np.log(lam)
+    u = math.log(gap) - log_lam  # log(t / lambda)
+    gu = gamma * u
+    if gu.item() > _LOG_FLOAT_MAX:
+        raise NumericsError(
+            f"Weibull term (gap / lambda)^gamma overflows: lambda={lam.item()!r},"
+            f" gamma={gamma.item()!r}, gap={gap!r}"
+        )
+    z = np.exp(gu)  # (t / lambda)^gamma
+    nll = (((np.log(gamma) - log_lam) + (gamma - 1.0) * u) - z) * -1.0
+    total = nll * c_time + ce * alpha
+
+    def backward(g):
+        g_ce = g * alpha
+        g_term = (g * c_time) * -1.0
+        g_gu = -g_term * z
+        g_u = g_term * (gamma - 1.0) + g_gu * gamma
+        g_lam = -g_term / lam + -g_u / lam
+        g_pre = np.zeros_like(pre)
+        g_pre[:, [0]] = g_lam * T._sigmoid(pre[:, [0]])
+        if not exponential:
+            g_gamma = g_term * u + g_term / gamma + g_gu * u
+            g_pre[:, [1]] = g_gamma * T._sigmoid(pre[:, [1]])
+        g_logits = g_ce * np.exp(logits - lse)
+        g_logits[:, [target]] += -g_ce
+        H_L.grad += g_logits @ w_type.value.T
+        w_type.grad += h.T @ g_logits
+        H_L.grad += g_pre @ w_time.value.T
+        w_time.grad += h.T @ g_pre
+
+    return ForwardResult(
+        total=DiffNode(total, (H_L, w_time, w_type), backward),
+        time_nll=nll.item(),
+        type_ce=ce.item(),
+        type_probs=(e / e_sum)[0],
+        lam=lam.item(),
+        gamma=gamma.item(),
+    )
+
+
 def forward(params: ModelParams, example: PredictionExample,
             counter: FlopCounter | None = None) -> ForwardResult:
     """Forward pass producing the combined loss node plus decoded readouts."""
     cfg = params.config
-    H_top = encode(params, example.history, counter)
-    H_L = summarize(params, H_top, counter)
-    logits = type_logits(params, H_L)
+    H_L = summarize(params, encode(params, example.history, counter), counter)
     target = int(example.target_type)
     if not 0 <= target < cfg.num_types:
         raise DataError(f"target type {target} outside [0, {cfg.num_types})")
-    ce = T.sub(T.logsumexp(logits, axis=1), T.gather_cols(logits, [target]))
-    lam, gamma = predict_time_params(params, H_L)
-    lt = time_nll(lam, gamma, example.target_gap)
-    total = T.add(T.scale(lt, 1.0 - cfg.alpha), T.scale(ce, cfg.alpha))
-    probs = T.softmax(logits, axis=1).value[0].copy()
-    if not np.isfinite(total.value).all():
+    result = _decode(params, H_L, target, example.target_gap)
+    if not np.isfinite(result.total.value).all():
         raise NumericsError("non-finite loss value")
-    return ForwardResult(
-        total=total,
-        time_nll=lt.value.item(),
-        type_ce=ce.value.item(),
-        type_probs=probs,
-        lam=lam.value.item(),
-        gamma=gamma.value.item(),
-    )
+    return result
 
 
 def loss(params: ModelParams, example: PredictionExample) -> DiffNode:

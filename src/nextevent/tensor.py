@@ -10,8 +10,12 @@ each leaf between optimization steps.
 
 Everything is 64-bit: the finite-difference checks in
 :func:`check_gradients` target relative errors around 1e-4, which 32-bit
-arithmetic cannot reach. Nothing broadcasts: the elementwise operations take
-two operands of the same shape and raise otherwise.
+arithmetic cannot reach. Nothing broadcasts: :func:`add` takes two operands
+of the same shape and raises otherwise.
+
+The model's three hot spots are one node each, with a hand-written backward:
+:func:`multi_head_attention` here, ``encoding.fcpe_matrix`` and the decoder
+head in ``model``.
 """
 
 from __future__ import annotations
@@ -26,22 +30,11 @@ __all__ = [
     "constant",
     "parameter",
     "add",
-    "sub",
-    "mul",
-    "scale",
     "matmul",
     "transpose",
     "concat_cols",
     "gather_rows",
-    "gather_cols",
     "scatter_rows",
-    "sum_all",
-    "exp",
-    "log",
-    "cos_sin",
-    "softplus",
-    "softmax",
-    "logsumexp",
     "multi_head_attention",
     "segment_mean",
     "check_gradients",
@@ -146,61 +139,16 @@ def _wrap(x) -> DiffNode:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(a: DiffNode, b: DiffNode, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 def add(a, b) -> DiffNode:
     """Elementwise sum of two nodes of the same shape."""
     a, b = _wrap(a), _wrap(b)
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = DiffNode(a.value + b.value, parents=(a, b))
 
     def backward(g):
         a.grad += g
         b.grad += g
-
-    out._backward = backward
-    return out
-
-
-def sub(a, b) -> DiffNode:
-    """Elementwise difference of two nodes of the same shape."""
-    a, b = _wrap(a), _wrap(b)
-    _check_same_shape(a, b, "sub")
-    out = DiffNode(a.value - b.value, parents=(a, b))
-
-    def backward(g):
-        a.grad += g
-        b.grad += -g
-
-    out._backward = backward
-    return out
-
-
-def mul(a, b) -> DiffNode:
-    """Elementwise product of two nodes of the same shape."""
-    a, b = _wrap(a), _wrap(b)
-    _check_same_shape(a, b, "mul")
-    out = DiffNode(a.value * b.value, parents=(a, b))
-
-    def backward(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    out._backward = backward
-    return out
-
-
-def scale(a, c: float) -> DiffNode:
-    """Multiply by a python float constant."""
-    a = _wrap(a)
-    c = float(c)
-    out = DiffNode(a.value * c, parents=(a,))
-
-    def backward(g):
-        a.grad += g * c
 
     out._backward = backward
     return out
@@ -269,20 +217,6 @@ def gather_rows(a, idx) -> DiffNode:
     return out
 
 
-def gather_cols(a, idx) -> DiffNode:
-    """Select columns by index; repeated indices sum their gradients."""
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    _check_indices(idx, a.shape[1], "column")
-    out = DiffNode(a.value[:, idx], parents=(a,))
-
-    def backward(g):
-        np.add.at(a.grad.T, idx, g.T)
-
-    out._backward = backward
-    return out
-
-
 def scatter_rows(base, idx, rows) -> DiffNode:
     """Copy of ``base`` with rows at ``idx`` replaced by ``rows``.
 
@@ -308,112 +242,12 @@ def scatter_rows(base, idx, rows) -> DiffNode:
     return out
 
 
-def sum_all(a) -> DiffNode:
-    a = _wrap(a)
-    out = DiffNode(np.sum(a.value), parents=(a,))
-
-    def backward(g):
-        a.grad += np.broadcast_to(g, a.shape)
-
-    out._backward = backward
-    return out
-
-
-def exp(a) -> DiffNode:
-    a = _wrap(a)
-    value = np.exp(a.value)
-    out = DiffNode(value, parents=(a,))
-
-    # Capturing ``out`` here would make a reference cycle that keeps the
-    # whole upstream graph alive until the cyclic garbage collector runs.
-    def backward(g):
-        a.grad += g * value
-
-    out._backward = backward
-    return out
-
-
-def log(a) -> DiffNode:
-    a = _wrap(a)
-    if np.any(a.value <= 0.0):
-        raise NumericsError("log requires strictly positive input")
-    out = DiffNode(np.log(a.value), parents=(a,))
-
-    def backward(g):
-        a.grad += g / a.value
-
-    out._backward = backward
-    return out
-
-
-def cos_sin(a) -> tuple[DiffNode, DiffNode]:
-    """Elementwise cosine and sine of one node. Each backward reuses the
-    other's forward values instead of recomputing the trig."""
-    a = _wrap(a)
-    # The closures hold the arrays, not the nodes, so no reference cycle forms.
-    cos_value, sin_value = np.cos(a.value), np.sin(a.value)
-
-    def cos_backward(g):
-        a.grad += -g * sin_value
-
-    def sin_backward(g):
-        a.grad += g * cos_value
-
-    return (DiffNode(cos_value, (a,), cos_backward),
-            DiffNode(sin_value, (a,), sin_backward))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softplus(a) -> DiffNode:
-    """log(1 + exp(x)) computed without overflow; strictly positive output."""
-    a = _wrap(a)
-    out = DiffNode(np.logaddexp(0.0, a.value), parents=(a,))
-
-    def backward(g):
-        a.grad += g * _sigmoid(a.value)
-
-    out._backward = backward
-    return out
-
-
-def softmax(a, axis: int = -1) -> DiffNode:
-    """Stable softmax along ``axis`` (max-subtraction); rows sum to one."""
-    a = _wrap(a)
-    if not -a.value.ndim <= axis < a.value.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.value - np.max(a.value, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-    out = DiffNode(y, parents=(a,))
-
-    def backward(g):
-        inner = np.sum(g * y, axis=axis, keepdims=True)
-        a.grad += y * (g - inner)
-
-    out._backward = backward
-    return out
-
-
-def logsumexp(a, axis: int = -1) -> DiffNode:
-    """log(sum(exp(x))) along ``axis`` with keepdims, overflow-safe."""
-    a = _wrap(a)
-    m = np.max(a.value, axis=axis, keepdims=True)
-    value = m + np.log(np.sum(np.exp(a.value - m), axis=axis, keepdims=True))
-    out = DiffNode(value, parents=(a,))
-
-    def backward(g):
-        soft = np.exp(a.value - value)
-        a.grad += g * soft
-
-    out._backward = backward
     return out
 
 
@@ -438,10 +272,9 @@ def multi_head_attention(xq, x, w_qkv, w_out, mask, scale: float) -> DiffNode:
     call per head as :func:`matmul`, and the softmax and its backward work in
     place on the ``(heads, n, m)`` scores, a group of heads at a time (see
     ``_GROUP_ENTRIES``). The operations and the order in
-    which gradients are added follow the chain of :func:`matmul`,
-    :func:`transpose`, :func:`scale`, :func:`softmax`, :func:`concat_cols`
-    and :func:`add` nodes, so value and gradients round exactly as that chain
-    does (with a 0/-inf constant added to the scores for a mask).
+    which gradients are added follow the chain of matmul, transpose, scale,
+    softmax, concat and add nodes, so value and gradients round exactly as
+    that chain does (with a 0/-inf constant added to the scores for a mask).
     """
     xq, x, w_qkv, w_out = _wrap(xq), _wrap(x), _wrap(w_qkv), _wrap(w_out)
     if (any(a.value.ndim != 2 for a in (xq, x, w_out)) or w_qkv.value.ndim != 3

@@ -3,12 +3,20 @@
 These deliberately avoid the production code paths: brute-force O(n^3)
 single linkage over explicit member sets, heap-driven single linkage over
 adjacent gaps (fast enough for benchmark-sized windows), dense masked
-attention in plain numpy, and quadrature for distribution moments.
+attention in plain numpy, quadrature for distribution moments, and the
+node-by-node chains that the fused FCPE and decoder-head nodes replace,
+built from the small autodiff ops below.
 """
 
 import heapq
+import math
 
 import numpy as np
+
+from nextevent import model as M
+from nextevent import tensor as T
+from nextevent.errors import DataError, NumericsError
+from nextevent.tensor import DiffNode
 
 
 def brute_force_single_linkage(times):
@@ -135,3 +143,196 @@ def weibull_mean_by_quadrature(lam, gamma):
 
     value, _ = quad(integrand, 0.0, 50.0 * lam, limit=200)
     return value
+
+
+# ---------------------------------------------------------------------------
+# Small autodiff ops: each a DiffNode with its own backward, on top of the
+# engine's add, matmul, transpose and concat_cols
+# ---------------------------------------------------------------------------
+
+
+def _wrap(x):
+    return x if isinstance(x, DiffNode) else T.constant(x)
+
+
+def _same_shape(op, a, b):
+    a, b = _wrap(a), _wrap(b)
+    if a.shape != b.shape:
+        raise ValueError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    return a, b
+
+
+def sub(a, b):
+    a, b = _same_shape("sub", a, b)
+
+    def backward(g):
+        a.grad += g
+        b.grad += -g
+
+    return DiffNode(a.value - b.value, (a, b), backward)
+
+
+def mul(a, b):
+    a, b = _same_shape("mul", a, b)
+
+    def backward(g):
+        a.grad += g * b.value
+        b.grad += g * a.value
+
+    return DiffNode(a.value * b.value, (a, b), backward)
+
+
+def scale(a, c):
+    a, c = _wrap(a), float(c)
+
+    def backward(g):
+        a.grad += g * c
+
+    return DiffNode(a.value * c, (a,), backward)
+
+
+def sum_all(a):
+    a = _wrap(a)
+
+    def backward(g):
+        a.grad += np.broadcast_to(g, a.shape)
+
+    return DiffNode(np.sum(a.value), (a,), backward)
+
+
+def exp(a):
+    a = _wrap(a)
+    value = np.exp(a.value)
+
+    def backward(g):
+        a.grad += g * value
+
+    return DiffNode(value, (a,), backward)
+
+
+def log(a):
+    a = _wrap(a)
+    if np.any(a.value <= 0.0):
+        raise NumericsError("log requires strictly positive input")
+
+    def backward(g):
+        a.grad += g / a.value
+
+    return DiffNode(np.log(a.value), (a,), backward)
+
+
+def cos_sin(a):
+    """Two nodes; each backward reuses the other's forward values."""
+    a = _wrap(a)
+    cos_value, sin_value = np.cos(a.value), np.sin(a.value)
+
+    def cos_backward(g):
+        a.grad += -g * sin_value
+
+    def sin_backward(g):
+        a.grad += g * cos_value
+
+    return DiffNode(cos_value, (a,), cos_backward), DiffNode(sin_value, (a,), sin_backward)
+
+
+def gather_cols(a, idx):
+    """Select columns by index; repeated indices sum their gradients."""
+    a = _wrap(a)
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
+        raise IndexError(f"column index out of range [0, {a.shape[1]})")
+
+    def backward(g):
+        np.add.at(a.grad.T, idx, g.T)
+
+    return DiffNode(a.value[:, idx], (a,), backward)
+
+
+def softplus(a):
+    a = _wrap(a)
+
+    def backward(g):
+        a.grad += g * T._sigmoid(a.value)
+
+    return DiffNode(np.logaddexp(0.0, a.value), (a,), backward)
+
+
+def softmax(a, axis=-1):
+    a = _wrap(a)
+    if not -a.value.ndim <= axis < a.value.ndim:
+        raise ValueError(f"softmax axis {axis} invalid for shape {a.shape}")
+    e = np.exp(a.value - np.max(a.value, axis=axis, keepdims=True))
+    y = e / np.sum(e, axis=axis, keepdims=True)
+
+    def backward(g):
+        a.grad += y * (g - np.sum(g * y, axis=axis, keepdims=True))
+
+    return DiffNode(y, (a,), backward)
+
+
+def logsumexp(a, axis=-1):
+    a = _wrap(a)
+    m = np.max(a.value, axis=axis, keepdims=True)
+    value = m + np.log(np.sum(np.exp(a.value - m), axis=axis, keepdims=True))
+
+    def backward(g):
+        a.grad += g * np.exp(a.value - value)
+
+    return DiffNode(value, (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# The chains the fused nodes replace
+# ---------------------------------------------------------------------------
+
+
+def fcpe_chain(params, times, type_weights):
+    """``encoding.fcpe_matrix`` as 12 nodes: phases and amplitudes as
+    matmuls, cos/sin, the two products, then the interleave as a column
+    gather of their concatenation."""
+    half = params.dim // 2
+    interleave = np.empty(params.dim, dtype=np.int64)
+    interleave[0::2] = np.arange(half)
+    interleave[1::2] = np.arange(half) + half
+    t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
+    phases = T.matmul(t_col, T.transpose(params.freqs))
+    weights = T.constant(np.asarray(type_weights, dtype=np.float64))
+    mu = T.matmul(weights, T.transpose(params.density_map))
+    cos_phases, sin_phases = cos_sin(phases)
+    return gather_cols(T.concat_cols(mul(mu, cos_phases), mul(mu, sin_phases)), interleave)
+
+
+def weibull_nll_chain(lam, gamma, gap):
+    """-[ log g - log l + (g - 1)(log t - log l) - (t / l)^g ] as nodes."""
+    u = sub(T.constant([[math.log(gap)]]), log(lam))
+    z = exp(mul(gamma, u))
+    term = sub(T.add(sub(log(gamma), log(lam)), mul(sub(gamma, T.constant([[1.0]])), u)), z)
+    return scale(term, -1.0)
+
+
+def decode_chain(params, H_L, target, gap):
+    """The decoder head of ``model.forward`` as about 31 nodes; returns a
+    ``ForwardResult`` like ``model._decode``."""
+    gap = float(gap)
+    if gap <= 0.0:
+        raise DataError(f"inter-event gap must be positive, got {gap}")
+    cfg = params.config
+    logits = T.matmul(H_L, params.w_type)
+    ce = sub(logsumexp(logits, axis=1), gather_cols(logits, [target]))
+    pre = T.matmul(H_L, params.w_time)
+    floor = T.constant([[M.POSITIVE_FLOOR]])
+    lam = T.add(softplus(gather_cols(pre, [0])), floor)
+    if cfg.distribution == "exponential":
+        gamma = T.constant([[1.0]])
+    else:
+        gamma = T.add(softplus(gather_cols(pre, [1])), floor)
+    nll = weibull_nll_chain(lam, gamma, gap)
+    total = T.add(scale(nll, 1.0 - cfg.alpha), scale(ce, cfg.alpha))
+    return M.ForwardResult(
+        total=total,
+        time_nll=nll.value.item(),
+        type_ce=ce.value.item(),
+        type_probs=softmax(logits, axis=1).value[0].copy(),
+        lam=lam.value.item(),
+        gamma=gamma.value.item(),
+    )

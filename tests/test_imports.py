@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: every module of the package imports
-nothing but numpy, the standard library and the package itself."""
+nothing but numpy, the standard library and the package itself. And every
+name ``tensor`` exports has a caller in the package."""
 
 import ast
 import importlib.util
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nextevent
+from nextevent import tensor
 
 ALLOWED = {"numpy", "nextevent"} | set(sys.stdlib_module_names)
 SOURCES = [
@@ -43,3 +45,30 @@ def test_module_imports_only_numpy_and_the_standard_library(path):
     roots = _imported_roots(ast.parse(path.read_text(), filename=str(path)))
     bad = [f"{path.name}:{line}: {name}" for line, name in roots if name not in ALLOWED]
     assert not bad, f"imports outside numpy and the standard library: {bad}"
+
+
+def _tensor_names_used(tree: ast.AST) -> set[str]:
+    """Names of ``nextevent.tensor`` a module reaches through ``from . import
+    tensor as T`` (as ``T.<name>``) or ``from .tensor import <name>``."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == "tensor"}
+            elif node.module == "tensor":
+                used |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def test_every_tensor_export_is_used_by_the_package():
+    # Only the test helpers may be exported without a caller in the package.
+    used = set()
+    for path in SOURCES:
+        if path.name != "tensor.py":
+            used |= _tensor_names_used(ast.parse(path.read_text(), filename=str(path)))
+    unused = set(tensor.__all__) - used - {"check_gradients", "GradCheckReport"}
+    assert not unused, f"tensor.__all__ names nothing in the package uses: {sorted(unused)}"

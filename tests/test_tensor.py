@@ -1,10 +1,15 @@
-"""Tests for the autodiff core: forward values and finite-difference gradients."""
+"""Tests for the autodiff core: forward values and finite-difference gradients.
+
+The small ops the fused nodes replaced live on in ``oracles`` (as ``O``),
+where the exactness tests build the old chains from them; they are checked
+here like the engine's own ops."""
 
 import numpy as np
 import pytest
 
 from nextevent import tensor as T
 from nextevent.errors import HierarchyError, NumericsError
+import oracles as O
 from oracles import dense_masked_attention
 
 
@@ -26,13 +31,13 @@ def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 def assert_grad_matches(build, arrays, tol=1e-4, step=1e-5):
     """Check analytic gradients of sum(build(nodes)) against central differences."""
     nodes = [T.parameter(a) for a in arrays]
-    out = T.sum_all(build(*nodes))
+    out = O.sum_all(build(*nodes))
     out.backward()
     for k, node in enumerate(nodes):
         def f(x, k=k):
             probe = [T.constant(a) for a in arrays]
             probe[k] = T.constant(x)
-            return T.sum_all(build(*probe)).value.item()
+            return O.sum_all(build(*probe)).value.item()
 
         numeric = finite_diff_grad(f, arrays[k].copy(), step)
         denom = np.maximum(np.maximum(np.abs(node.grad), np.abs(numeric)), 1e-6)
@@ -54,25 +59,25 @@ class TestForwardValues:
             T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 2))))
 
     def test_softmax_symmetry(self):
-        out = T.softmax(T.constant([[0.0, 0.0, 0.0]]), axis=1)
+        out = O.softmax(T.constant([[0.0, 0.0, 0.0]]), axis=1)
         np.testing.assert_allclose(out.value, [[1 / 3] * 3], atol=1e-15)
 
     def test_softmax_no_overflow(self):
-        out = T.softmax(T.constant([[1000.0, 0.0]]), axis=1)
+        out = O.softmax(T.constant([[1000.0, 0.0]]), axis=1)
         assert np.isfinite(out.value).all()
         np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-12)
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
-        out = T.softmax(T.constant(rng.uniform(-50, 50, size=(7, 5))), axis=1)
+        out = O.softmax(T.constant(rng.uniform(-50, 50, size=(7, 5))), axis=1)
         np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            T.softmax(T.constant([[1.0, 2.0]]), axis=2)
+            O.softmax(T.constant([[1.0, 2.0]]), axis=2)
 
     def test_softplus_values(self):
-        out = T.softplus(T.constant([0.0, 100.0, -100.0]))
+        out = O.softplus(T.constant([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(out.value[0], np.log(2.0), rtol=1e-12)
         np.testing.assert_allclose(out.value[1], 100.0, rtol=1e-12)
         assert 0.0 < out.value[2] < 1e-40
@@ -119,7 +124,7 @@ class TestForwardValues:
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericsError):
-            T.log(T.constant([1.0, 0.0]))
+            O.log(T.constant([1.0, 0.0]))
 
     def test_scatter_rows_values(self):
         base = np.zeros((4, 2))
@@ -147,31 +152,31 @@ class TestBackwardRules:
         for r in range(5):
             w = np.zeros((1, 5))
             w[0, r] = 1.0
-            assert_grad_matches(lambda a: T.mul(T.softmax(a, axis=1), T.constant(w)), [x])
+            assert_grad_matches(lambda a: O.mul(O.softmax(a, axis=1), T.constant(w)), [x])
 
     def test_softplus_grad(self):
-        assert_grad_matches(T.softplus, [self.rand(4, 3, seed=4)])
+        assert_grad_matches(O.softplus, [self.rand(4, 3, seed=4)])
 
     def test_segment_mean_grad_distributes(self):
         x = self.rand(6, 3, seed=5)
         starts = [0, 3, 4]
         assert_grad_matches(lambda a: T.segment_mean(a, starts), [x])
         node = T.parameter(x)
-        T.sum_all(T.segment_mean(node, starts)).backward()
+        O.sum_all(T.segment_mean(node, starts)).backward()
         np.testing.assert_allclose(node.grad[0], 1 / 3)
         np.testing.assert_allclose(node.grad[3], 1.0)
 
     def test_gather_repeated_index_sums(self):
         x = self.rand(4, 2, seed=6)
         node = T.parameter(x)
-        T.sum_all(T.gather_rows(node, [1, 1, 2])).backward()
+        O.sum_all(T.gather_rows(node, [1, 1, 2])).backward()
         np.testing.assert_allclose(node.grad[1], 2.0)
         np.testing.assert_allclose(node.grad[2], 1.0)
         np.testing.assert_allclose(node.grad[0], 0.0)
         assert_grad_matches(lambda a: T.gather_rows(a, [1, 1, 2]), [x])
 
     def test_gather_cols_grad(self):
-        assert_grad_matches(lambda a: T.gather_cols(a, [0, 2, 2]), [self.rand(3, 4, seed=7)])
+        assert_grad_matches(lambda a: O.gather_cols(a, [0, 2, 2]), [self.rand(3, 4, seed=7)])
 
     def test_concat_grads(self):
         assert_grad_matches(T.concat_cols, [self.rand(2, 3, seed=10), self.rand(2, 2, seed=11)])
@@ -179,16 +184,16 @@ class TestBackwardRules:
     def test_elementwise_grads(self):
         a, b = self.rand(3, 3, seed=12), self.rand(3, 3, seed=13)
         assert_grad_matches(T.add, [a, b])
-        assert_grad_matches(T.mul, [a, b])
-        assert_grad_matches(T.sub, [a, b])
-        assert_grad_matches(lambda x: T.scale(x, -1.7), [a])
-        assert_grad_matches(T.exp, [a])
-        assert_grad_matches(lambda x: T.cos_sin(x)[0], [a])
-        assert_grad_matches(lambda x: T.cos_sin(x)[1], [a])
-        assert_grad_matches(lambda x: T.add(*T.cos_sin(x)), [a])
-        assert_grad_matches(lambda x: T.log(T.softplus(x)), [a])
+        assert_grad_matches(O.mul, [a, b])
+        assert_grad_matches(O.sub, [a, b])
+        assert_grad_matches(lambda x: O.scale(x, -1.7), [a])
+        assert_grad_matches(O.exp, [a])
+        assert_grad_matches(lambda x: O.cos_sin(x)[0], [a])
+        assert_grad_matches(lambda x: O.cos_sin(x)[1], [a])
+        assert_grad_matches(lambda x: T.add(*O.cos_sin(x)), [a])
+        assert_grad_matches(lambda x: O.log(O.softplus(x)), [a])
 
-    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    @pytest.mark.parametrize("op", [T.add, O.sub, O.mul])
     def test_elementwise_ops_do_not_broadcast(self, op):
         col, mat = T.constant(self.rand(3, 1, seed=14)), T.constant(self.rand(3, 4, seed=15))
         with pytest.raises(ValueError, match="incompatible shapes"):
@@ -197,7 +202,7 @@ class TestBackwardRules:
             op(mat, col)
 
     def test_logsumexp_grad(self):
-        assert_grad_matches(lambda x: T.logsumexp(x, axis=1), [self.rand(2, 6, seed=16)])
+        assert_grad_matches(lambda x: O.logsumexp(x, axis=1), [self.rand(2, 6, seed=16)])
 
     def test_scatter_rows_grad(self):
         base, rows = self.rand(5, 3, seed=17), self.rand(2, 3, seed=18)
@@ -210,7 +215,7 @@ class TestBackwardRules:
     def test_fanout_accumulates_both_contributions(self):
         # One node feeding two consumers must receive the sum of both gradients.
         x = T.parameter([[1.5]])
-        out = T.add(T.scale(x, 2.0), T.mul(x, x))
+        out = T.add(O.scale(x, 2.0), O.mul(x, x))
         out.backward()
         np.testing.assert_allclose(x.grad, [[2.0 + 2.0 * 1.5]])
 
@@ -291,10 +296,10 @@ class TestMaskedAttention:
             outs = []
             for h in range(self.HEADS):
                 wq, wk, wv = self._head(ws, h)
-                scores = T.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
+                scores = O.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
                 if mask is not None:
                     scores = T.add(scores, T.constant(np.where(mask, 0.0, -np.inf)))
-                outs.append(T.matmul(T.softmax(scores, axis=1), T.matmul(x, wv)))
+                outs.append(T.matmul(O.softmax(scores, axis=1), T.matmul(x, wv)))
             return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
 
         results = []
@@ -303,7 +308,7 @@ class TestMaskedAttention:
             x_node = T.parameter(x)
             xq_node = x_node if xq is x else T.parameter(xq)
             out = build(xq_node, x_node, *ws)
-            T.sum_all(T.mul(out, T.constant(upstream))).backward()
+            O.sum_all(O.mul(out, T.constant(upstream))).backward()
             w_grads = [np.stack([w.grad for w in ws[:-1]]).reshape(w_qkv.shape), ws[-1].grad]
             results.append([out.value, xq_node.grad, x_node.grad] + w_grads)
         for fused, chained in zip(*results):
@@ -316,7 +321,7 @@ class TestMaskedAttention:
         # Each query reads only its own key, with weight exactly one.
         values = np.concatenate([x @ w_qkv[2 * self.HEADS + h] for h in range(self.HEADS)], axis=1)
         np.testing.assert_array_equal(out.value, values @ w_out + xq)
-        T.sum_all(out).backward()
+        O.sum_all(out).backward()
         np.testing.assert_array_equal(nodes[0].grad, 1.0)  # the residual alone
         np.testing.assert_array_equal(nodes[2].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
 
@@ -353,13 +358,13 @@ class TestCheckGradients:
 
         def f(params):
             v = params["w"]
-            return T.sum_all(T.mul(v, v))
+            return O.sum_all(O.mul(v, v))
 
         report = T.check_gradients(f, {"w": w})
         assert report.max_rel_error < 1e-6
         f(None if False else {"w": w})
         w.zero_grad()
-        T.sum_all(T.mul(w, w)).backward()
+        O.sum_all(O.mul(w, w)).backward()
         np.testing.assert_allclose(w.grad, [2.0, 4.0], rtol=1e-12)
 
     def test_softmax_cross_entropy_composite(self):
@@ -368,9 +373,9 @@ class TestCheckGradients:
         target = 2
 
         def f(params):
-            lse = T.logsumexp(params["logits"], axis=1)
-            picked = T.gather_cols(params["logits"], [target])
-            return T.sum_all(T.sub(lse, picked))
+            lse = O.logsumexp(params["logits"], axis=1)
+            picked = O.gather_cols(params["logits"], [target])
+            return O.sum_all(O.sub(lse, picked))
 
         report = T.check_gradients(f, {"logits": logits})
         assert report.max_rel_error < 1e-4
@@ -379,7 +384,7 @@ class TestCheckGradients:
         w = T.parameter([1.0])
 
         def f(params):
-            return T.sum_all(T.scale(params["w"], np.inf))
+            return O.sum_all(O.scale(params["w"], np.inf))
 
         with pytest.raises(NumericsError):
             T.check_gradients(f, {"w": w})
@@ -389,7 +394,7 @@ class TestCheckGradients:
         w = T.parameter(rng.normal(size=(30, 30)))
 
         def f(params):
-            return T.sum_all(T.mul(params["w"], params["w"]))
+            return O.sum_all(O.mul(params["w"], params["w"]))
 
         report = T.check_gradients(f, {"w": w}, max_entries=100)
         assert report.num_checked == 100
