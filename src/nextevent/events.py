@@ -86,6 +86,9 @@ class PredictionExample:
     def __post_init__(self):
         if len(self.history) < 2:
             raise DataError("history must contain at least 2 events")
+        if not np.isfinite(self.target_time):
+            # NaN compares false, so the order check below lets it through.
+            raise DataError(f"target_time must be finite, got {self.target_time}")
         if self.target_time <= self.history.times[-1]:
             raise DataError("target_time must exceed the last history time")
 

@@ -10,7 +10,9 @@ Forward pass per history window:
    of scale s, one :func:`tensor.multi_head_attention` node for all heads,
    with each query's keys given as one boolean mask over that frontier (all
    of it, or with ``causal`` the nodes no later than the query; the counted
-   score multiplications are ``mask.sum() * d_k`` per head); carried-over
+   score multiplications are ``mask.sum() * d_k`` per head, and a causal
+   mask lets the kernel skip the key tiles after each block of queries, so
+   causal attention runs fewer products than all-pair); carried-over
    nodes pass through untouched; then pool to the next
    scale's active set as a segment mean: the active nodes and the next ones
    are both leaf spans in time order, so each next node is the mean of the
@@ -210,8 +212,11 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
 class FlopCounter:
     """Counts the query-key score multiplications the attention masks allow.
 
-    A masked block still computes every score and discards the masked ones,
-    so the count is what restricted attention needs, not what numpy runs.
+    The count is what restricted attention needs, not what numpy runs: the
+    kernel forms scores a tile at a time, so a causal block also computes the
+    masked scores in each row block's diagonal square (0.55 of the all-pair
+    scores at 300 rows and 0.63 at 111, against about 0.50 counted), and a
+    mask no row block can narrow computes every score.
     """
 
     def __init__(self):

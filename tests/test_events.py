@@ -45,6 +45,14 @@ class TestEventSequence:
         with pytest.raises(DataError, match="target_time"):
             PredictionExample(seq, 1.0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_example_rejects_non_finite_target(self, bad):
+        from nextevent.events import PredictionExample
+
+        seq = EventSequence([0.0, 1.0], [0, 0], 1)
+        with pytest.raises(DataError, match="target_time must be finite"):
+            PredictionExample(seq, bad, 0)
+
 
 class TestLoadSequences:
     def test_minimal_csv(self, tmp_path):
