@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: configuration and data problems exit
-with 1, numerical failures during training exit with 2.
+Configuration, data and hierarchy errors subclass ``ValueError``; numerical
+failures subclass ``RuntimeError``. The package has no command-line entry
+point, so no exit codes are assigned yet.
 """
 
 

@@ -166,7 +166,10 @@ def load_sequences(
         return []
 
     if num_types is None:
-        num_types = 1 + max(max(types) for _, _, types in raw if types)
+        seen = [max(types) for _, _, types in raw if types]
+        if not seen:
+            raise DataError(f"{path}: every sequence is empty, so num_types must be given")
+        num_types = 1 + max(seen)
 
     out = []
     for seq_id, times, types in raw:
@@ -221,12 +224,22 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
             try:
                 seq_id = str(obj["id"])
-                times = [float(t) for t in obj["times"]]
-                types = [_coerce_type(str(k), vocab, f"{path}:{lineno}") for k in obj["types"]]
+                times, types = obj["times"], obj["types"]
             except KeyError as e:
                 raise DataError(f"{path}:{lineno}: missing key {e}") from None
+            if not isinstance(times, list) or not isinstance(types, list):
+                raise DataError(f"{path}:{lineno}: times and types must be lists")
+            try:
+                times = [float(t) for t in times]
+            except (TypeError, ValueError):
+                raise DataError(f"{path}:{lineno}: times must be numbers") from None
+            if len(times) != len(types):
+                raise DataError(f"{path}:{lineno}: {len(times)} times but {len(types)} types")
+            types = [_coerce_type(str(k), vocab, f"{path}:{lineno}") for k in types]
             if any(b < a for a, b in zip(times, times[1:])):
                 raise DataError(f"{path}:{lineno}: time regression in sequence {seq_id!r}")
             out.append((seq_id, times, types))
@@ -288,6 +301,8 @@ def generate_hawkes(
         raise ConfigError(
             f"non-stationary parameters: excitation {excitation} must be < decay {decay}"
         )
+    if num_types < 1:
+        raise ConfigError(f"num_types must be >= 1, got {num_types}")
     rng = np.random.default_rng(seed)
     sequences = []
     for s in range(num_seqs):
@@ -334,6 +349,8 @@ def generate_multiscale(
         raise ConfigError("multiscale parameters must be positive")
     if num_bursts <= 0:
         raise ConfigError("num_bursts must be positive")
+    if num_types < 1:
+        raise ConfigError(f"num_types must be >= 1, got {num_types}")
     if burst_size == 1:
         warnings.warn(
             "burst_size=1 degenerates to a renewal process of long gaps",

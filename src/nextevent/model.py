@@ -8,15 +8,15 @@ Forward pass per history window:
    initialized to unit amplitudes, frozen and fed in as a constant),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
    of scale s, one :func:`tensor.multi_head_attention` node for all heads,
-   with each query's keys given as one boolean mask over that frontier (all
-   of it, or with ``causal`` the nodes no later than the query; the counted
-   score multiplications are ``mask.sum() * d_k`` per head, and a causal
-   mask lets the kernel skip the key tiles after each block of queries, so
-   causal attention runs fewer products than all-pair); carried-over
-   nodes pass through untouched; then pool to the next
-   scale's active set as a segment mean: the active nodes and the next ones
-   are both leaf spans in time order, so each next node is the mean of the
-   contiguous run of rows it absorbs (a carried-over node is a run of one);
+   over all pairs, or with ``causal`` each query reading the nodes no later
+   than itself (the counted score multiplications are ``n * n * d_k`` or
+   ``n (n + 1) / 2 * d_k`` per head over n frontier nodes; the kernel skips
+   the key tiles after each block of causal queries, so causal attention
+   runs fewer products than all-pair); carried-over nodes pass through
+   untouched; then pool to the next scale's active set as a segment mean:
+   the active nodes and the next ones are both leaf spans in time order,
+   so each next node is the mean of the contiguous run of rows it absorbs
+   (a carried-over node is a run of one);
    each pooled row is concatenated with its node's positional context (one
    more ``fcpe_matrix`` node per scale) and projected back to ``d_model``,
 3. one more :func:`tensor.multi_head_attention` node at the top scale, with
@@ -210,13 +210,12 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 class FlopCounter:
-    """Counts the query-key score multiplications the attention masks allow.
+    """Counts the query-key score multiplications attention needs.
 
     The count is what restricted attention needs, not what numpy runs: the
     kernel forms scores a tile at a time, so a causal block also computes the
     masked scores in each row block's diagonal square (0.55 of the all-pair
-    scores at 300 rows and 0.63 at 111, against about 0.50 counted), and a
-    mask no row block can narrow computes every score.
+    scores at 300 rows and 0.63 at 111, against about 0.50 counted).
     """
 
     def __init__(self):
@@ -245,40 +244,36 @@ def _embed(params: ModelParams, times, type_weights) -> DiffNode:
     return T.add(type_part, _positional(params, times, type_weights))
 
 
-def _attend(Hq: DiffNode, H: DiffNode, mask: np.ndarray | None,
+def _attend(Hq: DiffNode, H: DiffNode, causal: bool,
             sp: ScaleAttentionParams, counter: FlopCounter | None) -> DiffNode:
     """Rows of ``Hq`` attend to rows of ``H``: one
     :func:`tensor.multi_head_attention` node for every head, concat(heads)
-    @ W_O and the ``Hq`` residual. Counts ``mask.sum() * d_k`` score
-    multiplications per head (all pairs for ``None``)."""
+    @ W_O and the ``Hq`` residual. Counts the keys each query reads times
+    ``d_k`` score multiplications per head."""
     dk = sp.w_qkv.shape[2]
     if counter is not None:
-        keys = Hq.shape[0] * H.shape[0] if mask is None else int(np.count_nonzero(mask))
+        n = Hq.shape[0]
+        keys = n * (n + 1) // 2 if causal else n * H.shape[0]
         counter.add(sp.w_qkv.shape[0] // 3 * keys * dk)
-    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, mask, 1.0 / math.sqrt(dk))
+    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, causal, 1.0 / math.sqrt(dk))
 
 
 def cross_scale_attention(
     H: DiffNode,
-    mask: np.ndarray | None,
+    causal: bool,
     params: ModelParams,
     s: int,
     counter: FlopCounter | None = None,
 ) -> DiffNode:
-    """Multi-head attention where query row j reads only the keys in ``mask[j]``.
+    """Multi-head attention among the rows of ``H`` at scale ``s``: all
+    pairs, or with ``causal`` row j reads only rows ``0..j``.
 
-    ``mask`` is a boolean ``(n, n)`` array over the rows of ``H``, or ``None``
-    for all-pair attention. Every query must be allowed to read itself, so
-    the diagonal must be all true. All heads, W_O and the residual are one
+    All heads, W_O and the residual are one
     :func:`tensor.multi_head_attention` node; the counted score
-    multiplications are ``mask.sum() * d_k`` per head (``n * n * d_k`` for
-    ``None``). Output = concat(heads) @ W_O + residual.
+    multiplications are ``n * n * d_k`` per head, or ``n (n + 1) / 2 * d_k``
+    with ``causal``. Output = concat(heads) @ W_O + residual.
     """
-    if mask is not None:
-        missing = np.flatnonzero(~np.diagonal(mask))
-        if missing.size:
-            raise HierarchyError(f"key set of query {missing[0]} must include itself")
-    return _attend(H, H, mask, params.attn[s - 1], counter)
+    return _attend(H, H, causal, params.attn[s - 1], counter)
 
 
 def hierarchical_pool(
@@ -319,12 +314,11 @@ def encode(params: ModelParams, seq: EventSequence,
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
         # is no later than the query's. Frontier spans are disjoint and times
         # strictly increase, so those means strictly increase along the
-        # frontier and the rule is the lower triangle.
-        mask = np.tri(len(fpos), dtype=bool) if cfg.causal else None
+        # frontier and the rule is the kernel's causal one.
         if len(fpos) == H.shape[0]:
-            H = cross_scale_attention(H, mask, params, s, counter)
+            H = cross_scale_attention(H, cfg.causal, params, s, counter)
         else:
-            Hf = cross_scale_attention(T.gather_rows(H, fpos), mask, params, s, counter)
+            Hf = cross_scale_attention(T.gather_rows(H, fpos), cfg.causal, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
             H = hierarchical_pool(H, hierarchy, s, params, seq.types)
@@ -336,7 +330,7 @@ def summarize(params: ModelParams, H_top: DiffNode,
     """Decoder attention at the top scale: the temporally last node queries
     every top node, then a dense layer produces the sequence summary H_L."""
     last = T.gather_rows(H_top, [H_top.shape[0] - 1])
-    attended = _attend(last, H_top, None, params.attn[-1], counter)
+    attended = _attend(last, H_top, False, params.attn[-1], counter)
     return T.matmul(attended, params.w_summary)
 
 
@@ -538,10 +532,17 @@ def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: not a JSON checkpoint ({e.msg})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a checkpoint is a JSON object")
     version = payload.get("version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version!r}")
+    if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
+        raise DataError(f"{path}: checkpoint needs a config object and a params object")
     config = ModelConfig.from_dict(payload["config"])
     params = init_model_params(config, seed=0)
     named = params.all_named()
@@ -550,7 +551,10 @@ def load_checkpoint(path):
         missing = set(named) ^ set(saved)
         raise ConfigError(f"checkpoint parameter names mismatch: {sorted(missing)}")
     for name, entry in saved.items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: {name!r} needs numeric data that fills its shape") from None
         if arr.shape != named[name].value.shape:
             raise ConfigError(
                 f"checkpoint {name!r}: shape {arr.shape} vs expected {named[name].value.shape}"
@@ -559,5 +563,10 @@ def load_checkpoint(path):
             raise NumericsError(f"checkpoint {name!r} holds non-finite values")
         named[name].value[...] = arr
     norm = payload.get("norm")
-    stats = NormStats.from_dict(norm) if norm else None
+    try:
+        stats = NormStats.from_dict(norm) if norm else None
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError):
+        raise DataError(f"{path}: norm stats need a mode and a numeric mean_gap") from None
     return params, stats

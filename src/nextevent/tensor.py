@@ -20,8 +20,6 @@ head in ``model``.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import HierarchyError, NumericsError
@@ -257,92 +255,66 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # share one pass of the in-place softmax and its backward, so that the pass
 # runs in cache; a larger block takes one head at a time.
 _GROUP_ENTRIES = 1 << 15
-# Height of the row blocks a masked block is cut into when some block can
-# skip key columns (see _plan_tiles). Taller blocks form more masked scores;
-# shorter ones pay numpy's fixed cost per call more often. Of 24, 32, 48 and
-# 64 rows, 32 gave the fastest causal train steps at L=256 (2-core x86 VM,
-# OpenBLAS on one thread).
+# Height of the row blocks causal attention is cut into (see _plan_tiles).
+# Taller blocks form more masked scores; shorter ones pay numpy's fixed cost
+# per call more often. Of 24, 32, 48 and 64 rows, 32 gave the fastest causal
+# train steps at L=256 (2-core x86 VM, OpenBLAS on one thread).
 _TILE_ROWS = 32
+# Where a causal row block's diagonal square takes the -inf fill: the keys
+# after each row, the strict upper triangle.
+_CAUSAL_FILL = np.triu(np.ones((_TILE_ROWS, _TILE_ROWS), dtype=bool), 1)
 
 
-def _row_block(mask: np.ndarray, r0: int, r1: int) -> tuple:
-    """Rows ``[r0, r1)``, the key columns ``[k0, k1)`` from the first any of
-    them may read to the last, and the columns of that range (counted from
-    k0) that hold a masked score, or ``None`` if there are none."""
-    sub = mask[r0:r1]
-    read = np.flatnonzero(sub.any(axis=0))
-    k0, k1 = int(read[0]), int(read[-1]) + 1
-    masked = np.flatnonzero(~sub[:, k0:k1].all(axis=0))
-    fill = slice(int(masked[0]), int(masked[-1]) + 1) if masked.size else None
-    return slice(r0, r1), slice(k0, k1), fill
+def _plan_tiles(n: int, m: int, nh: int, causal: bool) -> list:
+    """The tiles ``(heads, rows, keys)`` that :func:`multi_head_attention`
+    forms scores on, each a slice: a group of heads, a block of query rows
+    and the key columns those rows read.
 
-
-def _plan_tiles(mask: np.ndarray | None, n: int, m: int, nh: int) -> tuple:
-    """The tiles ``(heads, rows, keys, fill)`` that :func:`multi_head_attention`
-    forms scores on, each a slice: a group of heads, a block of query rows,
-    the key columns those rows may read, and the tile's columns that need the
-    ``-inf`` fill (``None`` for none).
-
-    The rows are cut into blocks of ``_TILE_ROWS``, and each block keeps the
-    key columns from the first any of its rows reads to the last. If no block
-    skips a column (no mask, a random mask) the plan is one block of every
-    row and every key. Each block is then split into the largest head groups
-    whose scores hold at most ``_GROUP_ENTRIES``.
+    Without ``causal`` there is one block of every row and every key. With
+    it, the rows are cut into blocks ``[r0, r1)`` of ``_TILE_ROWS`` and each
+    block reads the keys ``[0, r1)``, so its last ``r1 - r0`` columns are
+    its diagonal square. Each block is then split into the largest head
+    groups whose scores hold at most ``_GROUP_ENTRIES``.
     """
-    return _plan(n, m, nh, None if mask is None else np.packbits(mask).tobytes())
-
-
-@functools.lru_cache(maxsize=256)
-def _plan(n: int, m: int, nh: int, packed: bytes | None) -> tuple:
-    """:func:`_plan_tiles` for the ``(n, m)`` mask that ``np.packbits`` packed
-    into ``packed`` (``None`` for no mask). Memoised: an encoder passes the
-    same few shapes and causal masks window after window, and planning takes
-    more numpy calls than a tile."""
-    if packed is None:
-        blocks = [(slice(0, n), slice(0, m), None)]
-    else:
-        mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * m)
-        mask = mask.reshape(n, m).astype(bool)
-        blocks = [_row_block(mask, r0, min(r0 + _TILE_ROWS, n))
-                  for r0 in range(0, n, _TILE_ROWS)]
-        if all(keys == slice(0, m) for _, keys, _ in blocks):
-            blocks = [_row_block(mask, 0, n)]
+    height = _TILE_ROWS if causal else n
     tiles = []
-    for rows, keys, fill in blocks:
-        step = max(1, _GROUP_ENTRIES // ((rows.stop - rows.start) * (keys.stop - keys.start)))
-        tiles += [(slice(h, min(h + step, nh)), rows, keys, fill) for h in range(0, nh, step)]
-    return tuple(tiles)
+    for r0 in range(0, n, height):
+        r1 = min(r0 + height, n)
+        k1 = r1 if causal else m
+        step = max(1, _GROUP_ENTRIES // ((r1 - r0) * k1))
+        tiles += [(slice(h, min(h + step, nh)), slice(r0, r1), slice(0, k1))
+                  for h in range(0, nh, step)]
+    return tiles
 
 
-def multi_head_attention(xq, x, w_qkv, w_out, mask, scale: float) -> DiffNode:
-    """``concat_h(softmax(scale * (xq Wq_h) (x Wk_h).T) (x Wv_h)) @ w_out + xq``
-    with keys outside ``mask`` excluded.
+def multi_head_attention(xq, x, w_qkv, w_out, causal: bool, scale: float) -> DiffNode:
+    """``concat_h(softmax(scale * (xq Wq_h) (x Wk_h).T) (x Wv_h)) @ w_out + xq``,
+    where with ``causal`` query row j reads only the keys ``0..j``.
 
     ``w_qkv`` is ``(3 * heads, d, d_k)``: head ``h``'s Wq, Wk and Wv are
     ``w_qkv[h]``, ``w_qkv[heads + h]`` and ``w_qkv[2 * heads + h]``, and
-    ``w_out`` is ``(heads * d_k, d)``. ``mask`` is a boolean ``(n, m)`` array
-    over the rows of ``xq`` and ``x`` (row j lists the keys query j may read;
-    no row may be empty), or ``None`` for every key.
+    ``w_out`` is ``(heads * d_k, d)``. ``causal`` needs as many rows in
+    ``xq`` as in ``x``.
 
     One node stands for the whole block: the heads' projections are batched
     ``np.matmul`` calls, which make the same 2-D BLAS call per head as
     :func:`matmul`. Scores, the in-place softmax, ``P @ V`` and their
     backward run tile by tile (see ``_plan_tiles``): a tile is a group of
-    heads, a block of query rows and the key range ``[k0, k1)`` those rows
-    may read, so a causal block never forms the scores above its diagonal
-    blocks, and the ``-inf`` fill touches only the columns where the tile's
-    mask is not all true. ``gq`` is written per tile; ``gk`` and ``gv`` start
-    at zero and each tile adds its part to ``[k0, k1)``.
+    heads, a block of query rows and the keys ``[0, k1)`` those rows read,
+    so a causal block never forms the scores right of its diagonal square,
+    and only that square's upper triangle takes the ``-inf`` fill. ``gq`` is
+    written per tile; ``gk`` and ``gv`` start at zero and each tile adds its
+    part to ``[0, k1)``.
 
-    Exactness: when the plan is one full-width tile per head group (no mask,
-    or a mask no row block can narrow) the operations and the order
-    in which gradients are added follow the chain of matmul, transpose,
-    scale, softmax, concat and add nodes, so value and gradients round
-    exactly as that chain does (with a 0/-inf constant added to the scores
-    for a mask). Narrower tiles shorten the inner dimension of ``P @ V``,
-    ``P.T @ gO``, ``dS @ K`` and ``Q.T @ dS``, which BLAS may round
-    differently, so they agree with the chain to within rounding (1e-12 in
-    the tests), not bit for bit.
+    Exactness: when the plan is one full-width tile per head group (not
+    causal, or causal over at most ``_TILE_ROWS`` rows) the operations and
+    the order in which gradients are added follow the chain of matmul,
+    transpose, scale, softmax, concat and add nodes, so value and gradients
+    round exactly as that chain does (with a 0/-inf constant added to the
+    scores for causal). Narrower tiles shorten the inner dimension of
+    ``P @ V``, ``P.T @ gO``, ``dS @ K`` and ``Q.T @ dS``, which BLAS may
+    round differently, so they agree with the chain to within rounding
+    (1e-12 in the tests), not bit for bit.
     """
     xq, x, w_qkv, w_out = _wrap(xq), _wrap(x), _wrap(w_qkv), _wrap(w_out)
     if (any(a.value.ndim != 2 for a in (xq, x, w_out)) or w_qkv.value.ndim != 3
@@ -356,26 +328,23 @@ def multi_head_attention(xq, x, w_qkv, w_out, mask, scale: float) -> DiffNode:
             f"multi_head_attention: shapes xq {xq.shape}, x {x.shape},"
             f" w_qkv {w_qkv.shape}, w_out {w_out.shape} disagree"
         )
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, m):
-            raise ValueError(f"multi_head_attention: mask shape {mask.shape} != {(n, m)}")
-        if not mask.any(axis=1).all():
-            raise ValueError("multi_head_attention: every query needs at least one key")
+    if causal and n != m:
+        raise ValueError(f"multi_head_attention: causal needs as many queries as keys,"
+                         f" got {n} and {m}")
     c = float(scale)
     q = np.matmul(xq.value, w_qkv.value[:nh])  # (heads, n, d_k)
     kv = np.matmul(x.value, w_qkv.value[nh:])  # (2 * heads, m, d_k)
     kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))
     v = kv[nh:]
-    excluded = None if mask is None else ~mask
-    tiles = _plan_tiles(mask, n, m, nh)
+    tiles = _plan_tiles(n, m, nh, causal)
     probs = []  # one (heads, rows, keys) array per tile
     o = np.empty((nh, n, dk))
-    for hs, rows, keys, fill in tiles:
+    for hs, rows, keys in tiles:
         p = np.matmul(q[hs, rows], kt[hs, :, keys])
         p *= c
-        if fill is not None:
-            np.copyto(p[:, :, fill], -np.inf, where=excluded[rows, keys][:, fill])
+        if causal:
+            b = rows.stop - rows.start
+            np.copyto(p[:, :, rows], -np.inf, where=_CAUSAL_FILL[:b, :b])
         p -= np.max(p, axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= np.sum(p, axis=2, keepdims=True)
@@ -395,7 +364,7 @@ def multi_head_attention(xq, x, w_qkv, w_out, mask, scale: float) -> DiffNode:
         gkt = np.zeros_like(kt)  # gk transposed, so that each tile adds whole rows
         gkv = np.zeros_like(kv)
         gv = gkv[nh:]
-        for (hs, rows, keys, _), p in zip(tiles, probs):
+        for (hs, rows, keys), p in zip(tiles, probs):
             gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, rows])
             ds = np.matmul(go[hs, rows], v[hs, keys].transpose(0, 2, 1))
             ds -= np.sum(ds * p, axis=2, keepdims=True)

@@ -129,6 +129,37 @@ class TestLoadSequences:
         with pytest.raises(DataError, match="no such file"):
             load_sequences("/nonexistent/x.csv")
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}', "times must be numbers"),
+        ('{"id": "b", "times": [0.0, null], "types": [0, 1]}', "times must be numbers"),
+        ('[0.0, 1.0]', "expected a JSON object"),
+        ('{"id": "b", "times": 1.0, "types": [0]}', "times and types must be lists"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": [0]}', "2 times but 1 types"),
+    ], ids=["non-numeric time", "null time", "not an object", "times not a list",
+            "fewer types than times"])
+    def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"id": "a", "times": [0.0], "types": [0]}\n' + line + "\n")
+        with pytest.raises(DataError, match=rf"bad\.jsonl:2: {message}"):
+            load_sequences(p)
+
+    def test_all_empty_sequences_need_num_types(self, tmp_path):
+        p = tmp_path / "empty.jsonl"
+        p.write_text('{"id": "a", "times": [], "types": []}\n')
+        with pytest.raises(DataError, match=r"empty\.jsonl: every sequence is empty"):
+            load_sequences(p)
+        assert len(load_sequences(p, num_types=2)[0]) == 0
+
+
+@pytest.mark.parametrize("generate", [
+    lambda k: generate_hawkes(1, 10.0, 1.0, 0.5, 1.0, k, seed=0),
+    lambda k: generate_multiscale(1, 5.0, 4, 20.0, k, seed=0),
+], ids=["hawkes", "multiscale"])
+@pytest.mark.parametrize("num_types", [0, -1])
+def test_generators_reject_fewer_than_one_type(generate, num_types):
+    with pytest.raises(ConfigError, match=f"num_types must be >= 1, got {num_types}"):
+        generate(num_types)
+
 
 class TestHawkesGenerator:
     def test_deterministic_under_seed(self):

@@ -1,4 +1,4 @@
-"""Tests for the encoder's attention masks, score accounting and boundaries."""
+"""Tests for the encoder's attention key sets, score accounting and boundaries."""
 
 import json
 import math
@@ -8,8 +8,8 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.errors import ConfigError, HierarchyError, NumericsError
-from nextevent.events import generate_multiscale, make_examples, normalize_times
+from nextevent.errors import ConfigError, DataError, NumericsError
+from nextevent.events import NormStats, generate_multiscale, make_examples, normalize_times
 from oracles import dense_masked_attention
 
 
@@ -46,42 +46,42 @@ def _key_set_mask(hierarchy, s, causal):
 def test_encode_masks_and_counts_follow_the_key_sets(monkeypatch, causal):
     cfg = _config(causal)
     params = M.init_model_params(cfg, seed=0)
-    example = _example()
     masks = {}
     original = M.cross_scale_attention
 
-    def recording(H, mask, params, s, counter=None):
-        masks[s] = np.ones((H.shape[0],) * 2, dtype=bool) if mask is None else mask
-        return original(H, mask, params, s, counter)
+    def recording(H, causal_flag, params, s, counter=None):
+        n = H.shape[0]
+        masks[s] = np.tri(n, dtype=bool) if causal_flag else np.ones((n, n), dtype=bool)
+        return original(H, causal_flag, params, s, counter)
 
     monkeypatch.setattr(M, "cross_scale_attention", recording)
-    counter = M.FlopCounter()
-    M.forward(params, example, counter=counter)
+    # The second window's first frontier spans two causal row tiles.
+    for example in (_example(), _example(length=128)):
+        masks.clear()
+        counter = M.FlopCounter()
+        M.forward(params, example, counter=counter)
 
-    h = M.hierarchy_for(cfg, example.history.times)
-    sizes = M.hierarchy_key_set_sizes(h, causal=causal)
-    assert sorted(masks) == list(range(1, h.num_scales + 1))
-    for s in masks:
-        np.testing.assert_array_equal(masks[s], _key_set_mask(h, s, causal))
-        assert masks[s].sum(axis=1).tolist() == sizes[s - 1]
-    n_top = len(h.active_nodes(h.num_scales))
-    assert counter.count == cfg.num_heads * cfg.head_dim * (sum(map(sum, sizes)) + n_top)
+        h = M.hierarchy_for(cfg, example.history.times)
+        sizes = M.hierarchy_key_set_sizes(h, causal=causal)
+        assert sorted(masks) == list(range(1, h.num_scales + 1))
+        for s in masks:
+            np.testing.assert_array_equal(masks[s], _key_set_mask(h, s, causal))
+            assert masks[s].sum(axis=1).tolist() == sizes[s - 1]
+        n_top = len(h.active_nodes(h.num_scales))
+        assert counter.count == cfg.num_heads * cfg.head_dim * (sum(map(sum, sizes)) + n_top)
+    assert len(masks[1]) > T._TILE_ROWS
 
 
-@pytest.mark.parametrize("kind", ["none", "causal", "restricted"])
+@pytest.mark.parametrize("kind", ["none", "causal"])
 def test_cross_scale_attention_matches_dense_oracle(kind):
     cfg = _config(False)
     params = M.init_model_params(cfg, seed=1)
     n = 7
     H = np.random.default_rng(2).normal(size=(n, cfg.d_model))
-    mask = {
-        "none": None,
-        "causal": np.tril(np.ones((n, n), dtype=bool)),
-        "restricted": np.eye(n, dtype=bool) | (np.arange(n)[None, :] % 3 == 0),
-    }[kind]
-    out = M.cross_scale_attention(T.constant(H), mask, params, 1)
+    causal = kind == "causal"
+    out = M.cross_scale_attention(T.constant(H), causal, params, 1)
 
-    keys = [range(n)] * n if mask is None else [np.flatnonzero(row) for row in mask]
+    keys = [range(j + 1) if causal else range(n) for j in range(n)]
     sp = params.attn[0]
     heads = [
         dense_masked_attention(H, wq, wk, wv, keys, 1.0 / math.sqrt(cfg.head_dim))[0]
@@ -110,15 +110,6 @@ def test_summarize_matches_dense_oracle():
     expected = (attended @ params.w_summary.value)[None, :]
     np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
     assert counter.count == cfg.num_heads * cfg.head_dim * n
-
-
-def test_cross_scale_attention_requires_each_query_to_read_itself():
-    cfg = _config(True)
-    params = M.init_model_params(cfg, seed=0)
-    mask = np.ones((4, 4), dtype=bool)
-    mask[2, 2] = False
-    with pytest.raises(HierarchyError, match="query 2 must include itself"):
-        M.cross_scale_attention(T.constant(np.zeros((4, cfg.d_model))), mask, params, 1)
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -162,3 +153,34 @@ def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
     M.save_checkpoint(bad, params)
     with pytest.raises(NumericsError, match="dec.type"):
         M.load_checkpoint(bad)
+
+
+_MALFORMED_CHECKPOINTS = {
+    "not JSON": "not a JSON checkpoint",
+    "not an object": "a checkpoint is a JSON object",
+    "no config": "checkpoint needs a config object and a params object",
+    "no params": "checkpoint needs a config object and a params object",
+    "short data": "'dec.type' needs numeric data that fills its shape",
+    "norm without mean_gap": "norm stats need a mode and a numeric mean_gap",
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CHECKPOINTS))
+def test_load_checkpoint_rejects_a_malformed_file(tmp_path, case):
+    path = tmp_path / "ckpt.json"
+    norm = NormStats("shift_and_scale", 2.0)
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), norm)
+    assert M.load_checkpoint(path)[1] == norm
+    payload = json.loads(path.read_text())
+    if case == "no config":
+        del payload["config"]
+    elif case == "no params":
+        del payload["params"]
+    elif case == "short data":
+        payload["params"]["dec.type"]["data"].pop()
+    elif case == "norm without mean_gap":
+        del payload["norm"]["mean_gap"]
+    text = {"not JSON": "{not json", "not an object": "[5]"}.get(case, json.dumps(payload))
+    path.write_text(text)
+    with pytest.raises(DataError, match=rf"ckpt\.json: {_MALFORMED_CHECKPOINTS[case]}"):
+        M.load_checkpoint(path)

@@ -220,25 +220,19 @@ class TestBackwardRules:
         np.testing.assert_allclose(x.grad, [[2.0 + 2.0 * 1.5]])
 
 
-def _attention_masks(n):
-    """Named masks over an n x n block: all keys, causal, random (no empty
-    row), and diagonal blocks of 40 keys that do not line up with the tiles."""
-    rng = np.random.default_rng(7)
-    rand = rng.random((n, n)) < 0.4
-    rand[np.arange(n), rng.integers(0, n, size=n)] = True
-    block = np.arange(n) // 40
-    return {"none": None, "causal": np.tril(np.ones((n, n), dtype=bool)), "random": rand,
-            "block-diagonal": block[:, None] == block}
-
-
-# Spans at least three tiles, so a causal or block-diagonal mask is planned
-# as narrowed tiles.
+# Spans at least three tiles, so causal attention is planned as narrowed
+# tiles.
 TILED_N = 3 * T._TILE_ROWS + 5
-TILED_IDS = ["none", "causal", "random", "tiled-causal", "tiled-block-diagonal"]
+TILED_IDS = ["none", "causal", "tiled-causal"]
+
+
+def _keys(n, causal):
+    """The keys each of n queries reads: all of them, or 0..j for row j."""
+    return [range(j + 1) if causal else range(n) for j in range(n)]
 
 
 class TestMaskedAttention:
-    """``multi_head_attention``: one node for every head of a masked block."""
+    """``multi_head_attention``: one node for every head, all-pair or causal."""
 
     N, D, DK, HEADS = 6, 5, 3, 4
     C = 1.0 / np.sqrt(DK)
@@ -256,63 +250,57 @@ class TestMaskedAttention:
         """Head h's (Wq, Wk, Wv) slices of W_QKV."""
         return w_qkv[h], w_qkv[self.HEADS + h], w_qkv[2 * self.HEADS + h]
 
-    def _node(self, mask, c=C):
+    def _node(self, causal, c=C):
         def build(xq, x, w_qkv, w_out):
-            return T.multi_head_attention(xq, x, w_qkv, w_out, mask, c)
+            return T.multi_head_attention(xq, x, w_qkv, w_out, causal, c)
         return build
 
-    def _assert_matches_dense_oracle(self, mask, n, d=D, dk=DK):
+    def _assert_matches_dense_oracle(self, causal, n, d=D, dk=DK):
         x, _, w_qkv, w_out = self._arrays(n, d=d, dk=dk)
         c = 1.0 / np.sqrt(dk)
-        out = T.multi_head_attention(x, x, w_qkv, w_out, mask, c)
-        if mask is None:
-            keys = [range(n)] * n
-        else:
-            keys = [np.flatnonzero(row) for row in mask]
+        out = T.multi_head_attention(x, x, w_qkv, w_out, causal, c)
         per_head = [
-            dense_masked_attention(x, *self._head(w_qkv, h), keys, c)[0]
+            dense_masked_attention(x, *self._head(w_qkv, h), _keys(n, causal), c)[0]
             for h in range(self.HEADS)
         ]
         expected = np.concatenate(per_head, axis=1) @ w_out + x
         np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("name, n", [
-        ("none", N), ("causal", N), ("random", N), ("causal", TILED_N), ("block-diagonal", TILED_N),
-    ], ids=TILED_IDS)
-    def test_matches_dense_oracle(self, name, n):
-        self._assert_matches_dense_oracle(_attention_masks(n)[name], n)
+    @pytest.mark.parametrize("causal, n", [(False, N), (True, N), (True, TILED_N)], ids=TILED_IDS)
+    def test_matches_dense_oracle(self, causal, n):
+        self._assert_matches_dense_oracle(causal, n)
 
     def test_causal_at_model_width_matches_dense_oracle(self):
         # Narrow tiles shorten the inner dimension of P @ V and the backward
         # products, which BLAS may round differently from the chain, so the
         # causal case is held to the oracle within 1e-12, not bit for bit.
-        self._assert_matches_dense_oracle(np.tri(300, dtype=bool), 300, d=32, dk=8)
+        self._assert_matches_dense_oracle(True, 300, d=32, dk=8)
 
-    @pytest.mark.parametrize("name, n, d, dk", [
-        ("none", N, D, DK), ("causal", N, D, DK), ("random", N, D, DK),
+    @pytest.mark.parametrize("causal, n, d, dk", [
+        (False, N, D, DK), (True, N, D, DK),
         # Narrow widths keep the finite differences over TILED_N rows fast.
-        ("causal", TILED_N, 2, 2), ("block-diagonal", TILED_N, 2, 2),
+        (True, TILED_N, 2, 2),
     ], ids=TILED_IDS)
-    def test_gradients(self, name, n, d, dk):
-        mask = _attention_masks(n)[name]
+    def test_gradients(self, causal, n, d, dk):
         x, xq, w_qkv, w_out = self._arrays(n, nq=n, seed=4, d=d, dk=dk)
-        assert_grad_matches(self._node(mask, 1.0 / np.sqrt(dk)), [xq, x, w_qkv, w_out])
+        assert_grad_matches(self._node(causal, 1.0 / np.sqrt(dk)), [xq, x, w_qkv, w_out])
 
     def test_unmasked_rounds_like_the_node_chain(self):
         # Large enough that BLAS rounds a product with a strided k.T
         # differently from one with a contiguous copy. The chain is built
-        # from the other primitives, with a mask as an additive 0/-inf
-        # constant; the last case is one query row apart from x (the summary).
+        # from the other primitives, with causal as an additive 0/-inf
+        # constant; "one-query" is one query row apart from x (the summary).
         # Widths are the benchmark model's: d_model 32, 4 heads of 8.
-        # A causal mask at this size is cut into narrower tiles, which round
-        # differently; test_causal_at_model_width_matches_dense_oracle holds
-        # it to the oracle instead.
-        n = 300
-        for name in ("none", "random", "one-query"):
-            self._check_rounds_like_the_chain(n, name)
+        # Causal attention over more than one tile of rows is cut into
+        # narrower tiles, which round differently;
+        # test_causal_at_model_width_matches_dense_oracle holds it to the
+        # oracle instead, and here it runs over a single tile.
+        self._check_rounds_like_the_chain(300, "none")
+        self._check_rounds_like_the_chain(300, "one-query")
+        self._check_rounds_like_the_chain(T._TILE_ROWS, "causal")
 
     def _check_rounds_like_the_chain(self, n, name):
-        mask = None if name == "one-query" else _attention_masks(n)[name]
+        causal = name == "causal"
         nq = 1 if name == "one-query" else None
         x, xq, w_qkv, w_out = self._arrays(n, nq=nq, seed=5, d=32, dk=8)
         c = 1.0 / np.sqrt(8)
@@ -324,13 +312,13 @@ class TestMaskedAttention:
             for h in range(self.HEADS):
                 wq, wk, wv = self._head(ws, h)
                 scores = O.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
-                if mask is not None:
-                    scores = T.add(scores, T.constant(np.where(mask, 0.0, -np.inf)))
+                if causal:
+                    scores = T.add(scores, T.constant(np.where(np.tri(n), 0.0, -np.inf)))
                 outs.append(T.matmul(O.softmax(scores, axis=1), T.matmul(x, wv)))
             return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
 
         results = []
-        for build, ws in ((self._node(mask, c), [w_qkv]), (chain, list(w_qkv))):
+        for build, ws in ((self._node(causal, c), [w_qkv]), (chain, list(w_qkv))):
             ws = [T.parameter(w) for w in ws] + [T.parameter(w_out)]
             x_node = T.parameter(x)
             xq_node = x_node if xq is x else T.parameter(xq)
@@ -344,23 +332,24 @@ class TestMaskedAttention:
     def test_masked_keys_get_no_weight_or_gradient(self):
         x, xq, w_qkv, w_out = self._arrays(4, nq=4, seed=6)
         nodes = [T.parameter(a) for a in (xq, x, w_qkv, w_out)]
-        out = self._node(np.eye(4, dtype=bool))(*nodes)
-        # Each query reads only its own key, with weight exactly one.
+        out = self._node(True)(*nodes)
+        # The first query reads only its own key, with weight exactly one.
         values = np.concatenate([x @ w_qkv[2 * self.HEADS + h] for h in range(self.HEADS)], axis=1)
-        np.testing.assert_array_equal(out.value, values @ w_out + xq)
-        O.sum_all(out).backward()
-        np.testing.assert_array_equal(nodes[0].grad, 1.0)  # the residual alone
+        np.testing.assert_array_equal(out.value[0], (values @ w_out + xq)[0])
+        upstream = np.zeros_like(xq)
+        upstream[0] = 1.0
+        O.sum_all(O.mul(out, T.constant(upstream))).backward()
+        np.testing.assert_array_equal(nodes[0].grad, upstream)  # the residual alone
         np.testing.assert_array_equal(nodes[2].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
 
-    @pytest.mark.parametrize("name", ["causal", "block-diagonal"])
+    @pytest.mark.parametrize("name", ["causal"])
     def test_tiled_masked_keys_get_no_weight_or_gradient(self, name):
-        mask = _attention_masks(TILED_N)[name]
         x, xq, w_qkv, w_out = self._arrays(TILED_N, nq=TILED_N, seed=6)
-        build = self._node(mask)
-        # Rows 60-79 straddle two tiles; the keys none of them reads can
-        # change without moving those rows and take no gradient from them.
+        build = self._node(True)
+        # Rows 60-79 straddle two tiles; the keys after row 79 can change
+        # without moving those rows and take no gradient from them.
         rows = slice(60, 80)
-        unread = ~mask[rows].any(axis=0)
+        unread = np.arange(TILED_N) >= rows.stop
         moved = x.copy()
         moved[unread] += 1.0
         before, after = build(xq, x, w_qkv, w_out).value, build(xq, moved, w_qkv, w_out).value
@@ -376,27 +365,24 @@ class TestMaskedAttention:
         x = T.constant(np.ones((3, 2)))
         w_qkv = T.constant(np.ones((3, 2, 2)))
         w_out = T.constant(np.ones((2, 2)))
-        mask = np.eye(3, dtype=bool)
-        mask[1, 1] = False
-        with pytest.raises(ValueError, match="at least one key"):
-            T.multi_head_attention(x, x, w_qkv, w_out, mask, 1.0)
-        with pytest.raises(ValueError, match="mask shape"):
-            T.multi_head_attention(x, x, w_qkv, w_out, np.ones((3, 2), dtype=bool), 1.0)
+        # Causal attention pairs query j with key j, so the counts must agree.
+        with pytest.raises(ValueError, match="as many queries as keys"):
+            T.multi_head_attention(x, T.constant(np.ones((4, 2))), w_qkv, w_out, True, 1.0)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, None, 1.0)
+            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, False, 1.0)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), None, 1.0)
+            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), False, 1.0)
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
     def test_rejects_w_qkv_without_whole_heads(self, shape):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least one head"):
-            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), None, 1.0)
+            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), False, 1.0)
 
     def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), None, 1.0)
+            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), False, 1.0)
 
 
 class TestTilePlan:
@@ -404,49 +390,37 @@ class TestTilePlan:
 
     HEADS = 4
 
-    def _coverage(self, mask, n, m):
+    def _coverage(self, n, m, causal):
         """How often each (head, row, key) score is formed, checking on the
-        way that the fill covers every masked score inside a tile."""
-        tiles = T._plan_tiles(mask, n, m, self.HEADS)
+        way that the fill covers exactly the masked scores inside a tile."""
+        tiles = T._plan_tiles(n, m, self.HEADS, causal)
+        allowed = np.tri(n, m, dtype=bool) if causal else np.ones((n, m), dtype=bool)
         covered = np.zeros((self.HEADS, n, m), dtype=int)
-        for heads, rows, keys, fill in tiles:
+        for heads, rows, keys in tiles:
             covered[heads, rows, keys] += 1
-            masked = np.zeros((rows.stop - rows.start, keys.stop - keys.start), dtype=bool)
-            if mask is not None:
-                masked = ~mask[rows, keys]
-            if fill is not None:
-                masked[:, fill] = False
-            assert not masked.any(), "a masked score lies outside the fill"
+            filled = np.zeros((rows.stop - rows.start, keys.stop - keys.start), dtype=bool)
+            if causal:
+                b = rows.stop - rows.start
+                filled[:, rows] = T._CAUSAL_FILL[:b, :b]
+            np.testing.assert_array_equal(filled, ~allowed[rows, keys])
         return tiles, covered
 
     def test_causal_plan_covers_every_allowed_key(self):
         n = 300
-        mask = _attention_masks(n)["causal"]
-        tiles, covered = self._coverage(mask, n, n)
+        tiles, covered = self._coverage(n, n, True)
         assert covered.max() == 1
-        assert covered[:, mask].all()
+        assert covered[:, np.tri(n, dtype=bool)].all()
         assert covered.sum() / self.HEADS <= 0.65 * n * n
-        # Only the diagonal square of each row block is filled.
-        assert all(fill == slice(rows.start + 1, rows.stop) for _, rows, _, fill in tiles)
+        # Each row block reads the keys up to the end of its diagonal square.
+        assert all(keys == slice(0, rows.stop) for _, rows, keys in tiles)
 
-    def test_block_diagonal_plan_skips_leading_keys(self):
-        n = 300
-        mask = _attention_masks(n)["block-diagonal"]
-        tiles, covered = self._coverage(mask, n, n)
-        assert covered.max() == 1
-        assert covered[:, mask].all()
-        _, rows, keys, _ = tiles[-1]
-        assert keys.start == rows.start // 40 * 40
-
-    @pytest.mark.parametrize("name", ["none", "random", "one-query", "one-query mask"])
+    @pytest.mark.parametrize("name", ["none", "one-query", "causal within one tile"])
     def test_plans_without_narrowing_are_full_width(self, name):
-        n = m = 300
-        mask = _attention_masks(n).get(name)
-        if name.startswith("one-query"):
+        n = m = T._TILE_ROWS if name.startswith("causal") else 300
+        if name == "one-query":
             n = 1
-            mask = np.ones((n, m), dtype=bool) if name.endswith("mask") else None
-        tiles, covered = self._coverage(mask, n, m)
-        assert all(rows == slice(0, n) and keys == slice(0, m) for _, rows, keys, _ in tiles)
+        tiles, covered = self._coverage(n, m, name.startswith("causal"))
+        assert all(rows == slice(0, n) and keys == slice(0, m) for _, rows, keys in tiles)
         assert (covered == 1).all()  # each head in exactly one group
 
 
