@@ -96,9 +96,9 @@ def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
     so value and gradients round exactly as that chain does.
     """
     freqs, density_map = params.freqs, params.density_map
-    t = T.as_tensor(np.reshape(times, (-1, 1)))
+    t = T.as_tensor(times).reshape(-1, 1)
     w = T.as_tensor(type_weights)
-    phases = t @ T.as_tensor(freqs.value.T)  # (n, d/2)
+    phases = t @ freqs.value.T  # (n, d/2); a column's transpose is C-ordered
     mu = w @ T.as_tensor(density_map.value.T)  # (n, d/2)
     c, s = np.cos(phases), np.sin(phases)
     out = np.empty((len(t), params.dim))

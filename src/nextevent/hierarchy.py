@@ -38,6 +38,7 @@ For a single scale the two views coincide with the full leaf set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,12 @@ def _merge_tree(times):
     n = len(t)
     if n < 2:
         raise HierarchyError(f"need at least 2 points to cluster, got {n}")
-    gaps = np.diff(t)
-    if not np.all(gaps > 0):  # also rejects NaN, which no gap order can place
+    gaps = t[1:] - t[:-1]
+    if not (gaps > 0).all():  # also rejects NaN, which no gap order can place
         raise HierarchyError("times must be strictly increasing with no duplicates")
 
     m = n - 1
-    order = np.argsort(gaps, kind="stable")  # order[k]: the gap merge k + 1 fuses
+    order = gaps.argsort(kind="stable")  # order[k]: the gap merge k + 1 fuses
     rank = np.full(n, m)  # rank[m] == rank[-1] == m: "no gap" past either end
     rank[order] = np.arange(m)
     # Nearest gap with a larger rank on each side (-1 / m when there is none),
@@ -192,7 +193,7 @@ class ScaleHierarchy:
         """
         if not 1 <= s < self.num_scales:
             raise ConfigError(f"pooling needs 1 <= s < {self.num_scales}, got {s}")
-        nxt = self.active[s].copy()  # callers may not write into the hierarchy
+        nxt = self.active[s]  # read-only: callers may not write into the hierarchy
         return nxt, np.searchsorted(self.lo[self.active[s - 1]], self.lo[nxt])
 
     def type_mixture(self, node_ids: int | np.ndarray, types: np.ndarray,
@@ -207,7 +208,7 @@ class ScaleHierarchy:
         """
         ids = np.asarray(node_ids)
         prefix = np.zeros((self.num_leaves + 1, num_types), dtype=np.int64)
-        np.cumsum(np.eye(num_types, dtype=np.int64)[types], axis=0, out=prefix[1:])
+        np.eye(num_types, dtype=np.int64)[types].cumsum(axis=0, out=prefix[1:])
         lo, end = self.lo[ids], self.hi[ids] + 1
         return (prefix[end] - prefix[lo]) / (end - lo)[..., None]
 
@@ -251,6 +252,35 @@ class ScaleHierarchy:
         return "\n".join(lines)
 
 
+# numpy's add.reduce adds fewer values than this one by one, left to right
+# from 0; from this many on it sums pairwise, with eight partial sums.
+_PAIRWISE_FROM = 8
+
+
+def _span_sums(t: np.ndarray, lo: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(t[lo[i]:end[i]])`` for every span ``i``, bit for bit.
+
+    Most spans are shorter than ``_PAIRWISE_FROM``. They become the rows of
+    one zero-padded matrix of ``_PAIRWISE_FROM - 1`` columns, and one
+    ``add.reduce`` along the rows adds each row one value after another,
+    as it would the span alone: adding 0.0 leaves a sum unchanged, and only
+    a span of zeros (never distinct times) sums to -0.0. Longer spans keep
+    one ``add.reduce`` each.
+    """
+    out = np.empty(len(lo))
+    size = end - lo
+    short = size < _PAIRWISE_FROM
+    cols = np.arange(_PAIRWISE_FROM - 1)
+    inside = cols < size[short, None]
+    leaves = np.where(inside, lo[short, None] + cols, 0)
+    out[short] = np.add.reduce(np.where(inside, t[leaves], 0.0), axis=1)
+    add = np.add.reduce
+    long = ~short
+    for i, a, b in zip(long.nonzero()[0].tolist(), lo[long].tolist(), end[long].tolist()):
+        out[i] = add(t[a:b])
+    return out
+
+
 def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> ScaleHierarchy:
     """Agglomerate and slice the merge order into scale intervals.
 
@@ -276,24 +306,36 @@ def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> 
             f"merge counts sum to {sum(merge_counts)} but there are {n - 1} steps"
         )
 
-    # Order of the merge that creates each node (0 for leaves).
-    formed = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n)])
-    # Each span's mean is the float64 sum .mean() takes (add.reduce over the
-    # slice, without numpy's wrappers, which cost more than the sum on spans
-    # this short) and the same division by the count. Prefix sums or
-    # np.add.reduceat would round differently.
-    add = np.add.reduce
-    sums = [add(t[a:b]) for a, b in zip(lo[n:].tolist(), (hi[n:] + 1).tolist())]
-    rep_time = np.concatenate([t, np.array(sums) / (hi[n:] - lo[n:] + 1)])
+    # A span's mean time is what .mean() gives: add.reduce over the span,
+    # divided by the count. _span_sums adds in add.reduce's order, so the
+    # means are bit-identical; prefix sums or np.add.reduceat would not be.
+    rep_time = np.empty(len(lo))
+    rep_time[:n] = t
+    span_end = hi[n:] + 1
+    rep_time[n:] = _span_sums(t, lo[n:], span_end) / (span_end - lo[n:])
 
-    ends = np.cumsum(merge_counts)
-    scale = np.searchsorted(ends, np.where(formed > 0, formed, consumed)) + 1
+    # Order of the merge that creates each node (0 for leaves).
+    formed = np.zeros(len(lo), dtype=np.int64)
+    formed[n:] = np.arange(1, n)
+    # A node created in interval s has scale s; a leaf takes the scale of
+    # the merge that absorbs it.
+    merge_scale = np.arange(1, len(merge_counts) + 1).repeat(merge_counts)
+    scale = np.empty(len(lo), dtype=np.int64)
+    scale[:n] = merge_scale[consumed[:n] - 1]
+    scale[n:] = merge_scale
+    ends = list(itertools.accumulate(merge_counts))
+    # The nodes alive after `start` merges partition the leaves, one node
+    # per first leaf, so taking them from the node ids sorted by first leaf
+    # puts them in time order.
+    by_lo = lo.argsort(kind="stable")
+    formed_by_lo, consumed_by_lo = formed[by_lo], consumed[by_lo]
     active, frontier_pos = [], []
-    for start, end in zip(np.concatenate([[0], ends[:-1]]), ends):
-        ids = np.flatnonzero((formed <= start) & (consumed > start))
-        ids = ids[np.argsort(lo[ids])]
+    for start, end in zip([0] + ends[:-1], ends):
+        alive = (formed_by_lo <= start) & (consumed_by_lo > start)
+        ids = by_lo[alive]
+        ids.flags.writeable = False  # returned by pool_groups without a copy
         active.append(ids)
-        frontier_pos.append(np.flatnonzero(consumed[ids] <= end))
+        frontier_pos.append((consumed_by_lo[alive] <= end).nonzero()[0])
     return ScaleHierarchy(
         t, merge_counts, left, right, distance, lo, hi, scale, rep_time, active,
         frontier_pos,

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,15 @@ class ModelConfig:
     causal: bool = False
 
     def __post_init__(self):
+        # Types first: from_dict passes values read from a checkpoint as they are.
+        for name in ("d_model", "num_heads", "num_scales", "num_types"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
+            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
+        if not isinstance(self.causal, (bool, np.bool_)):
+            raise ConfigError(f"causal must be True or False, got {self.causal!r}")
         if self.d_model <= 0 or self.d_model % 2 != 0:
             raise ConfigError(f"d_model must be positive and even, got {self.d_model}")
         if self.num_heads <= 0 or self.d_model % self.num_heads != 0:
@@ -100,9 +110,9 @@ class ModelConfig:
             raise ConfigError(f"num_types must be >= 1, got {self.num_types}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.distribution not in DISTRIBUTIONS:
+        if not isinstance(self.distribution, str) or self.distribution not in DISTRIBUTIONS:
             raise ConfigError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.pe not in PE_MODES:
+        if not isinstance(self.pe, str) or self.pe not in PE_MODES:
             raise ConfigError(f"pe must be one of {PE_MODES}")
 
     @property
@@ -239,7 +249,7 @@ def _positional(params: ModelParams, times, type_weights) -> DiffNode:
 
 def _embed(params: ModelParams, times, type_weights) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
-    weights = T.constant(np.asarray(type_weights, dtype=np.float64))
+    weights = T.constant(type_weights)
     type_part = T.matmul(weights, T.transpose(params.fcpe.type_embed))
     return T.add(type_part, _positional(params, times, type_weights))
 
@@ -278,19 +288,27 @@ def cross_scale_attention(
 
 def hierarchical_pool(
     H_active: DiffNode, hierarchy: ScaleHierarchy, s: int, params: ModelParams,
-    types: np.ndarray,
+    mixtures: np.ndarray,
 ) -> DiffNode:
     """Ascend one scale: each next-scale node is the mean of the contiguous run
     of active rows it absorbs (carried-over nodes are runs of one), then
-    concat each row with its positional context and project back to d_model."""
+    concat each row with its positional context and project back to d_model.
+
+    ``mixtures`` holds the type mixtures of ``active_nodes(s + 1)``, one row
+    per node in time order, as :meth:`ScaleHierarchy.type_mixture` gives them.
+    """
     nxt_ids, starts = hierarchy.pool_groups(s)
     if H_active.shape[0] != len(hierarchy.active[s - 1]):
         raise HierarchyError(
             f"pooling at scale {s}: got {H_active.shape[0]} rows for"
             f" {len(hierarchy.active[s - 1])} active nodes"
         )
+    if len(mixtures) != len(nxt_ids):
+        raise HierarchyError(
+            f"pooling at scale {s}: got {len(mixtures)} type mixtures for"
+            f" {len(nxt_ids)} next-scale nodes"
+        )
     pooled = T.segment_mean(H_active, starts)
-    mixtures = hierarchy.type_mixture(nxt_ids, types, params.config.num_types)
     context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
@@ -306,9 +324,19 @@ def encode(params: ModelParams, seq: EventSequence,
         raise ConfigError(
             f"sequence has {seq.num_types} types but model expects {cfg.num_types}"
         )
+    if len(seq.times) < cfg.num_scales + 1:
+        raise DataError(
+            f"a history of {len(seq.times)} events is too short for {cfg.num_scales}"
+            f" scales, which need at least {cfg.num_scales + 1}"
+        )
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
     H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types))
+    # The type mixtures of every pooled node from one call: the pool into
+    # scale s + 1 takes the next len(active_nodes(s + 1)) rows.
+    pooled = hierarchy.active[1:]
+    mixtures = (hierarchy.type_mixture(np.concatenate(pooled), seq.types, cfg.num_types)
+                if pooled else None)
     for s in range(1, S + 1):
         fpos = hierarchy.frontier_pos[s - 1]
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
@@ -321,7 +349,9 @@ def encode(params: ModelParams, seq: EventSequence,
             Hf = cross_scale_attention(T.gather_rows(H, fpos), cfg.causal, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
-            H = hierarchical_pool(H, hierarchy, s, params, seq.types)
+            k = len(pooled[s - 1])
+            H = hierarchical_pool(H, hierarchy, s, params, mixtures[:k])
+            mixtures = mixtures[k:]
     return H
 
 
@@ -397,9 +427,9 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
     w_time, w_type = params.w_time, params.w_type
     h = H_L.value
     logits = h @ w_type.value  # (1, K)
-    m = np.max(logits, axis=1, keepdims=True)
+    m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    e_sum = np.sum(e, axis=1, keepdims=True)
+    e_sum = e.sum(axis=1, keepdims=True)
     lse = m + np.log(e_sum)
     ce = lse - logits[:, [target]]
     pre = h @ w_time.value  # (1, 2)

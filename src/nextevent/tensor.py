@@ -20,6 +20,8 @@ head in ``model``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import HierarchyError, NumericsError
@@ -44,7 +46,7 @@ __all__ = [
 
 def as_tensor(data) -> np.ndarray:
     """Coerce ``data`` to a C-contiguous float64 array (row-major)."""
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+    return np.ascontiguousarray(data, dtype=np.float64)
 
 
 class DiffNode:
@@ -66,7 +68,7 @@ class DiffNode:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self._grad = np.zeros(self.value.shape)
         return self._grad
 
     @grad.setter
@@ -188,7 +190,7 @@ def concat_cols(*nodes) -> DiffNode:
         raise ValueError("concat of zero nodes")
     values = [n.value for n in nodes]
     out = DiffNode(np.concatenate(values, axis=1), parents=tuple(nodes))
-    offsets = np.cumsum([0] + [v.shape[1] for v in values])
+    offsets = list(itertools.accumulate([v.shape[1] for v in values], initial=0))
 
     def backward(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
@@ -199,19 +201,37 @@ def concat_cols(*nodes) -> DiffNode:
 
 
 def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
-    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+    # Viewed as unsigned, a negative index is larger than any bound, so one
+    # maximum checks both ends of the range.
+    if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= bound:
         raise IndexError(f"{what} index out of range [0, {bound})")
 
 
+def _distinct(idx: np.ndarray, bound: int) -> bool:
+    """Whether ``idx``, all in ``[0, bound)``, holds no repeats."""
+    seen = np.zeros(bound, dtype=bool)
+    seen[idx] = True
+    return np.count_nonzero(seen) == idx.size
+
+
 def gather_rows(a, idx) -> DiffNode:
-    """Select rows by index; repeated indices sum their gradients."""
+    """Select rows by index; repeated indices sum their gradients.
+
+    With distinct indices backward adds ``g`` by one fancy-indexed ``+=``:
+    each row then takes a single addition, as under ``np.add.at``, which
+    repeated indices still take. The check runs in backward, so a forward
+    pass never pays for it.
+    """
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
     _check_indices(idx, a.shape[0], "row")
     out = DiffNode(a.value[idx], parents=(a,))
 
     def backward(g):
-        np.add.at(a.grad, idx, g)
+        if _distinct(idx, a.shape[0]):
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
     out._backward = backward
     return out
@@ -226,7 +246,7 @@ def scatter_rows(base, idx, rows) -> DiffNode:
     base, rows = _wrap(base), _wrap(rows)
     idx = np.asarray(idx, dtype=np.int64)
     _check_indices(idx, base.shape[0], "row")
-    if len(np.unique(idx)) != len(idx):
+    if not _distinct(idx, base.shape[0]):
         raise ValueError("scatter_rows requires distinct indices")
     value = base.value.copy()
     value[idx] = rows.value
@@ -345,13 +365,13 @@ def multi_head_attention(xq, x, w_qkv, w_out, causal: bool, scale: float) -> Dif
         if causal:
             b = rows.stop - rows.start
             np.copyto(p[:, :, rows], -np.inf, where=_CAUSAL_FILL[:b, :b])
-        p -= np.max(p, axis=2, keepdims=True)
+        p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        p /= np.sum(p, axis=2, keepdims=True)
+        p /= p.sum(axis=2, keepdims=True)
         np.matmul(p, v[hs, keys], out=o[hs, rows])
         probs.append(p)
     # concat_cols of the heads' outputs
-    a = as_tensor(o.transpose(1, 0, 2).reshape(n, nh * dk))
+    a = o.transpose(1, 0, 2).reshape(n, nh * dk)  # C-ordered
     out = DiffNode(a @ w_out.value + xq.value, parents=(xq, x, w_qkv, w_out))
 
     def backward(g):
@@ -367,7 +387,7 @@ def multi_head_attention(xq, x, w_qkv, w_out, causal: bool, scale: float) -> Dif
         for (hs, rows, keys), p in zip(tiles, probs):
             gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, rows])
             ds = np.matmul(go[hs, rows], v[hs, keys].transpose(0, 2, 1))
-            ds -= np.sum(ds * p, axis=2, keepdims=True)
+            ds -= (ds * p).sum(axis=2, keepdims=True)
             ds *= p
             ds *= c
             np.matmul(ds, kt[hs, :, keys].transpose(0, 2, 1), out=gq[hs, rows])
@@ -392,28 +412,40 @@ def segment_mean(a, starts) -> DiffNode:
     ``starts[g]:starts[g + 1]`` (the last segment runs to the end).
 
     The segments partition the rows in order, so ``starts`` must begin at 0,
-    strictly increase and stay below the row count. Forward adds each
-    segment's rows in order, as ``np.mean`` does, and divides by the count;
-    backward hands each member 1/count of its output row's gradient.
+    strictly increase and stay below the row count. Backward hands each
+    member 1/count of its output row's gradient.
+
+    Exactness: forward sums every segment with one ``np.bincount`` over
+    flattened (segment, column) indices, then divides by the count.
+    bincount adds its weights in input order starting from 0, so each entry
+    is the row-by-row sum in order, as ``np.add.at`` forms it and as
+    ``np.mean(run, axis=0)`` does for input of two or more dimensions.
+    (``np.add.reduceat`` adds in another order, and ``np.mean`` of a 1-D run
+    of 8 or more values sums pairwise, so both round differently.)
     """
     a = _wrap(a)
     starts = np.asarray(starts, dtype=np.int64)
     n = a.shape[0]
     if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
         raise HierarchyError("segment_mean: starts must be a 1-D array beginning at 0")
-    if np.any(np.diff(starts) <= 0):
+    k = starts.size
+    counts = np.empty(k, dtype=np.int64)
+    counts[:-1] = starts[1:] - starts[:-1]
+    if k > 1 and np.minimum.reduce(counts[:-1]) <= 0:
         raise HierarchyError("segment_mean: empty segment (starts must strictly increase)")
     if starts[-1] >= n:
         raise HierarchyError(f"segment_mean: start {starts[-1]} out of range [0, {n})")
-    counts = np.diff(starts, append=n)
-    sums = np.zeros((len(starts),) + a.shape[1:])
-    # np.add.reduceat sums in another order and rounds unlike np.mean.
-    np.add.at(sums, np.repeat(np.arange(len(starts)), counts), a.value)
+    counts[-1] = n - starts[-1]
+    rows = a.value.reshape(n, -1)
+    c = rows.shape[1]
+    # The output cell each input entry adds into, in input order.
+    cells = np.arange(k * c).reshape(k, c).repeat(counts, axis=0).ravel()
+    sums = np.bincount(cells, weights=rows.ravel(), minlength=k * c)
     per_row = counts.reshape((-1,) + (1,) * (a.value.ndim - 1))
-    out = DiffNode(sums / per_row, parents=(a,))
+    out = DiffNode(sums.reshape((k,) + a.shape[1:]) / per_row, parents=(a,))
 
     def backward(g):
-        a.grad += np.repeat(g / per_row, counts, axis=0)
+        a.grad += (g / per_row).repeat(counts, axis=0)
 
     out._backward = backward
     return out

@@ -102,12 +102,20 @@ class TestAgglomerate:
             seq.times[start : start + L]
             for seq, L, start in itertools.product(multiscale + hawkes, (64, 256, 512), (0, 17))
         ] + [np.cumsum(rng.integers(1, 4, size=L)).astype(float) for L in (64, 256, 512)]
+        sizes = set()
         for t in windows:
             fast = single_linkage(t)
             assert fast == heap_single_linkage(t)
             h = build_hierarchy(t, num_scales=4)
             for i in range(len(h.lo)):
                 assert h.rep_time[i] == t[h.lo[i] : h.hi[i] + 1].mean()
+            sizes.update((h.hi - h.lo + 1).tolist())
+        # Spans of fewer than 8 leaves are summed in padded rows, longer ones
+        # by numpy's pairwise add.reduce: in blocks of 8 up to 128 leaves,
+        # recursively in halves beyond. All three kinds occur here.
+        assert sizes & set(range(1, 8))
+        assert sizes & set(range(8, 129))
+        assert max(sizes) > 128
 
 
 class TestDefaultMergeCounts:

@@ -9,7 +9,9 @@ import pytest
 from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.errors import ConfigError, DataError, NumericsError
-from nextevent.events import NormStats, generate_multiscale, make_examples, normalize_times
+from nextevent.events import (
+    EventSequence, NormStats, generate_multiscale, make_examples, normalize_times,
+)
 from oracles import dense_masked_attention
 
 
@@ -121,6 +123,25 @@ def test_config_from_dict_rejects_unknown_keys():
         M.ModelConfig.from_dict({**d, "attention": "dense"})
     with pytest.raises(ConfigError, match="unknown config keys.*'layer_norm'"):
         M.ModelConfig.from_dict({**d, "layer_norm": False})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_model", "8"), ("d_model", 8.0), ("num_heads", 2.0), ("num_scales", True),
+    ("num_types", None), ("alpha", None), ("alpha", "0.5"), ("alpha", False),
+    ("causal", "yes"), ("causal", 1), ("distribution", ["weibull"]), ("pe", 0),
+])
+def test_config_rejects_wrongly_typed_fields(field, value):
+    d = M.ModelConfig(d_model=8, num_heads=2).to_dict()
+    with pytest.raises(ConfigError, match=field):
+        M.ModelConfig.from_dict({**d, field: value})
+
+
+def test_encode_rejects_a_history_shorter_than_the_scales_need():
+    params = M.init_model_params(_config(False), seed=0)
+    history = _example().history
+    with pytest.raises(DataError, match="4 events .* 4 scales.* at least 5"):
+        M.encode(params, EventSequence(history.times[:4], history.types[:4], 4))
+    M.encode(params, EventSequence(history.times[:5], history.types[:5], 4))
 
 
 def test_hierarchy_for_rejects_more_scales_than_merges():

@@ -103,7 +103,8 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     for s in range(1, h.num_scales):
         active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
         H = rng.normal(size=(len(active), config.d_model))
-        got = M.hierarchical_pool(T.constant(H), h, s, params, seq.types).value
+        got = M.hierarchical_pool(
+            T.constant(H), h, s, params, h.type_mixture(nxt, seq.types, 3)).value
         pooled, mixtures = [], []
         for node_id in nxt:
             members = nodes[node_id]["members"]

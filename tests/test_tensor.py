@@ -106,6 +106,31 @@ class TestForwardValues:
             expected = np.stack([run.mean(axis=0) for run in np.split(x, cuts)])
             assert np.array_equal(T.segment_mean(T.constant(x), starts).value, expected)
 
+    def test_segment_mean_of_3d_rows_equals_the_mean_of_each_run(self):
+        rng = np.random.default_rng(22)
+        for n in (1, 9, 40, 300):
+            x = rng.normal(size=(n, 2, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1, 1))
+            cuts = np.flatnonzero(rng.random(n - 1) < rng.choice([0.05, 0.3, 0.9])) + 1
+            expected = np.stack([run.mean(axis=0) for run in np.split(x, cuts)])
+            out = T.segment_mean(T.constant(x), np.concatenate([[0], cuts]))
+            np.testing.assert_array_equal(out.value, expected)
+
+    def test_segment_mean_of_1d_rows_adds_them_in_order(self):
+        # A 1-D run's np.mean sums pairwise from 8 values on; segment_mean
+        # adds one value after another from 0, as it does rows, so the two
+        # agree on runs of up to 7 values, and on longer runs the oracle is
+        # that left-to-right sum.
+        rng = np.random.default_rng(23)
+        for n in (1, 7, 40, 300):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            cuts = np.flatnonzero(rng.random(n - 1) < rng.choice([0.05, 0.3, 0.9])) + 1
+            runs = np.split(x, cuts)
+            in_order = [sum(run.tolist(), 0.0) / len(run) for run in runs]
+            out = T.segment_mean(T.constant(x), np.concatenate([[0], cuts]))
+            np.testing.assert_array_equal(out.value, in_order)
+            short = [i for i, run in enumerate(runs) if len(run) < 8]
+            np.testing.assert_array_equal(out.value[short], [runs[i].mean() for i in short])
+
     @pytest.mark.parametrize("starts, match", [
         ([[0, 2]], "1-D"),
         ([], "1-D"),
@@ -133,8 +158,17 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.value[[0, 2]], 0.0)
 
     def test_scatter_rows_rejects_repeats(self):
-        with pytest.raises(ValueError, match="distinct"):
-            T.scatter_rows(T.constant(np.zeros((3, 1))), [1, 1], T.constant(np.zeros((2, 1))))
+        for idx in ([1, 1], [2, 0, 2]):  # adjacent and apart
+            with pytest.raises(ValueError, match="distinct"):
+                T.scatter_rows(T.constant(np.zeros((3, 1))), idx, T.constant(np.zeros((len(idx), 1))))
+
+    @pytest.mark.parametrize("idx", [[3], [-1], [0, 5]])
+    def test_gather_and_scatter_reject_out_of_range_rows(self, idx):
+        x = T.constant(np.zeros((3, 2)))
+        with pytest.raises(IndexError, match="out of range"):
+            T.gather_rows(x, idx)
+        with pytest.raises(IndexError, match="out of range"):
+            T.scatter_rows(x, idx, T.constant(np.zeros((len(idx), 2))))
 
 
 class TestBackwardRules:
@@ -174,6 +208,18 @@ class TestBackwardRules:
         np.testing.assert_allclose(node.grad[2], 1.0)
         np.testing.assert_allclose(node.grad[0], 0.0)
         assert_grad_matches(lambda a: T.gather_rows(a, [1, 1, 2]), [x])
+
+    def test_gather_grad_of_distinct_rows_equals_add_at(self):
+        rng = np.random.default_rng(24)
+        for rows, cols in ((5, 3), (64, 32)):
+            idx = rng.permutation(rows)[: rows // 2 + 1]
+            g = rng.normal(size=(len(idx), cols)) * 10.0 ** rng.integers(-3, 4, size=(len(idx), 1))
+            node = T.parameter(rng.normal(size=(rows, cols)))
+            node.grad = rng.normal(size=(rows, cols))  # gradient from other consumers
+            expected = node.grad.copy()
+            np.add.at(expected, idx, g)
+            T.gather_rows(node, idx)._backward(g)
+            np.testing.assert_array_equal(node.grad, expected)
 
     def test_gather_cols_grad(self):
         assert_grad_matches(lambda a: O.gather_cols(a, [0, 2, 2]), [self.rand(3, 4, seed=7)])
