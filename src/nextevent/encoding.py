@@ -17,7 +17,8 @@ of type weights that sums to one. Feed post-normalization times so the
 initial frequencies land in a sensible range.
 
 :func:`fcpe_matrix` is one graph node per call, with a hand-written backward
-to the frequencies and the amplitude map.
+to the frequencies and the amplitude map; :func:`fcpe_trig` gives its cos
+and sin, which the model computes once per window for every node.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "FcpeParams",
     "init_fcpe_params",
     "initial_frequencies",
+    "fcpe_trig",
     "fcpe_matrix",
     "onehot_matrix",
 ]
@@ -85,10 +87,24 @@ def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> Fcpe
     return FcpeParams(dim, num_types, freqs, density_map, type_embed)
 
 
-def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
+def fcpe_trig(params: FcpeParams, times) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phases ``w_k t`` of times (n,): two (n, d/2) arrays,
+    the numbers :func:`fcpe_matrix` computes them as."""
+    # (n, d/2); a column's transpose is C-ordered
+    phases = T.as_tensor(times).reshape(-1, 1) @ params.freqs.value.T
+    return np.cos(phases), np.sin(phases)
+
+
+def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
     """Encodings for a batch: times (n,), type_weights (n, K) rows of one-hots
     or mixture weights. Returns (n, d) with ``mu^k cos(w_k t)`` in column 2k
     and ``mu^k sin(w_k t)`` in column 2k + 1.
+
+    ``trig`` is ``fcpe_trig(params, times)``, for a caller that has it
+    already: the model takes it from one table per window, because a node
+    carried over to a later scale is encoded again there. Each phase is one
+    product and cos and sin work element by element, so a row is the same
+    number whichever call computes it.
 
     One node whose backward goes to ``freqs`` and ``density_map``. Forward
     and backward run the operations of the matmul, cos/sin, product and
@@ -98,9 +114,8 @@ def fcpe_matrix(params: FcpeParams, times, type_weights) -> DiffNode:
     freqs, density_map = params.freqs, params.density_map
     t = T.as_tensor(times).reshape(-1, 1)
     w = T.as_tensor(type_weights)
-    phases = t @ freqs.value.T  # (n, d/2); a column's transpose is C-ordered
+    c, s = fcpe_trig(params, t) if trig is None else trig
     mu = w @ T.as_tensor(density_map.value.T)  # (n, d/2)
-    c, s = np.cos(phases), np.sin(phases)
     out = np.empty((len(t), params.dim))
     np.multiply(mu, c, out=out[:, 0::2])
     np.multiply(mu, s, out=out[:, 1::2])

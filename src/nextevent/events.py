@@ -8,6 +8,11 @@ of the mean gap (with a warning) because exact ties would make the
 clustering hierarchy order-dependent. Normalization shifts every sequence to
 start at zero and may divide by one global mean gap; it keeps no state per
 sequence, so sequences that share an id are normalized independently.
+
+Windows are read-only views: :func:`make_examples` checks a sequence once,
+however many windows it gives, and each window's history is a slice that
+shares the sequence's storage, so window memory grows with the number of
+windows N, not with N times the window length.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,13 @@ __all__ = [
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
-    integer types in [0, num_types)."""
+    integer types in [0, num_types).
+
+    Construction checks the whole sequence. The histories that
+    :func:`make_examples` cuts from a sequence skip these checks, which a
+    contiguous slice of a checked sequence passes by construction; they are
+    read-only views of the sequence's arrays.
+    """
 
     times: np.ndarray
     types: np.ndarray
@@ -64,6 +76,8 @@ class EventSequence:
             bad = int(np.argmax(gaps <= 0))
             kind = "tied time" if gaps[bad] == 0 else "time regression"
             raise DataError(f"sequence {self.seq_id!r}: {kind} at event {bad + 1}")
+        if isinstance(self.num_types, bool) or not isinstance(self.num_types, Integral):
+            raise DataError(f"num_types must be an integer, got {self.num_types!r}")
         if self.num_types <= 0:
             raise DataError("num_types must be positive")
         if self.types.size and (self.types.min() < 0 or self.types.max() >= self.num_types):
@@ -394,19 +408,43 @@ def generate_multiscale(
 
 
 def make_examples(seq: EventSequence, window: int) -> list[PredictionExample]:
-    """Sliding windows: history = events [i-window, i), target = event i."""
+    """Sliding windows: history = events [i-window, i), target = event i.
+
+    The sequence is checked once, with the same :class:`DataError` as its
+    constructor, because its arrays may have been edited in place since. Each
+    history is then a read-only view of the sequence's times and types, so
+    the windows share its storage and hold no copies: their memory grows with
+    the number of windows N, not with N times ``window``. Editing the
+    sequence's arrays afterwards changes its windows too.
+    """
     if window < 2:
         raise ConfigError(f"window must be >= 2, got {window}")
-    out = []
-    for i in range(window, len(seq)):
-        history = EventSequence(
-            seq.times[i - window : i].copy(),
-            seq.types[i - window : i].copy(),
-            seq.num_types,
-            seq_id=f"{seq.seq_id}[{i - window}:{i}]",
-        )
-        out.append(PredictionExample(history, float(seq.times[i]), int(seq.types[i])))
-    return out
+    seq = EventSequence(seq.times, seq.types, seq.num_types, seq.seq_id)
+    times, types = seq.times.view(), seq.types.view()
+    times.flags.writeable = types.flags.writeable = False
+    targets = zip(times.tolist()[window:], types.tolist()[window:])
+    return [_window(seq, times, types, i - window, i, t, k)
+            for i, (t, k) in enumerate(targets, start=window)]
+
+
+def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int, hi: int,
+            target_time: float, target_type: int) -> PredictionExample:
+    """The example whose history is events ``[lo, hi)`` of ``seq`` and whose
+    target is event ``hi``, built without the checks of either dataclass;
+    ``times`` and ``types`` are read-only views of ``seq``'s arrays.
+
+    ``seq`` has just passed those checks, and the window inherits all of
+    them: a contiguous slice of finite, strictly increasing times is finite
+    and strictly increasing, its types lie in the same range, it holds
+    ``hi - lo >= 2`` events, and the target follows the last of them. Running
+    them again for every window would cost more than building it.
+    """
+    history = object.__new__(EventSequence)
+    history.times, history.types = times[lo:hi], types[lo:hi]
+    history.num_types, history.seq_id = seq.num_types, f"{seq.seq_id}[{lo}:{hi}]"
+    example = object.__new__(PredictionExample)
+    example.history, example.target_time, example.target_type = history, target_time, target_type
+    return example
 
 
 NORM_MODES = ("shift_to_zero", "shift_and_scale")

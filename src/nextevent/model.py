@@ -18,7 +18,9 @@ Forward pass per history window:
    so each next node is the mean of the contiguous run of rows it absorbs
    (a carried-over node is a run of one);
    each pooled row is concatenated with its node's positional context (one
-   more ``fcpe_matrix`` node per scale) and projected back to ``d_model``,
+   more ``fcpe_matrix`` node per scale) and projected back to ``d_model``;
+   the cos and sin of every node's phases come from one table per window,
+   so a node carried over to later scales does not compute them again,
 3. one more :func:`tensor.multi_head_attention` node at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
@@ -43,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .encoding import FcpeParams, fcpe_matrix, init_fcpe_params, onehot_matrix
+from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params, onehot_matrix
 from .errors import ConfigError, DataError, HierarchyError, NumericsError
 from .events import EventSequence, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy
@@ -240,18 +242,19 @@ def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     return build_hierarchy(times, num_scales=config.num_scales)
 
 
-def _positional(params: ModelParams, times, type_weights) -> DiffNode:
+def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
     """Positional encodings (n, d); a constant under ``pe="base"``, whose
-    frequencies and amplitudes are frozen, so backward skips them."""
-    pos = fcpe_matrix(params.fcpe, times, type_weights)
+    frequencies and amplitudes are frozen, so backward skips them. ``trig``
+    is as :func:`encoding.fcpe_matrix` takes it."""
+    pos = fcpe_matrix(params.fcpe, times, type_weights, trig)
     return T.constant(pos.value) if params.config.pe == "base" else pos
 
 
-def _embed(params: ModelParams, times, type_weights) -> DiffNode:
+def _embed(params: ModelParams, times, type_weights, trig=None) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
     weights = T.constant(type_weights)
     type_part = T.matmul(weights, T.transpose(params.fcpe.type_embed))
-    return T.add(type_part, _positional(params, times, type_weights))
+    return T.add(type_part, _positional(params, times, type_weights, trig))
 
 
 def _attend(Hq: DiffNode, H: DiffNode, causal: bool,
@@ -288,14 +291,16 @@ def cross_scale_attention(
 
 def hierarchical_pool(
     H_active: DiffNode, hierarchy: ScaleHierarchy, s: int, params: ModelParams,
-    mixtures: np.ndarray,
+    mixtures: np.ndarray, trig=None,
 ) -> DiffNode:
     """Ascend one scale: each next-scale node is the mean of the contiguous run
     of active rows it absorbs (carried-over nodes are runs of one), then
     concat each row with its positional context and project back to d_model.
 
     ``mixtures`` holds the type mixtures of ``active_nodes(s + 1)``, one row
-    per node in time order, as :meth:`ScaleHierarchy.type_mixture` gives them.
+    per node in time order, as :meth:`ScaleHierarchy.type_mixture` gives them;
+    ``trig``, if given, holds the cos and sin of their phases, as
+    :func:`encoding.fcpe_trig` gives them.
     """
     nxt_ids, starts = hierarchy.pool_groups(s)
     if H_active.shape[0] != len(hierarchy.active[s - 1]):
@@ -309,7 +314,7 @@ def hierarchical_pool(
             f" {len(nxt_ids)} next-scale nodes"
         )
     pooled = T.segment_mean(H_active, starts)
-    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures)
+    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures, trig)
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -331,11 +336,25 @@ def encode(params: ModelParams, seq: EventSequence,
         )
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
-    H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types))
+    n = len(seq.times)
+    pooled = hierarchy.active[1:]
+    pooled_ids = np.concatenate(pooled) if pooled else np.empty(0, dtype=np.int64)
+    # cos and sin once for every distinct node: the leaves, then the pooled
+    # nodes that are not leaves, by id. A node carried over to later scales
+    # is encoded at each of them; node i's phases are row rows[i] of the table.
+    distinct = np.zeros(len(hierarchy.rep_time), dtype=bool)
+    distinct[:n] = True
+    distinct[pooled_ids] = True
+    rows = np.cumsum(distinct) - 1
+    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time[distinct])
+    # Each node keeps its rows until backward. The leaves take copies, not
+    # views, so the table is freed when encode returns and a step's peak
+    # memory does not grow.
+    leaf_trig = cos[:n].copy(), sin[:n].copy()
+    H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types), leaf_trig)
     # The type mixtures of every pooled node from one call: the pool into
     # scale s + 1 takes the next len(active_nodes(s + 1)) rows.
-    pooled = hierarchy.active[1:]
-    mixtures = (hierarchy.type_mixture(np.concatenate(pooled), seq.types, cfg.num_types)
+    mixtures = (hierarchy.type_mixture(pooled_ids, seq.types, cfg.num_types)
                 if pooled else None)
     for s in range(1, S + 1):
         fpos = hierarchy.frontier_pos[s - 1]
@@ -349,8 +368,8 @@ def encode(params: ModelParams, seq: EventSequence,
             Hf = cross_scale_attention(T.gather_rows(H, fpos), cfg.causal, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
-            k = len(pooled[s - 1])
-            H = hierarchical_pool(H, hierarchy, s, params, mixtures[:k])
+            k, r = len(pooled[s - 1]), rows[pooled[s - 1]]
+            H = hierarchical_pool(H, hierarchy, s, params, mixtures[:k], (cos[r], sin[r]))
             mixtures = mixtures[k:]
     return H
 

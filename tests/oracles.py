@@ -3,9 +3,10 @@
 These deliberately avoid the production code paths: brute-force O(n^3)
 single linkage over explicit member sets, heap-driven single linkage over
 adjacent gaps (fast enough for benchmark-sized windows), dense masked
-attention in plain numpy, quadrature for distribution moments, and the
+attention in plain numpy, quadrature for distribution moments, the
 node-by-node chains that the fused FCPE and decoder-head nodes replace,
-built from the small autodiff ops below.
+built from the small autodiff ops below, and sliding windows built as
+checked copies.
 """
 
 import heapq
@@ -15,7 +16,8 @@ import numpy as np
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.errors import DataError, NumericsError
+from nextevent.errors import ConfigError, DataError, NumericsError
+from nextevent.events import EventSequence, PredictionExample
 from nextevent.tensor import DiffNode
 
 
@@ -286,10 +288,11 @@ def logsumexp(a, axis=-1):
 # ---------------------------------------------------------------------------
 
 
-def fcpe_chain(params, times, type_weights):
+def fcpe_chain(params, times, type_weights, trig=None):
     """``encoding.fcpe_matrix`` as 12 nodes: phases and amplitudes as
     matmuls, cos/sin, the two products, then the interleave as a column
-    gather of their concatenation."""
+    gather of their concatenation. ``trig`` is ignored: the chain computes
+    its own cos and sin."""
     half = params.dim // 2
     interleave = np.empty(params.dim, dtype=np.int64)
     interleave[0::2] = np.arange(half)
@@ -336,3 +339,25 @@ def decode_chain(params, H_L, target, gap):
         lam=lam.value.item(),
         gamma=gamma.value.item(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sliding windows as copies
+# ---------------------------------------------------------------------------
+
+
+def copied_examples(seq, window):
+    """``events.make_examples`` as one checked copy per window: every history
+    is a fresh ``EventSequence`` and every example runs its own checks."""
+    if window < 2:
+        raise ConfigError(f"window must be >= 2, got {window}")
+    out = []
+    for i in range(window, len(seq)):
+        history = EventSequence(
+            seq.times[i - window : i].copy(),
+            seq.types[i - window : i].copy(),
+            seq.num_types,
+            seq_id=f"{seq.seq_id}[{i - window}:{i}]",
+        )
+        out.append(PredictionExample(history, float(seq.times[i]), int(seq.types[i])))
+    return out

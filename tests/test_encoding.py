@@ -13,6 +13,7 @@ from nextevent.encoding import (
     onehot_matrix,
 )
 from nextevent.errors import ConfigError
+from gradcheck import check_gradients
 import oracles as O
 
 
@@ -62,7 +63,7 @@ class TestDensity:
             enc = fcpe_matrix(params, [0.0, 1.7], onehot_matrix([1, 0], 2))
             return O.sum_all(O.mul(enc, enc))
 
-        report = T.check_gradients(f, {"W_mu": params.density_map})
+        report = check_gradients(f, {"W_mu": params.density_map})
         assert report.max_rel_error < 1e-4
 
 
@@ -125,7 +126,7 @@ class TestFcpe:
             enc = fcpe_matrix(params, [0.3, 1.7, 4.1], onehot_matrix([1, 0, 1], 2))
             return O.sum_all(O.mul(enc, enc))
 
-        report = T.check_gradients(f, {"freqs": params.freqs})
+        report = check_gradients(f, {"freqs": params.freqs})
         assert report.max_rel_error < 1e-4
 
     def test_phase_gradient_is_exact(self):
@@ -180,7 +181,7 @@ class TestEmbedEvent:
             emb = M._embed(model, [0.8, 1.9], onehot_matrix([1, 0], 2))
             return O.sum_all(O.mul(emb, emb))
 
-        report = T.check_gradients(f, model.fcpe.named())
+        report = check_gradients(f, model.fcpe.named())
         assert report.max_rel_error < 1e-4
 
     def test_dim_must_be_even(self):

@@ -17,6 +17,8 @@ from nextevent.events import (
     save_sequences,
 )
 from nextevent.hierarchy import build_hierarchy
+import oracles as O
+from conftest import nine_point_layout
 
 
 class TestEventSequence:
@@ -37,6 +39,14 @@ class TestEventSequence:
         # NaN compares false, so the order check alone lets it through.
         with pytest.raises(DataError, match="non-finite time at event 1"):
             EventSequence(np.array([0.0, bad, 2.0]), np.array([0, 0, 0]), 1)
+
+    @pytest.mark.parametrize("bad", ["3", 2.5, True, None])
+    def test_rejects_num_types_that_is_not_an_integer(self, bad):
+        with pytest.raises(DataError, match=rf"num_types must be an integer, got {bad!r}"):
+            EventSequence([0.0, 1.0], [0, 1], bad)
+
+    def test_accepts_a_numpy_integer_num_types(self):
+        assert EventSequence([0.0, 1.0], [0, 1], np.int64(2)).num_types == 2
 
     def test_example_requires_future_target(self):
         seq = EventSequence([0.0, 1.0], [0, 0], 1)
@@ -261,6 +271,42 @@ class TestMakeExamples:
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ConfigError):
             make_examples(self.seq(5), 1)
+
+    @pytest.mark.parametrize("make, window", [
+        (lambda: generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0], 8),
+        (lambda: generate_multiscale(1, 5.0, 4, 20.0, 3, seed=4, num_bursts=6)[0], 8),
+        (lambda: EventSequence(nine_point_layout(), [2, 0, 1, 1, 0, 2, 2, 1, 0], 3, "h"), 2),
+    ], ids=["hawkes", "multiscale", "hand-made"])
+    def test_windows_equal_the_copying_oracle(self, make, window):
+        seq = make()
+        got, want = make_examples(seq, window), O.copied_examples(seq, window)
+        assert len(got) == len(want) == len(seq) - window > 0
+        for ex, ref in zip(got, want):
+            np.testing.assert_array_equal(ex.history.times, ref.history.times)
+            np.testing.assert_array_equal(ex.history.types, ref.history.types)
+            assert ex.history.num_types == ref.history.num_types
+            assert ex.history.seq_id == ref.history.seq_id
+            assert type(ex.target_time) is float and ex.target_time == ref.target_time
+            assert type(ex.target_type) is int and ex.target_type == ref.target_type
+
+    def test_windows_are_read_only_views_of_the_sequence(self):
+        seq = generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0]
+        for ex in make_examples(seq, 8):
+            h = ex.history
+            assert np.shares_memory(h.times, seq.times)
+            assert np.shares_memory(h.types, seq.types)
+            with pytest.raises(ValueError, match="read-only"):
+                h.times[0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                h.types[0] = 0
+            EventSequence(h.times, h.types, h.num_types, h.seq_id)  # passes every check
+        assert seq.times.flags.writeable and seq.types.flags.writeable
+
+    def test_a_sequence_edited_in_place_is_checked_again(self):
+        seq = EventSequence(np.arange(10.0), np.zeros(10, dtype=int), 1, seq_id="s")
+        seq.times[6] = seq.times[5]
+        with pytest.raises(DataError, match="'s': tied time at event 6"):
+            make_examples(seq, 4)
 
 
 class TestNormalization:

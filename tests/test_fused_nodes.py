@@ -51,22 +51,22 @@ def test_fcpe_node_rounds_like_its_chain(monkeypatch, name):
     params, example = _setup(name)
     calls = []
 
-    def recording(fcpe, times, type_weights):
-        calls.append((times, type_weights))
-        return fcpe_matrix(fcpe, times, type_weights)
+    def recording(fcpe, times, type_weights, trig):
+        calls.append((times, type_weights, trig))
+        return fcpe_matrix(fcpe, times, type_weights, trig)
 
     monkeypatch.setattr(M, "fcpe_matrix", recording)
     M.forward(params, example)
     assert len(calls) == params.config.num_scales
     fcpe = params.fcpe
     rng = np.random.default_rng(0)
-    for times, weights in calls:
+    for times, weights, trig in calls:
         results = []
         upstream = rng.normal(size=(len(times), fcpe.dim))
         for build in (fcpe_matrix, O.fcpe_chain):
             fcpe.freqs.zero_grad()
             fcpe.density_map.zero_grad()
-            out = build(fcpe, times, weights)
+            out = build(fcpe, times, weights, trig)
             O.sum_all(O.mul(out, T.constant(upstream))).backward()
             results.append([out.value, fcpe.freqs.grad.copy(), fcpe.density_map.grad.copy()])
         for fused, chained in zip(*results):

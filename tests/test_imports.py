@@ -65,10 +65,9 @@ def _tensor_names_used(tree: ast.AST) -> set[str]:
 
 
 def test_every_tensor_export_is_used_by_the_package():
-    # Only the test helpers may be exported without a caller in the package.
     used = set()
     for path in SOURCES:
         if path.name != "tensor.py":
             used |= _tensor_names_used(ast.parse(path.read_text(), filename=str(path)))
-    unused = set(tensor.__all__) - used - {"check_gradients", "GradCheckReport"}
+    unused = set(tensor.__all__) - used
     assert not unused, f"tensor.__all__ names nothing in the package uses: {sorted(unused)}"

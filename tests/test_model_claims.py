@@ -11,6 +11,7 @@ from nextevent import tensor as T
 from nextevent.encoding import onehot_matrix
 from nextevent.errors import NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
+from gradcheck import check_gradients
 from oracles import weibull_mean_by_quadrature
 
 
@@ -126,7 +127,7 @@ def test_loss_gradients_match_finite_differences(extra):
     params = M.init_model_params(config, seed=1)
     # 36 entries per leaf, so each scale's W_QKV (2 heads x Q, K, V) gets six
     # checks per projection matrix on average.
-    report = T.check_gradients(
+    report = check_gradients(
         lambda _: M.loss(params, example), params.named_parameters(), max_entries=36
     )
     assert report.max_rel_error < 1e-4
