@@ -4,7 +4,11 @@ A timestamp is mapped to interleaved ``[mu^k cos(w_k t), mu^k sin(w_k t)]``
 pairs, ``k = 0 .. d/2 - 1``. The frequencies ``w_k`` are learnable,
 initialized to ``2*pi*k / (d/2)`` (so pair 0 is a DC component that acts as
 a learnable bias), and the amplitude vector ``mu`` is a learned linear map
-of the event-type one-hot. The induced dot-product kernel
+of the event-type one-hot. Each leaf is stored as the forward multiplies by
+it: ``freqs`` (1, d/2), ``density_map`` (K, d/2) and ``type_embed`` (K, d),
+so phases are ``t @ freqs``, amplitudes ``w @ density_map`` and type rows
+``w @ type_embed`` for a (n, K) matrix ``w`` of type weights. The induced
+dot-product kernel
 
     P(t_a) . P(t_b) = sum_k mu_a^k mu_b^k cos(w_k (t_a - t_b))
 
@@ -35,12 +39,12 @@ __all__ = [
     "initial_frequencies",
     "fcpe_trig",
     "fcpe_matrix",
-    "onehot_matrix",
 ]
 
 
 class FcpeParams:
-    """Learnable pieces of the encoding: frequencies, amplitude map, type embedding."""
+    """Learnable pieces of the encoding, stored as the forward multiplies by
+    them: frequencies (1, d/2), amplitude map (K, d/2), type embedding (K, d)."""
 
     def __init__(self, dim: int, num_types: int, freqs: DiffNode, density_map: DiffNode,
                  type_embed: DiffNode):
@@ -48,20 +52,15 @@ class FcpeParams:
             raise ConfigError(f"encoding dim must be a positive even integer, got {dim}")
         self.dim = dim
         self.num_types = num_types
-        self.freqs = freqs  # (d/2, 1)
-        self.density_map = density_map  # (d/2, K)
-        self.type_embed = type_embed  # (d, K)
+        self.freqs = freqs
+        self.density_map = density_map
+        self.type_embed = type_embed
         half = dim // 2
-        if freqs.shape != (half, 1):
-            raise ConfigError(f"freqs must have shape ({half}, 1), got {freqs.shape}")
-        if density_map.shape != (half, num_types):
-            raise ConfigError(
-                f"density_map must have shape ({half}, {num_types}), got {density_map.shape}"
-            )
-        if type_embed.shape != (dim, num_types):
-            raise ConfigError(
-                f"type_embed must have shape ({dim}, {num_types}), got {type_embed.shape}"
-            )
+        for name, node, shape in (("freqs", freqs, (1, half)),
+                                  ("density_map", density_map, (num_types, half)),
+                                  ("type_embed", type_embed, (num_types, dim))):
+            if node.shape != shape:
+                raise ConfigError(f"{name} must have shape {shape}, got {node.shape}")
 
     def named(self) -> dict[str, DiffNode]:
         return {
@@ -73,25 +72,26 @@ class FcpeParams:
 
 def initial_frequencies(dim: int) -> np.ndarray:
     half = dim // 2
-    return (2.0 * np.pi * np.arange(half) / half).reshape(half, 1)
+    return (2.0 * np.pi * np.arange(half) / half).reshape(1, half)
 
 
 def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> FcpeParams:
-    """Fresh parameters: DFT-grid frequencies, small random maps."""
+    """Fresh parameters: DFT-grid frequencies, small random maps. The maps
+    are drawn as (d/2, K) and (d, K) and stored transposed, so a seed gives
+    the values it always has."""
     if dim % 2 != 0 or dim <= 0:
         raise ConfigError(f"encoding dim must be a positive even integer, got {dim}")
     half = dim // 2
     freqs = T.parameter(initial_frequencies(dim))
-    density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, num_types)))
-    type_embed = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, num_types)))
+    density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, num_types)).T)
+    type_embed = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, num_types)).T)
     return FcpeParams(dim, num_types, freqs, density_map, type_embed)
 
 
 def fcpe_trig(params: FcpeParams, times) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of the phases ``w_k t`` of times (n,): two (n, d/2) arrays,
     the numbers :func:`fcpe_matrix` computes them as."""
-    # (n, d/2); a column's transpose is C-ordered
-    phases = T.as_tensor(times).reshape(-1, 1) @ params.freqs.value.T
+    phases = T.as_tensor(times).reshape(-1, 1) @ params.freqs.value  # (n, d/2)
     return np.cos(phases), np.sin(phases)
 
 
@@ -115,7 +115,7 @@ def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
     t = T.as_tensor(times).reshape(-1, 1)
     w = T.as_tensor(type_weights)
     c, s = fcpe_trig(params, t) if trig is None else trig
-    mu = w @ T.as_tensor(density_map.value.T)  # (n, d/2)
+    mu = w @ density_map.value  # (n, d/2)
     out = np.empty((len(t), params.dim))
     np.multiply(mu, c, out=out[:, 0::2])
     np.multiply(mu, s, out=out[:, 1::2])
@@ -124,14 +124,7 @@ def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
         gc, gs = g[:, 0::2], g[:, 1::2]
         g_mu = gc * c + gs * s
         g_phases = (gs * mu) * c + (-(gc * mu)) * s
-        freqs.grad += (t.T @ g_phases).T
-        density_map.grad += (w.T @ g_mu).T
+        freqs.grad += t.T @ g_phases
+        density_map.grad += w.T @ g_mu
 
     return DiffNode(out, (freqs, density_map), backward)
-
-
-def onehot_matrix(types, num_types: int) -> np.ndarray:
-    types = np.asarray(types, dtype=np.int64)
-    m = np.zeros((len(types), num_types))
-    m[np.arange(len(types)), types] = 1.0
-    return m

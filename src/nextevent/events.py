@@ -22,7 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ __all__ = [
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
-    integer types in [0, num_types).
+    integer types in [0, num_types). Types may come as integers or as floats
+    that hold whole numbers; anything else is rejected, not truncated.
 
     Construction checks the whole sequence. The histories that
     :func:`make_examples` cuts from a sequence skip these checks, which a
@@ -61,7 +62,17 @@ class EventSequence:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
-        self.types = np.asarray(self.types, dtype=np.int64)
+        types = np.asarray(self.types)
+        if types.dtype.kind not in "iu":
+            # Whole floats pass; fractions, NaN, bool, str and None do not.
+            values = types.reshape(-1).tolist()
+            whole = [isinstance(v, float) and v.is_integer()
+                     or isinstance(v, Integral) and not isinstance(v, bool) for v in values]
+            if not all(whole):
+                bad = whole.index(False)
+                raise DataError(f"sequence {self.seq_id!r}: type id at event {bad} is not"
+                                f" an integer: {values[bad]!r}")
+        self.types = types
         if self.times.shape != self.types.shape or self.times.ndim != 1:
             raise DataError(
                 f"sequence {self.seq_id!r}: times and types must be equal-length"
@@ -84,6 +95,8 @@ class EventSequence:
             raise DataError(
                 f"sequence {self.seq_id!r}: type ids must lie in [0, {self.num_types})"
             )
+        # In range, so a float type id casts exactly.
+        self.types = self.types.astype(np.int64, copy=False)
 
     def __len__(self):
         return len(self.times)
@@ -417,8 +430,8 @@ def make_examples(seq: EventSequence, window: int) -> list[PredictionExample]:
     the number of windows N, not with N times ``window``. Editing the
     sequence's arrays afterwards changes its windows too.
     """
-    if window < 2:
-        raise ConfigError(f"window must be >= 2, got {window}")
+    if isinstance(window, bool) or not isinstance(window, Integral) or window < 2:
+        raise ConfigError(f"window must be an integer >= 2, got {window!r}")
     seq = EventSequence(seq.times, seq.types, seq.num_types, seq.seq_id)
     times, types = seq.times.view(), seq.types.view()
     times.flags.writeable = types.flags.writeable = False
@@ -456,8 +469,8 @@ class NormStats:
 
     ``mean_gap`` is the mean inter-event gap of the sequences the stats were
     fit on (1.0 when scaling is off), so a predicted gap in model units maps
-    back to original units via :meth:`gap_to_original`. Each sequence's shift
-    is its own first time and is not kept.
+    back to original units via :meth:`gap_to_original`; it must be finite
+    and positive. Each sequence's shift is its own first time and is not kept.
     """
 
     mode: str
@@ -466,6 +479,9 @@ class NormStats:
     def __post_init__(self):
         if self.mode not in NORM_MODES:
             raise ConfigError(f"unknown normalization mode {self.mode!r}, expected {NORM_MODES}")
+        gap = self.mean_gap
+        if isinstance(gap, bool) or not isinstance(gap, Real) or not 0 < gap < math.inf:
+            raise ConfigError(f"mean_gap must be finite and positive, got {gap!r}")
 
     def gap_to_original(self, gap: float) -> float:
         return gap * self.mean_gap
@@ -492,7 +508,7 @@ def normalize_times(
         gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
         if gaps.size == 0:  # times strictly increase, so any gap is positive
             raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
-        stats.mean_gap = float(gaps.mean())
+        stats = NormStats(mode, float(gaps.mean()))
     return apply_normalization(seqs, stats), stats
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -99,13 +100,17 @@ def _merge_tree(times):
     return t, gaps[order], left, right, left_gap + 1, right_gap, absorbed_by + 1
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
     """Split L-1 merges into S near-equal interval counts, remainder first."""
     merges = num_points - 1
-    if not 1 <= num_scales <= merges:
+    if not _is_integer(num_scales) or not 1 <= num_scales <= merges:
         raise ConfigError(
-            f"num_scales must lie in [1, {merges}] for {num_points} points,"
-            f" got {num_scales}"
+            f"num_scales must lie in the integers 1..{merges} for {num_points} points,"
+            f" got {num_scales!r}"
         )
     base, rem = divmod(merges, num_scales)
     return [base + (1 if s < rem else 0) for s in range(num_scales)]
@@ -281,23 +286,20 @@ def _span_sums(t: np.ndarray, lo: np.ndarray, end: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_hierarchy(times, num_scales: int | None = None, merge_counts=None) -> ScaleHierarchy:
+def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     """Agglomerate and slice the merge order into scale intervals.
 
-    Exactly one of ``num_scales`` / ``merge_counts`` may be given; the
-    default is ceil(log2 L) scales (capped at L-1). Interval ``s`` holds
-    ``merge_counts[s-1]`` consecutive merges. A cluster created by a merge in
-    interval ``s`` gets scale ``s``; a leaf inherits the scale of the
-    interval in which it is first merged away.
+    ``merge_counts`` is the only spec of the scales: interval ``s`` holds
+    ``merge_counts[s-1]`` consecutive merges, each count a positive integer,
+    and together they hold all L-1. The model slices every window by
+    ``default_merge_counts(L, num_scales)``, the even split. A cluster
+    created by a merge in interval ``s`` gets scale ``s``; a leaf inherits
+    the scale of the interval in which it is first merged away.
     """
     t, distance, left, right, lo, hi, consumed = _merge_tree(times)
     n = len(t)
-    if merge_counts is None:
-        if num_scales is None:
-            num_scales = max(1, min(n - 1, int(np.ceil(np.log2(n)))))
-        merge_counts = default_merge_counts(n, num_scales)
-    elif num_scales is not None and num_scales != len(merge_counts):
-        raise ConfigError("give either num_scales or merge_counts, not conflicting both")
+    if not all(map(_is_integer, merge_counts)):
+        raise ConfigError(f"merge counts must be integers, got {list(merge_counts)!r}")
     merge_counts = [int(c) for c in merge_counts]
     if any(c < 1 for c in merge_counts):
         raise ConfigError(f"merge counts must all be >= 1, got {merge_counts}")

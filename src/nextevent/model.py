@@ -19,8 +19,9 @@ Forward pass per history window:
    (a carried-over node is a run of one);
    each pooled row is concatenated with its node's positional context (one
    more ``fcpe_matrix`` node per scale) and projected back to ``d_model``;
-   the cos and sin of every node's phases come from one table per window,
-   so a node carried over to later scales does not compute them again,
+   every node's type mixture and the cos and sin of its phases come from
+   one table per window, so a node carried over to later scales does not
+   compute them again,
 3. one more :func:`tensor.multi_head_attention` node at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
@@ -45,10 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params, onehot_matrix
+from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
 from .errors import ConfigError, DataError, HierarchyError, NumericsError
 from .events import EventSequence, PredictionExample
-from .hierarchy import ScaleHierarchy, build_hierarchy
+from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
 from .tensor import DiffNode
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "encode",
     "summarize",
     "point_estimate_time",
-    "loss",
     "forward",
     "ForwardResult",
     "count_attention_flops",
@@ -239,7 +239,7 @@ class FlopCounter:
 
 def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     """Build the per-window hierarchy the encoder walks."""
-    return build_hierarchy(times, num_scales=config.num_scales)
+    return build_hierarchy(times, default_merge_counts(len(times), config.num_scales))
 
 
 def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
@@ -252,8 +252,7 @@ def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
 
 def _embed(params: ModelParams, times, type_weights, trig=None) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
-    weights = T.constant(type_weights)
-    type_part = T.matmul(weights, T.transpose(params.fcpe.type_embed))
+    type_part = T.matmul(T.constant(type_weights), params.fcpe.type_embed)
     return T.add(type_part, _positional(params, times, type_weights, trig))
 
 
@@ -337,25 +336,22 @@ def encode(params: ModelParams, seq: EventSequence,
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
     n = len(seq.times)
-    pooled = hierarchy.active[1:]
-    pooled_ids = np.concatenate(pooled) if pooled else np.empty(0, dtype=np.int64)
-    # cos and sin once for every distinct node: the leaves, then the pooled
-    # nodes that are not leaves, by id. A node carried over to later scales
-    # is encoded at each of them; node i's phases are row rows[i] of the table.
+    # One table per window, a row for every distinct node: the leaves, then
+    # the pooled nodes that are not leaves, by id. Row rows[i] holds node i's
+    # type mixture (a leaf's is its one-hot row) and the cos and sin of its
+    # phases, so a node carried over to later scales is encoded from one row.
     distinct = np.zeros(len(hierarchy.rep_time), dtype=bool)
     distinct[:n] = True
-    distinct[pooled_ids] = True
+    for ids in hierarchy.active[1:]:
+        distinct[ids] = True
     rows = np.cumsum(distinct) - 1
-    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time[distinct])
-    # Each node keeps its rows until backward. The leaves take copies, not
-    # views, so the table is freed when encode returns and a step's peak
-    # memory does not grow.
-    leaf_trig = cos[:n].copy(), sin[:n].copy()
-    H = _embed(params, seq.times, onehot_matrix(seq.types, cfg.num_types), leaf_trig)
-    # The type mixtures of every pooled node from one call: the pool into
-    # scale s + 1 takes the next len(active_nodes(s + 1)) rows.
-    mixtures = (hierarchy.type_mixture(pooled_ids, seq.types, cfg.num_types)
-                if pooled else None)
+    nodes = distinct.nonzero()[0]
+    mix = hierarchy.type_mixture(nodes, seq.types, cfg.num_types)
+    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time[nodes])
+    # Each node keeps its trig rows until backward. The leaves take copies,
+    # not views, so the trig table is freed when encode returns and a step's
+    # peak memory does not grow.
+    H = _embed(params, seq.times, mix[:n], (cos[:n].copy(), sin[:n].copy()))
     for s in range(1, S + 1):
         fpos = hierarchy.frontier_pos[s - 1]
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
@@ -368,9 +364,8 @@ def encode(params: ModelParams, seq: EventSequence,
             Hf = cross_scale_attention(T.gather_rows(H, fpos), cfg.causal, params, s, counter)
             H = T.scatter_rows(H, fpos, Hf)
         if s < S:
-            k, r = len(pooled[s - 1]), rows[pooled[s - 1]]
-            H = hierarchical_pool(H, hierarchy, s, params, mixtures[:k], (cos[r], sin[r]))
-            mixtures = mixtures[k:]
+            r = rows[hierarchy.active[s]]
+            H = hierarchical_pool(H, hierarchy, s, params, mix[r], (cos[r], sin[r]))
     return H
 
 
@@ -509,11 +504,6 @@ def forward(params: ModelParams, example: PredictionExample,
     return result
 
 
-def loss(params: ModelParams, example: PredictionExample) -> DiffNode:
-    """Combined objective (1 - alpha) * time NLL + alpha * type cross-entropy."""
-    return forward(params, example).total
-
-
 # ---------------------------------------------------------------------------
 # Attention cost accounting
 # ---------------------------------------------------------------------------
@@ -523,20 +513,15 @@ def count_attention_flops(seq_len: int, batch: int, heads: int, head_dim: int,
                           key_set_sizes) -> tuple[int, int]:
     """Score-multiplication counts for restricted vs all-pair attention.
 
-    ``key_set_sizes`` holds one entry per executed query (nested per scale or
-    flat): restricted attention costs batch * heads * head_dim * sum(sizes),
-    the all-pair reference costs batch * heads * seq_len^2 * head_dim. These
-    are accounting figures for the score computation, not hardware FLOPs.
+    ``key_set_sizes`` holds, per scale, the key-set size of each executed
+    query, as :func:`hierarchy_key_set_sizes` gives them: restricted
+    attention costs batch * heads * head_dim * (sum of the sizes), the
+    all-pair reference costs batch * heads * seq_len^2 * head_dim. These are
+    accounting figures for the score computation, not hardware FLOPs.
     """
     if seq_len <= 0 or batch <= 0 or heads <= 0 or head_dim <= 0:
         raise ConfigError("count_attention_flops requires positive dimensions")
-    flat: list[int] = []
-    for entry in key_set_sizes:
-        if isinstance(entry, (list, tuple, np.ndarray)):
-            flat.extend(int(x) for x in entry)
-        else:
-            flat.append(int(entry))
-    cross = batch * heads * head_dim * sum(flat)
+    cross = batch * heads * head_dim * sum(map(sum, key_set_sizes))
     dense = batch * heads * seq_len * seq_len * head_dim
     return cross, dense
 
@@ -556,7 +541,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:
@@ -594,23 +579,18 @@ def load_checkpoint(path):
         raise DataError(f"{path}: checkpoint needs a config object and a params object")
     config = ModelConfig.from_dict(payload["config"])
     params = init_model_params(config, seed=0)
-    named = params.all_named()
-    saved = payload["params"]
-    if set(saved) != set(named):
-        missing = set(named) ^ set(saved)
-        raise ConfigError(f"checkpoint parameter names mismatch: {sorted(missing)}")
+    saved, names = payload["params"], set(params.all_named())
+    if set(saved) != names:
+        raise ConfigError(f"checkpoint parameter names mismatch: {sorted(names ^ set(saved))}")
+    values = {}
     for name, entry in saved.items():
         try:
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            values[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError):
             raise DataError(f"{path}: {name!r} needs numeric data that fills its shape") from None
-        if arr.shape != named[name].value.shape:
-            raise ConfigError(
-                f"checkpoint {name!r}: shape {arr.shape} vs expected {named[name].value.shape}"
-            )
-        if not np.isfinite(arr).all():
+        if not np.isfinite(values[name]).all():
             raise NumericsError(f"checkpoint {name!r} holds non-finite values")
-        named[name].value[...] = arr
+    params.load_values(values)
     norm = payload.get("norm")
     try:
         stats = NormStats.from_dict(norm) if norm else None

@@ -33,7 +33,6 @@ __all__ = [
     "parameter",
     "add",
     "matmul",
-    "transpose",
     "concat_cols",
     "gather_rows",
     "scatter_rows",
@@ -165,17 +164,6 @@ def matmul(a, b) -> DiffNode:
     def backward(g):
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
-
-    out._backward = backward
-    return out
-
-
-def transpose(a) -> DiffNode:
-    a = _wrap(a)
-    out = DiffNode(a.value.T, parents=(a,))
-
-    def backward(g):
-        a.grad += g.T
 
     out._backward = backward
     return out

@@ -10,7 +10,6 @@ from nextevent.encoding import (
     fcpe_matrix,
     init_fcpe_params,
     initial_frequencies,
-    onehot_matrix,
 )
 from nextevent.errors import ConfigError
 from gradcheck import check_gradients
@@ -21,9 +20,13 @@ def make_params(dim=8, num_types=3, seed=0):
     return init_fcpe_params(dim, num_types, np.random.default_rng(seed))
 
 
+def onehot(types, num_types):
+    return np.eye(num_types)[types]
+
+
 def encode_rows(params, times, types):
     """fcpe_matrix rows for one-hot types, as a numpy array (n, d)."""
-    return fcpe_matrix(params, times, onehot_matrix(types, params.num_types)).value
+    return fcpe_matrix(params, times, onehot(types, params.num_types)).value
 
 
 def amplitudes(params, types):
@@ -42,13 +45,13 @@ def make_model(dim=6, num_types=2, seed=0):
 
 
 def embed_rows(model, times, types):
-    return M._embed(model, times, onehot_matrix(types, model.config.num_types)).value
+    return M._embed(model, times, onehot(types, model.config.num_types)).value
 
 
 class TestDensity:
     def test_column_selection(self):
         params = make_params(dim=4, num_types=2)
-        params.density_map.value[:] = np.array([[1.0, 5.0], [0.0, 6.0]])
+        params.density_map.value[:] = np.array([[1.0, 0.0], [5.0, 6.0]])
         np.testing.assert_array_equal(amplitudes(params, [0, 1]), [[1.0, 0.0], [5.0, 6.0]])
 
     def test_same_type_same_density(self):
@@ -60,7 +63,7 @@ class TestDensity:
         params = make_params(dim=6, num_types=2)
 
         def f(_leaves):
-            enc = fcpe_matrix(params, [0.0, 1.7], onehot_matrix([1, 0], 2))
+            enc = fcpe_matrix(params, [0.0, 1.7], onehot([1, 0], 2))
             return O.sum_all(O.mul(enc, enc))
 
         report = check_gradients(f, {"W_mu": params.density_map})
@@ -71,13 +74,13 @@ class TestFcpe:
     def test_time_zero_gives_mu_and_zero_pairs(self):
         params = make_params(dim=6, num_types=2)
         enc = encode_rows(params, [0.0, 0.0], [0, 1])
-        np.testing.assert_allclose(enc[:, 0::2], params.density_map.value.T, atol=1e-15)
+        np.testing.assert_allclose(enc[:, 0::2], params.density_map.value, atol=1e-15)
         np.testing.assert_allclose(enc[:, 1::2], 0.0, atol=1e-15)
 
     def test_unit_amplitude_norm_identity(self):
         params = make_params(dim=10, num_types=2)
         params.density_map.value[:] = 0.0
-        params.density_map.value[:, 0] = 1.0
+        params.density_map.value[0] = 1.0
         enc = encode_rows(params, [0.0, 0.37, 12.9, -4.0], [0, 0, 0, 0])
         np.testing.assert_allclose(np.sum(enc * enc, axis=1), params.dim / 2, rtol=1e-12)
 
@@ -123,7 +126,7 @@ class TestFcpe:
         params = make_params(dim=6, num_types=2)
 
         def f(_leaves):
-            enc = fcpe_matrix(params, [0.3, 1.7, 4.1], onehot_matrix([1, 0, 1], 2))
+            enc = fcpe_matrix(params, [0.3, 1.7, 4.1], onehot([1, 0, 1], 2))
             return O.sum_all(O.mul(enc, enc))
 
         report = check_gradients(f, {"freqs": params.freqs})
@@ -135,17 +138,17 @@ class TestFcpe:
         # gradient exactly -g sin(w) (or g cos(w)), with g the loss weight
         # times the amplitude.
         params = make_params(dim=8, num_types=2, seed=2)
-        w = params.freqs.value[:, 0]
-        mu = params.density_map.value[:, 1]
+        w = params.freqs.value[0]
+        mu = params.density_map.value[1]
         weight = np.random.default_rng(3).normal(size=(1, 8))
         for slot, expected in ((0, -(weight[0, 0::2] * mu) * np.sin(w)),
                                (1, weight[0, 1::2] * mu * np.cos(w))):
             params.freqs.zero_grad()
             only = np.zeros_like(weight)
             only[:, slot::2] = weight[:, slot::2]
-            enc = fcpe_matrix(params, [1.0], onehot_matrix([1], 2))
+            enc = fcpe_matrix(params, [1.0], onehot([1], 2))
             O.sum_all(O.mul(enc, T.constant(only))).backward()
-            np.testing.assert_array_equal(params.freqs.grad[:, 0], expected)
+            np.testing.assert_array_equal(params.freqs.grad[0], expected)
 
 
 class TestEmbedEvent:
@@ -161,7 +164,7 @@ class TestEmbedEvent:
         model = make_model()
         model.fcpe.density_map.value[:] = 0.0
         emb = embed_rows(model, [2.9], [1])
-        np.testing.assert_allclose(emb[0], model.fcpe.type_embed.value[:, 1], atol=1e-15)
+        np.testing.assert_allclose(emb[0], model.fcpe.type_embed.value[1], atol=1e-15)
 
     def test_same_type_kernel_translation_after_embedding(self):
         # With zero type columns the embedding kernel inherits the
@@ -178,7 +181,7 @@ class TestEmbedEvent:
         model = make_model(seed=6)
 
         def f(_leaves):
-            emb = M._embed(model, [0.8, 1.9], onehot_matrix([1, 0], 2))
+            emb = M._embed(model, [0.8, 1.9], onehot([1, 0], 2))
             return O.sum_all(O.mul(emb, emb))
 
         report = check_gradients(f, model.fcpe.named())
@@ -188,5 +191,18 @@ class TestEmbedEvent:
         with pytest.raises(ConfigError):
             init_fcpe_params(7, 2, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            FcpeParams(7, 2, T.parameter(np.zeros((3, 1))),
-                       T.parameter(np.zeros((3, 2))), T.parameter(np.zeros((7, 2))))
+            FcpeParams(7, 2, T.parameter(np.zeros((1, 3))),
+                       T.parameter(np.zeros((2, 3))), T.parameter(np.zeros((2, 7))))
+
+    def test_leaves_are_stored_as_the_forward_multiplies_by_them(self):
+        params = make_params(dim=8, num_types=3)
+        assert (params.freqs.shape, params.density_map.shape, params.type_embed.shape) == (
+            (1, 4), (3, 4), (3, 8))
+        leaves = dict(freqs=np.zeros((1, 4)), density_map=np.zeros((3, 4)),
+                      type_embed=np.zeros((3, 8)))
+        for name, transposed in (("freqs", (4, 1)), ("density_map", (4, 3)),
+                                 ("type_embed", (8, 3))):
+            nodes = {k: T.parameter(v) for k, v in leaves.items()}
+            nodes[name] = T.parameter(np.zeros(transposed))
+            with pytest.raises(ConfigError, match=rf"{name} must have shape"):
+                FcpeParams(8, 3, **nodes)

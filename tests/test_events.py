@@ -48,6 +48,35 @@ class TestEventSequence:
     def test_accepts_a_numpy_integer_num_types(self):
         assert EventSequence([0.0, 1.0], [0, 1], np.int64(2)).num_types == 2
 
+    @pytest.mark.parametrize("types", [
+        [0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 2], dtype=np.int32),
+        [0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0], dtype=np.float32),
+        np.array([0, 1, 2], dtype=object),
+    ], ids=["list", "uint8", "int32", "whole-floats", "float32", "object"])
+    def test_accepts_integer_types_and_whole_floats(self, types):
+        seq = EventSequence([0.0, 0.5, 1.0], types, 3)
+        assert seq.types.dtype == np.int64
+        np.testing.assert_array_equal(seq.types, [0, 1, 2])
+
+    @pytest.mark.parametrize("types, bad", [
+        ([0.0, 1.0, 2.0, 0.9], "event 3 is not an integer: 0.9"),
+        ([0, 1.7, 0.2, 1], "event 1 is not an integer: 1.7"),
+        ([0, np.nan, 1, 1], "event 1 is not an integer: nan"),
+        ([0, 1, np.inf, 1], "event 2 is not an integer: inf"),
+        ([True, False, True, False], "event 0 is not an integer"),
+        (["0", "1", "0", "1"], "event 0 is not an integer"),
+        ([0, 1, None, 1], "event 2 is not an integer: None"),
+    ], ids=["fraction", "fractions", "nan", "inf", "bool", "str", "none"])
+    def test_rejects_type_ids_that_are_not_integers(self, types, bad):
+        # Truncation would read [0, 1.7, 0.2, 1] as [0, 1, 0, 1] without a word.
+        with pytest.raises(DataError, match=rf"'s': type id at {bad}"):
+            EventSequence([0.0, 1.0, 2.0, 3.0], types, 3, seq_id="s")
+
+    def test_an_empty_sequence_constructs(self):
+        seq = EventSequence([], [], 2)
+        assert len(seq) == 0
+        assert seq.types.dtype == np.int64
+
     def test_example_requires_future_target(self):
         seq = EventSequence([0.0, 1.0], [0, 0], 1)
         from nextevent.events import PredictionExample
@@ -116,7 +145,7 @@ class TestLoadSequences:
         out = seqs[0].times
         assert np.all(np.diff(out) > 0)
         assert out[2] == np.nextafter(t0 + 10, np.inf)
-        assert build_hierarchy(out).num_leaves == 5
+        assert build_hierarchy(out, [4]).num_leaves == 5
 
     def test_jsonl_round_trip(self, tmp_path):
         seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
@@ -272,6 +301,14 @@ class TestMakeExamples:
         with pytest.raises(ConfigError):
             make_examples(self.seq(5), 1)
 
+    @pytest.mark.parametrize("window", [2.5, 3.0, "3", True, None])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ConfigError, match=rf"window must be an integer >= 2, got {window!r}"):
+            make_examples(self.seq(5), window)
+
+    def test_window_may_be_a_numpy_integer(self):
+        assert len(make_examples(self.seq(5), np.int64(3))) == 2
+
     @pytest.mark.parametrize("make, window", [
         (lambda: generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0], 8),
         (lambda: generate_multiscale(1, 5.0, 4, 20.0, 3, seed=4, num_bursts=6)[0], 8),
@@ -366,3 +403,24 @@ class TestNormalization:
         stats = NormStats("shift_and_scale", 2.5)
         again = NormStats.from_dict(stats.to_dict())
         assert again == stats
+
+    @pytest.mark.parametrize("mean_gap", [-2.0, 0.0, np.nan, np.inf, "2", True, None])
+    def test_stats_reject_a_mean_gap_that_is_not_finite_and_positive(self, mean_gap):
+        with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+            NormStats("shift_and_scale", mean_gap)
+
+    @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0])
+    def test_stats_from_dict_reject_a_bad_mean_gap(self, mean_gap):
+        with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+            NormStats.from_dict({"mode": "shift_and_scale", "mean_gap": mean_gap})
+
+    def test_gap_to_original_undoes_the_scaling(self):
+        # Gaps 2, 4 and 6: the mean gap is 4, so a model-unit gap g is 4 g.
+        seqs = [EventSequence([10.0, 12.0, 16.0, 22.0], [0, 0, 0, 0], 1)]
+        out, stats = normalize_times(seqs, "shift_and_scale")
+        assert stats.mean_gap == 4.0
+        model_gaps = np.diff(out[0].times)
+        np.testing.assert_array_equal(model_gaps, [0.5, 1.0, 1.5])
+        assert [stats.gap_to_original(g) for g in model_gaps] == [2.0, 4.0, 6.0]
+        _, unscaled = normalize_times(seqs, "shift_to_zero")
+        assert unscaled.gap_to_original(1.25) == 1.25

@@ -34,7 +34,7 @@ def merge_steps(h):
 
 
 def single_linkage(times):
-    return merge_steps(build_hierarchy(times, num_scales=1))
+    return merge_steps(build_hierarchy(times, [len(times) - 1]))
 
 
 class TestAgglomerate:
@@ -54,19 +54,19 @@ class TestAgglomerate:
 
     def test_requires_two_points(self):
         with pytest.raises(HierarchyError, match="at least 2 points"):
-            build_hierarchy([1.0])
+            build_hierarchy([1.0], [])
         with pytest.raises(HierarchyError, match="at least 2 points"):
-            build_hierarchy([1.0], num_scales=1)
+            build_hierarchy([1.0], [1])
 
     def test_rejects_duplicates(self):
         with pytest.raises(HierarchyError, match="duplicates"):
             build_hierarchy([0.0, 1.0, 1.0, 3.0], merge_counts=[1, 1, 1])
         with pytest.raises(HierarchyError, match="duplicates"):
-            build_hierarchy([0.0, 1.0, 1.0, 3.0], num_scales=1)
+            build_hierarchy([0.0, 1.0, 1.0, 3.0], [3])
 
     def test_rejects_nan(self):
         with pytest.raises(HierarchyError, match="strictly increasing"):
-            build_hierarchy([0.0, float("nan"), 2.0, 3.0])
+            build_hierarchy([0.0, float("nan"), 2.0, 3.0], [3])
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(7)
@@ -106,7 +106,7 @@ class TestAgglomerate:
         for t in windows:
             fast = single_linkage(t)
             assert fast == heap_single_linkage(t)
-            h = build_hierarchy(t, num_scales=4)
+            h = build_hierarchy(t, default_merge_counts(len(t), 4))
             for i in range(len(h.lo)):
                 assert h.rep_time[i] == t[h.lo[i] : h.hi[i] + 1].mean()
             sizes.update((h.hi - h.lo + 1).tolist())
@@ -134,6 +134,14 @@ class TestDefaultMergeCounts:
         with pytest.raises(ConfigError):
             default_merge_counts(5, 0)
 
+    @pytest.mark.parametrize("num_scales", [2.0, 2.5, "2", True, None])
+    def test_rejects_a_num_scales_that_is_not_an_integer(self, num_scales):
+        with pytest.raises(ConfigError, match="num_scales must lie in the integers 1..4"):
+            default_merge_counts(5, num_scales)
+
+    def test_accepts_a_numpy_integer(self):
+        assert default_merge_counts(5, np.int64(2)) == [2, 2]
+
 
 class TestAssignScales:
     """Slicing the merge order into scale intervals (build_hierarchy)."""
@@ -160,6 +168,17 @@ class TestAssignScales:
         with pytest.raises(ConfigError):
             build_hierarchy(t, merge_counts=[2, 0])
 
+    @pytest.mark.parametrize("counts", [[2.7, 1.2], [2.0, 2.0], ["2", 2], [True, 3]])
+    def test_rejects_merge_counts_that_are_not_integers(self, counts):
+        # Truncating [2.7, 1.2] would slice the merges as [2, 1] without a word.
+        with pytest.raises(ConfigError, match="merge counts must be integers"):
+            build_hierarchy(np.arange(5.0), counts)
+
+    def test_accepts_numpy_integer_merge_counts(self):
+        h = build_hierarchy(np.arange(5.0), np.array([3, 1]))
+        assert h.merge_counts == [3, 1]
+        assert all(type(c) is int for c in h.merge_counts)
+
     def test_representative_time_is_member_mean(self):
         t = nine_point_layout()
         h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
@@ -172,7 +191,7 @@ class TestAssignScales:
             n = int(rng.integers(4, 20))
             t = random_times(rng, n)
             S = int(rng.integers(1, n - 1)) if n > 2 else 1
-            h = build_hierarchy(t, num_scales=S)
+            h = build_hierarchy(t, default_merge_counts(n, S))
             for s in range(1, S + 1):
                 members = np.concatenate(
                     [np.arange(h.lo[i], h.hi[i] + 1) for i in h.active_nodes(s)]
@@ -184,7 +203,7 @@ class TestAssignScales:
         for _ in range(50):
             n = int(rng.integers(4, 24))
             t = random_times(rng, n)
-            h = build_hierarchy(t)
+            h = build_hierarchy(t, default_merge_counts(n, 3))
             sizes = [len(h.active_nodes(s)) for s in range(1, h.num_scales + 1)]
             assert sizes[0] == n
             for s in range(1, h.num_scales):
@@ -193,7 +212,7 @@ class TestAssignScales:
     def test_earlier_merges_have_smaller_or_equal_scale(self):
         rng = np.random.default_rng(8)
         t = random_times(rng, 16)
-        h = build_hierarchy(t, num_scales=4)
+        h = build_hierarchy(t, default_merge_counts(len(t), 4))
         # Merge ids increase with merge order, so their scales never decrease.
         assert np.all(np.diff(h.scale[h.num_leaves:]) >= 0)
 
@@ -224,7 +243,7 @@ class TestFrontier:
         rng = np.random.default_rng(9)
         for _ in range(100):
             n = int(rng.integers(4, 20))
-            h = build_hierarchy(random_times(rng, n))
+            h = build_hierarchy(random_times(rng, n), default_merge_counts(n, 3))
             seen = []
             for s in range(1, h.num_scales + 1):
                 seen.extend(i for i in h.frontier(s) if i < h.num_leaves)
@@ -232,7 +251,7 @@ class TestFrontier:
 
     def test_frontier_ordered_by_representative_time(self):
         rng = np.random.default_rng(10)
-        h = build_hierarchy(random_times(rng, 20), num_scales=5)
+        h = build_hierarchy(random_times(rng, 20), default_merge_counts(20, 5))
         for s in range(1, 6):
             reps = [h.rep_time[i] for i in h.frontier(s)]
             assert reps == sorted(reps)
@@ -350,7 +369,7 @@ class TestHierarchyProperties:
         members = oracle_members(t)
         types = np.arange(n) * 7 % 3
         for S in range(1, n):
-            h = build_hierarchy(t, num_scales=S)
+            h = build_hierarchy(t, default_merge_counts(n, S))
             assert merge_tree(h) == [step[:4] for step in oracle]
             nodes = h.to_dict()["nodes"]
             assert [node["id"] for node in nodes] == list(range(2 * n - 1))
@@ -399,8 +418,8 @@ class TestHierarchyProperties:
         t = np.concatenate([[0.0], np.cumsum(np.asarray(gaps, dtype=np.float64))])
         a = 2.0**log2_a
         S = data.draw(st.integers(1, len(t) - 1))
-        h = build_hierarchy(t, num_scales=S)
-        g = build_hierarchy(a * t + b, num_scales=S)
+        h = build_hierarchy(t, default_merge_counts(len(t), S))
+        g = build_hierarchy(a * t + b, default_merge_counts(len(t), S))
         assert merge_tree(g) == merge_tree(h)
         assert [s[4] for s in merge_steps(g)] == [a * s[4] for s in merge_steps(h)]
         assert g.merge_counts == h.merge_counts

@@ -74,6 +74,15 @@ def test_encode_masks_and_counts_follow_the_key_sets(monkeypatch, causal):
     assert len(masks[1]) > T._TILE_ROWS
 
 
+def test_count_attention_flops_takes_the_per_scale_sizes():
+    h = M.hierarchy_for(_config(False), _example().history.times)
+    sizes = M.hierarchy_key_set_sizes(h)
+    cross, dense = M.count_attention_flops(64, 3, 2, 4, sizes)
+    assert cross == 3 * 2 * 4 * sum(len(h.frontier(s)) ** 2 for s in range(1, 5))
+    assert dense == 3 * 2 * 64 * 64 * 4
+    assert M.count_attention_flops(5, 1, 1, 1, [[2, 2], [], [3]]) == (7, 25)
+
+
 @pytest.mark.parametrize("kind", ["none", "causal"])
 def test_cross_scale_attention_matches_dense_oracle(kind):
     cfg = _config(False)
@@ -174,6 +183,31 @@ def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
     M.save_checkpoint(bad, params)
     with pytest.raises(NumericsError, match="dec.type"):
         M.load_checkpoint(bad)
+
+
+def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
+    # A checkpoint written before the FCPE leaves were stored transposed holds
+    # fcpe.type_embed as (d, K); the data fill that shape, but it is not this
+    # model's.
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
+    payload = json.loads(path.read_text())
+    payload["params"]["fcpe.type_embed"]["shape"] = [8, 4]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=r"'fcpe.type_embed': shape \(8, 4\) does not match"):
+        M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mean_gap", ["nan", -2.0, 0.0])
+def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0),
+                      NormStats("shift_and_scale", 2.0))
+    payload = json.loads(path.read_text())
+    payload["norm"]["mean_gap"] = mean_gap
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+        M.load_checkpoint(path)
 
 
 _MALFORMED_CHECKPOINTS = {

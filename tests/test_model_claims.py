@@ -8,7 +8,6 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.encoding import onehot_matrix
 from nextevent.errors import NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 from gradcheck import check_gradients
@@ -27,9 +26,18 @@ def _example(length=32, seed=0):
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 @pytest.mark.parametrize("gamma", [0.7, 1.0, 3.5])
 def test_point_estimate_is_the_weibull_mean(lam, gamma):
-    # The quadrature stops at 50 lambda, which drops ~8e-6 of the mean at 0.7.
     expected = weibull_mean_by_quadrature(lam, gamma)
-    assert M.point_estimate_time(lam, gamma) == pytest.approx(expected, rel=1e-4)
+    assert M.point_estimate_time(lam, gamma) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_readouts_are_the_argmax_and_the_weibull_mean(seed):
+    config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3)
+    result = M.forward(M.init_model_params(config, seed=seed), _example(seed=seed))
+    assert result.predicted_type == int(np.argmax(result.type_probs))
+    assert result.type_probs[result.predicted_type] == result.type_probs.max()
+    expected = weibull_mean_by_quadrature(result.lam, result.gamma)
+    assert result.predicted_gap == pytest.approx(expected, rel=1e-9)
 
 
 def test_point_estimate_rejects_an_overflowing_mean():
@@ -47,7 +55,7 @@ def _numpy_positional(params, times, type_weights):
     fcpe = params.fcpe
     weights = np.asarray(type_weights, dtype=np.float64)
     phases = np.asarray(times, dtype=np.float64).reshape(-1, 1) * fcpe.freqs.value.reshape(1, -1)
-    mu = weights @ fcpe.density_map.value.T if params.config.pe == "fcpe" else 1.0
+    mu = weights @ fcpe.density_map.value if params.config.pe == "fcpe" else 1.0
     pos = np.empty((len(weights), params.config.d_model))
     pos[:, 0::2] = mu * np.cos(phases)
     pos[:, 1::2] = mu * np.sin(phases)
@@ -57,7 +65,7 @@ def _numpy_positional(params, times, type_weights):
 def _numpy_embedding(params, times, type_weights):
     """Type rows plus the positional pairs of :func:`_numpy_positional`."""
     weights = np.asarray(type_weights, dtype=np.float64)
-    return weights @ params.fcpe.type_embed.value.T + _numpy_positional(params, times, weights)
+    return weights @ params.fcpe.type_embed.value + _numpy_positional(params, times, weights)
 
 
 @pytest.mark.parametrize("pe", ["fcpe", "base"])
@@ -65,7 +73,7 @@ def test_embedding_matches_a_numpy_encoding(pe):
     params = M.init_model_params(M.ModelConfig(d_model=8, num_heads=2, num_types=3, pe=pe), 2)
     rng = np.random.default_rng(5)
     times = rng.uniform(-4.0, 9.0, size=7)
-    weights = onehot_matrix(rng.integers(0, 3, size=7), 3)
+    weights = np.eye(3)[rng.integers(0, 3, size=7)]
     got = M._embed(params, times, weights).value
     np.testing.assert_allclose(got, _numpy_embedding(params, times, weights), rtol=0, atol=1e-15)
 
@@ -84,7 +92,7 @@ def test_base_mode_backward_leaves_the_frozen_encoding_alone():
     # constants, so backward reaches neither frozen leaf.
     config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, pe="base")
     params = M.init_model_params(config, seed=1)
-    M.loss(params, _example()).backward()
+    M.forward(params, _example()).total.backward()
     assert not params.fcpe.freqs.grad.any()
     assert not params.fcpe.density_map.grad.any()
     assert params.fcpe.type_embed.grad.any()
@@ -128,7 +136,7 @@ def test_loss_gradients_match_finite_differences(extra):
     # 36 entries per leaf, so each scale's W_QKV (2 heads x Q, K, V) gets six
     # checks per projection matrix on average.
     report = check_gradients(
-        lambda _: M.loss(params, example), params.named_parameters(), max_entries=36
+        lambda _: M.forward(params, example).total, params.named_parameters(), max_entries=36
     )
     assert report.max_rel_error < 1e-4
 

@@ -257,7 +257,7 @@ class TestBackwardRules:
 
     def test_transpose_reshape_grads(self):
         a = self.rand(3, 4, seed=19)
-        assert_grad_matches(T.transpose, [a])
+        assert_grad_matches(O.transpose, [a])
 
     def test_fanout_accumulates_both_contributions(self):
         # One node feeding two consumers must receive the sum of both gradients.
@@ -358,7 +358,7 @@ class TestMaskedAttention:
             outs = []
             for h in range(self.HEADS):
                 wq, wk, wv = self._head(ws, h)
-                scores = O.scale(T.matmul(T.matmul(xq, wq), T.transpose(T.matmul(x, wk))), c)
+                scores = O.scale(T.matmul(T.matmul(xq, wq), O.transpose(T.matmul(x, wk))), c)
                 if causal:
                     scores = T.add(scores, T.constant(np.where(np.tri(n), 0.0, -np.inf)))
                 outs.append(T.matmul(O.softmax(scores, axis=1), T.matmul(x, wv)))
