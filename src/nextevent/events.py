@@ -153,6 +153,16 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     return out
 
 
+def _file_format(path: Path, format: str | None) -> str:
+    """``format``, or when it is None the one the suffix names: JSONL for
+    ``.jsonl`` and ``.json``, CSV for anything else."""
+    if format is None:
+        format = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
+    if format not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown format {format!r}, expected csv or jsonl")
+    return format
+
+
 def _coerce_type(raw: str, vocab: dict | None, where: str) -> int:
     if vocab is not None and raw in vocab:
         return int(vocab[raw])
@@ -178,10 +188,7 @@ def load_sequences(
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    if format is None:
-        format = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
-    if format not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown format {format!r}, expected csv or jsonl")
+    format = _file_format(path, format)
 
     if format == "csv":
         raw = _read_csv(path, vocab)
@@ -273,17 +280,18 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
     return out
 
 
-def save_sequences(path, sequences: list[EventSequence], format: str = "csv") -> None:
-    """Write sequences in one of the two loadable formats."""
+def save_sequences(path, sequences: list[EventSequence], format: str | None = None) -> None:
+    """Write sequences in one of the two loadable formats, by default the one
+    :func:`load_sequences` reads from the path's suffix."""
     path = Path(path)
-    if format == "csv":
+    if _file_format(path, format) == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seq_id", "time", "type"])
             for seq in sequences:
                 for t, k in zip(seq.times, seq.types):
                     writer.writerow([seq.seq_id, repr(float(t)), int(k)])
-    elif format == "jsonl":
+    else:
         with open(path, "w") as fh:
             for seq in sequences:
                 fh.write(
@@ -297,13 +305,30 @@ def save_sequences(path, sequences: list[EventSequence], format: str = "csv") ->
                     )
                     + "\n"
                 )
-    else:
-        raise ConfigError(f"unknown format {format!r}")
 
 
 # ---------------------------------------------------------------------------
 # Synthetic generators
 # ---------------------------------------------------------------------------
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+
+
+def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+                low_included: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is a finite real number above
+    ``low`` (or equal to it when ``low_included``) and at most ``high``."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or not (low <= value if low_included else low < value) or value > high):
+        raise ConfigError(
+            f"{name} must be a finite number {'>=' if low_included else '>'} {low}"
+            + (f" and <= {high}" if high < math.inf else "") + f", got {value!r}"
+        )
 
 
 def generate_hawkes(
@@ -320,16 +345,19 @@ def generate_hawkes(
     Intensity: lambda(t) = base_rate + sum_j excitation * exp(-decay (t - t_j)).
     Requires excitation < decay (stationarity). Between events the intensity
     only decays, so the value just after the latest event is a valid
-    thinning bound. Types are drawn uniformly.
+    thinning bound. Types are drawn uniformly. Every parameter is checked
+    before the first draw; the rates and the horizon must be finite.
     """
-    if num_seqs <= 0 or horizon <= 0 or base_rate <= 0 or decay <= 0 or excitation < 0:
-        raise ConfigError("hawkes parameters must be positive (excitation may be 0)")
+    _check_count("num_seqs", num_seqs)
+    _check_real("horizon", horizon)
+    _check_real("base_rate", base_rate)
+    _check_real("decay", decay)
+    _check_real("excitation", excitation, low_included=True)
     if excitation >= decay:
         raise ConfigError(
             f"non-stationary parameters: excitation {excitation} must be < decay {decay}"
         )
-    if num_types < 1:
-        raise ConfigError(f"num_types must be >= 1, got {num_types}")
+    _check_count("num_types", num_types)
     rng = np.random.default_rng(seed)
     sequences = []
     for s in range(num_seqs):
@@ -371,13 +399,15 @@ def generate_multiscale(
     scale correlates with type, and follow a cyclic pattern (opener type
     cycles with the burst index, within-burst types cycle within the burst)
     flipped to a random in-pool type with probability ``pattern_noise``.
+    Every parameter is checked before the first draw.
     """
-    if num_seqs <= 0 or burst_rate <= 0 or burst_size <= 0 or gap_scale <= 0:
-        raise ConfigError("multiscale parameters must be positive")
-    if num_bursts <= 0:
-        raise ConfigError("num_bursts must be positive")
-    if num_types < 1:
-        raise ConfigError(f"num_types must be >= 1, got {num_types}")
+    _check_count("num_seqs", num_seqs)
+    _check_real("burst_rate", burst_rate)
+    _check_count("burst_size", burst_size)
+    _check_real("gap_scale", gap_scale)
+    _check_count("num_types", num_types)
+    _check_count("num_bursts", num_bursts)
+    _check_real("pattern_noise", pattern_noise, high=1.0, low_included=True)
     if burst_size == 1:
         warnings.warn(
             "burst_size=1 degenerates to a renewal process of long gaps",
@@ -465,7 +495,7 @@ NORM_MODES = ("shift_to_zero", "shift_and_scale")
 
 @dataclass
 class NormStats:
-    """Normalization state: the mode and the global gap scale.
+    """Normalization state: the global gap scale.
 
     ``mean_gap`` is the mean inter-event gap of the sequences the stats were
     fit on (1.0 when scaling is off), so a predicted gap in model units maps
@@ -473,12 +503,9 @@ class NormStats:
     and positive. Each sequence's shift is its own first time and is not kept.
     """
 
-    mode: str
     mean_gap: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in NORM_MODES:
-            raise ConfigError(f"unknown normalization mode {self.mode!r}, expected {NORM_MODES}")
         gap = self.mean_gap
         if isinstance(gap, bool) or not isinstance(gap, Real) or not 0 < gap < math.inf:
             raise ConfigError(f"mean_gap must be finite and positive, got {gap!r}")
@@ -487,11 +514,11 @@ class NormStats:
         return gap * self.mean_gap
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "mean_gap": self.mean_gap}
+        return {"mean_gap": self.mean_gap}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        return cls(d["mode"], float(d["mean_gap"]))
+        return cls(d["mean_gap"])
 
 
 def normalize_times(
@@ -503,12 +530,14 @@ def normalize_times(
     The scale is fit on ``seqs`` (use :func:`apply_normalization` to reuse it
     on held-out data); ``"shift_to_zero"`` keeps ``mean_gap`` at 1.0.
     """
-    stats = NormStats(mode)
+    if mode not in NORM_MODES:
+        raise ConfigError(f"unknown normalization mode {mode!r}, expected {NORM_MODES}")
+    stats = NormStats()
     if mode == "shift_and_scale":
         gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
         if gaps.size == 0:  # times strictly increase, so any gap is positive
             raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
-        stats = NormStats(mode, float(gaps.mean()))
+        stats = NormStats(float(gaps.mean()))
     return apply_normalization(seqs, stats), stats
 
 

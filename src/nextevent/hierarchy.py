@@ -17,9 +17,13 @@ whichever of its two bounding gaps has the lower rank (for leaf ``i``: gaps
 ``i - 1`` and ``i``).
 
 Because only neighbours merge, every cluster is a contiguous span of leaves
-``[lo, hi]``. :class:`ScaleHierarchy` therefore stores the tree as integer
-arrays over node ids (span bounds, scale and mean time), filled once when the
-merge order is sliced. Disjoint spans ordered by ``lo`` are also in time order.
+``[lo, hi]``, and the spans in node-id order are the tree's only encoding.
+Merge ``k + 1`` creates node ``L + k``. Its left child is the largest
+earlier node id whose span starts at the same ``lo``, its right child covers
+the rest of the span, and the gap it fused follows the left child's last
+leaf. :class:`ScaleHierarchy` stores the spans with each node's scale and
+mean time, filled once when the merge order is sliced. Disjoint spans
+ordered by ``lo`` are also in time order.
 
 Two node-set views matter downstream and are deliberately distinct:
 
@@ -56,9 +60,8 @@ __all__ = [
 def _merge_tree(times):
     """Validated times plus the single-linkage tree as arrays.
 
-    Returns ``(t, distance, left, right, lo, hi, consumed)``: per merge (index
-    ``k`` is merge order ``k + 1``) its distance and two child ids, and per
-    node id its leaf span and the order of the merge that absorbs it.
+    Returns ``(t, lo, hi, consumed)``: per node id its leaf span and the
+    order of the merge that absorbs it (L for the root).
     """
     t = np.asarray(times, dtype=np.float64)
     n = len(t)
@@ -85,19 +88,11 @@ def _merge_tree(times):
 
     # Each node lies between two bounding gaps: leaf i between gaps i - 1 and
     # i, the node merged across gap g between g's nearest larger-rank gaps.
-    # Its parent is merged across whichever of the two has the lower rank,
-    # and it is that merge's left child when that gap lies on its right.
+    # Its parent is merged across whichever of the two has the lower rank.
     left_gap = np.concatenate([np.arange(-1, m), np.asarray(prev_larger)[order]])
     right_gap = np.concatenate([np.arange(n), np.asarray(next_larger)[order]])
-    rank_left, rank_right = rank[left_gap], rank[right_gap]
-    absorbed_by = np.minimum(rank_left, rank_right)  # merge index; m for the root
-    # The root is the last id and the only node without a parent.
-    up, is_left = absorbed_by[:-1], (rank_right < rank_left)[:-1]
-    ids = np.arange(n + m - 1)
-    left, right = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    left[up[is_left]] = ids[is_left]
-    right[up[~is_left]] = ids[~is_left]
-    return t, gaps[order], left, right, left_gap + 1, right_gap, absorbed_by + 1
+    consumed = np.minimum(rank[left_gap], rank[right_gap]) + 1
+    return t, left_gap + 1, right_gap, consumed
 
 
 def _is_integer(value) -> bool:
@@ -121,21 +116,19 @@ class ScaleHierarchy:
     """Merge tree plus the scale slicing derived from ``merge_counts``.
 
     Every per-node array is indexed by node id (leaves 0..L-1, merge ``o``
-    creates L-1+o) and is filled once by :func:`build_hierarchy`. Per-merge
-    arrays are indexed by merge order minus one: the merge tree is
-    ``left``/``right``/``distance``, and merge ``k + 1`` joins ``left[k]``
-    and ``right[k]`` across a gap of ``distance[k]`` into node L+k.
+    creates L-1+o) and is filled once by :func:`build_hierarchy`. The spans
+    ``lo``/``hi`` are the tree's only encoding. Merge ``k + 1`` creates node
+    L+k; its left child is the largest id below L+k whose span starts at
+    ``lo[L+k]``, its right child holds the rest of the span, and the gap it
+    fused lies after the left child's last leaf ``g``: ``t[g+1] - t[g]``,
+    with the leaves' times in ``rep_time[:L]``.
     """
 
-    times: np.ndarray
     merge_counts: list[int]
-    left: np.ndarray  # per merge: the child whose span lies earlier
-    right: np.ndarray  # per merge: the other child
-    distance: np.ndarray  # per merge: the gap it fused
     lo: np.ndarray  # first leaf of the node's span
     hi: np.ndarray  # last leaf of the node's span
     scale: np.ndarray
-    rep_time: np.ndarray  # mean time of the span's leaves
+    rep_time: np.ndarray  # mean time of the span's leaves; a leaf's own time
     active: list[np.ndarray]  # per scale: ids of active_nodes(s), ordered by lo
     frontier_pos: list[np.ndarray]  # per scale: positions of frontier(s) in active
 
@@ -145,11 +138,7 @@ class ScaleHierarchy:
 
     @property
     def num_leaves(self) -> int:
-        return len(self.times)
-
-    @property
-    def root_id(self) -> int:
-        return len(self.lo) - 1
+        return (len(self.lo) + 1) // 2
 
     def _check_scale(self, s: int) -> None:
         if not 1 <= s <= self.num_scales:
@@ -217,43 +206,26 @@ class ScaleHierarchy:
         lo, end = self.lo[ids], self.hi[ids] + 1
         return (prefix[end] - prefix[lo]) / (end - lo)[..., None]
 
-    def _children(self, node_id: int) -> list[int]:
-        if node_id < self.num_leaves:
-            return []
-        k = node_id - self.num_leaves
-        return [int(self.left[k]), int(self.right[k])]
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": i,
-                    "scale": int(self.scale[i]),
-                    "children": self._children(i),
-                    "members": list(range(self.lo[i], self.hi[i] + 1)),
-                    "time": float(self.rep_time[i]),
-                }
-                for i in range(len(self.lo))
-            ]
-        }
-
     def format_tree(self) -> str:
-        """Indented text rendering of the merge tree, root first."""
+        """Indented text rendering of the merge tree, root first.
+
+        Sorting the spans by first leaf, longest first, gives the pre-order
+        with each left child before its sibling. A node's depth is the number
+        of spans still open at its first leaf.
+        """
+        n = self.num_leaves
         lines: list[str] = []
-
-        def walk(node_id: int, depth: int):
-            children = self._children(node_id)
-            kind = "node" if children else "leaf"
+        open_ends: list[int] = []
+        for i in np.lexsort((-self.hi, self.lo)).tolist():
+            lo, hi = int(self.lo[i]), int(self.hi[i])
+            while open_ends and open_ends[-1] < lo:
+                open_ends.pop()
             lines.append(
-                "  " * depth
-                + f"{kind} id={node_id} scale={self.scale[node_id]}"
-                + f" t={self.rep_time[node_id]:.6g}"
-                + f" members={list(range(self.lo[node_id], self.hi[node_id] + 1))}"
+                "  " * len(open_ends)
+                + f"{'node' if i >= n else 'leaf'} id={i} scale={self.scale[i]}"
+                + f" t={self.rep_time[i]:.6g} members={list(range(lo, hi + 1))}"
             )
-            for c in children:
-                walk(c, depth + 1)
-
-        walk(self.root_id, 0)
+            open_ends.append(hi)
         return "\n".join(lines)
 
 
@@ -296,7 +268,7 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     created by a merge in interval ``s`` gets scale ``s``; a leaf inherits
     the scale of the interval in which it is first merged away.
     """
-    t, distance, left, right, lo, hi, consumed = _merge_tree(times)
+    t, lo, hi, consumed = _merge_tree(times)
     n = len(t)
     if not all(map(_is_integer, merge_counts)):
         raise ConfigError(f"merge counts must be integers, got {list(merge_counts)!r}")
@@ -338,7 +310,4 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
         ids.flags.writeable = False  # returned by pool_groups without a copy
         active.append(ids)
         frontier_pos.append((consumed_by_lo[alive] <= end).nonzero()[0])
-    return ScaleHierarchy(
-        t, merge_counts, left, right, distance, lo, hi, scale, rep_time, active,
-        frontier_pos,
-    )
+    return ScaleHierarchy(merge_counts, lo, hi, scale, rep_time, active, frontier_pos)

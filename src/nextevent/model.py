@@ -48,7 +48,7 @@ import numpy as np
 from . import tensor as T
 from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
 from .errors import ConfigError, DataError, HierarchyError, NumericsError
-from .events import EventSequence, PredictionExample
+from .events import EventSequence, NormStats, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
 from .tensor import DiffNode
 
@@ -541,7 +541,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:
@@ -561,8 +561,6 @@ def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:
 
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, norm_stats_or_None)."""
-    from .events import NormStats
-
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
@@ -593,9 +591,7 @@ def load_checkpoint(path):
     params.load_values(values)
     norm = payload.get("norm")
     try:
-        stats = NormStats.from_dict(norm) if norm else None
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError):
-        raise DataError(f"{path}: norm stats need a mode and a numeric mean_gap") from None
+        stats = NormStats.from_dict(norm) if norm is not None else None
+    except (KeyError, TypeError):  # a ConfigError for a bad mean_gap passes through
+        raise DataError(f"{path}: norm stats need a mean_gap") from None
     return params, stats

@@ -1,5 +1,8 @@
 """Tests for sequence loading, synthetic generators, windowing, normalization."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -155,6 +158,20 @@ class TestLoadSequences:
         np.testing.assert_array_equal(loaded[0].times, seqs[0].times)
         np.testing.assert_array_equal(loaded[0].types, seqs[0].types)
 
+    @pytest.mark.parametrize("name", ["data.jsonl", "data.json", "data.csv", "data.txt"])
+    def test_save_picks_the_format_load_reads_from_the_suffix(self, tmp_path, name):
+        seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
+        p = tmp_path / name
+        save_sequences(p, seqs)
+        assert p.read_text().startswith("{" if name.endswith((".jsonl", ".json")) else "seq_id,")
+        loaded = load_sequences(p)
+        np.testing.assert_array_equal(loaded[0].times, seqs[0].times)
+        np.testing.assert_array_equal(loaded[0].types, seqs[0].types)
+
+    def test_save_rejects_an_unknown_format(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown format 'xml'"):
+            save_sequences(tmp_path / "data.xml", [], format="xml")
+
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         t = np.cumsum(rng.exponential(1.0, size=20))
@@ -198,6 +215,59 @@ class TestLoadSequences:
 def test_generators_reject_fewer_than_one_type(generate, num_types):
     with pytest.raises(ConfigError, match=f"num_types must be >= 1, got {num_types}"):
         generate(num_types)
+
+
+@contextlib.contextmanager
+def _returns_within(seconds):
+    """Turn a call that runs past ``seconds`` into a TimeoutError instead of a
+    hang (SIGALRM, so Unix only)."""
+    def stop(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_HAWKES = dict(num_seqs=1, horizon=10.0, base_rate=1.0, excitation=0.5, decay=1.0,
+               num_types=2, seed=0)
+_MULTISCALE = dict(num_seqs=1, burst_rate=5.0, burst_size=4, gap_scale=20.0, num_types=4,
+                   seed=0)
+_BAD_GENERATOR_PARAMETERS = [
+    (generate_hawkes, _HAWKES, "horizon", np.nan),
+    (generate_hawkes, _HAWKES, "horizon", np.inf),
+    (generate_hawkes, _HAWKES, "base_rate", np.nan),
+    (generate_hawkes, _HAWKES, "excitation", np.nan),
+    (generate_hawkes, _HAWKES, "decay", np.nan),
+    (generate_hawkes, _HAWKES, "num_seqs", 1.5),
+    (generate_hawkes, _HAWKES, "num_seqs", True),
+    (generate_hawkes, _HAWKES, "num_types", 2.5),
+    (generate_multiscale, _MULTISCALE, "num_seqs", 1.5),
+    (generate_multiscale, _MULTISCALE, "num_seqs", True),
+    (generate_multiscale, _MULTISCALE, "num_types", 2.5),
+    (generate_multiscale, _MULTISCALE, "burst_rate", np.nan),
+    (generate_multiscale, _MULTISCALE, "burst_size", 2.5),
+    (generate_multiscale, _MULTISCALE, "gap_scale", np.inf),
+    (generate_multiscale, _MULTISCALE, "num_bursts", True),
+    (generate_multiscale, _MULTISCALE, "pattern_noise", np.nan),
+    (generate_multiscale, _MULTISCALE, "pattern_noise", -0.1),
+    (generate_multiscale, _MULTISCALE, "pattern_noise", 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "generate, valid, name, value", _BAD_GENERATOR_PARAMETERS,
+    ids=[f"{g.__name__.removeprefix('generate_')}-{name}-{value!r}"
+         for g, _, name, value in _BAD_GENERATOR_PARAMETERS],
+)
+def test_generators_reject_a_bad_parameter_by_name(generate, valid, name, value):
+    # Some of these never returned, so each call runs under a time limit.
+    with _returns_within(5.0), pytest.raises(ConfigError, match=rf"^{name} must be"):
+        generate(**dict(valid, **{name: value}))
 
 
 class TestHawkesGenerator:
@@ -372,7 +442,7 @@ class TestNormalization:
         with pytest.raises(ConfigError):
             normalize_times([], "weird")
         with pytest.raises(ConfigError, match="'none'"):
-            NormStats.from_dict({"mode": "none", "mean_gap": 1.0})
+            normalize_times([EventSequence([0.0, 1.0], [0, 0], 1)], "none")
 
     def test_apply_reuses_fit_scale(self):
         train = [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")]
@@ -388,7 +458,7 @@ class TestNormalization:
         )
         before = stats.to_dict()
         apply_normalization([EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], stats)
-        assert stats.to_dict() == before == {"mode": "shift_and_scale", "mean_gap": 2.0}
+        assert stats.to_dict() == before == {"mean_gap": 2.0}
 
     def test_sequences_sharing_an_id_normalize_independently(self):
         # Both use the default seq_id "": each still starts at its own zero.
@@ -400,19 +470,20 @@ class TestNormalization:
         np.testing.assert_array_equal(out[1].times, np.array([0.0, 2.0]) / stats.mean_gap)
 
     def test_stats_round_trip_dict(self):
-        stats = NormStats("shift_and_scale", 2.5)
+        stats = NormStats(2.5)
         again = NormStats.from_dict(stats.to_dict())
         assert again == stats
 
     @pytest.mark.parametrize("mean_gap", [-2.0, 0.0, np.nan, np.inf, "2", True, None])
     def test_stats_reject_a_mean_gap_that_is_not_finite_and_positive(self, mean_gap):
         with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
-            NormStats("shift_and_scale", mean_gap)
+            NormStats(mean_gap)
 
-    @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0])
+    @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0, "2.5", True])
     def test_stats_from_dict_reject_a_bad_mean_gap(self, mean_gap):
+        # The stored value is checked as it is, never coerced through float().
         with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
-            NormStats.from_dict({"mode": "shift_and_scale", "mean_gap": mean_gap})
+            NormStats.from_dict({"mean_gap": mean_gap})
 
     def test_gap_to_original_undoes_the_scaling(self):
         # Gaps 2, 4 and 6: the mean gap is 4, so a model-unit gap g is 4 g.

@@ -27,10 +27,22 @@ def random_times(rng, n):
 
 
 def merge_steps(h):
-    """The merge tree as (order, left, right, result, distance) tuples."""
+    """The merge tree as (order, left, right, result, distance) tuples, read
+    from the spans: node L+k's left child is the largest earlier node that
+    starts at its first leaf, its right child the largest earlier node that
+    starts one past the left child's last leaf g, and the gap it fused is
+    t[g+1] - t[g]."""
     n = h.num_leaves
-    return [(k + 1, a, b, n + k, d) for k, (a, b, d) in
-            enumerate(zip(h.left.tolist(), h.right.tolist(), h.distance.tolist()))]
+    lo, hi, t = h.lo.tolist(), h.hi.tolist(), h.rep_time[:n]
+    latest = list(range(n))  # per first leaf: the largest node id so far starting there
+    steps = []
+    for node in range(n, len(lo)):
+        left = latest[lo[node]]
+        g = hi[left]
+        right = latest[g + 1]
+        steps.append((node - n + 1, left, right, node, float(t[g + 1] - t[g])))
+        latest[lo[node]] = node
+    return steps
 
 
 def single_linkage(times):
@@ -326,19 +338,31 @@ class TestPoolGroups:
             h.pool_groups(4)
 
 
-class TestSerialization:
-    def test_to_dict_schema(self):
-        h = build_hierarchy([0.0, 1.0, 5.0], merge_counts=[1, 1])
-        d = h.to_dict()
-        assert set(d) == {"nodes"}
-        for node in d["nodes"]:
-            assert set(node) == {"id", "scale", "children", "members", "time"}
+NINE_POINT_TREE = """\
+node id=16 scale=4 t=15.0778 members=[0, 1, 2, 3, 4, 5, 6, 7, 8]
+  node id=14 scale=3 t=5.45 members=[0, 1, 2, 3, 4, 5]
+    node id=12 scale=2 t=2.55 members=[0, 1, 2, 3]
+      node id=9 scale=1 t=0.5 members=[0, 1]
+        leaf id=0 scale=1 t=0 members=[0]
+        leaf id=1 scale=1 t=1 members=[1]
+      node id=10 scale=1 t=4.6 members=[2, 3]
+        leaf id=2 scale=1 t=4 members=[2]
+        leaf id=3 scale=1 t=5.2 members=[3]
+    node id=11 scale=2 t=11.25 members=[4, 5]
+      leaf id=4 scale=2 t=10 members=[4]
+      leaf id=5 scale=2 t=12.5 members=[5]
+  node id=15 scale=3 t=34.3333 members=[6, 7, 8]
+    node id=13 scale=3 t=32 members=[6, 7]
+      leaf id=6 scale=3 t=30 members=[6]
+      leaf id=7 scale=3 t=34 members=[7]
+    leaf id=8 scale=3 t=39 members=[8]"""
 
+
+class TestSerialization:
     def test_format_tree_contains_all_nodes(self):
+        # The whole text, root first, each child two spaces under its parent.
         h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
-        text = h.format_tree()
-        assert text.count("leaf") == 9
-        assert text.count("node id=") == 8
+        assert h.format_tree() == NINE_POINT_TREE
 
 
 # Strictly increasing floats: distinct values, sorted (0.0 and -0.0 count as one).
@@ -371,19 +395,18 @@ class TestHierarchyProperties:
         for S in range(1, n):
             h = build_hierarchy(t, default_merge_counts(n, S))
             assert merge_tree(h) == [step[:4] for step in oracle]
-            nodes = h.to_dict()["nodes"]
-            assert [node["id"] for node in nodes] == list(range(2 * n - 1))
+            assert len(h.lo) == len(h.hi) == len(h.rep_time) == 2 * n - 1
             mixtures = h.type_mixture(np.arange(2 * n - 1), types, 3)
-            for node in nodes:
-                expected = sorted(members[node["id"]])
-                assert node["members"] == expected
-                assert node["time"] == t[expected].mean()
+            for node_id in range(2 * n - 1):
+                expected = sorted(members[node_id])
+                assert list(range(h.lo[node_id], h.hi[node_id] + 1)) == expected
+                assert h.rep_time[node_id] == t[expected].mean()
                 counts = np.zeros(3)
                 for leaf in expected:
                     counts[types[leaf]] += 1.0
-                mixture = h.type_mixture(node["id"], types, 3)
+                mixture = h.type_mixture(node_id, types, 3)
                 np.testing.assert_array_equal(mixture, counts / len(expected))
-                np.testing.assert_array_equal(mixtures[node["id"]], counts / len(expected))
+                np.testing.assert_array_equal(mixtures[node_id], counts / len(expected))
             bounds = np.concatenate([[0], np.cumsum(h.merge_counts)])
             for s in range(1, S + 1):
                 start, end = bounds[s - 1], bounds[s]
@@ -426,3 +449,27 @@ class TestHierarchyProperties:
         for s in range(1, S + 1):
             assert g.active_nodes(s) == h.active_nodes(s)
             assert g.frontier(s) == h.frontier(s)
+
+    @given(increasing_times, st.data())
+    def test_format_tree_indents_each_node_by_its_ancestors(self, times, data):
+        # Each node is on exactly one line, indented two spaces for every
+        # other node whose brute-force member set contains its own.
+        n = len(times)
+        members = oracle_members(times)
+        S = data.draw(st.integers(1, n - 1))
+        h = build_hierarchy(np.asarray(times), default_merge_counts(n, S))
+        lines = h.format_tree().split("\n")
+        assert len(lines) == 2 * n - 1
+        seen = {}
+        for line in lines:
+            body = line.lstrip(" ")
+            kind, id_field = body.split(" ")[:2]
+            node_id = int(id_field.removeprefix("id="))
+            assert node_id not in seen
+            seen[node_id] = (len(line) - len(body)) // 2
+            assert kind == ("leaf" if node_id < n else "node")
+            assert body.endswith(f"members={sorted(members[node_id])}")
+        assert seen == {
+            i: sum(1 for j in members if j != i and members[i] <= members[j])
+            for i in members
+        }

@@ -198,11 +198,11 @@ def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
         M.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("mean_gap", ["nan", -2.0, 0.0])
+@pytest.mark.parametrize("mean_gap", ["nan", -2.0, 0.0, "2.5", True])
 def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):
     path = tmp_path / "ckpt.json"
     M.save_checkpoint(path, M.init_model_params(_config(False), seed=0),
-                      NormStats("shift_and_scale", 2.0))
+                      NormStats(2.0))
     payload = json.loads(path.read_text())
     payload["norm"]["mean_gap"] = mean_gap
     path.write_text(json.dumps(payload))
@@ -216,14 +216,14 @@ _MALFORMED_CHECKPOINTS = {
     "no config": "checkpoint needs a config object and a params object",
     "no params": "checkpoint needs a config object and a params object",
     "short data": "'dec.type' needs numeric data that fills its shape",
-    "norm without mean_gap": "norm stats need a mode and a numeric mean_gap",
+    "norm without mean_gap": "norm stats need a mean_gap",
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_CHECKPOINTS))
 def test_load_checkpoint_rejects_a_malformed_file(tmp_path, case):
     path = tmp_path / "ckpt.json"
-    norm = NormStats("shift_and_scale", 2.0)
+    norm = NormStats(2.0)
     M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), norm)
     assert M.load_checkpoint(path)[1] == norm
     payload = json.loads(path.read_text())

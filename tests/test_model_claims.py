@@ -107,7 +107,6 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     params = M.init_model_params(config, seed=4)
     seq = _example(length=64).history
     h = M.hierarchy_for(config, seq.times)
-    nodes = h.to_dict()["nodes"]
     rng = np.random.default_rng(8)
     for s in range(1, h.num_scales):
         active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
@@ -116,11 +115,11 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
             T.constant(H), h, s, params, h.type_mixture(nxt, seq.types, 3)).value
         pooled, mixtures = [], []
         for node_id in nxt:
-            members = nodes[node_id]["members"]
-            run = [p for p, a in enumerate(active) if set(nodes[a]["members"]) <= set(members)]
+            lo, hi = h.lo[node_id], h.hi[node_id]
+            run = [p for p, a in enumerate(active) if lo <= h.lo[a] and h.hi[a] <= hi]
             pooled.append(H[run].mean(axis=0))
-            mixtures.append(np.bincount(seq.types[members], minlength=3) / len(members))
-        times = [nodes[i]["time"] for i in nxt]
+            mixtures.append(np.bincount(seq.types[lo : hi + 1], minlength=3) / (hi + 1 - lo))
+        times = h.rep_time[nxt]
         context = _numpy_positional(params, times, np.array(mixtures))
         expected = np.concatenate([np.array(pooled), context], axis=1) @ params.pool_proj[s - 1].value
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
