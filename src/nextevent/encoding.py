@@ -44,21 +44,17 @@ __all__ = [
 
 class FcpeParams:
     """Learnable pieces of the encoding, stored as the forward multiplies by
-    them: frequencies (1, d/2), amplitude map (K, d/2), type embedding (K, d)."""
+    them: frequencies (1, d/2), amplitude map (K, d/2), type embedding (K, d).
+    d/2 is the number of frequencies and K the rows of the amplitude map."""
 
-    def __init__(self, dim: int, num_types: int, freqs: DiffNode, density_map: DiffNode,
-                 type_embed: DiffNode):
-        if dim % 2 != 0 or dim <= 0:
-            raise ConfigError(f"encoding dim must be a positive even integer, got {dim}")
-        self.dim = dim
-        self.num_types = num_types
+    def __init__(self, freqs: DiffNode, density_map: DiffNode, type_embed: DiffNode):
         self.freqs = freqs
         self.density_map = density_map
         self.type_embed = type_embed
-        half = dim // 2
+        rows, half = density_map.shape[:1], freqs.value.size
         for name, node, shape in (("freqs", freqs, (1, half)),
-                                  ("density_map", density_map, (num_types, half)),
-                                  ("type_embed", type_embed, (num_types, dim))):
+                                  ("density_map", density_map, rows + (half,)),
+                                  ("type_embed", type_embed, rows + (2 * half,))):
             if node.shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}, got {node.shape}")
 
@@ -85,7 +81,7 @@ def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> Fcpe
     freqs = T.parameter(initial_frequencies(dim))
     density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, num_types)).T)
     type_embed = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, num_types)).T)
-    return FcpeParams(dim, num_types, freqs, density_map, type_embed)
+    return FcpeParams(freqs, density_map, type_embed)
 
 
 def fcpe_trig(params: FcpeParams, times) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +112,7 @@ def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
     w = T.as_tensor(type_weights)
     c, s = fcpe_trig(params, t) if trig is None else trig
     mu = w @ density_map.value  # (n, d/2)
-    out = np.empty((len(t), params.dim))
+    out = np.empty((len(t), params.type_embed.shape[1]))
     np.multiply(mu, c, out=out[:, 0::2])
     np.multiply(mu, s, out=out[:, 1::2])
 

@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+def _is_type_id(value) -> bool:
+    """Whole floats pass; fractions, NaN, bool, str and None do not."""
+    return (isinstance(value, float) and value.is_integer()
+            or isinstance(value, Integral) and not isinstance(value, bool))
+
+
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
@@ -64,10 +70,8 @@ class EventSequence:
         self.times = np.asarray(self.times, dtype=np.float64)
         types = np.asarray(self.types)
         if types.dtype.kind not in "iu":
-            # Whole floats pass; fractions, NaN, bool, str and None do not.
             values = types.reshape(-1).tolist()
-            whole = [isinstance(v, float) and v.is_integer()
-                     or isinstance(v, Integral) and not isinstance(v, bool) for v in values]
+            whole = [_is_type_id(v) for v in values]
             if not all(whole):
                 bad = whole.index(False)
                 raise DataError(f"sequence {self.seq_id!r}: type id at event {bad} is not"
@@ -104,7 +108,9 @@ class EventSequence:
 
 @dataclass
 class PredictionExample:
-    """A history window plus the next event it should predict."""
+    """A history window plus the next event it should predict. The target
+    type follows the rule for a sequence's types: an integer, or a float that
+    holds a whole number, in ``[0, history.num_types)``."""
 
     history: EventSequence
     target_time: float
@@ -113,6 +119,12 @@ class PredictionExample:
     def __post_init__(self):
         if len(self.history) < 2:
             raise DataError("history must contain at least 2 events")
+        k = self.target_type
+        if not _is_type_id(k) or not 0 <= k < self.history.num_types:
+            raise DataError(f"target_type must be an integer in"
+                            f" [0, {self.history.num_types}), got {k!r}")
+        if isinstance(self.target_time, bool) or not isinstance(self.target_time, Real):
+            raise DataError(f"target_time must be a real number, got {self.target_time!r}")
         if not np.isfinite(self.target_time):
             # NaN compares false, so the order check below lets it through.
             raise DataError(f"target_time must be finite, got {self.target_time}")
@@ -312,11 +324,22 @@ def save_sequences(path, sequences: list[EventSequence], format: str | None = No
 # ---------------------------------------------------------------------------
 
 
-def _check_count(name: str, value) -> None:
+# Neither generator starts a call whose expected event count exceeds this:
+# each event is drawn in Python and held in a list until the call returns.
+_MAX_EVENTS = 10**7
+
+
+def _check_count(name: str, value, low: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
+
+
+def _check_work(expected: float) -> None:
+    if not expected <= _MAX_EVENTS:
+        raise ConfigError(f"the parameters ask for about {expected:.3g} events,"
+                          f" more than the {_MAX_EVENTS} one call may generate")
 
 
 def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
@@ -346,7 +369,10 @@ def generate_hawkes(
     Requires excitation < decay (stationarity). Between events the intensity
     only decays, so the value just after the latest event is a valid
     thinning bound. Types are drawn uniformly. Every parameter is checked
-    before the first draw; the rates and the horizon must be finite.
+    before the first draw; the rates and the horizon must be finite, ``seed``
+    a non-negative integer, and the expected total
+    ``num_seqs * base_rate * horizon / (1 - excitation / decay)`` at most
+    ``_MAX_EVENTS``.
     """
     _check_count("num_seqs", num_seqs)
     _check_real("horizon", horizon)
@@ -358,6 +384,8 @@ def generate_hawkes(
             f"non-stationary parameters: excitation {excitation} must be < decay {decay}"
         )
     _check_count("num_types", num_types)
+    _check_count("seed", seed, low=0)
+    _check_work(num_seqs * base_rate * horizon / (1.0 - excitation / decay))
     rng = np.random.default_rng(seed)
     sequences = []
     for s in range(num_seqs):
@@ -399,7 +427,9 @@ def generate_multiscale(
     scale correlates with type, and follow a cyclic pattern (opener type
     cycles with the burst index, within-burst types cycle within the burst)
     flipped to a random in-pool type with probability ``pattern_noise``.
-    Every parameter is checked before the first draw.
+    Every parameter is checked before the first draw; ``seed`` must be a
+    non-negative integer and ``num_seqs * num_bursts * burst_size`` at most
+    ``_MAX_EVENTS``.
     """
     _check_count("num_seqs", num_seqs)
     _check_real("burst_rate", burst_rate)
@@ -408,6 +438,8 @@ def generate_multiscale(
     _check_count("num_types", num_types)
     _check_count("num_bursts", num_bursts)
     _check_real("pattern_noise", pattern_noise, high=1.0, low_included=True)
+    _check_count("seed", seed, low=0)
+    _check_work(num_seqs * num_bursts * burst_size)
     if burst_size == 1:
         warnings.warn(
             "burst_size=1 degenerates to a renewal process of long gaps",

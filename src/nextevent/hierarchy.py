@@ -48,7 +48,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, HierarchyError
+from .errors import ConfigError, DataError, HierarchyError
 
 __all__ = [
     "ScaleHierarchy",
@@ -64,6 +64,8 @@ def _merge_tree(times):
     order of the merge that absorbs it (L for the root).
     """
     t = np.asarray(times, dtype=np.float64)
+    if t.ndim != 1:
+        raise HierarchyError(f"times must be a 1-D array, got shape {t.shape}")
     n = len(t)
     if n < 2:
         raise HierarchyError(f"need at least 2 points to cluster, got {n}")
@@ -198,8 +200,14 @@ class ScaleHierarchy:
 
         Counts are differences of per-type prefix counts over the leaves.
         They are exact integers, so each row equals ``bincount / size`` bit
-        for bit.
+        for bit. ``types`` must hold one integer id in ``[0, num_types)`` per
+        leaf; anything else raises :class:`DataError`.
         """
+        types = np.asarray(types)
+        if (types.shape != (self.num_leaves,) or types.dtype.kind not in "iu"
+                or types.min() < 0 or types.max() >= num_types):
+            raise DataError(f"types must hold one integer id in [0, {num_types}) for each"
+                            f" of the {self.num_leaves} leaves")
         ids = np.asarray(node_ids)
         prefix = np.zeros((self.num_leaves + 1, num_types), dtype=np.int64)
         np.eye(num_types, dtype=np.int64)[types].cumsum(axis=0, out=prefix[1:])

@@ -25,9 +25,9 @@ Forward pass per history window:
 3. one more :func:`tensor.multi_head_attention` node at the top scale, with
    the temporally last node as the sole query, then a dense layer, gives
    the sequence summary ``H_L``,
-4. one node (``_decode``) maps ``H_L`` to the loss: a softmax type head's
-   cross-entropy plus a positive (scale, shape) time head's Weibull NLL,
-   computed in log space; it also gives the readouts of
+4. one node (``_decode``) maps ``H_L`` to the loss: the equal-weight mean
+   of a softmax type head's cross-entropy and a positive (scale, shape) time
+   head's Weibull NLL, computed in log space; it also gives the readouts of
    :class:`ForwardResult`.
 
 ``num_scales=1`` is the dense, all-pair baseline: the hierarchy has a single
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -72,20 +72,20 @@ __all__ = [
     "CHECKPOINT_VERSION",
 ]
 
-DISTRIBUTIONS = ("weibull", "exponential")
 PE_MODES = ("fcpe", "base")
 POSITIVE_FLOOR = 1e-6
 
 
 @dataclass
 class ModelConfig:
-    """Architecture and loss switches; every field is checkpointed."""
+    """Architecture switches; every field is checkpointed. ``distribution``
+    accepts only ``"weibull"``: the benchmark passes it, and the next change
+    to the benchmark (ROADMAP item 2) can delete the field."""
 
     d_model: int = 16
     num_heads: int = 2
     num_scales: int = 4
     num_types: int = 2
-    alpha: float = 0.5
     distribution: str = "weibull"
     pe: str = "fcpe"
     causal: bool = False
@@ -96,8 +96,6 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, Real):
-            raise ConfigError(f"alpha must be a real number, got {self.alpha!r}")
         if not isinstance(self.causal, (bool, np.bool_)):
             raise ConfigError(f"causal must be True or False, got {self.causal!r}")
         if self.d_model <= 0 or self.d_model % 2 != 0:
@@ -110,10 +108,8 @@ class ModelConfig:
             raise ConfigError(f"num_scales must be >= 1, got {self.num_scales}")
         if self.num_types < 1:
             raise ConfigError(f"num_types must be >= 1, got {self.num_types}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not isinstance(self.distribution, str) or self.distribution not in DISTRIBUTIONS:
-            raise ConfigError(f"distribution must be one of {DISTRIBUTIONS}")
+        if self.distribution != "weibull":
+            raise ConfigError(f"distribution must be 'weibull', got {self.distribution!r}")
         if not isinstance(self.pe, str) or self.pe not in PE_MODES:
             raise ConfigError(f"pe must be one of {PE_MODES}")
 
@@ -262,12 +258,11 @@ def _attend(Hq: DiffNode, H: DiffNode, causal: bool,
     :func:`tensor.multi_head_attention` node for every head, concat(heads)
     @ W_O and the ``Hq`` residual. Counts the keys each query reads times
     ``d_k`` score multiplications per head."""
-    dk = sp.w_qkv.shape[2]
     if counter is not None:
         n = Hq.shape[0]
         keys = n * (n + 1) // 2 if causal else n * H.shape[0]
-        counter.add(sp.w_qkv.shape[0] // 3 * keys * dk)
-    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, causal, 1.0 / math.sqrt(dk))
+        counter.add(sp.w_qkv.shape[0] // 3 * keys * sp.w_qkv.shape[2])
+    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, causal)
 
 
 def cross_scale_attention(
@@ -421,10 +416,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> ForwardResult:
     """The decoder head as one node over ``H_L``, ``w_time`` and ``w_type``:
 
-        (1 - alpha) * time NLL + alpha * type cross-entropy
+        0.5 * time NLL + 0.5 * type cross-entropy
 
-    with softplus (lambda, gamma) above ``POSITIVE_FLOOR`` (exponential mode
-    pins gamma to 1) and the Weibull NLL kept in log space,
+    with softplus (lambda, gamma) above ``POSITIVE_FLOOR`` and the Weibull
+    NLL kept in log space,
 
         -[ log g - log l + (g - 1) u - exp(g u) ],  u = log t - log l.
 
@@ -436,8 +431,6 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
     gap = float(gap)
     if gap <= 0.0:
         raise DataError(f"inter-event gap must be positive, got {gap}")
-    cfg = params.config
-    alpha, c_time = float(cfg.alpha), float(1.0 - cfg.alpha)
     w_time, w_type = params.w_time, params.w_type
     h = H_L.value
     logits = h @ w_type.value  # (1, K)
@@ -447,9 +440,8 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
     lse = m + np.log(e_sum)
     ce = lse - logits[:, [target]]
     pre = h @ w_time.value  # (1, 2)
-    exponential = cfg.distribution == "exponential"
-    lam = np.logaddexp(0.0, pre[:, [0]]) + POSITIVE_FLOOR
-    gamma = np.ones((1, 1)) if exponential else np.logaddexp(0.0, pre[:, [1]]) + POSITIVE_FLOOR
+    positive = np.logaddexp(0.0, pre) + POSITIVE_FLOOR
+    lam, gamma = positive[:, [0]], positive[:, [1]]
     log_lam = np.log(lam)
     u = math.log(gap) - log_lam  # log(t / lambda)
     gu = gamma * u
@@ -460,19 +452,16 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
         )
     z = np.exp(gu)  # (t / lambda)^gamma
     nll = (((np.log(gamma) - log_lam) + (gamma - 1.0) * u) - z) * -1.0
-    total = nll * c_time + ce * alpha
+    total = nll * 0.5 + ce * 0.5
 
     def backward(g):
-        g_ce = g * alpha
-        g_term = (g * c_time) * -1.0
+        g_ce = g * 0.5
+        g_term = (g * 0.5) * -1.0
         g_gu = -g_term * z
         g_u = g_term * (gamma - 1.0) + g_gu * gamma
         g_lam = -g_term / lam + -g_u / lam
-        g_pre = np.zeros_like(pre)
-        g_pre[:, [0]] = g_lam * T._sigmoid(pre[:, [0]])
-        if not exponential:
-            g_gamma = g_term * u + g_term / gamma + g_gu * u
-            g_pre[:, [1]] = g_gamma * T._sigmoid(pre[:, [1]])
+        g_gamma = g_term * u + g_term / gamma + g_gu * u
+        g_pre = np.concatenate([g_lam, g_gamma], axis=1) * T._sigmoid(pre)
         g_logits = g_ce * np.exp(logits - lse)
         g_logits[:, [target]] += -g_ce
         H_L.grad += g_logits @ w_type.value.T
@@ -541,7 +530,7 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:

@@ -293,8 +293,8 @@ def _plan_tiles(n: int, m: int, nh: int, causal: bool) -> list:
     return tiles
 
 
-def multi_head_attention(xq, x, w_qkv, w_out, causal: bool, scale: float) -> DiffNode:
-    """``concat_h(softmax(scale * (xq Wq_h) (x Wk_h).T) (x Wv_h)) @ w_out + xq``,
+def multi_head_attention(xq, x, w_qkv, w_out, causal: bool) -> DiffNode:
+    """``concat_h(softmax((xq Wq_h) (x Wk_h).T / sqrt(d_k)) (x Wv_h)) @ w_out + xq``,
     where with ``causal`` query row j reads only the keys ``0..j``.
 
     ``w_qkv`` is ``(3 * heads, d, d_k)``: head ``h``'s Wq, Wk and Wv are
@@ -337,7 +337,7 @@ def multi_head_attention(xq, x, w_qkv, w_out, causal: bool, scale: float) -> Dif
     if causal and n != m:
         raise ValueError(f"multi_head_attention: causal needs as many queries as keys,"
                          f" got {n} and {m}")
-    c = float(scale)
+    c = 1.0 / np.sqrt(dk)
     q = np.matmul(xq.value, w_qkv.value[:nh])  # (heads, n, d_k)
     kv = np.matmul(x.value, w_qkv.value[nh:])  # (2 * heads, m, d_k)
     kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))

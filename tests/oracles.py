@@ -305,8 +305,9 @@ def fcpe_chain(params, times, type_weights, trig=None):
     matmuls, cos/sin, the two products, then the interleave as a column
     gather of their concatenation. ``trig`` is ignored: the chain computes
     its own cos and sin."""
-    half = params.dim // 2
-    interleave = np.empty(params.dim, dtype=np.int64)
+    dim = params.type_embed.shape[1]
+    half = dim // 2
+    interleave = np.empty(dim, dtype=np.int64)
     interleave[0::2] = np.arange(half)
     interleave[1::2] = np.arange(half) + half
     t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
@@ -331,18 +332,14 @@ def decode_chain(params, H_L, target, gap):
     gap = float(gap)
     if gap <= 0.0:
         raise DataError(f"inter-event gap must be positive, got {gap}")
-    cfg = params.config
     logits = T.matmul(H_L, params.w_type)
     ce = sub(logsumexp(logits, axis=1), gather_cols(logits, [target]))
     pre = T.matmul(H_L, params.w_time)
     floor = T.constant([[M.POSITIVE_FLOOR]])
     lam = T.add(softplus(gather_cols(pre, [0])), floor)
-    if cfg.distribution == "exponential":
-        gamma = T.constant([[1.0]])
-    else:
-        gamma = T.add(softplus(gather_cols(pre, [1])), floor)
+    gamma = T.add(softplus(gather_cols(pre, [1])), floor)
     nll = weibull_nll_chain(lam, gamma, gap)
-    total = T.add(scale(nll, 1.0 - cfg.alpha), scale(ce, cfg.alpha))
+    total = T.add(scale(nll, 0.5), scale(ce, 0.5))
     return M.ForwardResult(
         total=total,
         time_nll=nll.value.item(),

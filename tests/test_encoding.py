@@ -26,7 +26,7 @@ def onehot(types, num_types):
 
 def encode_rows(params, times, types):
     """fcpe_matrix rows for one-hot types, as a numpy array (n, d)."""
-    return fcpe_matrix(params, times, onehot(types, params.num_types)).value
+    return fcpe_matrix(params, times, onehot(types, params.type_embed.shape[0])).value
 
 
 def amplitudes(params, types):
@@ -82,7 +82,7 @@ class TestFcpe:
         params.density_map.value[:] = 0.0
         params.density_map.value[0] = 1.0
         enc = encode_rows(params, [0.0, 0.37, 12.9, -4.0], [0, 0, 0, 0])
-        np.testing.assert_allclose(np.sum(enc * enc, axis=1), params.dim / 2, rtol=1e-12)
+        np.testing.assert_allclose(np.sum(enc * enc, axis=1), 10 / 2, rtol=1e-12)
 
     def test_dot_product_kernel_closed_form(self):
         params = make_params(dim=12, num_types=3, seed=4)
@@ -191,7 +191,7 @@ class TestEmbedEvent:
         with pytest.raises(ConfigError):
             init_fcpe_params(7, 2, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            FcpeParams(7, 2, T.parameter(np.zeros((1, 3))),
+            FcpeParams(T.parameter(np.zeros((1, 3))),
                        T.parameter(np.zeros((2, 3))), T.parameter(np.zeros((2, 7))))
 
     def test_leaves_are_stored_as_the_forward_multiplies_by_them(self):
@@ -205,4 +205,4 @@ class TestEmbedEvent:
             nodes = {k: T.parameter(v) for k, v in leaves.items()}
             nodes[name] = T.parameter(np.zeros(transposed))
             with pytest.raises(ConfigError, match=rf"{name} must have shape"):
-                FcpeParams(8, 3, **nodes)
+                FcpeParams(**nodes)

@@ -95,6 +95,29 @@ class TestEventSequence:
         with pytest.raises(DataError, match="target_time must be finite"):
             PredictionExample(seq, bad, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.9, 0.7, -1, 2, 2.0, np.nan, True, np.True_, "1",
+                                     None])
+    def test_example_rejects_a_target_type_that_is_not_a_type_id(self, bad):
+        from nextevent.events import PredictionExample
+
+        seq = EventSequence([0.0, 1.0], [0, 1], 2)
+        with pytest.raises(DataError, match=r"target_type must be an integer in \[0, 2\)"):
+            PredictionExample(seq, 2.0, bad)
+
+    @pytest.mark.parametrize("good", [1, 1.0, np.int64(1), np.uint8(1), np.float64(1.0)])
+    def test_example_accepts_an_integer_or_whole_float_target_type(self, good):
+        from nextevent.events import PredictionExample
+
+        assert PredictionExample(EventSequence([0.0, 1.0], [0, 1], 2), 2.0, good).target_type == 1
+
+    @pytest.mark.parametrize("bad", ["9", None, True, [9.0]])
+    def test_example_rejects_a_target_time_that_is_not_a_number(self, bad):
+        from nextevent.events import PredictionExample
+
+        seq = EventSequence([0.0, 1.0], [0, 0], 1)
+        with pytest.raises(DataError, match="target_time must be a real number"):
+            PredictionExample(seq, bad, 0)
+
 
 class TestLoadSequences:
     def test_minimal_csv(self, tmp_path):
@@ -256,6 +279,9 @@ _BAD_GENERATOR_PARAMETERS = [
     (generate_multiscale, _MULTISCALE, "pattern_noise", np.nan),
     (generate_multiscale, _MULTISCALE, "pattern_noise", -0.1),
     (generate_multiscale, _MULTISCALE, "pattern_noise", 1.5),
+    *[(generate, valid, "seed", bad)
+      for generate, valid in ((generate_hawkes, _HAWKES), (generate_multiscale, _MULTISCALE))
+      for bad in (1.5, "a", -1, True, None)],
 ]
 
 
@@ -268,6 +294,19 @@ def test_generators_reject_a_bad_parameter_by_name(generate, valid, name, value)
     # Some of these never returned, so each call runs under a time limit.
     with _returns_within(5.0), pytest.raises(ConfigError, match=rf"^{name} must be"):
         generate(**dict(valid, **{name: value}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_hawkes(1, 1e300, 1.0, 0.0, 1.0, 2, seed=0),
+    lambda: generate_hawkes(2, 5e6, 1.0, 0.5, 1.0, 2, seed=0),
+    lambda: generate_multiscale(1, 1.0, 10**6, 4.0, 2, seed=0, num_bursts=10**6),
+    lambda: generate_multiscale(10**6, 1.0, 4, 4.0, 2, seed=0, num_bursts=3),
+], ids=["hawkes-horizon", "hawkes-excited", "multiscale-bursts", "multiscale-seqs"])
+def test_generators_reject_more_than_ten_million_expected_events(call):
+    # Without the bound each of these runs far past the time limit, so a
+    # missing bound fails the test instead of hanging it.
+    with _returns_within(5.0), pytest.raises(ConfigError, match="events"):
+        call()
 
 
 class TestHawkesGenerator:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nextevent import events as E
-from nextevent.errors import ConfigError, HierarchyError
+from nextevent.errors import ConfigError, DataError, HierarchyError
 from nextevent.hierarchy import build_hierarchy, default_merge_counts
 
 from conftest import nine_point_layout
@@ -79,6 +79,12 @@ class TestAgglomerate:
     def test_rejects_nan(self):
         with pytest.raises(HierarchyError, match="strictly increasing"):
             build_hierarchy([0.0, float("nan"), 2.0, 3.0], [3])
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (1, 8)])
+    def test_rejects_times_that_are_not_1d(self, shape):
+        times = np.arange(8.0).reshape(shape)
+        with pytest.raises(HierarchyError, match="1-D"):
+            build_hierarchy(times, [times.size - 1])
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(7)
@@ -336,6 +342,20 @@ class TestPoolGroups:
         h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
         with pytest.raises(ConfigError):
             h.pool_groups(4)
+
+
+@pytest.mark.parametrize("types", [
+    [0, 1, 2, 0, 1, 2, 0, 1, -1],
+    [0, 1, 2, 0, 1, 2, 0, 1, 3],
+    [0, 1, 2, 0, 1, 2, 0, 1],
+    [0, 1, 2, 0, 1, 2, 0, 1, 2, 0],
+    [[0, 1, 2, 0, 1, 2, 0, 1, 2]],
+    [0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+], ids=["negative", "too-large", "short", "long", "2-D", "float"])
+def test_type_mixture_rejects_types_that_are_not_one_id_per_leaf(types):
+    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    with pytest.raises(DataError, match=r"one integer id in \[0, 3\) for each of the 9 leaves"):
+        h.type_mixture(16, np.array(types), 3)
 
 
 NINE_POINT_TREE = """\

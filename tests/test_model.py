@@ -132,11 +132,19 @@ def test_config_from_dict_rejects_unknown_keys():
         M.ModelConfig.from_dict({**d, "attention": "dense"})
     with pytest.raises(ConfigError, match="unknown config keys.*'layer_norm'"):
         M.ModelConfig.from_dict({**d, "layer_norm": False})
+    with pytest.raises(ConfigError, match="unknown config keys.*'alpha'"):
+        M.ModelConfig.from_dict({**d, "alpha": 0.5})
+
+
+def test_config_has_one_time_distribution():
+    assert M.ModelConfig(distribution="weibull").distribution == "weibull"
+    with pytest.raises(ConfigError, match="distribution must be 'weibull'"):
+        M.ModelConfig(distribution="exponential")
 
 
 @pytest.mark.parametrize("field, value", [
     ("d_model", "8"), ("d_model", 8.0), ("num_heads", 2.0), ("num_scales", True),
-    ("num_types", None), ("alpha", None), ("alpha", "0.5"), ("alpha", False),
+    ("num_types", None), ("causal", None), ("distribution", None), ("pe", None),
     ("causal", "yes"), ("causal", 1), ("distribution", ["weibull"]), ("pe", 0),
 ])
 def test_config_rejects_wrongly_typed_fields(field, value):
@@ -161,12 +169,14 @@ def test_hierarchy_for_rejects_more_scales_than_merges():
 
 
 def test_load_checkpoint_rejects_an_older_version(tmp_path):
-    path = tmp_path / "v4.json"
+    # A version-7 file is the last to hold the loss weight alpha.
+    path = tmp_path / "v7.json"
     M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
     payload = json.loads(path.read_text())
-    payload["version"] = 4
+    payload["version"] = 7
+    payload["config"]["alpha"] = 0.5
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 4"):
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 7"):
         M.load_checkpoint(path)
 
 

@@ -151,10 +151,6 @@ PINNED_OUTPUTS = {
         "0x1.08c6af52727c8p+0", "0x1.702844679a520p-1", "0x1.1ffc66dc79e84p-1",
         ("0x1.69a4dce0180aep-2", "0x1.3878189209574p-2", "0x1.5de30a8dde9dfp-2"),
     ),
-    "exponential": (
-        "0x1.f0bd09d671b86p-1", "0x1.522380537d5a1p-1", "0x1.0000000000000p+0",
-        ("0x1.097551e6f744cp-1", "0x1.0c641501d4d4bp-2", "0x1.c1628e6079437p-3"),
-    ),
     "one-scale": (
         "0x1.b91a9aadf0b2fp-1", "0x1.345ebc99ea6dfp-1", "0x1.8ca563485c363p-1",
         ("0x1.4c517e3e61de5p-2", "0x1.4fbd55e5a81d5p-2", "0x1.63f12bdbf6047p-2"),
@@ -165,7 +161,6 @@ PINNED_OUTPUTS = {
 PINNED_CONFIGS = {
     "causal": dict(causal=True),
     "base": dict(pe="base"),
-    "exponential": dict(distribution="exponential"),
     "one-scale": dict(num_scales=1),
 }
 
@@ -182,6 +177,14 @@ def test_outputs_match_pinned_values(name):
     got = [result.total.value.item(), result.lam, result.gamma, *result.type_probs]
     want = [float.fromhex(v) for v in (loss, lam, gamma, *probs)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+def test_loss_is_the_equal_weight_mean_of_the_two_terms(name):
+    base = dict(d_model=8, num_heads=2, num_scales=3, num_types=3)
+    config = M.ModelConfig(**{**base, **PINNED_CONFIGS[name]})
+    result = M.forward(M.init_model_params(config, seed=1), _example())
+    assert result.total.value.item() == 0.5 * result.time_nll + 0.5 * result.type_ce
 
 
 def test_checkpoint_round_trip_reproduces_the_loss(tmp_path):

@@ -282,7 +282,6 @@ class TestMaskedAttention:
     """``multi_head_attention``: one node for every head, all-pair or causal."""
 
     N, D, DK, HEADS = 6, 5, 3, 4
-    C = 1.0 / np.sqrt(DK)
 
     def _arrays(self, n=N, nq=None, seed=3, d=D, dk=DK):
         """x, then xq (``nq`` rows, or x itself), the (3 * heads, d, d_k) W_QKV
@@ -297,15 +296,15 @@ class TestMaskedAttention:
         """Head h's (Wq, Wk, Wv) slices of W_QKV."""
         return w_qkv[h], w_qkv[self.HEADS + h], w_qkv[2 * self.HEADS + h]
 
-    def _node(self, causal, c=C):
+    def _node(self, causal):
         def build(xq, x, w_qkv, w_out):
-            return T.multi_head_attention(xq, x, w_qkv, w_out, causal, c)
+            return T.multi_head_attention(xq, x, w_qkv, w_out, causal)
         return build
 
     def _assert_matches_dense_oracle(self, causal, n, d=D, dk=DK):
         x, _, w_qkv, w_out = self._arrays(n, d=d, dk=dk)
         c = 1.0 / np.sqrt(dk)
-        out = T.multi_head_attention(x, x, w_qkv, w_out, causal, c)
+        out = T.multi_head_attention(x, x, w_qkv, w_out, causal)
         per_head = [
             dense_masked_attention(x, *self._head(w_qkv, h), _keys(n, causal), c)[0]
             for h in range(self.HEADS)
@@ -330,7 +329,7 @@ class TestMaskedAttention:
     ], ids=TILED_IDS)
     def test_gradients(self, causal, n, d, dk):
         x, xq, w_qkv, w_out = self._arrays(n, nq=n, seed=4, d=d, dk=dk)
-        assert_grad_matches(self._node(causal, 1.0 / np.sqrt(dk)), [xq, x, w_qkv, w_out])
+        assert_grad_matches(self._node(causal), [xq, x, w_qkv, w_out])
 
     def test_unmasked_rounds_like_the_node_chain(self):
         # Large enough that BLAS rounds a product with a strided k.T
@@ -365,7 +364,7 @@ class TestMaskedAttention:
             return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
 
         results = []
-        for build, ws in ((self._node(causal, c), [w_qkv]), (chain, list(w_qkv))):
+        for build, ws in ((self._node(causal), [w_qkv]), (chain, list(w_qkv))):
             ws = [T.parameter(w) for w in ws] + [T.parameter(w_out)]
             x_node = T.parameter(x)
             xq_node = x_node if xq is x else T.parameter(xq)
@@ -414,22 +413,22 @@ class TestMaskedAttention:
         w_out = T.constant(np.ones((2, 2)))
         # Causal attention pairs query j with key j, so the counts must agree.
         with pytest.raises(ValueError, match="as many queries as keys"):
-            T.multi_head_attention(x, T.constant(np.ones((4, 2))), w_qkv, w_out, True, 1.0)
+            T.multi_head_attention(x, T.constant(np.ones((4, 2))), w_qkv, w_out, True)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, False, 1.0)
+            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, False)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), False, 1.0)
+            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), False)
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
     def test_rejects_w_qkv_without_whole_heads(self, shape):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least one head"):
-            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), False, 1.0)
+            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), False)
 
     def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), False, 1.0)
+            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), False)
 
 
 class TestTilePlan:
