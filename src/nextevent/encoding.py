@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .tensor import DiffNode
 
 __all__ = [
@@ -74,9 +74,8 @@ def initial_frequencies(dim: int) -> np.ndarray:
 def init_fcpe_params(dim: int, num_types: int, rng: np.random.Generator) -> FcpeParams:
     """Fresh parameters: DFT-grid frequencies, small random maps. The maps
     are drawn as (d/2, K) and (d, K) and stored transposed, so a seed gives
-    the values it always has."""
-    if dim % 2 != 0 or dim <= 0:
-        raise ConfigError(f"encoding dim must be a positive even integer, got {dim}")
+    the values it always has. :class:`FcpeParams` rejects an odd ``dim``."""
+    dim = check_int("encoding dim", dim)
     half = dim // 2
     freqs = T.parameter(initial_frequencies(dim))
     density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, num_types)).T)

@@ -22,12 +22,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_real, is_type_id
 
 __all__ = [
     "EventSequence",
@@ -43,22 +42,17 @@ __all__ = [
 ]
 
 
-def _is_type_id(value) -> bool:
-    """Whole floats pass; fractions, NaN, bool, str and None do not."""
-    return (isinstance(value, float) and value.is_integer()
-            or isinstance(value, Integral) and not isinstance(value, bool))
-
-
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
     integer types in [0, num_types). Types may come as integers or as floats
-    that hold whole numbers; anything else is rejected, not truncated.
+    that hold whole numbers; anything else is rejected, not truncated. No
+    difference of two times may overflow, and ``seq_id`` must be a ``str``.
 
-    Construction checks the whole sequence. The histories that
-    :func:`make_examples` cuts from a sequence skip these checks, which a
-    contiguous slice of a checked sequence passes by construction; they are
-    read-only views of the sequence's arrays.
+    Construction checks the whole sequence and stores ``num_types`` as an
+    ``int``. The histories that :func:`make_examples` cuts from a sequence skip
+    these checks, which a contiguous slice of a checked sequence passes by
+    construction; they are read-only views of the sequence's arrays.
     """
 
     times: np.ndarray
@@ -67,11 +61,13 @@ class EventSequence:
     seq_id: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.seq_id, str):
+            raise DataError(f"seq_id must be a str, got {self.seq_id!r}")
         self.times = np.asarray(self.times, dtype=np.float64)
         types = np.asarray(self.types)
         if types.dtype.kind not in "iu":
             values = types.reshape(-1).tolist()
-            whole = [_is_type_id(v) for v in values]
+            whole = [is_type_id(v) for v in values]
             if not all(whole):
                 bad = whole.index(False)
                 raise DataError(f"sequence {self.seq_id!r}: type id at event {bad} is not"
@@ -86,15 +82,15 @@ class EventSequence:
         if not finite.all():
             bad = int(np.argmin(finite))
             raise DataError(f"sequence {self.seq_id!r}: non-finite time at event {bad}")
-        gaps = np.diff(self.times)
-        if np.any(gaps <= 0):
-            bad = int(np.argmax(gaps <= 0))
-            kind = "tied time" if gaps[bad] == 0 else "time regression"
+        with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+            gaps = np.diff(self.times)
+            bad_gaps = (gaps <= 0) | np.isinf(self.times[1:] - self.times[:1])
+        if bad_gaps.any():
+            bad = int(np.argmax(bad_gaps))
+            kind = ("tied time" if gaps[bad] == 0 else "time regression" if gaps[bad] < 0
+                    else "time span overflow")
             raise DataError(f"sequence {self.seq_id!r}: {kind} at event {bad + 1}")
-        if isinstance(self.num_types, bool) or not isinstance(self.num_types, Integral):
-            raise DataError(f"num_types must be an integer, got {self.num_types!r}")
-        if self.num_types <= 0:
-            raise DataError("num_types must be positive")
+        self.num_types = check_int("num_types", self.num_types, error=DataError)
         if self.types.size and (self.types.min() < 0 or self.types.max() >= self.num_types):
             raise DataError(
                 f"sequence {self.seq_id!r}: type ids must lie in [0, {self.num_types})"
@@ -110,7 +106,8 @@ class EventSequence:
 class PredictionExample:
     """A history window plus the next event it should predict. The target
     type follows the rule for a sequence's types: an integer, or a float that
-    holds a whole number, in ``[0, history.num_types)``."""
+    holds a whole number, in ``[0, history.num_types)``, stored as an ``int``;
+    the target time is a finite real after the history, stored as a ``float``."""
 
     history: EventSequence
     target_time: float
@@ -120,14 +117,11 @@ class PredictionExample:
         if len(self.history) < 2:
             raise DataError("history must contain at least 2 events")
         k = self.target_type
-        if not _is_type_id(k) or not 0 <= k < self.history.num_types:
+        if not is_type_id(k) or not 0 <= k < self.history.num_types:
             raise DataError(f"target_type must be an integer in"
                             f" [0, {self.history.num_types}), got {k!r}")
-        if isinstance(self.target_time, bool) or not isinstance(self.target_time, Real):
-            raise DataError(f"target_time must be a real number, got {self.target_time!r}")
-        if not np.isfinite(self.target_time):
-            # NaN compares false, so the order check below lets it through.
-            raise DataError(f"target_time must be finite, got {self.target_time}")
+        self.target_type = int(k)
+        self.target_time = check_real("target_time", self.target_time, -math.inf, error=DataError)
         if self.target_time <= self.history.times[-1]:
             raise DataError("target_time must exceed the last history time")
 
@@ -175,13 +169,19 @@ def _file_format(path: Path, format: str | None) -> str:
     return format
 
 
-def _coerce_type(raw: str, vocab: dict | None, where: str) -> int:
-    if vocab is not None and raw in vocab:
+def _coerce_type(raw, vocab: dict | None, where: str) -> int:
+    """A file's type id: a ``vocab`` label, a decimal string or an ``is_type_id`` number."""
+    if not isinstance(raw, str):
+        if is_type_id(raw):
+            return int(raw)
+    elif vocab is not None and raw in vocab:
         return int(vocab[raw])
-    try:
-        return int(raw)
-    except ValueError:
-        raise DataError(f"{where}: unknown type id {raw!r}") from None
+    else:
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise DataError(f"{where}: unknown type id {raw!r}")
 
 
 def load_sequences(
@@ -195,12 +195,16 @@ def load_sequences(
     Times must be ascending within each sequence; a regression raises a
     :class:`DataError` naming the offending row. ``num_types`` defaults to
     one past the largest type id seen. ``vocab`` optionally maps string
-    labels to dense integer ids.
+    labels to dense integer ids, each one :func:`errors.is_type_id` accepts.
+    A numeric type id in JSONL follows that rule too, so ``1.0`` is type 1.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     format = _file_format(path, format)
+    bad = [label for label, k in (vocab or {}).items() if not is_type_id(k)]
+    if bad:
+        raise ConfigError(f"vocab id of label {bad[0]!r} is not an integer: {vocab[bad[0]]!r}")
 
     if format == "csv":
         raw = _read_csv(path, vocab)
@@ -285,7 +289,7 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
                 raise DataError(f"{path}:{lineno}: times must be numbers") from None
             if len(times) != len(types):
                 raise DataError(f"{path}:{lineno}: {len(times)} times but {len(types)} types")
-            types = [_coerce_type(str(k), vocab, f"{path}:{lineno}") for k in types]
+            types = [_coerce_type(k, vocab, f"{path}:{lineno}") for k in types]
             if any(b < a for a, b in zip(times, times[1:])):
                 raise DataError(f"{path}:{lineno}: time regression in sequence {seq_id!r}")
             out.append((seq_id, times, types))
@@ -329,29 +333,10 @@ def save_sequences(path, sequences: list[EventSequence], format: str | None = No
 _MAX_EVENTS = 10**7
 
 
-def _check_count(name: str, value, low: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
-
-
 def _check_work(expected: float) -> None:
     if not expected <= _MAX_EVENTS:
         raise ConfigError(f"the parameters ask for about {expected:.3g} events,"
                           f" more than the {_MAX_EVENTS} one call may generate")
-
-
-def _check_real(name: str, value, low: float = 0.0, high: float = math.inf,
-                low_included: bool = False) -> None:
-    """Raise ConfigError unless ``value`` is a finite real number above
-    ``low`` (or equal to it when ``low_included``) and at most ``high``."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
-            or not (low <= value if low_included else low < value) or value > high):
-        raise ConfigError(
-            f"{name} must be a finite number {'>=' if low_included else '>'} {low}"
-            + (f" and <= {high}" if high < math.inf else "") + f", got {value!r}"
-        )
 
 
 def generate_hawkes(
@@ -374,17 +359,17 @@ def generate_hawkes(
     ``num_seqs * base_rate * horizon / (1 - excitation / decay)`` at most
     ``_MAX_EVENTS``.
     """
-    _check_count("num_seqs", num_seqs)
-    _check_real("horizon", horizon)
-    _check_real("base_rate", base_rate)
-    _check_real("decay", decay)
-    _check_real("excitation", excitation, low_included=True)
+    num_seqs = check_int("num_seqs", num_seqs)
+    horizon = check_real("horizon", horizon)
+    base_rate = check_real("base_rate", base_rate)
+    decay = check_real("decay", decay)
+    excitation = check_real("excitation", excitation, low_included=True)
     if excitation >= decay:
         raise ConfigError(
             f"non-stationary parameters: excitation {excitation} must be < decay {decay}"
         )
-    _check_count("num_types", num_types)
-    _check_count("seed", seed, low=0)
+    num_types = check_int("num_types", num_types)
+    seed = check_int("seed", seed, low=0)
     _check_work(num_seqs * base_rate * horizon / (1.0 - excitation / decay))
     rng = np.random.default_rng(seed)
     sequences = []
@@ -431,14 +416,14 @@ def generate_multiscale(
     non-negative integer and ``num_seqs * num_bursts * burst_size`` at most
     ``_MAX_EVENTS``.
     """
-    _check_count("num_seqs", num_seqs)
-    _check_real("burst_rate", burst_rate)
-    _check_count("burst_size", burst_size)
-    _check_real("gap_scale", gap_scale)
-    _check_count("num_types", num_types)
-    _check_count("num_bursts", num_bursts)
-    _check_real("pattern_noise", pattern_noise, high=1.0, low_included=True)
-    _check_count("seed", seed, low=0)
+    num_seqs = check_int("num_seqs", num_seqs)
+    burst_rate = check_real("burst_rate", burst_rate)
+    burst_size = check_int("burst_size", burst_size)
+    gap_scale = check_real("gap_scale", gap_scale)
+    num_types = check_int("num_types", num_types)
+    num_bursts = check_int("num_bursts", num_bursts)
+    pattern_noise = check_real("pattern_noise", pattern_noise, high=1.0, low_included=True)
+    seed = check_int("seed", seed, low=0)
     _check_work(num_seqs * num_bursts * burst_size)
     if burst_size == 1:
         warnings.warn(
@@ -492,8 +477,7 @@ def make_examples(seq: EventSequence, window: int) -> list[PredictionExample]:
     the number of windows N, not with N times ``window``. Editing the
     sequence's arrays afterwards changes its windows too.
     """
-    if isinstance(window, bool) or not isinstance(window, Integral) or window < 2:
-        raise ConfigError(f"window must be an integer >= 2, got {window!r}")
+    window = check_int("window", window, low=2)
     seq = EventSequence(seq.times, seq.types, seq.num_types, seq.seq_id)
     times, types = seq.times.view(), seq.types.view()
     times.flags.writeable = types.flags.writeable = False
@@ -531,16 +515,15 @@ class NormStats:
 
     ``mean_gap`` is the mean inter-event gap of the sequences the stats were
     fit on (1.0 when scaling is off), so a predicted gap in model units maps
-    back to original units via :meth:`gap_to_original`; it must be finite
-    and positive. Each sequence's shift is its own first time and is not kept.
+    back to original units via :meth:`gap_to_original`; it must be finite and
+    positive, and is stored as a ``float``. Each sequence's shift is its own
+    first time and is not kept.
     """
 
     mean_gap: float = 1.0
 
     def __post_init__(self):
-        gap = self.mean_gap
-        if isinstance(gap, bool) or not isinstance(gap, Real) or not 0 < gap < math.inf:
-            raise ConfigError(f"mean_gap must be finite and positive, got {gap!r}")
+        self.mean_gap = check_real("mean_gap", self.mean_gap)
 
     def gap_to_original(self, gap: float) -> float:
         return gap * self.mean_gap

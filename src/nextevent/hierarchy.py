@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DataError, HierarchyError
+from .errors import ConfigError, DataError, HierarchyError, check_int
 
 __all__ = [
     "ScaleHierarchy",
@@ -97,18 +96,13 @@ def _merge_tree(times):
     return t, left_gap + 1, right_gap, consumed
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
     """Split L-1 merges into S near-equal interval counts, remainder first."""
     merges = num_points - 1
-    if not _is_integer(num_scales) or not 1 <= num_scales <= merges:
-        raise ConfigError(
-            f"num_scales must lie in the integers 1..{merges} for {num_points} points,"
-            f" got {num_scales!r}"
-        )
+    num_scales = check_int("num_scales", num_scales)
+    if num_scales > merges:
+        raise ConfigError(f"num_scales must lie in 1..{merges} for {num_points} points,"
+                          f" got {num_scales}")
     base, rem = divmod(merges, num_scales)
     return [base + (1 if s < rem else 0) for s in range(num_scales)]
 
@@ -278,11 +272,7 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     """
     t, lo, hi, consumed = _merge_tree(times)
     n = len(t)
-    if not all(map(_is_integer, merge_counts)):
-        raise ConfigError(f"merge counts must be integers, got {list(merge_counts)!r}")
-    merge_counts = [int(c) for c in merge_counts]
-    if any(c < 1 for c in merge_counts):
-        raise ConfigError(f"merge counts must all be >= 1, got {merge_counts}")
+    merge_counts = [check_int("each merge count", c) for c in merge_counts]
     if sum(merge_counts) != n - 1:
         raise ConfigError(
             f"merge counts sum to {sum(merge_counts)} but there are {n - 1} steps"

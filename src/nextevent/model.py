@@ -40,14 +40,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, asdict
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
-from .errors import ConfigError, DataError, HierarchyError, NumericsError
+from .errors import ConfigError, DataError, HierarchyError, NumericsError, check_int
 from .events import EventSequence, NormStats, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
 from .tensor import DiffNode
@@ -78,9 +77,10 @@ POSITIVE_FLOOR = 1e-6
 
 @dataclass
 class ModelConfig:
-    """Architecture switches; every field is checkpointed. ``distribution``
-    accepts only ``"weibull"``: the benchmark passes it, and the next change
-    to the benchmark (ROADMAP item 2) can delete the field."""
+    """Architecture switches; every field is checkpointed. The sizes are
+    stored as ``int`` and ``causal`` as ``bool``, from numpy scalars too.
+    ``distribution`` accepts only ``"weibull"``: the benchmark passes it, and
+    the next change to the benchmark (ROADMAP item 2) can delete the field."""
 
     d_model: int = 16
     num_heads: int = 2
@@ -91,23 +91,17 @@ class ModelConfig:
     causal: bool = False
 
     def __post_init__(self):
-        # Types first: from_dict passes values read from a checkpoint as they are.
         for name in ("d_model", "num_heads", "num_scales", "num_types"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, check_int(name, getattr(self, name)))
         if not isinstance(self.causal, (bool, np.bool_)):
             raise ConfigError(f"causal must be True or False, got {self.causal!r}")
-        if self.d_model <= 0 or self.d_model % 2 != 0:
-            raise ConfigError(f"d_model must be positive and even, got {self.d_model}")
-        if self.num_heads <= 0 or self.d_model % self.num_heads != 0:
+        self.causal = bool(self.causal)
+        if self.d_model % 2 != 0:
+            raise ConfigError(f"d_model must be even, got {self.d_model}")
+        if self.d_model % self.num_heads != 0:
             raise ConfigError(
                 f"num_heads must divide d_model ({self.d_model}), got {self.num_heads}"
             )
-        if self.num_scales < 1:
-            raise ConfigError(f"num_scales must be >= 1, got {self.num_scales}")
-        if self.num_types < 1:
-            raise ConfigError(f"num_types must be >= 1, got {self.num_types}")
         if self.distribution != "weibull":
             raise ConfigError(f"distribution must be 'weibull', got {self.distribution!r}")
         if not isinstance(self.pe, str) or self.pe not in PE_MODES:

@@ -194,6 +194,11 @@ class TestEmbedEvent:
             FcpeParams(T.parameter(np.zeros((1, 3))),
                        T.parameter(np.zeros((2, 3))), T.parameter(np.zeros((2, 7))))
 
+    @pytest.mark.parametrize("dim", [0, -2, 8.0, True])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ConfigError, match=rf"encoding dim must be an integer >= 1, got {dim}"):
+            init_fcpe_params(dim, 2, np.random.default_rng(0))
+
     def test_leaves_are_stored_as_the_forward_multiplies_by_them(self):
         params = make_params(dim=8, num_types=3)
         assert (params.freqs.shape, params.density_map.shape, params.type_embed.shape) == (

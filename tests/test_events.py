@@ -1,7 +1,9 @@
 """Tests for sequence loading, synthetic generators, windowing, normalization."""
 
 import contextlib
+import re
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +47,8 @@ class TestEventSequence:
 
     @pytest.mark.parametrize("bad", ["3", 2.5, True, None])
     def test_rejects_num_types_that_is_not_an_integer(self, bad):
-        with pytest.raises(DataError, match=rf"num_types must be an integer, got {bad!r}"):
+        match = rf"num_types must be an integer >= 1, got {re.escape(repr(bad))}"
+        with pytest.raises(DataError, match=match):
             EventSequence([0.0, 1.0], [0, 1], bad)
 
     def test_accepts_a_numpy_integer_num_types(self):
@@ -75,6 +78,19 @@ class TestEventSequence:
         with pytest.raises(DataError, match=rf"'s': type id at {bad}"):
             EventSequence([0.0, 1.0, 2.0, 3.0], types, 3, seq_id="s")
 
+    @pytest.mark.parametrize("times, event", [([-1e308, 1e308], 1), ([-1e308, 0.0, 1e308], 2)])
+    def test_rejects_times_whose_difference_overflows(self, times, event):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"time span overflow at event {event}"):
+                EventSequence(times, [0] * len(times), 1)
+
+    @pytest.mark.parametrize("seq_id", [np.int64(3), None, 3, b"a"])
+    def test_rejects_a_seq_id_that_is_not_a_str(self, seq_id):
+        match = rf"seq_id must be a str, got {re.escape(repr(seq_id))}"
+        with pytest.raises(DataError, match=match):
+            EventSequence([0.0, 1.0], [0, 0], 1, seq_id)
+
     def test_an_empty_sequence_constructs(self):
         seq = EventSequence([], [], 2)
         assert len(seq) == 0
@@ -92,7 +108,8 @@ class TestEventSequence:
         from nextevent.events import PredictionExample
 
         seq = EventSequence([0.0, 1.0], [0, 0], 1)
-        with pytest.raises(DataError, match="target_time must be finite"):
+        match = rf"target_time must be a finite number > -inf, got {re.escape(repr(bad))}"
+        with pytest.raises(DataError, match=match):
             PredictionExample(seq, bad, 0)
 
     @pytest.mark.parametrize("bad", [1.5, 1.9, 0.7, -1, 2, 2.0, np.nan, True, np.True_, "1",
@@ -115,7 +132,8 @@ class TestEventSequence:
         from nextevent.events import PredictionExample
 
         seq = EventSequence([0.0, 1.0], [0, 0], 1)
-        with pytest.raises(DataError, match="target_time must be a real number"):
+        match = rf"target_time must be a finite number > -inf, got {re.escape(repr(bad))}"
+        with pytest.raises(DataError, match=match):
             PredictionExample(seq, bad, 0)
 
 
@@ -152,6 +170,39 @@ class TestLoadSequences:
         p.write_text("seq_id,time,type\n0,0.0,aspirin\n0,1.0,statin\n")
         seqs = load_sequences(p, vocab={"aspirin": 0, "statin": 1})
         np.testing.assert_array_equal(seqs[0].types, [0, 1])
+
+    @pytest.mark.parametrize("label_id", [1.7, "1", True, None])
+    def test_vocab_rejects_an_id_that_is_not_an_integer(self, tmp_path, label_id):
+        p = tmp_path / "label.csv"
+        p.write_text("seq_id,time,type\n0,0.0,aspirin\n0,1.0,statin\n")
+        match = rf"vocab id of label 'statin' is not an integer: {re.escape(repr(label_id))}"
+        with pytest.raises(ConfigError, match=match):
+            load_sequences(p, vocab={"aspirin": 0, "statin": label_id})
+
+    def test_vocab_accepts_numpy_and_whole_float_ids(self, tmp_path):
+        p = tmp_path / "label.jsonl"
+        p.write_text('{"id": "a", "times": [0.0, 1.0], "types": ["aspirin", "statin"]}\n')
+        seqs = load_sequences(p, vocab={"aspirin": np.int64(0), "statin": 1.0})
+        assert seqs[0].types.tolist() == [0, 1]
+
+    def test_jsonl_numeric_type_ids_follow_the_in_memory_rule(self, tmp_path):
+        p = tmp_path / "data.jsonl"
+        p.write_text('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, "1"]}\n')
+        assert load_sequences(p)[0].types.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("bad", ["true", "1.5", "null", "[1]"])
+    def test_jsonl_rejects_a_type_id_that_is_not_a_whole_number(self, tmp_path, bad):
+        p = tmp_path / "data.jsonl"
+        p.write_text('{"id": "a", "times": [0.0, 1.0], "types": [0, %s]}\n' % bad)
+        with pytest.raises(DataError, match=r"data\.jsonl:1: unknown type id"):
+            load_sequences(p)
+
+    @pytest.mark.parametrize("cell", ["1.0", "true"])
+    def test_csv_type_ids_stay_labels_or_decimal_integers(self, tmp_path, cell):
+        p = tmp_path / "data.csv"
+        p.write_text(f"seq_id,time,type\n0,0.0,0\n0,1.0,{cell}\n")
+        with pytest.raises(DataError, match=rf"data\.csv:3: unknown type id '{cell}'"):
+            load_sequences(p)
 
     def test_duplicate_times_perturbed_with_warning(self, tmp_path):
         p = tmp_path / "dup.csv"
@@ -236,7 +287,7 @@ class TestLoadSequences:
 ], ids=["hawkes", "multiscale"])
 @pytest.mark.parametrize("num_types", [0, -1])
 def test_generators_reject_fewer_than_one_type(generate, num_types):
-    with pytest.raises(ConfigError, match=f"num_types must be >= 1, got {num_types}"):
+    with pytest.raises(ConfigError, match=f"num_types must be an integer >= 1, got {num_types}"):
         generate(num_types)
 
 
@@ -307,6 +358,18 @@ def test_generators_reject_more_than_ten_million_expected_events(call):
     # missing bound fails the test instead of hanging it.
     with _returns_within(5.0), pytest.raises(ConfigError, match="events"):
         call()
+
+
+@pytest.mark.parametrize("generate, args", [
+    (generate_hawkes, (2, 50.0, 0.7, 0.3, 1.1, 3)),
+    (generate_multiscale, (2, 1.3, 4, 20.7, 3)),
+], ids=["hawkes", "multiscale"])
+def test_generators_compute_numpy_parameters_as_the_python_numbers_they_hold(generate, args):
+    as_numpy = [np.int64(a) if isinstance(a, int) else np.float32(a) for a in args]
+    expected = generate(*[type(a)(b) for a, b in zip(args, as_numpy)], seed=5)
+    for got, want in zip(generate(*as_numpy, seed=np.int64(5)), expected, strict=True):
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.types, want.types)
 
 
 class TestHawkesGenerator:
@@ -515,13 +578,15 @@ class TestNormalization:
 
     @pytest.mark.parametrize("mean_gap", [-2.0, 0.0, np.nan, np.inf, "2", True, None])
     def test_stats_reject_a_mean_gap_that_is_not_finite_and_positive(self, mean_gap):
-        with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+        match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
+        with pytest.raises(ConfigError, match=match):
             NormStats(mean_gap)
 
     @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0, "2.5", True])
     def test_stats_from_dict_reject_a_bad_mean_gap(self, mean_gap):
         # The stored value is checked as it is, never coerced through float().
-        with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+        match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
+        with pytest.raises(ConfigError, match=match):
             NormStats.from_dict({"mean_gap": mean_gap})
 
     def test_gap_to_original_undoes_the_scaling(self):

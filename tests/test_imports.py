@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: every module of the package imports
-nothing but numpy, the standard library and the package itself. And every
-name ``tensor`` exports has a caller in the package."""
+nothing but numpy, the standard library and the package itself. Only
+``errors`` imports ``numbers``, so the scalar input rules have one home. And
+every name ``tensor`` exports has a caller in the package."""
 
 import ast
 import importlib.util
@@ -45,6 +46,14 @@ def test_module_imports_only_numpy_and_the_standard_library(path):
     roots = _imported_roots(ast.parse(path.read_text(), filename=str(path)))
     bad = [f"{path.name}:{line}: {name}" for line, name in roots if name not in ALLOWED]
     assert not bad, f"imports outside numpy and the standard library: {bad}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_errors_imports_numbers(path):
+    roots = _imported_roots(ast.parse(path.read_text(), filename=str(path)))
+    lines = [line for line, name in roots if name == "numbers"]
+    assert path.name == "errors.py" or not lines, (
+        f"{path.name}:{lines}: imports numbers; check scalars with the helpers in errors.py")
 
 
 def _tensor_names_used(tree: ast.AST) -> set[str]:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ def test_load_checkpoint_rejects_an_older_version(tmp_path):
         M.load_checkpoint(path)
 
 
+def test_checkpoint_round_trips_a_config_and_norm_given_numpy_scalars(tmp_path):
+    config = M.ModelConfig(d_model=np.int64(8), num_types=np.uint8(3), causal=np.bool_(True))
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, M.init_model_params(config, seed=0), NormStats(np.float32(2.5)))
+    loaded, stats = M.load_checkpoint(path)
+    assert loaded.config == config == M.ModelConfig(d_model=8, num_types=3, causal=True)
+    for cfg in (config, loaded.config):
+        assert (type(cfg.d_model), type(cfg.num_types), type(cfg.causal)) == (int, int, bool)
+    assert type(stats.mean_gap) is float and stats.mean_gap == 2.5
+
+
 def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
     params = M.init_model_params(_config(False), seed=0)
     good = tmp_path / "good.json"
@@ -216,7 +228,8 @@ def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path,
     payload = json.loads(path.read_text())
     payload["norm"]["mean_gap"] = mean_gap
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="mean_gap must be finite and positive"):
+    match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
+    with pytest.raises(ConfigError, match=match):
         M.load_checkpoint(path)
 
 
