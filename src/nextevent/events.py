@@ -552,7 +552,12 @@ def normalize_times(
         gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
         if gaps.size == 0:  # times strictly increase, so any gap is positive
             raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
-        stats = NormStats(float(gaps.mean()))
+        with np.errstate(over="ignore"):
+            mean_gap = gaps.mean()
+        if not np.isfinite(mean_gap):  # finite gaps whose sum overflows
+            peak = gaps.max()
+            mean_gap = (gaps / peak).mean() * peak
+        stats = NormStats(float(mean_gap))
     return apply_normalization(seqs, stats), stats
 
 

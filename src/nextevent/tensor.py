@@ -6,7 +6,12 @@ The graph is rebuilt on every forward pass, which keeps variable-length
 sequences simple. ``backward()`` on a scalar root runs a topological sort
 and accumulates gradients by addition, so a node feeding several consumers
 receives every contribution exactly once; call ``DiffNode.zero_grad`` on
-each leaf between optimization steps.
+each leaf between optimization steps. ``backward()`` releases the graph as
+it goes: each interior node drops its closure (and the arrays the op saved
+for backward) and its gradient once it has passed that gradient on, so its
+``.grad`` reads zero afterwards and a kept result holds only the forward
+values. A graph can therefore be differentiated once; a second
+``backward()`` through it raises.
 
 Everything is 64-bit: the tests hold each backward to central finite
 differences within relative errors around 1e-4, which 32-bit arithmetic
@@ -51,7 +56,8 @@ class DiffNode:
 
     ``value`` and ``grad`` are float64 arrays of identical shape. Leaf nodes
     (parameters, constants) have no parents; interior nodes carry a backward
-    closure installed by the operation that created them.
+    closure installed by the operation that created them, until
+    :meth:`backward` releases it.
     """
 
     __slots__ = ("value", "_grad", "parents", "_backward")
@@ -85,14 +91,29 @@ class DiffNode:
             self._grad[...] = 0.0
 
     def backward(self):
-        """Propagate gradients from a scalar root through the whole graph."""
+        """Propagate gradients from a scalar root through the whole graph.
+
+        Each interior node is released once it has passed its gradient on:
+        its backward closure, with every array the op saved for it, and its
+        own gradient are dropped, so its ``.grad`` reads zero afterwards.
+        Leaves keep their gradients, and every node keeps its ``value`` and
+        ``parents``. A later ``backward()`` that reaches a released node
+        raises ``RuntimeError`` before it touches any gradient.
+        """
         if self.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.shape}")
         order = _toposort(self)
+        if any(node.parents and node._backward is None for node in order):
+            raise RuntimeError(
+                "backward() reached a node that an earlier backward() released; "
+                "run the forward pass again"
+            )
         self.grad = np.ones_like(self.value)
         for node in order:
-            if node._backward is not None:
+            if node.parents:
                 node._backward(node.grad)
+                node._backward = None
+                node._grad = None
 
     def __repr__(self):
         return f"DiffNode(shape={self.shape})"

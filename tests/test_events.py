@@ -540,6 +540,15 @@ class TestNormalization:
         with pytest.raises(ConfigError, match="mean inter-event gap"):
             normalize_times(seqs, "shift_and_scale")
 
+    def test_mean_gap_survives_a_gap_sum_that_overflows(self):
+        # Each gap is finite, but their sum is not; the filterwarnings setting
+        # turns numpy's overflow warning into a failure.
+        seqs = [EventSequence([0.0, 1.5e308], [0, 0], 1) for _ in range(2)]
+        out, stats = normalize_times(seqs, "shift_and_scale")
+        assert stats.mean_gap == 1.5e308
+        for seq in out:
+            np.testing.assert_array_equal(seq.times, [0.0, 1.0])
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             normalize_times([], "weird")

@@ -20,11 +20,11 @@ BENCHMARK = dict(d_model=32, num_heads=4, num_scales=4, num_types=4)
 CONFIGS = ["benchmark", *PINNED_CONFIGS]
 
 
-def _benchmark_example():
+def _benchmark_example(length=64):
     seqs = generate_multiscale(1, burst_rate=1.0, burst_size=16, gap_scale=4.0, num_types=4,
-                               seed=0, num_bursts=6)
+                               seed=0, num_bursts=length // 16 + 2)
     seqs, _ = normalize_times(seqs, "shift_and_scale")
-    return make_examples(seqs[0], 64)[3]
+    return make_examples(seqs[0], length)[3]
 
 
 def _setup(name):

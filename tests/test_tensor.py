@@ -4,14 +4,19 @@ The small ops the fused nodes replaced live on in ``oracles`` (as ``O``),
 where the exactness tests build the old chains from them; they are checked
 here like the engine's own ops."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.errors import HierarchyError, NumericsError
 from gradcheck import check_gradients
 import oracles as O
 from oracles import dense_masked_attention
+from test_fused_nodes import BENCHMARK, _benchmark_example
 
 
 def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -521,3 +526,100 @@ class TestCheckGradients:
     def test_backward_requires_scalar_root(self):
         with pytest.raises(ValueError, match="scalar"):
             T.constant(np.zeros((2, 2))).backward()
+
+
+def _keep_graph_backward(root):
+    """Reference backward that releases nothing: every closure in the same
+    reverse topological order as ``DiffNode.backward``."""
+    root.grad = np.ones_like(root.value)
+    for node in T._toposort(root):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def _train_window(length, causal):
+    """(params, window) of the benchmark's model on a multiscale window."""
+    config = M.ModelConfig(**BENCHMARK, causal=causal)
+    return M.init_model_params(config, seed=0), _benchmark_example(length)
+
+
+class TestGraphRelease:
+    """``backward()`` releases each interior node once it has passed its
+    gradient on, and a released graph cannot be differentiated again."""
+
+    def _step(self, params, window):
+        params.zero_grad()
+        result = M.forward(params, window)
+        result.total.backward()
+        return result
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    def test_train_step_releases_every_interior_node(self, causal):
+        params, window = _train_window(64, causal)
+        params.zero_grad()
+        kept = M.forward(params, window)
+        _keep_graph_backward(kept.total)
+        expected = {name: node.grad.copy() for name, node in params.all_named().items()}
+
+        params.zero_grad()
+        result = M.forward(params, window)
+        nodes = T._toposort(result.total)
+        values = [node.value.copy() for node in nodes]
+        result.total.backward()
+        interior = [node for node in nodes if node.parents]
+        assert len(nodes) == 47 and len(interior) == 29
+        for node in interior:
+            assert node._backward is None
+            assert node._grad is None
+            assert not node.grad.any()
+        for node, value in zip(nodes, values):
+            np.testing.assert_array_equal(node.value, value)
+        for name, node in params.all_named().items():
+            np.testing.assert_array_equal(node.grad, expected[name], err_msg=name)
+
+    def test_second_backward_raises_and_leaves_the_gradients_alone(self):
+        params, window = _train_window(64, False)
+        result = self._step(params, window)
+        grads = {name: node.grad.copy() for name, node in params.all_named().items()}
+        with pytest.raises(RuntimeError, match="released"):
+            result.total.backward()
+        for name, node in params.all_named().items():
+            np.testing.assert_array_equal(node.grad, grads[name], err_msg=name)
+
+    def test_graph_built_on_a_released_node_raises(self):
+        x = T.parameter([[1.5, -2.0]])
+        hidden = O.scale(x, 3.0)
+        O.sum_all(hidden).backward()
+        again = O.sum_all(O.mul(hidden, hidden))
+        with pytest.raises(RuntimeError, match="released"):
+            again.backward()
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+    def test_leaf_root_keeps_its_gradient(self):
+        x = T.parameter([[2.0]])
+        x.backward()
+        x.backward()  # a leaf has nothing to release
+        np.testing.assert_array_equal(x.grad, [[1.0]])
+
+    @pytest.mark.parametrize("length, causal", [(512, False), (256, True)],
+                             ids=["full-L512", "causal-L256"])
+    def test_kept_result_holds_under_half_the_step_peak(self, length, causal):
+        # A training loop keeps the last step's result while it runs the
+        # next one. What that result still holds after backward() is its
+        # forward values: 0.2-0.4 of the step's traced peak. A result that
+        # also held every closure and interior gradient would hold about 0.9.
+        params, window = _train_window(length, causal)
+        previous = self._step(params, window)  # kept, as a loop keeps it
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = self._step(params, window)
+            held, peak = tracemalloc.get_traced_memory()
+            del result
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * (peak - base), (held, peak - base)
