@@ -7,14 +7,15 @@ Forward pass per history window:
    :func:`encoding.fcpe_matrix` node (``pe="base"`` is the same encoding
    initialized to unit amplitudes, frozen and fed in as a constant),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
-   of scale s, one :func:`tensor.multi_head_attention` node for all heads,
-   over all pairs, or with ``causal`` each query reading the nodes no later
-   than itself (the counted score multiplications are ``n * n * d_k`` or
+   of scale s, one :func:`tensor.multi_head_attention` node for all heads
+   that reads the frontier rows by position and writes them back, over all
+   pairs, or with ``causal`` each query reading the nodes no later than
+   itself (the counted score multiplications are ``n * n * d_k`` or
    ``n (n + 1) / 2 * d_k`` per head over n frontier nodes; the kernel skips
    the key tiles after each block of causal queries, so causal attention
-   runs fewer products than all-pair); carried-over nodes pass through
-   untouched; then pool to the next scale's active set as a segment mean:
-   the active nodes and the next ones are both leaf spans in time order,
+   runs fewer products than all-pair); carried-over rows pass through that
+   node untouched; then pool to the next scale's active set as a segment
+   mean: the active nodes and the next ones are both leaf spans in time order,
    so each next node is the mean of the contiguous run of rows it absorbs
    (a carried-over node is a run of one);
    each pooled row is concatenated with its node's positional context (one
@@ -22,9 +23,9 @@ Forward pass per history window:
    every node's type mixture and the cos and sin of its phases come from
    one table per window, so a node carried over to later scales does not
    compute them again,
-3. one more :func:`tensor.multi_head_attention` node at the top scale, with
-   the temporally last node as the sole query, then a dense layer, gives
-   the sequence summary ``H_L``,
+3. one more :func:`tensor.multi_head_attention` node reads every top-scale
+   row, with the temporally last node as the sole query and the one output
+   row; then a dense layer gives the sequence summary ``H_L``,
 4. one node (``_decode``) maps ``H_L`` to the loss: the equal-weight mean
    of a softmax type head's cross-entropy and a positive (scale, shape) time
    head's Weibull NLL, computed in log space; it also gives the readouts of
@@ -246,17 +247,16 @@ def _embed(params: ModelParams, times, type_weights, trig=None) -> DiffNode:
     return T.add(type_part, _positional(params, times, type_weights, trig))
 
 
-def _attend(Hq: DiffNode, H: DiffNode, causal: bool,
-            sp: ScaleAttentionParams, counter: FlopCounter | None) -> DiffNode:
-    """Rows of ``Hq`` attend to rows of ``H``: one
-    :func:`tensor.multi_head_attention` node for every head, concat(heads)
-    @ W_O and the ``Hq`` residual. Counts the keys each query reads times
-    ``d_k`` score multiplications per head."""
+def _attend(H: DiffNode, rows, causal: bool, sp: ScaleAttentionParams,
+            counter: FlopCounter | None, last_only: bool = False) -> DiffNode:
+    """One :func:`tensor.multi_head_attention` node over ``H[rows]``: every
+    head, concat(heads) @ W_O and the residual. Counts the keys each query
+    reads times ``d_k`` score multiplications per head."""
     if counter is not None:
-        n = Hq.shape[0]
-        keys = n * (n + 1) // 2 if causal else n * H.shape[0]
+        n = len(rows)
+        keys = n * (n + 1) // 2 if causal else (1 if last_only else n) * n
         counter.add(sp.w_qkv.shape[0] // 3 * keys * sp.w_qkv.shape[2])
-    return T.multi_head_attention(Hq, H, sp.w_qkv, sp.w_out, causal)
+    return T.multi_head_attention(H, rows, sp.w_qkv, sp.w_out, causal, last_only)
 
 
 def cross_scale_attention(
@@ -265,16 +265,20 @@ def cross_scale_attention(
     params: ModelParams,
     s: int,
     counter: FlopCounter | None = None,
+    *,
+    rows,
 ) -> DiffNode:
-    """Multi-head attention among the rows of ``H`` at scale ``s``: all
-    pairs, or with ``causal`` row j reads only rows ``0..j``.
+    """Multi-head attention among the rows ``H[rows]`` at scale ``s``: all
+    pairs, or with ``causal`` the i-th row reads only the first i + 1.
+    Returns ``H`` with those rows replaced by concat(heads) @ W_O +
+    residual; every other row passes through.
 
     All heads, W_O and the residual are one
     :func:`tensor.multi_head_attention` node; the counted score
-    multiplications are ``n * n * d_k`` per head, or ``n (n + 1) / 2 * d_k``
-    with ``causal``. Output = concat(heads) @ W_O + residual.
+    multiplications are ``n * n * d_k`` per head over n rows, or
+    ``n (n + 1) / 2 * d_k`` with ``causal``.
     """
-    return _attend(H, H, causal, params.attn[s - 1], counter)
+    return _attend(H, rows, causal, params.attn[s - 1], counter)
 
 
 def hierarchical_pool(
@@ -310,7 +314,10 @@ def encode(params: ModelParams, seq: EventSequence,
            counter: FlopCounter | None = None) -> DiffNode:
     """Run the iterative cross-scale encoder over one history window.
 
-    Returns the top-scale active-node representations (rows in time order).
+    At each scale one attention node reads the frontier rows by their
+    positions among the active nodes and writes them back; the carried-over
+    rows pass through it. Returns the top-scale active-node representations
+    (rows in time order).
     """
     cfg = params.config
     if seq.num_types != cfg.num_types:
@@ -342,16 +349,12 @@ def encode(params: ModelParams, seq: EventSequence,
     # peak memory does not grow.
     H = _embed(params, seq.times, mix[:n], (cos[:n].copy(), sin[:n].copy()))
     for s in range(1, S + 1):
-        fpos = hierarchy.frontier_pos[s - 1]
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
         # is no later than the query's. Frontier spans are disjoint and times
         # strictly increase, so those means strictly increase along the
         # frontier and the rule is the kernel's causal one.
-        if len(fpos) == H.shape[0]:
-            H = cross_scale_attention(H, cfg.causal, params, s, counter)
-        else:
-            Hf = cross_scale_attention(T.gather_rows(H, fpos), cfg.causal, params, s, counter)
-            H = T.scatter_rows(H, fpos, Hf)
+        H = cross_scale_attention(H, cfg.causal, params, s, counter,
+                                  rows=hierarchy.frontier_pos[s - 1])
         if s < S:
             r = rows[hierarchy.active[s]]
             H = hierarchical_pool(H, hierarchy, s, params, mix[r], (cos[r], sin[r]))
@@ -361,9 +364,10 @@ def encode(params: ModelParams, seq: EventSequence,
 def summarize(params: ModelParams, H_top: DiffNode,
               counter: FlopCounter | None = None) -> DiffNode:
     """Decoder attention at the top scale: the temporally last node queries
-    every top node, then a dense layer produces the sequence summary H_L."""
-    last = T.gather_rows(H_top, [H_top.shape[0] - 1])
-    attended = _attend(last, H_top, False, params.attn[-1], counter)
+    every top node in one :func:`tensor.multi_head_attention` node, then a
+    dense layer produces the sequence summary H_L."""
+    rows = np.arange(H_top.shape[0])
+    attended = _attend(H_top, rows, False, params.attn[-1], counter, last_only=True)
     return T.matmul(attended, params.w_summary)
 
 

@@ -20,7 +20,9 @@ same shape and raises otherwise.
 
 The model's three hot spots are one node each, with a hand-written backward:
 :func:`multi_head_attention` here, ``encoding.fcpe_matrix`` and the decoder
-head in ``model``.
+head in ``model``. The attention node reads the rows it attends among by
+index and writes them back into the whole matrix, so attention over a subset
+of rows needs no separate gather or scatter node.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "add",
     "matmul",
     "concat_cols",
-    "gather_rows",
-    "scatter_rows",
     "multi_head_attention",
     "segment_mean",
 ]
@@ -70,7 +70,12 @@ class DiffNode:
 
     @property
     def grad(self) -> np.ndarray:
+        """The accumulated gradient, allocated as zeros on first read. A
+        released interior node returns fresh zeros without keeping them, so
+        reading it does not grow a kept graph back."""
         if self._grad is None:
+            if self.parents and self._backward is None:
+                return np.zeros(self.value.shape)
             self._grad = np.zeros(self.value.shape)
         return self._grad
 
@@ -207,68 +212,6 @@ def concat_cols(*nodes) -> DiffNode:
     return out
 
 
-def _check_indices(idx: np.ndarray, bound: int, what: str) -> None:
-    # Viewed as unsigned, a negative index is larger than any bound, so one
-    # maximum checks both ends of the range.
-    if idx.size and np.maximum.reduce(idx.view(np.uint64), axis=None) >= bound:
-        raise IndexError(f"{what} index out of range [0, {bound})")
-
-
-def _distinct(idx: np.ndarray, bound: int) -> bool:
-    """Whether ``idx``, all in ``[0, bound)``, holds no repeats."""
-    seen = np.zeros(bound, dtype=bool)
-    seen[idx] = True
-    return np.count_nonzero(seen) == idx.size
-
-
-def gather_rows(a, idx) -> DiffNode:
-    """Select rows by index; repeated indices sum their gradients.
-
-    With distinct indices backward adds ``g`` by one fancy-indexed ``+=``:
-    each row then takes a single addition, as under ``np.add.at``, which
-    repeated indices still take. The check runs in backward, so a forward
-    pass never pays for it.
-    """
-    a = _wrap(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    _check_indices(idx, a.shape[0], "row")
-    out = DiffNode(a.value[idx], parents=(a,))
-
-    def backward(g):
-        if _distinct(idx, a.shape[0]):
-            a.grad[idx] += g
-        else:
-            np.add.at(a.grad, idx, g)
-
-    out._backward = backward
-    return out
-
-
-def scatter_rows(base, idx, rows) -> DiffNode:
-    """Copy of ``base`` with rows at ``idx`` replaced by ``rows``.
-
-    ``idx`` must not contain repeats; carried-over rows keep their gradient
-    path through ``base``, replaced rows route theirs through ``rows``.
-    """
-    base, rows = _wrap(base), _wrap(rows)
-    idx = np.asarray(idx, dtype=np.int64)
-    _check_indices(idx, base.shape[0], "row")
-    if not _distinct(idx, base.shape[0]):
-        raise ValueError("scatter_rows requires distinct indices")
-    value = base.value.copy()
-    value[idx] = rows.value
-    out = DiffNode(value, parents=(base, rows))
-
-    def backward(g):
-        g_base = g.copy()
-        g_base[idx] = 0.0
-        base.grad += g_base
-        rows.grad += g[idx]
-
-    out._backward = backward
-    return out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -314,17 +257,25 @@ def _plan_tiles(n: int, m: int, nh: int, causal: bool) -> list:
     return tiles
 
 
-def multi_head_attention(xq, x, w_qkv, w_out, causal: bool) -> DiffNode:
-    """``concat_h(softmax((xq Wq_h) (x Wk_h).T / sqrt(d_k)) (x Wv_h)) @ w_out + xq``,
-    where with ``causal`` query row j reads only the keys ``0..j``.
+def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = False) -> DiffNode:
+    """Attention among the rows ``r = x[rows]``, all heads in one node:
+    ``concat_h(softmax((q Wq_h) (r Wk_h).T / sqrt(d_k)) (r Wv_h)) @ w_out + q``.
+
+    ``rows`` must be non-empty, strictly increase and lie in
+    ``[0, len(x))``, or :class:`HierarchyError` is raised. By default
+    every row of ``r`` is a query (``q = r``), with ``causal`` the i-th
+    reading only ``r[:i + 1]``, and the value is ``x`` with ``rows``
+    replaced by the result: every other row passes through. With
+    ``last_only`` the last of ``rows`` is the sole query (``q = r[-1:]``)
+    and reads every row of ``r``, as ``causal`` lets it; the value is its one
+    output row.
 
     ``w_qkv`` is ``(3 * heads, d, d_k)``: head ``h``'s Wq, Wk and Wv are
     ``w_qkv[h]``, ``w_qkv[heads + h]`` and ``w_qkv[2 * heads + h]``, and
-    ``w_out`` is ``(heads * d_k, d)``. ``causal`` needs as many rows in
-    ``xq`` as in ``x``.
+    ``w_out`` is ``(heads * d_k, d)``.
 
-    One node stands for the whole block: the heads' projections are batched
-    ``np.matmul`` calls, which make the same 2-D BLAS call per head as
+    The heads' projections are batched ``np.matmul`` calls over the copy
+    ``x[rows]``, which make the same 2-D BLAS call per head as
     :func:`matmul`. Scores, the in-place softmax, ``P @ V`` and their
     backward run tile by tile (see ``_plan_tiles``): a tile is a group of
     heads, a block of query rows and the keys ``[0, k1)`` those rows read,
@@ -335,80 +286,104 @@ def multi_head_attention(xq, x, w_qkv, w_out, causal: bool) -> DiffNode:
 
     Exactness: when the plan is one full-width tile per head group (not
     causal, or causal over at most ``_TILE_ROWS`` rows) the operations and
-    the order in which gradients are added follow the chain of matmul,
-    transpose, scale, softmax, concat and add nodes, so value and gradients
-    round exactly as that chain does (with a 0/-inf constant added to the
-    scores for causal). Narrower tiles shorten the inner dimension of
+    the order in which gradients are added follow a chain of nodes: a row
+    gather of ``x[rows]`` (and of its last row with ``last_only``), then
+    matmul, transpose, scale, softmax, concat and add, then a scatter of the
+    result back into ``x`` unless ``last_only``. Value and gradients round
+    exactly as that chain does (with a 0/-inf constant added to the scores
+    for causal): the queried rows' gradient starts from the output's and
+    adds each head's Q, K and V parts in turn, and ``x``'s gradient takes
+    it in one addition. Narrower tiles shorten the inner dimension of
     ``P @ V``, ``P.T @ gO``, ``dS @ K`` and ``Q.T @ dS``, which BLAS may
     round differently, so they agree with the chain to within rounding
     (1e-12 in the tests), not bit for bit.
     """
-    xq, x, w_qkv, w_out = _wrap(xq), _wrap(x), _wrap(w_qkv), _wrap(w_out)
-    if (any(a.value.ndim != 2 for a in (xq, x, w_out)) or w_qkv.value.ndim != 3
+    x, w_qkv, w_out = _wrap(x), _wrap(w_qkv), _wrap(w_out)
+    if (any(a.value.ndim != 2 for a in (x, w_out)) or w_qkv.value.ndim != 3
             or w_qkv.shape[0] % 3 or not w_qkv.shape[0]):
         raise ValueError("multi_head_attention requires 2-D operands and a"
                          " (3 * heads, d, d_k) w_qkv with at least one head")
-    n, d = xq.shape
-    m, nh, dk = x.shape[0], w_qkv.shape[0] // 3, w_qkv.shape[2]
-    if x.shape[1] != d or w_qkv.shape[1] != d or w_out.shape != (nh * dk, d):
-        raise ValueError(
-            f"multi_head_attention: shapes xq {xq.shape}, x {x.shape},"
-            f" w_qkv {w_qkv.shape}, w_out {w_out.shape} disagree"
-        )
-    if causal and n != m:
-        raise ValueError(f"multi_head_attention: causal needs as many queries as keys,"
-                         f" got {n} and {m}")
+    d, nh, dk = x.shape[1], w_qkv.shape[0] // 3, w_qkv.shape[2]
+    if w_qkv.shape[1] != d or w_out.shape != (nh * dk, d):
+        raise ValueError(f"multi_head_attention: shapes x {x.shape}, w_qkv {w_qkv.shape},"
+                         f" w_out {w_out.shape} disagree")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or rows.size == 0:
+        raise HierarchyError("multi_head_attention: rows must be a non-empty 1-D array")
+    if rows.size > 1 and np.minimum.reduce(rows[1:] - rows[:-1]) <= 0:
+        raise HierarchyError("multi_head_attention: rows must strictly increase")
+    if rows[0] < 0 or rows[-1] >= x.shape[0]:
+        raise HierarchyError(f"multi_head_attention: rows out of range [0, {x.shape[0]})")
+    causal = causal and not last_only  # the last row reads every row either way
+    r = x.value[rows]
+    xq = r[-1:] if last_only else r
+    n, m = xq.shape[0], r.shape[0]
     c = 1.0 / np.sqrt(dk)
-    q = np.matmul(xq.value, w_qkv.value[:nh])  # (heads, n, d_k)
-    kv = np.matmul(x.value, w_qkv.value[nh:])  # (2 * heads, m, d_k)
+    q = np.matmul(xq, w_qkv.value[:nh])  # (heads, n, d_k)
+    kv = np.matmul(r, w_qkv.value[nh:])  # (2 * heads, m, d_k)
     kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))
     v = kv[nh:]
     tiles = _plan_tiles(n, m, nh, causal)
     probs = []  # one (heads, rows, keys) array per tile
     o = np.empty((nh, n, dk))
-    for hs, rows, keys in tiles:
-        p = np.matmul(q[hs, rows], kt[hs, :, keys])
+    for hs, qrows, keys in tiles:
+        p = np.matmul(q[hs, qrows], kt[hs, :, keys])
         p *= c
         if causal:
-            b = rows.stop - rows.start
-            np.copyto(p[:, :, rows], -np.inf, where=_CAUSAL_FILL[:b, :b])
+            b = qrows.stop - qrows.start
+            np.copyto(p[:, :, qrows], -np.inf, where=_CAUSAL_FILL[:b, :b])
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
-        np.matmul(p, v[hs, keys], out=o[hs, rows])
+        np.matmul(p, v[hs, keys], out=o[hs, qrows])
         probs.append(p)
     # concat_cols of the heads' outputs
     a = o.transpose(1, 0, 2).reshape(n, nh * dk)  # C-ordered
-    out = DiffNode(a @ w_out.value + xq.value, parents=(xq, x, w_qkv, w_out))
+    attended = a @ w_out.value + xq
+    if last_only:
+        value = attended
+    else:  # the attended rows replace theirs; the others pass through
+        value = x.value.copy()
+        value[rows] = attended
+    out = DiffNode(value, parents=(x, w_qkv, w_out))
 
     def backward(g):
-        # The chain adds the residual first, then each head's Q, K and V parts.
-        xq.grad += g
-        w_out.grad += a.T @ g
-        ga = (g @ w_out.value.T).reshape(n, nh, dk)
+        g_out = g if last_only else g[rows]  # the queries' output gradient
+        w_out.grad += a.T @ g_out
+        ga = (g_out @ w_out.value.T).reshape(n, nh, dk)
         go = np.ascontiguousarray(ga.transpose(1, 0, 2))  # (heads, n, d_k)
         gq = np.empty_like(q)
         gkt = np.zeros_like(kt)  # gk transposed, so that each tile adds whole rows
         gkv = np.zeros_like(kv)
         gv = gkv[nh:]
-        for (hs, rows, keys), p in zip(tiles, probs):
-            gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, rows])
-            ds = np.matmul(go[hs, rows], v[hs, keys].transpose(0, 2, 1))
+        for (hs, qrows, keys), p in zip(tiles, probs):
+            gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, qrows])
+            ds = np.matmul(go[hs, qrows], v[hs, keys].transpose(0, 2, 1))
             ds -= (ds * p).sum(axis=2, keepdims=True)
             ds *= p
             ds *= c
-            np.matmul(ds, kt[hs, :, keys].transpose(0, 2, 1), out=gq[hs, rows])
-            gkt[hs, :, keys] += np.matmul(q[hs, rows].transpose(0, 2, 1), ds)
+            np.matmul(ds, kt[hs, :, keys].transpose(0, 2, 1), out=gq[hs, qrows])
+            gkt[hs, :, keys] += np.matmul(q[hs, qrows].transpose(0, 2, 1), ds)
         gkv[:nh] = gkt.transpose(0, 2, 1)
         wt = w_qkv.value.transpose(0, 2, 1)
         dxq = np.matmul(gq, wt[:nh])
         dx = np.matmul(gkv, wt[nh:])
+        # The chain adds the residual first, then each head's Q, K and V
+        # parts. With last_only the query sums its own and joins the last key
+        # row at the end, as the gather of that row added it.
+        g_q = g_out.copy() if last_only else g_out
+        g_keys = np.zeros_like(r) if last_only else g_out
         for h in range(nh):
-            xq.grad += dxq[h]
-            x.grad += dx[h]
-            x.grad += dx[nh + h]
-        w_qkv.grad[:nh] += np.matmul(xq.value.T, gq)
-        w_qkv.grad[nh:] += np.matmul(x.value.T, gkv)
+            g_q += dxq[h]
+            g_keys += dx[h]
+            g_keys += dx[nh + h]
+        gx = np.zeros_like(x.value) if last_only else g.copy()
+        gx[rows] = g_keys
+        if last_only:
+            gx[rows[-1]] += g_q[0]
+        x.grad += gx
+        w_qkv.grad[:nh] += np.matmul(xq.T, gq)
+        w_qkv.grad[nh:] += np.matmul(r.T, gkv)
 
     out._backward = backward
     return out

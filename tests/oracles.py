@@ -4,9 +4,9 @@ These deliberately avoid the production code paths: brute-force O(n^3)
 single linkage over explicit member sets, heap-driven single linkage over
 adjacent gaps (fast enough for benchmark-sized windows), dense masked
 attention in plain numpy, quadrature for distribution moments, the
-node-by-node chains that the fused FCPE and decoder-head nodes replace,
-built from the small autodiff ops below, and sliding windows built as
-checked copies.
+node-by-node chains that the fused FCPE, attention and decoder-head nodes
+replace, built from the small autodiff ops below, and sliding windows built
+as checked copies.
 """
 
 import heapq
@@ -298,6 +298,63 @@ def logsumexp(a, axis=-1):
 # ---------------------------------------------------------------------------
 # The chains the fused nodes replace
 # ---------------------------------------------------------------------------
+
+
+def _row_indices(a, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"row index out of range [0, {a.shape[0]})")
+    return idx
+
+
+def gather_rows(a, idx):
+    """Select rows by index; repeated indices sum their gradients."""
+    a = _wrap(a)
+    idx = _row_indices(a, idx)
+
+    def backward(g):
+        np.add.at(a.grad, idx, g)
+
+    return DiffNode(a.value[idx], (a,), backward)
+
+
+def scatter_rows(base, idx, rows):
+    """Copy of ``base`` with the rows at ``idx``, which must be distinct,
+    replaced by ``rows``; the other rows route their gradient to ``base``."""
+    base, rows = _wrap(base), _wrap(rows)
+    idx = _row_indices(base, idx)
+    if np.unique(idx).size != idx.size:
+        raise ValueError("scatter_rows requires distinct indices")
+    value = base.value.copy()
+    value[idx] = rows.value
+
+    def backward(g):
+        g_base = g.copy()
+        g_base[idx] = 0.0
+        base.grad += g_base
+        rows.grad += g[idx]
+
+    return DiffNode(value, (base, rows), backward)
+
+
+def attention_chain(xq, x, w_qkv, w_out, causal):
+    """Attention as about 9 nodes per head: rows of ``xq`` query rows of
+    ``x``, with causal as an additive 0/-inf constant. ``w_qkv`` is a list
+    of one leaf per head slice, in ``tensor.multi_head_attention``'s order.
+    Fed by :func:`gather_rows` and followed by :func:`scatter_rows` (or, for
+    a sole last query, fed its row by a second gather), it is the chain
+    that kernel stands for."""
+    nh = len(w_qkv) // 3
+    c = 1.0 / math.sqrt(w_qkv[0].shape[1])
+    outs = []
+    for h in range(nh):
+        wq, wk, wv = w_qkv[h], w_qkv[nh + h], w_qkv[2 * nh + h]
+        scores = scale(T.matmul(T.matmul(xq, wq), transpose(T.matmul(x, wk))), c)
+        if causal:
+            n = x.shape[0]
+            scores = T.add(scores, T.constant(np.where(np.tri(n), 0.0, -np.inf)))
+        outs.append(T.matmul(softmax(scores, axis=1), T.matmul(x, wv)))
+    return T.add(T.matmul(T.concat_cols(*outs), w_out), xq)
 
 
 def fcpe_chain(params, times, type_weights, trig=None):

@@ -52,10 +52,10 @@ def test_encode_masks_and_counts_follow_the_key_sets(monkeypatch, causal):
     masks = {}
     original = M.cross_scale_attention
 
-    def recording(H, causal_flag, params, s, counter=None):
-        n = H.shape[0]
+    def recording(H, causal_flag, params, s, counter=None, *, rows):
+        n = len(rows)  # the frontier
         masks[s] = np.tri(n, dtype=bool) if causal_flag else np.ones((n, n), dtype=bool)
-        return original(H, causal_flag, params, s, counter)
+        return original(H, causal_flag, params, s, counter, rows=rows)
 
     monkeypatch.setattr(M, "cross_scale_attention", recording)
     # The second window's first frontier spans two causal row tiles.
@@ -91,7 +91,7 @@ def test_cross_scale_attention_matches_dense_oracle(kind):
     n = 7
     H = np.random.default_rng(2).normal(size=(n, cfg.d_model))
     causal = kind == "causal"
-    out = M.cross_scale_attention(T.constant(H), causal, params, 1)
+    out = M.cross_scale_attention(T.constant(H), causal, params, 1, rows=np.arange(n))
 
     keys = [range(j + 1) if causal else range(n) for j in range(n)]
     sp = params.attn[0]

@@ -150,7 +150,7 @@ class TestForwardValues:
 
     def test_gather_rows_identity_permutation(self):
         x = np.arange(12.0).reshape(4, 3)
-        out = T.gather_rows(T.constant(x), [0, 1, 2, 3])
+        out = O.gather_rows(T.constant(x), [0, 1, 2, 3])
         np.testing.assert_array_equal(out.value, x)
 
     def test_log_rejects_nonpositive(self):
@@ -159,22 +159,22 @@ class TestForwardValues:
 
     def test_scatter_rows_values(self):
         base = np.zeros((4, 2))
-        out = T.scatter_rows(T.constant(base), [1, 3], T.constant(np.ones((2, 2))))
+        out = O.scatter_rows(T.constant(base), [1, 3], T.constant(np.ones((2, 2))))
         np.testing.assert_array_equal(out.value[[1, 3]], 1.0)
         np.testing.assert_array_equal(out.value[[0, 2]], 0.0)
 
     def test_scatter_rows_rejects_repeats(self):
         for idx in ([1, 1], [2, 0, 2]):  # adjacent and apart
             with pytest.raises(ValueError, match="distinct"):
-                T.scatter_rows(T.constant(np.zeros((3, 1))), idx, T.constant(np.zeros((len(idx), 1))))
+                O.scatter_rows(T.constant(np.zeros((3, 1))), idx, T.constant(np.zeros((len(idx), 1))))
 
     @pytest.mark.parametrize("idx", [[3], [-1], [0, 5]])
     def test_gather_and_scatter_reject_out_of_range_rows(self, idx):
         x = T.constant(np.zeros((3, 2)))
         with pytest.raises(IndexError, match="out of range"):
-            T.gather_rows(x, idx)
+            O.gather_rows(x, idx)
         with pytest.raises(IndexError, match="out of range"):
-            T.scatter_rows(x, idx, T.constant(np.zeros((len(idx), 2))))
+            O.scatter_rows(x, idx, T.constant(np.zeros((len(idx), 2))))
 
 
 class TestBackwardRules:
@@ -209,13 +209,16 @@ class TestBackwardRules:
     def test_gather_repeated_index_sums(self):
         x = self.rand(4, 2, seed=6)
         node = T.parameter(x)
-        O.sum_all(T.gather_rows(node, [1, 1, 2])).backward()
+        O.sum_all(O.gather_rows(node, [1, 1, 2])).backward()
         np.testing.assert_allclose(node.grad[1], 2.0)
         np.testing.assert_allclose(node.grad[2], 1.0)
         np.testing.assert_allclose(node.grad[0], 0.0)
-        assert_grad_matches(lambda a: T.gather_rows(a, [1, 1, 2]), [x])
+        assert_grad_matches(lambda a: O.gather_rows(a, [1, 1, 2]), [x])
 
     def test_gather_grad_of_distinct_rows_equals_add_at(self):
+        # np.add.at adds each distinct row once, as one fancy-indexed +=
+        # does, so the gather in the attention chains rounds like the
+        # kernel's single addition into x.grad.
         rng = np.random.default_rng(24)
         for rows, cols in ((5, 3), (64, 32)):
             idx = rng.permutation(rows)[: rows // 2 + 1]
@@ -223,8 +226,8 @@ class TestBackwardRules:
             node = T.parameter(rng.normal(size=(rows, cols)))
             node.grad = rng.normal(size=(rows, cols))  # gradient from other consumers
             expected = node.grad.copy()
-            np.add.at(expected, idx, g)
-            T.gather_rows(node, idx)._backward(g)
+            expected[idx] += g
+            O.gather_rows(node, idx)._backward(g)
             np.testing.assert_array_equal(node.grad, expected)
 
     def test_gather_cols_grad(self):
@@ -258,7 +261,7 @@ class TestBackwardRules:
 
     def test_scatter_rows_grad(self):
         base, rows = self.rand(5, 3, seed=17), self.rand(2, 3, seed=18)
-        assert_grad_matches(lambda a, b: T.scatter_rows(a, [0, 4], b), [base, rows])
+        assert_grad_matches(lambda a, b: O.scatter_rows(a, [0, 4], b), [base, rows])
 
     def test_transpose_reshape_grads(self):
         a = self.rand(3, 4, seed=19)
@@ -284,42 +287,62 @@ def _keys(n, causal):
 
 
 class TestMaskedAttention:
-    """``multi_head_attention``: one node for every head, all-pair or causal."""
+    """``multi_head_attention``: one node for every head over the rows
+    ``x[rows]``, all-pair or causal, or with the last row the sole query."""
 
     N, D, DK, HEADS = 6, 5, 3, 4
 
-    def _arrays(self, n=N, nq=None, seed=3, d=D, dk=DK):
-        """x, then xq (``nq`` rows, or x itself), the (3 * heads, d, d_k) W_QKV
-        and W_O."""
+    def _arrays(self, n=N, seed=3, d=D, dk=DK):
+        """x, the (3 * heads, d, d_k) W_QKV and W_O."""
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, d))
-        xq = x if nq is None else rng.normal(size=(nq, d))
         w_qkv = rng.normal(size=(self.HEADS, 3, d, dk)).transpose(1, 0, 2, 3).reshape(-1, d, dk)
-        return x, xq, w_qkv, rng.normal(size=(self.HEADS * dk, d))
+        return x, w_qkv, rng.normal(size=(self.HEADS * dk, d))
+
+    def _rows(self, n, k, seed):
+        """k of the n row indices, drawn at random, in increasing order."""
+        return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
 
     def _head(self, w_qkv, h):
         """Head h's (Wq, Wk, Wv) slices of W_QKV."""
         return w_qkv[h], w_qkv[self.HEADS + h], w_qkv[2 * self.HEADS + h]
 
-    def _node(self, causal):
-        def build(xq, x, w_qkv, w_out):
-            return T.multi_head_attention(xq, x, w_qkv, w_out, causal)
+    def _node(self, rows, causal, last_only=False):
+        def build(x, w_qkv, w_out):
+            return T.multi_head_attention(x, rows, w_qkv, w_out, causal, last_only)
         return build
 
-    def _assert_matches_dense_oracle(self, causal, n, d=D, dk=DK):
-        x, _, w_qkv, w_out = self._arrays(n, d=d, dk=dk)
-        c = 1.0 / np.sqrt(dk)
-        out = T.multi_head_attention(x, x, w_qkv, w_out, causal)
+    def _dense(self, r, w_qkv, w_out, causal, dk):
+        """Every row of ``r`` attended by ``dense_masked_attention``, one head
+        at a time, then W_O and the residual."""
         per_head = [
-            dense_masked_attention(x, *self._head(w_qkv, h), _keys(n, causal), c)[0]
+            dense_masked_attention(r, *self._head(w_qkv, h), _keys(len(r), causal),
+                                   1.0 / np.sqrt(dk))[0]
             for h in range(self.HEADS)
         ]
-        expected = np.concatenate(per_head, axis=1) @ w_out + x
-        np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
+        return np.concatenate(per_head, axis=1) @ w_out + r
 
-    @pytest.mark.parametrize("causal, n", [(False, N), (True, N), (True, TILED_N)], ids=TILED_IDS)
-    def test_matches_dense_oracle(self, causal, n):
-        self._assert_matches_dense_oracle(causal, n)
+    def _assert_matches_dense_oracle(self, causal, k, d=D, dk=DK, last_only=False):
+        # k random rows of a larger x; the other rows pass through exactly.
+        # With last_only the last row reads every row, as causal allows it.
+        n = k + k // 2 + 1
+        x, w_qkv, w_out = self._arrays(n, d=d, dk=dk)
+        rows = self._rows(n, k, seed=k)
+        out = T.multi_head_attention(x, rows, w_qkv, w_out, causal, last_only)
+        expected = self._dense(x[rows], w_qkv, w_out, causal and not last_only, dk)
+        if last_only:
+            np.testing.assert_allclose(out.value, expected[-1:], rtol=1e-12, atol=1e-12)
+            return
+        np.testing.assert_allclose(out.value[rows], expected, rtol=1e-12, atol=1e-12)
+        others = np.setdiff1d(np.arange(n), rows)
+        np.testing.assert_array_equal(out.value[others], x[others])
+
+    @pytest.mark.parametrize("causal, n, last_only", [
+        (False, N, False), (True, N, False), (True, TILED_N, False),
+        (False, N, True), (True, N, True),
+    ], ids=[*TILED_IDS, "last-only", "last-only-causal"])
+    def test_matches_dense_oracle(self, causal, n, last_only):
+        self._assert_matches_dense_oracle(causal, n, last_only=last_only)
 
     def test_causal_at_model_width_matches_dense_oracle(self):
         # Narrow tiles shorten the inner dimension of P @ V and the backward
@@ -327,113 +350,124 @@ class TestMaskedAttention:
         # causal case is held to the oracle within 1e-12, not bit for bit.
         self._assert_matches_dense_oracle(True, 300, d=32, dk=8)
 
-    @pytest.mark.parametrize("causal, n, d, dk", [
-        (False, N, D, DK), (True, N, D, DK),
+    @pytest.mark.parametrize("causal, n, d, dk, last_only", [
+        (False, N, D, DK, False), (True, N, D, DK, False),
         # Narrow widths keep the finite differences over TILED_N rows fast.
-        (True, TILED_N, 2, 2),
-    ], ids=TILED_IDS)
-    def test_gradients(self, causal, n, d, dk):
-        x, xq, w_qkv, w_out = self._arrays(n, nq=n, seed=4, d=d, dk=dk)
-        assert_grad_matches(self._node(causal), [xq, x, w_qkv, w_out])
+        (True, TILED_N, 2, 2, False),
+        (False, N, D, DK, True),
+    ], ids=[*TILED_IDS, "last-only"])
+    def test_gradients(self, causal, n, d, dk, last_only):
+        x, w_qkv, w_out = self._arrays(n + 3, seed=4, d=d, dk=dk)
+        rows = self._rows(n + 3, n, seed=n)
+        assert_grad_matches(self._node(rows, causal, last_only), [x, w_qkv, w_out])
 
     def test_unmasked_rounds_like_the_node_chain(self):
         # Large enough that BLAS rounds a product with a strided k.T
-        # differently from one with a contiguous copy. The chain is built
-        # from the other primitives, with causal as an additive 0/-inf
-        # constant; "one-query" is one query row apart from x (the summary).
-        # Widths are the benchmark model's: d_model 32, 4 heads of 8.
-        # Causal attention over more than one tile of rows is cut into
-        # narrower tiles, which round differently;
-        # test_causal_at_model_width_matches_dense_oracle holds it to the
-        # oracle instead, and here it runs over a single tile.
-        self._check_rounds_like_the_chain(300, "none")
-        self._check_rounds_like_the_chain(300, "one-query")
-        self._check_rounds_like_the_chain(T._TILE_ROWS, "causal")
+        # differently from one with a contiguous copy. The chain gathers
+        # x[rows], runs oracles.attention_chain on them (causal as an
+        # additive 0/-inf constant) and scatters the result back into x;
+        # "one-query" gathers the last of the rows apart as the sole query
+        # and keeps its output row (the summary). Widths are the benchmark
+        # model's: d_model 32, 4 heads of 8. Causal attention over more than
+        # one tile of rows is cut into narrower tiles, which round
+        # differently; test_causal_at_model_width_matches_dense_oracle holds
+        # it to the oracle instead, and here it runs over a single tile.
+        subset = self._rows(300, 211, seed=10)
+        for name in ("none", "one-query"):
+            self._check_rounds_like_the_chain(300, np.arange(300), name)
+            self._check_rounds_like_the_chain(300, subset, name)
+        self._check_rounds_like_the_chain(50, self._rows(50, T._TILE_ROWS, seed=11), "causal")
 
-    def _check_rounds_like_the_chain(self, n, name):
-        causal = name == "causal"
-        nq = 1 if name == "one-query" else None
-        x, xq, w_qkv, w_out = self._arrays(n, nq=nq, seed=5, d=32, dk=8)
-        c = 1.0 / np.sqrt(8)
-        upstream = np.random.default_rng(6).normal(size=xq.shape)
+    def _check_rounds_like_the_chain(self, n, rows, name):
+        causal, last_only = name == "causal", name == "one-query"
+        x, w_qkv, w_out = self._arrays(n, seed=5, d=32, dk=8)
+        upstream = np.random.default_rng(6).normal(size=(1, 32) if last_only else x.shape)
 
-        def chain(xq, x, *ws):
+        def chain(x, *ws):
             """One leaf per slice of W_QKV, in its order, then W_O."""
-            outs = []
-            for h in range(self.HEADS):
-                wq, wk, wv = self._head(ws, h)
-                scores = O.scale(T.matmul(T.matmul(xq, wq), O.transpose(T.matmul(x, wk))), c)
-                if causal:
-                    scores = T.add(scores, T.constant(np.where(np.tri(n), 0.0, -np.inf)))
-                outs.append(T.matmul(O.softmax(scores, axis=1), T.matmul(x, wv)))
-            return T.add(T.matmul(T.concat_cols(*outs), ws[-1]), xq)
+            r = O.gather_rows(x, rows)
+            if last_only:
+                return O.attention_chain(O.gather_rows(x, rows[-1:]), r, ws[:-1], ws[-1], False)
+            return O.scatter_rows(x, rows, O.attention_chain(r, r, ws[:-1], ws[-1], causal))
 
         results = []
-        for build, ws in ((self._node(causal), [w_qkv]), (chain, list(w_qkv))):
+        for build, ws in ((self._node(rows, causal, last_only), [w_qkv]), (chain, list(w_qkv))):
             ws = [T.parameter(w) for w in ws] + [T.parameter(w_out)]
             x_node = T.parameter(x)
-            xq_node = x_node if xq is x else T.parameter(xq)
-            out = build(xq_node, x_node, *ws)
+            out = build(x_node, *ws)
             O.sum_all(O.mul(out, T.constant(upstream))).backward()
             w_grads = [np.stack([w.grad for w in ws[:-1]]).reshape(w_qkv.shape), ws[-1].grad]
-            results.append([out.value, xq_node.grad, x_node.grad] + w_grads)
+            results.append([out.value, x_node.grad] + w_grads)
         for fused, chained in zip(*results):
-            assert np.array_equal(fused, chained), name
+            assert np.array_equal(fused, chained), (name, len(rows))
 
     def test_masked_keys_get_no_weight_or_gradient(self):
-        x, xq, w_qkv, w_out = self._arrays(4, nq=4, seed=6)
-        nodes = [T.parameter(a) for a in (xq, x, w_qkv, w_out)]
-        out = self._node(True)(*nodes)
-        # The first query reads only its own key, with weight exactly one.
-        values = np.concatenate([x @ w_qkv[2 * self.HEADS + h] for h in range(self.HEADS)], axis=1)
-        np.testing.assert_array_equal(out.value[0], (values @ w_out + xq)[0])
-        upstream = np.zeros_like(xq)
-        upstream[0] = 1.0
+        x, w_qkv, w_out = self._arrays(5, seed=6)
+        rows = [1, 2, 4]
+        nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+        out = self._node(rows, True)(*nodes)
+        # The first query reads only its own key, with weight exactly one,
+        # and the rows outside ``rows`` pass through.
+        r = x[rows]
+        values = np.concatenate([r @ w_qkv[2 * self.HEADS + h] for h in range(self.HEADS)], axis=1)
+        np.testing.assert_array_equal(out.value[1], (values @ w_out + r)[0])
+        np.testing.assert_array_equal(out.value[[0, 3]], x[[0, 3]])
+        upstream = np.zeros_like(x)
+        upstream[1] = 1.0
         O.sum_all(O.mul(out, T.constant(upstream))).backward()
-        np.testing.assert_array_equal(nodes[0].grad, upstream)  # the residual alone
-        np.testing.assert_array_equal(nodes[2].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
+        np.testing.assert_array_equal(nodes[0].grad[[0, 2, 3, 4]], 0.0)  # no row but the query's
+        np.testing.assert_array_equal(nodes[1].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
 
     @pytest.mark.parametrize("name", ["causal"])
     def test_tiled_masked_keys_get_no_weight_or_gradient(self, name):
-        x, xq, w_qkv, w_out = self._arrays(TILED_N, nq=TILED_N, seed=6)
-        build = self._node(True)
+        x, w_qkv, w_out = self._arrays(TILED_N, seed=6)
+        build = self._node(np.arange(TILED_N), True)
         # Rows 60-79 straddle two tiles; the keys after row 79 can change
         # without moving those rows and take no gradient from them.
         rows = slice(60, 80)
         unread = np.arange(TILED_N) >= rows.stop
         moved = x.copy()
         moved[unread] += 1.0
-        before, after = build(xq, x, w_qkv, w_out).value, build(xq, moved, w_qkv, w_out).value
+        before, after = build(x, w_qkv, w_out).value, build(moved, w_qkv, w_out).value
         np.testing.assert_array_equal(after[rows], before[rows])
-        nodes = [T.parameter(a) for a in (xq, x, w_qkv, w_out)]
-        upstream = np.zeros_like(xq)
+        nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+        upstream = np.zeros_like(x)
         upstream[rows] = 1.0
         O.sum_all(O.mul(build(*nodes), T.constant(upstream))).backward()
-        np.testing.assert_array_equal(nodes[1].grad[unread], 0.0)
-        assert np.abs(nodes[1].grad[~unread]).max(axis=1).all()
+        np.testing.assert_array_equal(nodes[0].grad[unread], 0.0)
+        assert np.abs(nodes[0].grad[~unread]).max(axis=1).all()
 
     def test_rejects_empty_row_and_bad_shapes(self):
         x = T.constant(np.ones((3, 2)))
         w_qkv = T.constant(np.ones((3, 2, 2)))
         w_out = T.constant(np.ones((2, 2)))
-        # Causal attention pairs query j with key j, so the counts must agree.
-        with pytest.raises(ValueError, match="as many queries as keys"):
-            T.multi_head_attention(x, T.constant(np.ones((4, 2))), w_qkv, w_out, True)
+        with pytest.raises(HierarchyError, match="non-empty"):
+            T.multi_head_attention(x, [], w_qkv, w_out, False)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, T.constant(np.ones((3, 4))), w_qkv, w_out, False)
+            T.multi_head_attention(T.constant(np.ones((3, 4))), [0, 1], w_qkv, w_out, False)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, w_qkv, T.constant(np.ones((4, 2))), False)
+            T.multi_head_attention(x, [0], w_qkv, T.constant(np.ones((4, 2))), False)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([-1], "out of range"), ([3], "out of range"), ([0, 5], "out of range"),
+        ([1, 1], "strictly increase"), ([0, 2, 1], "strictly increase"), ([[0, 1]], "1-D"),
+    ], ids=["negative", "past-the-end", "past-the-end-after-a-valid-row",
+            "repeated", "decreasing", "2-D"])
+    def test_rejects_bad_rows(self, rows, match):
+        x, w_qkv, w_out = self._arrays(3)
+        with pytest.raises(HierarchyError, match=match):
+            T.multi_head_attention(x, rows, w_qkv, w_out, False)
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
     def test_rejects_w_qkv_without_whole_heads(self, shape):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least one head"):
-            T.multi_head_attention(x, x, np.ones(shape), np.ones((2, 2)), False)
+            T.multi_head_attention(x, [0, 1, 2], np.ones(shape), np.ones((2, 2)), False)
 
     def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
         x = T.constant(np.ones((3, 2)))
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, x, np.ones((3, 4, 2)), np.ones((2, 2)), False)
+            T.multi_head_attention(x, [0, 1, 2], np.ones((3, 4, 2)), np.ones((2, 2)), False)
 
 
 class TestTilePlan:
@@ -567,11 +601,12 @@ class TestGraphRelease:
         values = [node.value.copy() for node in nodes]
         result.total.backward()
         interior = [node for node in nodes if node.parents]
-        assert len(nodes) == 47 and len(interior) == 29
+        assert len(nodes) == 40 and len(interior) == 22
         for node in interior:
             assert node._backward is None
             assert node._grad is None
             assert not node.grad.any()
+            assert node._grad is None  # the read kept nothing
         for node, value in zip(nodes, values):
             np.testing.assert_array_equal(node.value, value)
         for name, node in params.all_named().items():
@@ -594,6 +629,13 @@ class TestGraphRelease:
         with pytest.raises(RuntimeError, match="released"):
             again.backward()
         np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+
+    def test_a_leaf_keeps_the_zeros_its_gradient_reads(self):
+        # Ops add into slices of a leaf's gradient (w_qkv.grad[:nh] += ...),
+        # which never calls the setter, so a leaf keeps what .grad allocates.
+        w = T.parameter(np.zeros((3, 2)))
+        w.grad[:1] += 1.0
+        np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_leaf_root_keeps_its_gradient(self):
         x = T.parameter([[2.0]])
