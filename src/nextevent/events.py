@@ -358,6 +358,13 @@ def generate_hawkes(
     a non-negative integer, and the expected total
     ``num_seqs * base_rate * horizon / (1 - excitation / decay)`` at most
     ``_MAX_EVENTS``.
+
+    Draw order: per sequence, each candidate draws an exponential gap
+    ``rng.exponential(1 / bound)`` and, unless it passes the horizon, one
+    uniform ``rng.random()`` for the thinning test; then the sequence draws
+    all its types with one ``rng.integers(0, num_types, size=n)``. Any
+    change to these calls or their order changes every generated sequence,
+    and with them ``bench/reference.json``.
     """
     num_seqs = check_int("num_seqs", num_seqs)
     horizon = check_real("horizon", horizon)
@@ -372,6 +379,7 @@ def generate_hawkes(
     seed = check_int("seed", seed, low=0)
     _check_work(num_seqs * base_rate * horizon / (1.0 - excitation / decay))
     rng = np.random.default_rng(seed)
+    exponential, uniform = rng.exponential, rng.random
     sequences = []
     for s in range(num_seqs):
         times: list[float] = []
@@ -379,12 +387,12 @@ def generate_hawkes(
         excite = 0.0  # running sum of excitation kernels at time t
         while True:
             bound = base_rate + excite
-            w = rng.exponential(1.0 / bound)
+            w = exponential(1.0 / bound)
             excite *= math.exp(-decay * w)
             t += w
             if t >= horizon:
                 break
-            if rng.uniform() * bound <= base_rate + excite:
+            if uniform() * bound <= base_rate + excite:
                 times.append(t)
                 excite += excitation
         types = rng.integers(0, num_types, size=len(times))
@@ -415,6 +423,15 @@ def generate_multiscale(
     Every parameter is checked before the first draw; ``seed`` must be a
     non-negative integer and ``num_seqs * num_bursts * burst_size`` at most
     ``_MAX_EVENTS``.
+
+    Draw order: each event, in time order, draws its gap
+    ``rng.exponential(gap_scale)`` (a burst's opener) or
+    ``rng.exponential(1 / burst_rate)`` (the rest), then one uniform
+    ``rng.random()`` for the flip test, then, only if it flips, one
+    ``rng.integers(0, len(pool))`` indexing its pool. Any change to these
+    calls or their order changes every generated sequence, and with them
+    ``bench/reference.json``. A sequence's times are the running sum of its
+    gaps, added one at a time.
     """
     num_seqs = check_int("num_seqs", num_seqs)
     burst_rate = check_real("burst_rate", burst_rate)
@@ -431,32 +448,32 @@ def generate_multiscale(
             stacklevel=2,
         )
     n_open = max(1, num_types // 2)
-    open_pool = np.arange(0, n_open)
-    within_pool = np.arange(n_open, num_types) if num_types > 1 else np.arange(0, 1)
+    open_pool = list(range(n_open))
+    within_pool = list(range(n_open, num_types)) if num_types > 1 else [0]
+    n_within = len(within_pool)
+    within_mean = 1.0 / burst_rate
 
     rng = np.random.default_rng(seed)
+    exponential, uniform, integers = rng.exponential, rng.random, rng.integers
     sequences = []
     for s in range(num_seqs):
-        times: list[float] = []
+        gaps: list[float] = []
         types: list[int] = []
-        t = 0.0
         for b in range(num_bursts):
-            t += rng.exponential(gap_scale)
-            opener = open_pool[b % len(open_pool)]
-            if rng.uniform() < pattern_noise:
-                opener = rng.choice(open_pool)
-            times.append(t)
-            types.append(int(opener))
+            gaps.append(exponential(gap_scale))
+            opener = open_pool[b % n_open]
+            if uniform() < pattern_noise:
+                opener = open_pool[integers(0, n_open)]
+            types.append(opener)
             for j in range(1, burst_size):
-                t += rng.exponential(1.0 / burst_rate)
-                k = within_pool[(b + j) % len(within_pool)]
-                if rng.uniform() < pattern_noise:
-                    k = rng.choice(within_pool)
-                times.append(t)
-                types.append(int(k))
+                gaps.append(exponential(within_mean))
+                k = within_pool[(b + j) % n_within]
+                if uniform() < pattern_noise:
+                    k = within_pool[integers(0, n_within)]
+                types.append(k)
         sequences.append(
             EventSequence(
-                np.asarray(times), np.asarray(types), num_types, seq_id=f"multiscale-{s}"
+                np.cumsum(gaps), np.asarray(types), num_types, seq_id=f"multiscale-{s}"
             )
         )
     return sequences

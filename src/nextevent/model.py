@@ -81,7 +81,7 @@ class ModelConfig:
     """Architecture switches; every field is checkpointed. The sizes are
     stored as ``int`` and ``causal`` as ``bool``, from numpy scalars too.
     ``distribution`` accepts only ``"weibull"``: the benchmark passes it, and
-    the next change to the benchmark (ROADMAP item 2) can delete the field."""
+    the next change to the benchmark (ROADMAP item 3) can delete the field."""
 
     d_model: int = 16
     num_heads: int = 2

@@ -276,13 +276,15 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
 
     The heads' projections are batched ``np.matmul`` calls over the copy
     ``x[rows]``, which make the same 2-D BLAS call per head as
-    :func:`matmul`. Scores, the in-place softmax, ``P @ V`` and their
-    backward run tile by tile (see ``_plan_tiles``): a tile is a group of
-    heads, a block of query rows and the keys ``[0, k1)`` those rows read,
-    so a causal block never forms the scores right of its diagonal square,
-    and only that square's upper triangle takes the ``-inf`` fill. ``gq`` is
-    written per tile; ``gk`` and ``gv`` start at zero and each tile adds its
-    part to ``[0, k1)``.
+    :func:`matmul`. When ``rows`` is every row of ``x`` nothing is copied:
+    the projections read ``x`` itself, the value is the attended rows, and
+    backward adds the rows' gradient to ``x``'s without a scatter. Scores,
+    the in-place softmax, ``P @ V`` and their backward run tile by tile (see
+    ``_plan_tiles``): a tile is a group of heads, a block of query rows and
+    the keys ``[0, k1)`` those rows read, so a causal block never forms the
+    scores right of its diagonal square, and only that square's upper
+    triangle takes the ``-inf`` fill. ``gq`` is written per tile; ``gk`` and
+    ``gv`` start at zero and each tile adds its part to ``[0, k1)``.
 
     Exactness: when the plan is one full-width tile per head group (not
     causal, or causal over at most ``_TILE_ROWS`` rows) the operations and
@@ -315,7 +317,8 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     if rows[0] < 0 or rows[-1] >= x.shape[0]:
         raise HierarchyError(f"multi_head_attention: rows out of range [0, {x.shape[0]})")
     causal = causal and not last_only  # the last row reads every row either way
-    r = x.value[rows]
+    every = rows.size == x.shape[0]  # then rows is arange(len(x)): nothing to gather
+    r = x.value if every else x.value[rows]
     xq = r[-1:] if last_only else r
     n, m = xq.shape[0], r.shape[0]
     c = 1.0 / np.sqrt(dk)
@@ -340,7 +343,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     # concat_cols of the heads' outputs
     a = o.transpose(1, 0, 2).reshape(n, nh * dk)  # C-ordered
     attended = a @ w_out.value + xq
-    if last_only:
+    if last_only or every:
         value = attended
     else:  # the attended rows replace theirs; the others pass through
         value = x.value.copy()
@@ -348,7 +351,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     out = DiffNode(value, parents=(x, w_qkv, w_out))
 
     def backward(g):
-        g_out = g if last_only else g[rows]  # the queries' output gradient
+        g_out = g if last_only or every else g[rows]  # the queries' output gradient
         w_out.grad += a.T @ g_out
         ga = (g_out @ w_out.value.T).reshape(n, nh, dk)
         go = np.ascontiguousarray(ga.transpose(1, 0, 2))  # (heads, n, d_k)
@@ -371,17 +374,20 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
         # The chain adds the residual first, then each head's Q, K and V
         # parts. With last_only the query sums its own and joins the last key
         # row at the end, as the gather of that row added it.
-        g_q = g_out.copy() if last_only else g_out
-        g_keys = np.zeros_like(r) if last_only else g_out
+        g_q = g_out.copy() if g_out is g else g_out  # never add into g itself
+        g_keys = np.zeros_like(r) if last_only else g_q
         for h in range(nh):
             g_q += dxq[h]
             g_keys += dx[h]
             g_keys += dx[nh + h]
-        gx = np.zeros_like(x.value) if last_only else g.copy()
-        gx[rows] = g_keys
         if last_only:
-            gx[rows[-1]] += g_q[0]
-        x.grad += gx
+            g_keys[-1] += g_q[0]
+        if every:  # no other row to pass a gradient through
+            x.grad += g_keys
+        else:
+            gx = np.zeros_like(x.value) if last_only else g.copy()
+            gx[rows] = g_keys
+            x.grad += gx
         w_qkv.grad[:nh] += np.matmul(xq.T, gq)
         w_qkv.grad[nh:] += np.matmul(r.T, gkv)
 

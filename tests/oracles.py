@@ -5,8 +5,9 @@ single linkage over explicit member sets, heap-driven single linkage over
 adjacent gaps (fast enough for benchmark-sized windows), dense masked
 attention in plain numpy, quadrature for distribution moments, the
 node-by-node chains that the fused FCPE, attention and decoder-head nodes
-replace, built from the small autodiff ops below, and sliding windows built
-as checked copies.
+replace, built from the small autodiff ops below, sliding windows built
+as checked copies, and the synthetic generators drawing through the
+``Generator``'s general calls.
 """
 
 import heapq
@@ -427,3 +428,64 @@ def copied_examples(seq, window):
         )
         out.append(PredictionExample(history, float(seq.times[i]), int(seq.types[i])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Synthetic generators through the Generator's general calls
+# ---------------------------------------------------------------------------
+
+
+def hawkes_oracle(num_seqs, horizon, base_rate, excitation, decay, num_types, seed):
+    """``events.generate_hawkes`` with each thinning test's uniform drawn by
+    ``rng.uniform()``; parameters are taken as valid, not checked."""
+    rng = np.random.default_rng(seed)
+    sequences = []
+    for s in range(num_seqs):
+        times = []
+        t = 0.0
+        excite = 0.0
+        while True:
+            bound = base_rate + excite
+            w = rng.exponential(1.0 / bound)
+            excite *= math.exp(-decay * w)
+            t += w
+            if t >= horizon:
+                break
+            if rng.uniform() * bound <= base_rate + excite:
+                times.append(t)
+                excite += excitation
+        types = rng.integers(0, num_types, size=len(times))
+        sequences.append(EventSequence(np.asarray(times), types, num_types, seq_id=f"hawkes-{s}"))
+    return sequences
+
+
+def multiscale_oracle(num_seqs, burst_rate, burst_size, gap_scale, num_types, seed,
+                      num_bursts=8, pattern_noise=0.1):
+    """``events.generate_multiscale`` with uniforms from ``rng.uniform()``,
+    flips from ``rng.choice`` over array pools and times summed one event at
+    a time; parameters are taken as valid, not checked."""
+    n_open = max(1, num_types // 2)
+    open_pool = np.arange(0, n_open)
+    within_pool = np.arange(n_open, num_types) if num_types > 1 else np.arange(0, 1)
+    rng = np.random.default_rng(seed)
+    sequences = []
+    for s in range(num_seqs):
+        times, types = [], []
+        t = 0.0
+        for b in range(num_bursts):
+            t += rng.exponential(gap_scale)
+            opener = open_pool[b % len(open_pool)]
+            if rng.uniform() < pattern_noise:
+                opener = rng.choice(open_pool)
+            times.append(t)
+            types.append(int(opener))
+            for j in range(1, burst_size):
+                t += rng.exponential(1.0 / burst_rate)
+                k = within_pool[(b + j) % len(within_pool)]
+                if rng.uniform() < pattern_noise:
+                    k = rng.choice(within_pool)
+                times.append(t)
+                types.append(int(k))
+        sequences.append(EventSequence(np.asarray(times), np.asarray(types), num_types,
+                                       seq_id=f"multiscale-{s}"))
+    return sequences

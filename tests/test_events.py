@@ -1,6 +1,7 @@
 """Tests for sequence loading, synthetic generators, windowing, normalization."""
 
 import contextlib
+import itertools
 import re
 import signal
 import warnings
@@ -448,6 +449,55 @@ class TestMultiscaleGenerator:
             within_types = np.concatenate([s.types[i::4] for i in (1, 2, 3)])
             assert set(opener_types) <= {0, 1}
             assert set(within_types) <= {2, 3}
+
+
+def _assert_same_sequences(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.seq_id == b.seq_id and a.num_types == b.num_types
+        assert a.times.dtype == b.times.dtype and a.types.dtype == b.types.dtype == np.int64
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.types, b.types)
+
+
+class TestGeneratorsDrawLikeTheirOracles:
+    """Each generator makes the oracle's draws, in its order, through cheaper
+    calls, so every sequence is bit for bit the oracle's: a reordered or
+    swapped draw shifts the stream and fails here."""
+
+    def test_multiscale_over_a_grid(self):
+        gap_scale = np.float64(3.7)  # a numpy scalar, as the checks accept
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # burst_size=1 warns
+            for seed, num_types, noise, burst_size, num_bursts in itertools.product(
+                    range(4), range(1, 7), (0.0, 0.1, 0.5, 1.0), (1, 2, 16), (1, 5)):
+                args = (2, 1.3, burst_size, gap_scale, num_types, seed)
+                kw = dict(num_bursts=num_bursts, pattern_noise=noise)
+                _assert_same_sequences(generate_multiscale(*args, **kw),
+                                       O.multiscale_oracle(*args, **kw))
+
+    @pytest.mark.parametrize("excitation", [0.0, 0.9])
+    @pytest.mark.parametrize("num_types", [1, 2, 4])
+    def test_hawkes(self, excitation, num_types):
+        for seed in range(3):
+            args = (3, 40.0, 0.8, excitation, 1.0, num_types, seed)
+            _assert_same_sequences(generate_hawkes(*args), O.hawkes_oracle(*args))
+
+    # The calls bench/workloads.py makes: 48 windows at L=512 and at L=256
+    # (bursts of 16, num_bursts L // 16 + 2), and a 30 s infer_hawkes_L64 run's
+    # pool of 9000 windows, whose horizon is 1.2 * (9000 + 64) / 2 + 50.
+    @pytest.mark.parametrize("length", [512, 256], ids=["train_full_L512", "train_causal_L256"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_multiscale_calls(self, length, seed):
+        kw = dict(burst_rate=1.0, burst_size=16, gap_scale=4.0, num_types=4, seed=seed,
+                  num_bursts=length // 16 + 2)
+        _assert_same_sequences(generate_multiscale(48, **kw), O.multiscale_oracle(48, **kw))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_hawkes_call(self, seed):
+        horizon = 1.2 * (9000 + 64) / 2.0 + 50.0
+        kw = dict(base_rate=1.0, excitation=0.5, decay=1.0, num_types=4, seed=seed)
+        _assert_same_sequences(generate_hawkes(1, horizon, **kw),
+                               O.hawkes_oracle(1, horizon, **kw))
 
 
 class TestMakeExamples:
