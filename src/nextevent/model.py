@@ -15,14 +15,14 @@ Forward pass per history window:
    the key tiles after each block of causal queries, so causal attention
    runs fewer products than all-pair); carried-over rows pass through that
    node untouched; then pool to the next scale's active set as a segment
-   mean: the active nodes and the next ones are both leaf spans in time order,
-   so each next node is the mean of the contiguous run of rows it absorbs
-   (a carried-over node is a run of one);
-   each pooled row is concatenated with its node's positional context (one
-   more ``fcpe_matrix`` node per scale) and projected back to ``d_model``;
-   every node's type mixture and the cos and sin of its phases come from
-   one table per window, so a node carried over to later scales does not
-   compute them again,
+   mean: the active nodes and the next ones are both partitions of the
+   leaves into runs in time order, so each next node is the mean of the
+   contiguous group of rows it absorbs (a carried-over node is a group of
+   one); each pooled row is concatenated with its node's positional context
+   (one more ``fcpe_matrix`` node per scale) and projected back to
+   ``d_model``; every node's type mixture and the cos and sin of its phases
+   come from one table per window with a row per node id of the hierarchy,
+   so a node carried over to later scales does not compute them again,
 3. one more :func:`tensor.multi_head_attention` node reads every top-scale
    row, with the temporally last node as the sole query and the one output
    row; then a dense layer gives the sequence summary ``H_L``,
@@ -332,31 +332,25 @@ def encode(params: ModelParams, seq: EventSequence,
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
     n = len(seq.times)
-    # One table per window, a row for every distinct node: the leaves, then
-    # the pooled nodes that are not leaves, by id. Row rows[i] holds node i's
-    # type mixture (a leaf's is its one-hot row) and the cos and sin of its
+    # One table per window, a row per node id of the hierarchy: the leaves,
+    # then the runs of two or more leaves. Each row holds the node's type
+    # mixture (a leaf's is its one-hot row) and the cos and sin of its
     # phases, so a node carried over to later scales is encoded from one row.
-    distinct = np.zeros(len(hierarchy.rep_time), dtype=bool)
-    distinct[:n] = True
-    for ids in hierarchy.active[1:]:
-        distinct[ids] = True
-    rows = np.cumsum(distinct) - 1
-    nodes = distinct.nonzero()[0]
-    mix = hierarchy.type_mixture(nodes, seq.types, cfg.num_types)
-    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time[nodes])
+    mix = hierarchy.type_mixture(np.arange(len(hierarchy.lo)), seq.types, cfg.num_types)
+    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time)
     # Each node keeps its trig rows until backward. The leaves take copies,
     # not views, so the trig table is freed when encode returns and a step's
     # peak memory does not grow.
     H = _embed(params, seq.times, mix[:n], (cos[:n].copy(), sin[:n].copy()))
     for s in range(1, S + 1):
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
-        # is no later than the query's. Frontier spans are disjoint and times
+        # is no later than the query's. Frontier runs are disjoint and times
         # strictly increase, so those means strictly increase along the
         # frontier and the rule is the kernel's causal one.
         H = cross_scale_attention(H, cfg.causal, params, s, counter,
                                   rows=hierarchy.frontier_pos[s - 1])
         if s < S:
-            r = rows[hierarchy.active[s]]
+            r = hierarchy.active[s]
             H = hierarchical_pool(H, hierarchy, s, params, mix[r], (cos[r], sin[r]))
     return H
 

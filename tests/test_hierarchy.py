@@ -1,4 +1,4 @@
-"""Tests for agglomeration, scale slicing, frontiers, and key sets."""
+"""Tests for agglomeration, the per-scale partitions, frontiers, and key sets."""
 
 import itertools
 import re
@@ -27,27 +27,37 @@ def random_times(rng, n):
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
-def merge_steps(h):
-    """The merge tree as (order, left, right, result, distance) tuples, read
-    from the spans: node L+k's left child is the largest earlier node that
-    starts at its first leaf, its right child the largest earlier node that
-    starts one past the left child's last leaf g, and the gap it fused is
-    t[g+1] - t[g]."""
-    n = h.num_leaves
-    lo, hi, t = h.lo.tolist(), h.hi.tolist(), h.rep_time[:n]
-    latest = list(range(n))  # per first leaf: the largest node id so far starting there
+def single_linkage(times):
+    """The merge steps as (order, left, right, result, distance) tuples, read
+    from the partitions of one merge per scale: interval ``o``'s frontier is
+    the two runs that merge ``o`` joins, and the run they form is the one new
+    id at scale ``o + 1``. The last merge forms the root, which has no id; it
+    takes 2L - 2, the oracles' id for it."""
+    n = len(times)
+    t = np.asarray(times, dtype=np.float64)
+    h = build_hierarchy(t, [1] * (n - 1))
     steps = []
-    for node in range(n, len(lo)):
-        left = latest[lo[node]]
-        g = hi[left]
-        right = latest[g + 1]
-        steps.append((node - n + 1, left, right, node, float(t[g + 1] - t[g])))
-        latest[lo[node]] = node
+    for order in range(1, n):
+        left, right = h.frontier(order)
+        if order < n - 1:
+            nxt, starts = h.pool_groups(order)
+            sizes = np.diff(starts, append=len(h.active[order - 1]))
+            assert sorted(sizes.tolist()) == [1] * (len(sizes) - 1) + [2]
+            result = int(nxt[sizes == 2][0])
+        else:
+            result = 2 * n - 2
+        g = h.lo[right]  # the fused gap lies before the right run's first leaf
+        steps.append((order, left, right, result, float(t[g] - t[g - 1])))
     return steps
 
 
-def single_linkage(times):
-    return merge_steps(build_hierarchy(times, [len(times) - 1]))
+def assert_one_id_per_run(h):
+    """Leaves keep their own ids, and no two ids share a run."""
+    n = h.num_leaves
+    assert h.lo[:n].tolist() == list(range(n))
+    assert h.end[:n].tolist() == list(range(1, n + 1))
+    assert (h.end[n:] - h.lo[n:] >= 2).all()
+    assert len(set(zip(h.lo.tolist(), h.end.tolist()))) == len(h.lo)
 
 
 class TestAgglomerate:
@@ -106,9 +116,15 @@ class TestAgglomerate:
                 assert f[:4] == s[:4]
                 assert abs(f[4] - s[4]) < 1e-12
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
+    def test_two_and_three_points(self, times):
+        # With three points and two equal gaps the left pair merges first.
+        assert single_linkage(times) == brute_force_single_linkage(times)
+        assert single_linkage(times) == heap_single_linkage(times)
+
     def test_matches_heap_oracle_on_long_windows(self):
         # Benchmark-sized windows of both generators, plus integer gaps drawn
-        # from three values so that most gaps tie.
+        # from three values so that most gaps tie, up to L = 4096.
         multiscale = E.generate_multiscale(
             2, burst_rate=1.0, burst_size=16, gap_scale=4.0, num_types=4, seed=3,
             num_bursts=34,
@@ -120,15 +136,16 @@ class TestAgglomerate:
         windows = [
             seq.times[start : start + L]
             for seq, L, start in itertools.product(multiscale + hawkes, (64, 256, 512), (0, 17))
-        ] + [np.cumsum(rng.integers(1, 4, size=L)).astype(float) for L in (64, 256, 512)]
+        ] + [np.cumsum(rng.integers(1, 4, size=L)).astype(float) for L in (64, 256, 512, 4096)]
         sizes = set()
         for t in windows:
             fast = single_linkage(t)
             assert fast == heap_single_linkage(t)
             h = build_hierarchy(t, default_merge_counts(len(t), 4))
+            assert_one_id_per_run(h)
             for i in range(len(h.lo)):
-                assert h.rep_time[i] == t[h.lo[i] : h.hi[i] + 1].mean()
-            sizes.update((h.hi - h.lo + 1).tolist())
+                assert h.rep_time[i] == t[h.lo[i] : h.end[i]].mean()
+            sizes.update((h.end - h.lo).tolist())
         # Spans of fewer than 8 leaves are summed in padded rows, longer ones
         # by numpy's pairwise add.reduce: in blocks of 8 up to 128 leaves,
         # recursively in halves beyond. All three kinds occur here.
@@ -167,9 +184,11 @@ class TestAssignScales:
     """Slicing the merge order into scale intervals (build_hierarchy)."""
 
     def test_nine_point_scales(self):
+        # A leaf's scale is the interval in which it is first merged away:
+        # the one scale whose frontier holds it.
         t = nine_point_layout()
         h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
-        leaf_scales = [h.scale[i] for i in range(9)]
+        leaf_scales = [s for i in range(9) for s in range(1, 5) if i in h.frontier(s)]
         assert leaf_scales[:4] == [1, 1, 1, 1]
         assert [leaf_scales[4], leaf_scales[5]] == [2, 2]
         assert leaf_scales[6:] == [3, 3, 3]
@@ -179,7 +198,8 @@ class TestAssignScales:
         t = [0.0, 1.0, 3.0, 7.0, 20.0]
         h = build_hierarchy(t, merge_counts=[4])
         assert h.num_scales == 1
-        assert all(h.scale[i] == 1 for i in range(len(h.scale)))
+        assert h.active_nodes(1) == h.frontier(1) == [0, 1, 2, 3, 4]
+        assert h.lo.tolist() == [0, 1, 2, 3, 4]  # the node table holds the leaves alone
 
     def test_counts_mismatch(self):
         t = [0.0, 1.0, 3.0]
@@ -200,11 +220,21 @@ class TestAssignScales:
         assert h.merge_counts == [3, 1]
         assert all(type(c) is int for c in h.merge_counts)
 
+    def test_nine_point_node_table(self):
+        # Leaves 0-8, then each run of two or more leaves where it first
+        # appears: (e1 e2) and (e3 e4) at scale 2, (e1..e4) and (e5 e6) at
+        # scale 3, (e1..e6) and (e7 e8 e9) at scale 4. The root has no id.
+        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        assert h.lo.tolist() == list(range(9)) + [0, 2, 0, 4, 0, 6]
+        assert h.end.tolist() == list(range(1, 10)) + [2, 4, 4, 6, 6, 9]
+        assert [h.active_nodes(s) for s in range(1, 5)] == [
+            list(range(9)), [9, 10, 4, 5, 6, 7, 8], [11, 12, 6, 7, 8], [13, 14]]
+
     def test_representative_time_is_member_mean(self):
         t = nine_point_layout()
         h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
-        for i in range(len(h.scale)):
-            assert h.rep_time[i] == np.mean(np.asarray(t)[h.lo[i] : h.hi[i] + 1])
+        for i in range(len(h.lo)):
+            assert h.rep_time[i] == np.mean(np.asarray(t)[h.lo[i] : h.end[i]])
 
     def test_active_nodes_partition_every_scale(self):
         rng = np.random.default_rng(5)
@@ -215,7 +245,7 @@ class TestAssignScales:
             h = build_hierarchy(t, default_merge_counts(n, S))
             for s in range(1, S + 1):
                 members = np.concatenate(
-                    [np.arange(h.lo[i], h.hi[i] + 1) for i in h.active_nodes(s)]
+                    [np.arange(h.lo[i], h.end[i]) for i in h.active_nodes(s)]
                 )
                 assert sorted(members.tolist()) == list(range(n))
 
@@ -231,11 +261,19 @@ class TestAssignScales:
                 assert sizes[s] == sizes[s - 1] - h.merge_counts[s - 1]
 
     def test_earlier_merges_have_smaller_or_equal_scale(self):
+        # A run's id is the next one free at the scale where it first
+        # appears, and the runs new at one scale take theirs in time order.
         rng = np.random.default_rng(8)
-        t = random_times(rng, 16)
-        h = build_hierarchy(t, default_merge_counts(len(t), 4))
-        # Merge ids increase with merge order, so their scales never decrease.
-        assert np.all(np.diff(h.scale[h.num_leaves:]) >= 0)
+        for _ in range(50):
+            t = random_times(rng, int(rng.integers(5, 40)))
+            h = build_hierarchy(t, default_merge_counts(len(t), 4))
+            assert_one_id_per_run(h)
+            next_id = h.num_leaves
+            for s in range(2, h.num_scales + 1):
+                new = [i for i in h.active_nodes(s) if i not in h.active_nodes(s - 1)]
+                assert new == list(range(next_id, next_id + len(new)))
+                next_id += len(new)
+            assert next_id == len(h.lo)
 
 
 class TestFrontier:
@@ -358,34 +396,18 @@ class TestPoolGroups:
 def test_type_mixture_rejects_types_that_are_not_one_id_per_leaf(types):
     h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
     with pytest.raises(DataError, match=r"one integer id in \[0, 3\) for each of the 9 leaves"):
-        h.type_mixture(16, np.array(types), 3)
+        h.type_mixture(14, np.array(types), 3)
 
 
-NINE_POINT_TREE = """\
-node id=16 scale=4 t=15.0778 members=[0, 1, 2, 3, 4, 5, 6, 7, 8]
-  node id=14 scale=3 t=5.45 members=[0, 1, 2, 3, 4, 5]
-    node id=12 scale=2 t=2.55 members=[0, 1, 2, 3]
-      node id=9 scale=1 t=0.5 members=[0, 1]
-        leaf id=0 scale=1 t=0 members=[0]
-        leaf id=1 scale=1 t=1 members=[1]
-      node id=10 scale=1 t=4.6 members=[2, 3]
-        leaf id=2 scale=1 t=4 members=[2]
-        leaf id=3 scale=1 t=5.2 members=[3]
-    node id=11 scale=2 t=11.25 members=[4, 5]
-      leaf id=4 scale=2 t=10 members=[4]
-      leaf id=5 scale=2 t=12.5 members=[5]
-  node id=15 scale=3 t=34.3333 members=[6, 7, 8]
-    node id=13 scale=3 t=32 members=[6, 7]
-      leaf id=6 scale=3 t=30 members=[6]
-      leaf id=7 scale=3 t=34 members=[7]
-    leaf id=8 scale=3 t=39 members=[8]"""
-
-
-class TestSerialization:
-    def test_format_tree_contains_all_nodes(self):
-        # The whole text, root first, each child two spaces under its parent.
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
-        assert h.format_tree() == NINE_POINT_TREE
+@pytest.mark.parametrize("node_ids", [-1, 15, 1.0, True, np.array([0, 15]), np.array([-1, 3]),
+                                      np.array([0.0, 1.0])],
+                         ids=["negative", "past-the-end", "float", "bool", "array-past-the-end",
+                              "array-negative", "float-array"])
+def test_type_mixture_rejects_ids_that_are_not_nodes(node_ids):
+    # The nine-point hierarchy has 15 node ids.
+    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    with pytest.raises(HierarchyError, match=r"node ids must be integers in \[0, 15\)"):
+        h.type_mixture(node_ids, np.arange(9) % 3, 3)
 
 
 # Strictly increasing floats: distinct values, sorted (0.0 and -0.0 count as one).
@@ -403,10 +425,6 @@ def oracle_members(times):
     return members
 
 
-def merge_tree(h):
-    return [step[:4] for step in merge_steps(h)]
-
-
 class TestHierarchyProperties:
     @given(increasing_times)
     def test_every_slicing_matches_the_brute_force_member_sets(self, times):
@@ -415,14 +433,14 @@ class TestHierarchyProperties:
         oracle = brute_force_single_linkage(t)
         members = oracle_members(t)
         types = np.arange(n) * 7 % 3
+        assert [step[:4] for step in single_linkage(t)] == [step[:4] for step in oracle]
         for S in range(1, n):
             h = build_hierarchy(t, default_merge_counts(n, S))
-            assert merge_tree(h) == [step[:4] for step in oracle]
-            assert len(h.lo) == len(h.hi) == len(h.rep_time) == 2 * n - 1
-            mixtures = h.type_mixture(np.arange(2 * n - 1), types, 3)
-            for node_id in range(2 * n - 1):
-                expected = sorted(members[node_id])
-                assert list(range(h.lo[node_id], h.hi[node_id] + 1)) == expected
+            assert_one_id_per_run(h)
+            runs = [set(range(lo, end)) for lo, end in zip(h.lo.tolist(), h.end.tolist())]
+            mixtures = h.type_mixture(np.arange(len(runs)), types, 3)
+            for node_id, run in enumerate(runs):
+                expected = sorted(run)
                 assert h.rep_time[node_id] == t[expected].mean()
                 counts = np.zeros(3)
                 for leaf in expected:
@@ -439,18 +457,20 @@ class TestHierarchyProperties:
                 merging = {child for step in oracle if start < step[0] <= end
                            for child in step[1:3]}
                 active = h.active_nodes(s)
-                assert set(active) == alive
-                spans = [sorted(members[i]) for i in active]
-                assert [i for span in spans for i in span] == list(range(n))
+                in_time_order = sorted((members[i] for i in alive), key=min)
+                assert [runs[i] for i in active] == in_time_order
                 frontier = h.frontier(s)
-                assert frontier == [i for i in active if i in merging]
+                assert [runs[i] for i in frontier] == [m for m in in_time_order if any(
+                    m == members[i] for i in merging)]
                 if s < S:
                     nxt, groups = position_groups(h, s)
                     assert nxt == h.active_nodes(s + 1)
                     assert [p for g in groups for p in g] == list(range(len(active)))
                     for node_id, group in zip(nxt, groups):
-                        absorbed = set().union(*(members[active[p]] for p in group))
-                        assert absorbed == members[node_id]
+                        absorbed = set().union(*(runs[active[p]] for p in group))
+                        assert absorbed == runs[node_id]
+            # Every id of the node table is active at some scale.
+            assert {i for s in range(1, S + 1) for i in h.active_nodes(s)} == set(range(len(runs)))
 
     @given(
         st.lists(st.integers(1, 10**6), min_size=1, max_size=40, unique=True),
@@ -463,36 +483,13 @@ class TestHierarchyProperties:
         # every time and distance exact, so no tie-breaking enters.
         t = np.concatenate([[0.0], np.cumsum(np.asarray(gaps, dtype=np.float64))])
         a = 2.0**log2_a
+        steps_h, steps_g = single_linkage(t), single_linkage(a * t + b)
+        assert [s[:4] for s in steps_g] == [s[:4] for s in steps_h]
+        assert [s[4] for s in steps_g] == [a * s[4] for s in steps_h]
         S = data.draw(st.integers(1, len(t) - 1))
         h = build_hierarchy(t, default_merge_counts(len(t), S))
         g = build_hierarchy(a * t + b, default_merge_counts(len(t), S))
-        assert merge_tree(g) == merge_tree(h)
-        assert [s[4] for s in merge_steps(g)] == [a * s[4] for s in merge_steps(h)]
         assert g.merge_counts == h.merge_counts
         for s in range(1, S + 1):
             assert g.active_nodes(s) == h.active_nodes(s)
             assert g.frontier(s) == h.frontier(s)
-
-    @given(increasing_times, st.data())
-    def test_format_tree_indents_each_node_by_its_ancestors(self, times, data):
-        # Each node is on exactly one line, indented two spaces for every
-        # other node whose brute-force member set contains its own.
-        n = len(times)
-        members = oracle_members(times)
-        S = data.draw(st.integers(1, n - 1))
-        h = build_hierarchy(np.asarray(times), default_merge_counts(n, S))
-        lines = h.format_tree().split("\n")
-        assert len(lines) == 2 * n - 1
-        seen = {}
-        for line in lines:
-            body = line.lstrip(" ")
-            kind, id_field = body.split(" ")[:2]
-            node_id = int(id_field.removeprefix("id="))
-            assert node_id not in seen
-            seen[node_id] = (len(line) - len(body)) // 2
-            assert kind == ("leaf" if node_id < n else "node")
-            assert body.endswith(f"members={sorted(members[node_id])}")
-        assert seen == {
-            i: sum(1 for j in members if j != i and members[i] <= members[j])
-            for i in members
-        }

@@ -115,10 +115,10 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
             T.constant(H), h, s, params, h.type_mixture(nxt, seq.types, 3)).value
         pooled, mixtures = [], []
         for node_id in nxt:
-            lo, hi = h.lo[node_id], h.hi[node_id]
-            run = [p for p, a in enumerate(active) if lo <= h.lo[a] and h.hi[a] <= hi]
+            lo, end = h.lo[node_id], h.end[node_id]
+            run = [p for p, a in enumerate(active) if lo <= h.lo[a] and h.end[a] <= end]
             pooled.append(H[run].mean(axis=0))
-            mixtures.append(np.bincount(seq.types[lo : hi + 1], minlength=3) / (hi + 1 - lo))
+            mixtures.append(np.bincount(seq.types[lo:end], minlength=3) / (end - lo))
         times = h.rep_time[nxt]
         context = _numpy_positional(params, times, np.array(mixtures))
         expected = np.concatenate([np.array(pooled), context], axis=1) @ params.pool_proj[s - 1].value
