@@ -31,8 +31,8 @@ Two node-set views matter downstream and are deliberately distinct:
   partition of all leaves at that start (frontier(s) plus carried-over runs
   that merge at a later scale). This is what hierarchical pooling walks.
   Each run of ``active_nodes(s+1)`` absorbs a contiguous run of
-  ``active_nodes(s)``, so ``pool_groups(s)`` describes the pooling by the
-  group starts alone.
+  ``active_nodes(s)``, so the cut that makes the next partition stores the
+  pooling as the group starts alone (``group_starts``; ``pool_groups(s)``).
 
 For a single scale the two views coincide with the full leaf set.
 """
@@ -73,7 +73,8 @@ class ScaleHierarchy:
     leaves ``lo[i]`` to ``end[i] - 1``. Ids ``0..L-1`` are the leaves; the
     runs of two or more leaves follow, numbered by the scale where each first
     appears, then by time. No two ids share a run. The root, and any cluster
-    formed and consumed within one interval, have no id.
+    formed and consumed within one interval, have no id. The per-scale index
+    arrays ``active``, ``frontier_pos`` and ``group_starts`` are read-only.
     """
 
     merge_counts: list[int]
@@ -82,6 +83,7 @@ class ScaleHierarchy:
     rep_time: np.ndarray  # mean time of the run's leaves; a leaf's own time
     active: list[np.ndarray]  # per scale: ids of active_nodes(s), in time order
     frontier_pos: list[np.ndarray]  # per scale: positions of frontier(s) in active
+    group_starts: list[np.ndarray]  # per scale s < S: where each next run starts in active
 
     @property
     def num_scales(self) -> int:
@@ -114,8 +116,9 @@ class ScaleHierarchy:
         A carried-over node (active at ``s`` but not in the frontier) runs no
         query: ``encode`` passes its row through untouched and
         ``hierarchy_key_set_sizes`` counts frontier queries only. Its key set
-        is ``[node_id]`` by convention.
+        is ``[node_id]`` by convention. A non-integer id raises HierarchyError.
         """
+        node_id = check_int("node_id", node_id, low=0, error=HierarchyError)
         frontier = self.frontier(s)
         if node_id not in frontier:
             if node_id in self.active_nodes(s):
@@ -129,17 +132,16 @@ class ScaleHierarchy:
     def pool_groups(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Grouping that takes active_nodes(s) to active_nodes(s+1).
 
-        Returns the ids of active_nodes(s+1) in time order and, for each,
-        the position within active_nodes(s) of the first run it absorbs.
-        Both sets partition the leaves into runs ordered by ``lo``, so next
-        node ``g`` absorbs the contiguous run of positions from ``starts[g]``
-        up to ``starts[g + 1]`` (the last run goes to the end); a carried-over
-        node is a group of one.
+        Returns ``active[s]`` and ``group_starts[s-1]``, as stored: the ids of
+        active_nodes(s+1) in time order and, for each, the position within
+        active_nodes(s) of the first run it absorbs. Both sets partition the
+        leaves into runs ordered by ``lo``, so next node ``g`` absorbs the
+        contiguous run of positions from ``starts[g]`` up to ``starts[g + 1]``
+        (the last run goes to the end); a carried-over node is a group of one.
         """
         if not 1 <= s < self.num_scales:
             raise ConfigError(f"pooling needs 1 <= s < {self.num_scales}, got {s}")
-        nxt = self.active[s]  # read-only: callers may not write into the hierarchy
-        return nxt, np.searchsorted(self.lo[self.active[s - 1]], self.lo[nxt])
+        return self.active[s], self.group_starts[s - 1]
 
     def type_mixture(self, node_ids: int | np.ndarray, types: np.ndarray,
                      num_types: int) -> np.ndarray:
@@ -228,7 +230,7 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     ids = np.arange(n)  # interval 1 starts before any merge: every leaf is a run
     edges = np.arange(n + 1)  # run k spans leaves edges[k] to edges[k + 1] - 1
     los, ends = [ids], [ids + 1]
-    active, frontier_pos = [ids], []
+    active, frontier_pos, group_starts = [ids], [], []
     next_id = n
     # Interval s + 1 starts after `cut` merges, where the runs alive are the
     # leaves cut at every gap of rank `cut` or more.
@@ -242,6 +244,7 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
         # run it absorbs. A carried-over run keeps its id; a run of two or
         # more leaves appears here first and takes the next id.
         pos = kept[:-1].nonzero()[0]
+        group_starts.append(pos)
         ids = ids[pos]
         new = (~carried[pos]).nonzero()[0]
         ids[new] = np.arange(next_id, next_id + len(new))
@@ -251,8 +254,8 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
         ends.append(edges[new + 1])
         active.append(ids)
     frontier_pos.append(np.arange(len(ids)))  # the top scale's runs all merge
-    for run_ids in active:
-        run_ids.flags.writeable = False  # returned by pool_groups without a copy
+    for index in itertools.chain(active, frontier_pos, group_starts):
+        index.flags.writeable = False  # pool_groups returns them without a copy
     lo, end = np.concatenate(los), np.concatenate(ends)
 
     # A run's mean time is what .mean() gives: add.reduce over the run,
@@ -261,4 +264,4 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     rep_time = np.empty(len(lo))
     rep_time[:n] = t
     rep_time[n:] = _span_sums(t, lo[n:], end[n:]) / (end[n:] - lo[n:])
-    return ScaleHierarchy(merge_counts, lo, end, rep_time, active, frontier_pos)
+    return ScaleHierarchy(merge_counts, lo, end, rep_time, active, frontier_pos, group_starts)

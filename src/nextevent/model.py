@@ -17,12 +17,12 @@ Forward pass per history window:
    node untouched; then pool to the next scale's active set as a segment
    mean: the active nodes and the next ones are both partitions of the
    leaves into runs in time order, so each next node is the mean of the
-   contiguous group of rows it absorbs (a carried-over node is a group of
-   one); each pooled row is concatenated with its node's positional context
-   (one more ``fcpe_matrix`` node per scale) and projected back to
-   ``d_model``; every node's type mixture and the cos and sin of its phases
-   come from one table per window with a row per node id of the hierarchy,
-   so a node carried over to later scales does not compute them again,
+   contiguous group of rows it absorbs, starting where the hierarchy stored
+   (a carried-over node is a group of one); each pooled row is concatenated
+   with its node's positional context (one more ``fcpe_matrix`` node per
+   scale) and projected back to ``d_model``; every node's type mixture and
+   the cos and sin of its phases are rows, read by node id, of one table per
+   window, so a node carried over to later scales does not compute them again,
 3. one more :func:`tensor.multi_head_attention` node reads every top-scale
    row, with the temporally last node as the sole query and the one output
    row; then a dense layer gives the sequence summary ``H_L``,
@@ -281,32 +281,23 @@ def cross_scale_attention(
     return _attend(H, rows, causal, params.attn[s - 1], counter)
 
 
-def hierarchical_pool(
-    H_active: DiffNode, hierarchy: ScaleHierarchy, s: int, params: ModelParams,
-    mixtures: np.ndarray, trig=None,
-) -> DiffNode:
+def hierarchical_pool(H_active: DiffNode, hierarchy: ScaleHierarchy, s: int,
+                      params: ModelParams, table: tuple[np.ndarray, ...]) -> DiffNode:
     """Ascend one scale: each next-scale node is the mean of the contiguous run
     of active rows it absorbs (carried-over nodes are runs of one), then
     concat each row with its positional context and project back to d_model.
 
-    ``mixtures`` holds the type mixtures of ``active_nodes(s + 1)``, one row
-    per node in time order, as :meth:`ScaleHierarchy.type_mixture` gives them;
-    ``trig``, if given, holds the cos and sin of their phases, as
-    :func:`encoding.fcpe_trig` gives them.
+    The groups are the stored :meth:`ScaleHierarchy.pool_groups`. ``table``
+    is ``(mix, cos, sin)`` with a row per node id, as ``type_mixture`` and
+    :func:`encoding.fcpe_trig` give them; it is read by the next scale's ids.
     """
     nxt_ids, starts = hierarchy.pool_groups(s)
     if H_active.shape[0] != len(hierarchy.active[s - 1]):
-        raise HierarchyError(
-            f"pooling at scale {s}: got {H_active.shape[0]} rows for"
-            f" {len(hierarchy.active[s - 1])} active nodes"
-        )
-    if len(mixtures) != len(nxt_ids):
-        raise HierarchyError(
-            f"pooling at scale {s}: got {len(mixtures)} type mixtures for"
-            f" {len(nxt_ids)} next-scale nodes"
-        )
+        raise HierarchyError(f"pooling at scale {s}: got {H_active.shape[0]} rows for"
+                             f" {len(hierarchy.active[s - 1])} active nodes")
+    mix, cos, sin = (column[nxt_ids] for column in table)
     pooled = T.segment_mean(H_active, starts)
-    context = _positional(params, hierarchy.rep_time[nxt_ids], mixtures, trig)
+    context = _positional(params, hierarchy.rep_time[nxt_ids], mix, (cos, sin))
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -332,10 +323,9 @@ def encode(params: ModelParams, seq: EventSequence,
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
     n = len(seq.times)
-    # One table per window, a row per node id of the hierarchy: the leaves,
-    # then the runs of two or more leaves. Each row holds the node's type
-    # mixture (a leaf's is its one-hot row) and the cos and sin of its
-    # phases, so a node carried over to later scales is encoded from one row.
+    # One table per window, a row per node id: each node's type mixture (a
+    # leaf's one-hot row) and the cos and sin of its phases. Pooling reads it
+    # by id, so a node carried over to later scales is encoded from one row.
     mix = hierarchy.type_mixture(np.arange(len(hierarchy.lo)), seq.types, cfg.num_types)
     cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time)
     # Each node keeps its trig rows until backward. The leaves take copies,
@@ -350,8 +340,7 @@ def encode(params: ModelParams, seq: EventSequence,
         H = cross_scale_attention(H, cfg.causal, params, s, counter,
                                   rows=hierarchy.frontier_pos[s - 1])
         if s < S:
-            r = hierarchy.active[s]
-            H = hierarchical_pool(H, hierarchy, s, params, mix[r], (cos[r], sin[r]))
+            H = hierarchical_pool(H, hierarchy, s, params, (mix, cos, sin))
     return H
 
 
@@ -418,7 +407,9 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
     Forward and backward run the operations of the matmul, softplus, log,
     exp, logsumexp and sum chain the node stands for, and add gradients in
     the chain's order (gamma's: the ``g - 1`` term, ``log g``, then ``g u``),
-    so value and gradients round exactly as that chain does.
+    so value and gradients round exactly as that chain does. The time head's
+    ``+ - * /`` run on Python floats; ``exp``, ``log`` and ``logaddexp`` stay
+    numpy calls, since ``math``'s need not round the same.
     """
     gap = float(gap)
     if gap <= 0.0:
@@ -430,44 +421,43 @@ def _decode(params: ModelParams, H_L: DiffNode, target: int, gap: float) -> Forw
     e = np.exp(logits - m)
     e_sum = e.sum(axis=1, keepdims=True)
     lse = m + np.log(e_sum)
-    ce = lse - logits[:, [target]]
+    ce = (lse - logits[:, [target]]).item()
     pre = h @ w_time.value  # (1, 2)
-    positive = np.logaddexp(0.0, pre) + POSITIVE_FLOOR
-    lam, gamma = positive[:, [0]], positive[:, [1]]
-    log_lam = np.log(lam)
+    lam, gamma = (np.logaddexp(0.0, pre[0]) + POSITIVE_FLOOR).tolist()
+    log_lam = np.log(lam).item()
     u = math.log(gap) - log_lam  # log(t / lambda)
     gu = gamma * u
-    if gu.item() > _LOG_FLOAT_MAX:
+    if gu > _LOG_FLOAT_MAX:
         raise NumericsError(
-            f"Weibull term (gap / lambda)^gamma overflows: lambda={lam.item()!r},"
-            f" gamma={gamma.item()!r}, gap={gap!r}"
+            f"Weibull term (gap / lambda)^gamma overflows: lambda={lam!r},"
+            f" gamma={gamma!r}, gap={gap!r}"
         )
-    z = np.exp(gu)  # (t / lambda)^gamma
-    nll = (((np.log(gamma) - log_lam) + (gamma - 1.0) * u) - z) * -1.0
-    total = nll * 0.5 + ce * 0.5
+    z = np.exp(gu).item()  # (t / lambda)^gamma
+    nll = (((np.log(gamma).item() - log_lam) + (gamma - 1.0) * u) - z) * -1.0
 
     def backward(g):
+        g = g.item()
         g_ce = g * 0.5
         g_term = (g * 0.5) * -1.0
         g_gu = -g_term * z
         g_u = g_term * (gamma - 1.0) + g_gu * gamma
         g_lam = -g_term / lam + -g_u / lam
         g_gamma = g_term * u + g_term / gamma + g_gu * u
-        g_pre = np.concatenate([g_lam, g_gamma], axis=1) * T._sigmoid(pre)
+        g_pre = np.array([[g_lam, g_gamma]]) * T._sigmoid(pre)
         g_logits = g_ce * np.exp(logits - lse)
-        g_logits[:, [target]] += -g_ce
+        g_logits[0, target] += -g_ce
         H_L.grad += g_logits @ w_type.value.T
         w_type.grad += h.T @ g_logits
         H_L.grad += g_pre @ w_time.value.T
         w_time.grad += h.T @ g_pre
 
     return ForwardResult(
-        total=DiffNode(total, (H_L, w_time, w_type), backward),
-        time_nll=nll.item(),
-        type_ce=ce.item(),
+        total=DiffNode(np.array([[nll * 0.5 + ce * 0.5]]), (H_L, w_time, w_type), backward),
+        time_nll=nll,
+        type_ce=ce,
         type_probs=(e / e_sum)[0],
-        lam=lam.item(),
-        gamma=gamma.item(),
+        lam=lam,
+        gamma=gamma,
     )
 
 

@@ -261,7 +261,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     """Attention among the rows ``r = x[rows]``, all heads in one node:
     ``concat_h(softmax((q Wq_h) (r Wk_h).T / sqrt(d_k)) (r Wv_h)) @ w_out + q``.
 
-    ``rows`` must be non-empty, strictly increase and lie in
+    ``rows`` must be non-empty integers, strictly increase and lie in
     ``[0, len(x))``, or :class:`HierarchyError` is raised. By default
     every row of ``r`` is a query (``q = r``), with ``causal`` the i-th
     reading only ``r[:i + 1]``, and the value is ``x`` with ``rows``
@@ -309,9 +309,10 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     if w_qkv.shape[1] != d or w_out.shape != (nh * dk, d):
         raise ValueError(f"multi_head_attention: shapes x {x.shape}, w_qkv {w_qkv.shape},"
                          f" w_out {w_out.shape} disagree")
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or rows.size == 0:
-        raise HierarchyError("multi_head_attention: rows must be a non-empty 1-D array")
+    rows = np.asarray(rows)  # floats and bools are refused, not truncated
+    if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise HierarchyError("multi_head_attention: rows must be a non-empty 1-D integer array")
+    rows = rows.astype(np.int64, copy=False)
     if rows.size > 1 and np.minimum.reduce(rows[1:] - rows[:-1]) <= 0:
         raise HierarchyError("multi_head_attention: rows must strictly increase")
     if rows[0] < 0 or rows[-1] >= x.shape[0]:
@@ -399,9 +400,9 @@ def segment_mean(a, starts) -> DiffNode:
     """Row ``g`` of the output is the mean of input rows
     ``starts[g]:starts[g + 1]`` (the last segment runs to the end).
 
-    The segments partition the rows in order, so ``starts`` must begin at 0,
-    strictly increase and stay below the row count. Backward hands each
-    member 1/count of its output row's gradient.
+    The segments partition the rows in order, so ``starts`` must be integers
+    that begin at 0, strictly increase and stay below the row count. Backward
+    hands each member 1/count of its output row's gradient.
 
     Exactness: forward sums every segment with one ``np.bincount`` over
     flattened (segment, column) indices, then divides by the count.
@@ -412,10 +413,11 @@ def segment_mean(a, starts) -> DiffNode:
     of 8 or more values sums pairwise, so both round differently.)
     """
     a = _wrap(a)
-    starts = np.asarray(starts, dtype=np.int64)
+    starts = np.asarray(starts)  # floats and bools are refused, not truncated
     n = a.shape[0]
-    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0:
-        raise HierarchyError("segment_mean: starts must be a 1-D array beginning at 0")
+    if starts.ndim != 1 or starts.size == 0 or starts.dtype.kind not in "iu" or starts[0] != 0:
+        raise HierarchyError("segment_mean: starts must be a 1-D integer array beginning at 0")
+    starts = starts.astype(np.int64, copy=False)
     k = starts.size
     counts = np.empty(k, dtype=np.int64)
     counts[:-1] = starts[1:] - starts[:-1]

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nextevent import events as E
@@ -49,6 +49,15 @@ def single_linkage(times):
         g = h.lo[right]  # the fused gap lies before the right run's first leaf
         steps.append((order, left, right, result, float(t[g] - t[g - 1])))
     return steps
+
+
+def assert_group_starts(h):
+    """Each next run starts at the position, among the runs active before
+    it, of the run with its first leaf."""
+    assert len(h.group_starts) == h.num_scales - 1
+    for s in range(1, h.num_scales):
+        expected = np.searchsorted(h.lo[h.active[s - 1]], h.lo[h.active[s]])
+        np.testing.assert_array_equal(h.group_starts[s - 1], expected)
 
 
 def assert_one_id_per_run(h):
@@ -143,6 +152,7 @@ class TestAgglomerate:
             assert fast == heap_single_linkage(t)
             h = build_hierarchy(t, default_merge_counts(len(t), 4))
             assert_one_id_per_run(h)
+            assert_group_starts(h)
             for i in range(len(h.lo)):
                 assert h.rep_time[i] == t[h.lo[i] : h.end[i]].mean()
             sizes.update((h.end - h.lo).tolist())
@@ -384,6 +394,15 @@ class TestPoolGroups:
         with pytest.raises(ConfigError):
             h.pool_groups(4)
 
+    def test_pool_groups_returns_the_stored_arrays_read_only(self):
+        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        for s in range(1, h.num_scales):
+            nxt, starts = h.pool_groups(s)
+            assert nxt is h.active[s] and starts is h.group_starts[s - 1]
+            for index in (nxt, starts, h.frontier_pos[s - 1]):
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 1
+
 
 @pytest.mark.parametrize("types", [
     [0, 1, 2, 0, 1, 2, 0, 1, -1],
@@ -410,6 +429,24 @@ def test_type_mixture_rejects_ids_that_are_not_nodes(node_ids):
         h.type_mixture(node_ids, np.arange(9) % 3, 3)
 
 
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("node_id", [5.0, np.float64(5.0), True, "5", None, -1],
+                         ids=["float", "numpy-float", "bool", "str", "none", "negative"])
+def test_key_set_rejects_ids_that_are_not_integers(node_id, causal):
+    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    with pytest.raises(HierarchyError, match="node_id must be an integer >= 0"):
+        h.key_set(2, node_id, causal=causal)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_key_set_takes_numpy_integer_ids(causal):
+    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    for node_id in h.active_nodes(2):
+        expected = h.key_set(2, node_id, causal=causal)
+        for cast in (np.int64, np.int32, np.uint8):
+            assert h.key_set(2, cast(node_id), causal=causal) == expected
+
+
 # Strictly increasing floats: distinct values, sorted (0.0 and -0.0 count as one).
 increasing_times = st.lists(
     st.floats(-1e12, 1e12, allow_nan=False), min_size=2, max_size=24, unique=True
@@ -427,6 +464,9 @@ def oracle_members(times):
 
 class TestHierarchyProperties:
     @given(increasing_times)
+    @example([0.0, 1.0])
+    @example([0.0, 1.0, 2.0])  # every gap ties
+    @example([0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0, 9.0])
     def test_every_slicing_matches_the_brute_force_member_sets(self, times):
         t = np.asarray(times)
         n = len(t)
@@ -437,6 +477,7 @@ class TestHierarchyProperties:
         for S in range(1, n):
             h = build_hierarchy(t, default_merge_counts(n, S))
             assert_one_id_per_run(h)
+            assert_group_starts(h)
             runs = [set(range(lo, end)) for lo, end in zip(h.lo.tolist(), h.end.tolist())]
             mixtures = h.type_mixture(np.arange(len(runs)), types, 3)
             for node_id, run in enumerate(runs):

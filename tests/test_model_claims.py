@@ -8,6 +8,7 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
+from nextevent.encoding import fcpe_trig
 from nextevent.errors import NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 from gradcheck import check_gradients
@@ -107,12 +108,13 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     params = M.init_model_params(config, seed=4)
     seq = _example(length=64).history
     h = M.hierarchy_for(config, seq.times)
+    table = (h.type_mixture(np.arange(len(h.lo)), seq.types, 3),
+             *fcpe_trig(params.fcpe, h.rep_time))
     rng = np.random.default_rng(8)
     for s in range(1, h.num_scales):
         active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
         H = rng.normal(size=(len(active), config.d_model))
-        got = M.hierarchical_pool(
-            T.constant(H), h, s, params, h.type_mixture(nxt, seq.types, 3)).value
+        got = M.hierarchical_pool(T.constant(H), h, s, params, table).value
         pooled, mixtures = [], []
         for node_id in nxt:
             lo, end = h.lo[node_id], h.end[node_id]

@@ -143,7 +143,11 @@ class TestForwardValues:
         ([1, 2], "beginning at 0"),
         ([0, 3, 2], "empty segment"),
         ([0, 4], "out of range"),
-    ], ids=["2-D", "empty", "not-at-0", "not-increasing", "out-of-range"])
+        # Cast to int64, these would truncate to the valid starts [0, 1].
+        ([0, 1.5], "integer"), (np.array([0.0, 1.0]), "integer"),
+        ([False, True], "integer"),
+    ], ids=["2-D", "empty", "not-at-0", "not-increasing", "out-of-range",
+            "fractional", "whole-floats", "bool"])
     def test_segment_mean_rejects_bad_starts(self, starts, match):
         with pytest.raises(HierarchyError, match=match):
             T.segment_mean(T.constant(np.zeros((4, 2))), starts)
@@ -451,8 +455,11 @@ class TestMaskedAttention:
     @pytest.mark.parametrize("rows, match", [
         ([-1], "out of range"), ([3], "out of range"), ([0, 5], "out of range"),
         ([1, 1], "strictly increase"), ([0, 2, 1], "strictly increase"), ([[0, 1]], "1-D"),
+        # Cast to int64, these would truncate to the valid rows [0, 2].
+        ([0.5, 2.9], "integer"), (np.array([0.0, 2.0]), "integer"),
+        ([True, False, True], "integer"),
     ], ids=["negative", "past-the-end", "past-the-end-after-a-valid-row",
-            "repeated", "decreasing", "2-D"])
+            "repeated", "decreasing", "2-D", "fractional", "whole-floats", "bool"])
     def test_rejects_bad_rows(self, rows, match):
         x, w_qkv, w_out = self._arrays(3)
         with pytest.raises(HierarchyError, match=match):
