@@ -12,8 +12,10 @@ dot-product kernel
 
     P(t_a) . P(t_b) = sum_k mu_a^k mu_b^k cos(w_k (t_a - t_b))
 
-depends on times only through their difference, which is what makes the
-downstream attention scores stable under global time shifts of the inputs.
+depends on times only through their difference. That holds for this kernel
+alone: the model adds type rows to the encodings, scores them through W_Q and
+W_K and pools them into contexts, so its outputs still depend on absolute
+time until each window is anchored at its own last event (ROADMAP item 10).
 
 The fixed sinusoidal baseline is the same map with unit amplitudes on the
 frozen DFT grid: an all-ones ``density_map`` gives ``mu = 1`` for every row
@@ -57,13 +59,6 @@ class FcpeParams:
                                   ("type_embed", type_embed, rows + (2 * half,))):
             if node.shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}, got {node.shape}")
-
-    def named(self) -> dict[str, DiffNode]:
-        return {
-            "fcpe.freqs": self.freqs,
-            "fcpe.density_map": self.density_map,
-            "fcpe.type_embed": self.type_embed,
-        }
 
 
 def initial_frequencies(dim: int) -> np.ndarray:

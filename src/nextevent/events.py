@@ -6,8 +6,9 @@ types in ``[0, num_types)``. Loaders validate ordering rather than silently
 re-sorting; exact duplicate timestamps are nudged forward by a tiny fraction
 of the mean gap (with a warning) because exact ties would make the
 clustering hierarchy order-dependent. Normalization shifts every sequence to
-start at zero and may divide by one global mean gap; it keeps no state per
-sequence, so sequences that share an id are normalized independently.
+start at zero and may divide by one global mean gap. That mean gap, a
+``float``, is all the state it returns; it keeps none per sequence, so
+sequences that share an id are normalized independently.
 
 Windows are read-only views: :func:`make_examples` checks a sequence once,
 however many windows it gives, and each window's history is a slice that
@@ -31,7 +32,6 @@ from .errors import ConfigError, DataError, check_int, check_real, is_type_id
 __all__ = [
     "EventSequence",
     "PredictionExample",
-    "NormStats",
     "load_sequences",
     "save_sequences",
     "generate_hawkes",
@@ -137,20 +137,31 @@ class PredictionExample:
 
 def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     """Nudge exact duplicate timestamps forward by 1e-9 * mean gap, and by at
-    least one ulp so that large timestamps still become distinct."""
+    least one ulp so that large timestamps still become distinct.
+
+    Times whose span overflows, or that are not finite, are returned as they
+    are, for :class:`EventSequence` to reject by event."""
     if times.size < 2:
         return times
-    diffs = np.diff(times)
-    if not np.any(diffs == 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(times)
+        if not np.any(diffs == 0.0):
+            return times
+        mean_gap = float(diffs.mean())
+    if not math.isfinite(mean_gap):
         return times
-    mean_gap = float(diffs.mean())
     if mean_gap == 0.0:
         raise DataError(f"sequence {seq_id!r}: all timestamps identical")
     eps = 1e-9 * mean_gap
     out = times.copy()
-    for i in range(1, len(out)):
-        if out[i] <= out[i - 1]:
-            out[i] = max(out[i - 1] + eps, np.nextafter(out[i - 1], np.inf))
+    with np.errstate(over="ignore"):
+        for i in range(1, len(out)):
+            if out[i] <= out[i - 1]:
+                out[i] = max(out[i - 1] + eps, np.nextafter(out[i - 1], np.inf))
+    if np.isinf(out[-1]):  # a tie at the largest float has no larger neighbour
+        bad = int(np.argmax(np.isinf(out)))
+        raise DataError(f"sequence {seq_id!r}: tied time at event {bad} cannot be nudged"
+                        f" without overflow")
     warnings.warn(
         f"sequence {seq_id!r}: duplicate timestamps perturbed by up to"
         f" {np.max(out - times):.3g}",
@@ -284,6 +295,8 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
             if not isinstance(times, list) or not isinstance(types, list):
                 raise DataError(f"{path}:{lineno}: times and types must be lists")
             try:
+                if any(isinstance(t, bool) for t in times):  # a bool is never a number
+                    raise TypeError
                 times = [float(t) for t in times]
             except (TypeError, ValueError):
                 raise DataError(f"{path}:{lineno}: times must be numbers") from None
@@ -526,45 +539,19 @@ def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int, h
 NORM_MODES = ("shift_to_zero", "shift_and_scale")
 
 
-@dataclass
-class NormStats:
-    """Normalization state: the global gap scale.
-
-    ``mean_gap`` is the mean inter-event gap of the sequences the stats were
-    fit on (1.0 when scaling is off), so a predicted gap in model units maps
-    back to original units via :meth:`gap_to_original`; it must be finite and
-    positive, and is stored as a ``float``. Each sequence's shift is its own
-    first time and is not kept.
-    """
-
-    mean_gap: float = 1.0
-
-    def __post_init__(self):
-        self.mean_gap = check_real("mean_gap", self.mean_gap)
-
-    def gap_to_original(self, gap: float) -> float:
-        return gap * self.mean_gap
-
-    def to_dict(self) -> dict:
-        return {"mean_gap": self.mean_gap}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(d["mean_gap"])
-
-
-def normalize_times(
-    seqs: list[EventSequence], mode: str
-) -> tuple[list[EventSequence], NormStats]:
+def normalize_times(seqs: list[EventSequence], mode: str) -> tuple[list[EventSequence], float]:
     """Shift each sequence to start at zero, and with ``"shift_and_scale"``
     divide by the mean gap: the times become ``(times - times[0]) / mean_gap``.
 
-    The scale is fit on ``seqs`` (use :func:`apply_normalization` to reuse it
-    on held-out data); ``"shift_to_zero"`` keeps ``mean_gap`` at 1.0.
+    Returns the sequences and ``mean_gap``, a ``float``: the mean inter-event
+    gap of ``seqs`` under ``"shift_and_scale"`` and 1.0 under
+    ``"shift_to_zero"``. A gap ``g`` in model units is ``g * mean_gap`` in the
+    original ones. Use :func:`apply_normalization` to reuse the scale on
+    held-out data.
     """
     if mode not in NORM_MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}, expected {NORM_MODES}")
-    stats = NormStats()
+    mean_gap = 1.0
     if mode == "shift_and_scale":
         gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
         if gaps.size == 0:  # times strictly increase, so any gap is positive
@@ -574,15 +561,17 @@ def normalize_times(
         if not np.isfinite(mean_gap):  # finite gaps whose sum overflows
             peak = gaps.max()
             mean_gap = (gaps / peak).mean() * peak
-        stats = NormStats(float(mean_gap))
-    return apply_normalization(seqs, stats), stats
+        mean_gap = float(mean_gap)
+    return apply_normalization(seqs, mean_gap), mean_gap
 
 
-def apply_normalization(seqs: list[EventSequence], stats: NormStats) -> list[EventSequence]:
-    """Shift each of ``seqs`` to start at zero and divide by ``stats.mean_gap``;
-    ``stats`` is only read, and each sequence is normalized on its own."""
+def apply_normalization(seqs: list[EventSequence], mean_gap: float) -> list[EventSequence]:
+    """Shift each of ``seqs`` to start at zero and divide by ``mean_gap``, which
+    must be a finite real number > 0 (:class:`ConfigError` otherwise); each
+    sequence is normalized on its own."""
+    mean_gap = check_real("mean_gap", mean_gap)
     return [
-        EventSequence((seq.times - seq.times[:1]) / stats.mean_gap, seq.types.copy(),
+        EventSequence((seq.times - seq.times[:1]) / mean_gap, seq.types.copy(),
                       seq.num_types, seq.seq_id)
         for seq in seqs
     ]

@@ -40,15 +40,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
-from .errors import ConfigError, DataError, HierarchyError, NumericsError, check_int
-from .events import EventSequence, NormStats, PredictionExample
+from .errors import ConfigError, DataError, HierarchyError, NumericsError, check_int, check_real
+from .events import EventSequence, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
 from .tensor import DiffNode
 
@@ -112,16 +112,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class ScaleAttentionParams:
@@ -147,7 +137,12 @@ class ModelParams:
         self.w_time = w_time
 
     def all_named(self) -> dict[str, DiffNode]:
-        out = dict(self.fcpe.named())
+        """Every leaf by name; the names are the checkpoint's keys."""
+        out = {
+            "fcpe.freqs": self.fcpe.freqs,
+            "fcpe.density_map": self.fcpe.density_map,
+            "fcpe.type_embed": self.fcpe.type_embed,
+        }
         for s, sp in enumerate(self.attn, start=1):
             out[f"attn{s}.wqkv"] = sp.w_qkv
             out[f"attn{s}.wo"] = sp.w_out
@@ -512,26 +507,34 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
 # Checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 
-def save_checkpoint(path, params: ModelParams, norm_stats=None) -> None:
-    """Single JSON file: config + named parameter tensors (shape + row-major
-    data) + optional normalization stats. Floats round-trip exactly."""
+def save_checkpoint(path, params: ModelParams, mean_gap: float | None = None) -> None:
+    """One JSON file: the version, the config's fields, each leaf of
+    :meth:`ModelParams.all_named` as shape and row-major data, and
+    ``mean_gap`` as :func:`events.normalize_times` returns it, or null. A
+    ``mean_gap`` that is not a finite real > 0 raises :class:`ConfigError`
+    before anything is written. Floats round-trip exactly."""
+    if mean_gap is not None:
+        mean_gap = check_real("mean_gap", mean_gap)
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "params": {
             name: {"shape": list(node.value.shape), "data": node.value.reshape(-1).tolist()}
             for name, node in sorted(params.all_named().items())
         },
-        "norm": norm_stats.to_dict() if norm_stats is not None else None,
+        "mean_gap": mean_gap,
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (params, norm_stats_or_None)."""
+def load_checkpoint(path) -> tuple[ModelParams, float | None]:
+    """Inverse of :func:`save_checkpoint`; returns ``(params, mean_gap)``, with
+    ``mean_gap`` a ``float`` or None. A malformed file raises
+    :class:`DataError`; another version, an unknown config key or a bad
+    ``mean_gap`` raises :class:`ConfigError`."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
@@ -546,8 +549,13 @@ def load_checkpoint(path):
         raise ConfigError(f"unsupported checkpoint version {version!r}")
     if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
         raise DataError(f"{path}: checkpoint needs a config object and a params object")
-    config = ModelConfig.from_dict(payload["config"])
-    params = init_model_params(config, seed=0)
+    if "mean_gap" not in payload:
+        raise DataError(f"{path}: checkpoint needs a mean_gap, a number or null")
+    fields = payload["config"]
+    unknown = set(fields) - set(ModelConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    params = init_model_params(ModelConfig(**fields), seed=0)
     saved, names = payload["params"], set(params.all_named())
     if set(saved) != names:
         raise ConfigError(f"checkpoint parameter names mismatch: {sorted(names ^ set(saved))}")
@@ -560,9 +568,5 @@ def load_checkpoint(path):
         if not np.isfinite(values[name]).all():
             raise NumericsError(f"checkpoint {name!r} holds non-finite values")
     params.load_values(values)
-    norm = payload.get("norm")
-    try:
-        stats = NormStats.from_dict(norm) if norm is not None else None
-    except (KeyError, TypeError):  # a ConfigError for a bad mean_gap passes through
-        raise DataError(f"{path}: norm stats need a mean_gap") from None
-    return params, stats
+    mean_gap = payload["mean_gap"]
+    return params, None if mean_gap is None else check_real("mean_gap", mean_gap)

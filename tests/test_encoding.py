@@ -184,7 +184,8 @@ class TestEmbedEvent:
             emb = M._embed(model, [0.8, 1.9], onehot([1, 0], 2))
             return O.sum_all(O.mul(emb, emb))
 
-        report = check_gradients(f, model.fcpe.named())
+        fcpe = {k: v for k, v in model.all_named().items() if k.startswith("fcpe.")}
+        report = check_gradients(f, fcpe)
         assert report.max_rel_error < 1e-4
 
     def test_dim_must_be_even(self):

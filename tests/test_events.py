@@ -13,7 +13,6 @@ from scipy import stats as scipy_stats
 from nextevent.errors import ConfigError, DataError
 from nextevent.events import (
     EventSequence,
-    NormStats,
     apply_normalization,
     generate_hawkes,
     generate_multiscale,
@@ -263,16 +262,40 @@ class TestLoadSequences:
     @pytest.mark.parametrize("line, message", [
         ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}', "times must be numbers"),
         ('{"id": "b", "times": [0.0, null], "types": [0, 1]}', "times must be numbers"),
+        ('{"id": "b", "times": [true, 2.0], "types": [0, 1]}', "times must be numbers"),
         ('[0.0, 1.0]', "expected a JSON object"),
         ('{"id": "b", "times": 1.0, "types": [0]}', "times and types must be lists"),
         ('{"id": "b", "times": [0.0, 1.0], "types": [0]}', "2 times but 1 types"),
-    ], ids=["non-numeric time", "null time", "not an object", "times not a list",
-            "fewer types than times"])
+    ], ids=["non-numeric time", "null time", "bool time", "not an object",
+            "times not a list", "fewer types than times"])
     def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"id": "a", "times": [0.0], "types": [0]}\n' + line + "\n")
         with pytest.raises(DataError, match=rf"bad\.jsonl:2: {message}"):
             load_sequences(p)
+
+    def test_jsonl_times_may_be_decimal_strings_as_csv_cells_are(self, tmp_path):
+        p = tmp_path / "data.jsonl"
+        p.write_text('{"id": "a", "times": ["0.5", 2.0], "types": [0, 1]}\n')
+        assert load_sequences(p)[0].times.tolist() == [0.5, 2.0]
+
+    _TOP = repr(float(np.finfo(np.float64).max))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a,-1e308,0\na,1e308,1\n", "time span overflow at event 1"),
+        ("a,-1e308,0\na,1e308,1\na,1e308,0\n", "time span overflow at event 1"),
+        (f"a,0.0,0\na,{_TOP},0\na,{_TOP},0\n", "tied time at event 2 cannot be nudged"),
+    ], ids=["no tie", "tie", "tie at the largest float"])
+    def test_times_that_overflow_are_a_data_error(self, tmp_path, rows, message):
+        # A tie in a span that overflows is not nudged: the mean gap is
+        # infinite, and the sequence reports the overflow, not a non-finite
+        # time. A tie at the largest float has no larger neighbour.
+        p = tmp_path / "span.csv"
+        p.write_text("seq_id,time,type\n" + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"'a': {message}"):
+                load_sequences(p)
 
     def test_all_empty_sequences_need_num_types(self, tmp_path):
         p = tmp_path / "empty.jsonl"
@@ -571,13 +594,14 @@ class TestMakeExamples:
 class TestNormalization:
     def test_shift_to_zero(self):
         seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a")]
-        out, _ = normalize_times(seqs, "shift_to_zero")
+        out, mean_gap = normalize_times(seqs, "shift_to_zero")
         np.testing.assert_allclose(out[0].times, [0.0, 1.0, 3.0])
+        assert type(mean_gap) is float and mean_gap == 1.0
 
     def test_shift_and_scale(self):
         seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a")]
-        out, stats = normalize_times(seqs, "shift_and_scale")
-        assert stats.mean_gap == 1.5
+        out, mean_gap = normalize_times(seqs, "shift_and_scale")
+        assert type(mean_gap) is float and mean_gap == 1.5
         np.testing.assert_allclose(out[0].times, [0.0, 1.0 / 1.5, 3.0 / 1.5])
 
     def test_zero_mean_gap_rejected(self):
@@ -594,8 +618,8 @@ class TestNormalization:
         # Each gap is finite, but their sum is not; the filterwarnings setting
         # turns numpy's overflow warning into a failure.
         seqs = [EventSequence([0.0, 1.5e308], [0, 0], 1) for _ in range(2)]
-        out, stats = normalize_times(seqs, "shift_and_scale")
-        assert stats.mean_gap == 1.5e308
+        out, mean_gap = normalize_times(seqs, "shift_and_scale")
+        assert mean_gap == 1.5e308
         for seq in out:
             np.testing.assert_array_equal(seq.times, [0.0, 1.0])
 
@@ -607,54 +631,42 @@ class TestNormalization:
 
     def test_apply_reuses_fit_scale(self):
         train = [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")]
-        _, stats = normalize_times(train, "shift_and_scale")
+        _, mean_gap = normalize_times(train, "shift_and_scale")
         held = apply_normalization(
-            [EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], stats
+            [EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], mean_gap
         )
         np.testing.assert_allclose(held[0].times, [0.0, 0.5])
-
-    def test_apply_leaves_stats_unchanged(self):
-        _, stats = normalize_times(
-            [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")], "shift_and_scale"
-        )
-        before = stats.to_dict()
-        apply_normalization([EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], stats)
-        assert stats.to_dict() == before == {"mean_gap": 2.0}
 
     def test_sequences_sharing_an_id_normalize_independently(self):
         # Both use the default seq_id "": each still starts at its own zero.
         seqs = [EventSequence([10.0, 11.0, 13.0], [0, 0, 0], 1),
                 EventSequence([100.0, 102.0], [0, 0], 1)]
-        out, stats = normalize_times(seqs, "shift_and_scale")
-        assert stats.mean_gap == 5.0 / 3.0
-        np.testing.assert_array_equal(out[0].times, np.array([0.0, 1.0, 3.0]) / stats.mean_gap)
-        np.testing.assert_array_equal(out[1].times, np.array([0.0, 2.0]) / stats.mean_gap)
-
-    def test_stats_round_trip_dict(self):
-        stats = NormStats(2.5)
-        again = NormStats.from_dict(stats.to_dict())
-        assert again == stats
+        out, mean_gap = normalize_times(seqs, "shift_and_scale")
+        assert mean_gap == 5.0 / 3.0
+        np.testing.assert_array_equal(out[0].times, np.array([0.0, 1.0, 3.0]) / mean_gap)
+        np.testing.assert_array_equal(out[1].times, np.array([0.0, 2.0]) / mean_gap)
 
     @pytest.mark.parametrize("mean_gap", [-2.0, 0.0, np.nan, np.inf, "2", True, None])
     def test_stats_reject_a_mean_gap_that_is_not_finite_and_positive(self, mean_gap):
+        seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
         match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
         with pytest.raises(ConfigError, match=match):
-            NormStats(mean_gap)
+            apply_normalization(seqs, mean_gap)
 
     @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0, "2.5", True])
     def test_stats_from_dict_reject_a_bad_mean_gap(self, mean_gap):
-        # The stored value is checked as it is, never coerced through float().
+        # A stored mean gap is checked as it is, never coerced through
+        # float(): "2.5" and True are rejected, not accepted.
+        seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
         match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
         with pytest.raises(ConfigError, match=match):
-            NormStats.from_dict({"mean_gap": mean_gap})
+            apply_normalization(seqs, mean_gap)
 
     def test_gap_to_original_undoes_the_scaling(self):
         # Gaps 2, 4 and 6: the mean gap is 4, so a model-unit gap g is 4 g.
         seqs = [EventSequence([10.0, 12.0, 16.0, 22.0], [0, 0, 0, 0], 1)]
-        out, stats = normalize_times(seqs, "shift_and_scale")
-        assert stats.mean_gap == 4.0
+        out, mean_gap = normalize_times(seqs, "shift_and_scale")
+        assert mean_gap == 4.0
         model_gaps = np.diff(out[0].times)
         np.testing.assert_array_equal(model_gaps, [0.5, 1.0, 1.5])
-        assert [stats.gap_to_original(g) for g in model_gaps] == [2.0, 4.0, 6.0]
-        _, unscaled = normalize_times(seqs, "shift_to_zero")
-        assert unscaled.gap_to_original(1.25) == 1.25
+        assert [g * mean_gap for g in model_gaps] == [2.0, 4.0, 6.0]

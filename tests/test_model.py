@@ -10,9 +10,7 @@ import pytest
 from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.errors import ConfigError, DataError, NumericsError
-from nextevent.events import (
-    EventSequence, NormStats, generate_multiscale, make_examples, normalize_times,
-)
+from nextevent.events import EventSequence, generate_multiscale, make_examples, normalize_times
 from oracles import dense_masked_attention
 
 
@@ -124,17 +122,23 @@ def test_summarize_matches_dense_oracle():
     assert counter.count == cfg.num_heads * cfg.head_dim * n
 
 
-def test_config_from_dict_rejects_unknown_keys():
-    d = M.ModelConfig().to_dict()
-    assert M.ModelConfig.from_dict(d) == M.ModelConfig()
-    with pytest.raises(ConfigError, match="unknown config keys.*'depth'"):
-        M.ModelConfig.from_dict({**d, "depth": 3})
-    with pytest.raises(ConfigError, match="unknown config keys.*'attention'"):
-        M.ModelConfig.from_dict({**d, "attention": "dense"})
-    with pytest.raises(ConfigError, match="unknown config keys.*'layer_norm'"):
-        M.ModelConfig.from_dict({**d, "layer_norm": False})
-    with pytest.raises(ConfigError, match="unknown config keys.*'alpha'"):
-        M.ModelConfig.from_dict({**d, "alpha": 0.5})
+def _edited_checkpoint(tmp_path, edit):
+    """A checkpoint of a fresh model and a mean gap of 2, passed through ``edit(payload)``."""
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), 2.0)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_load_checkpoint_rejects_unknown_config_keys(tmp_path):
+    # Each key is a field an earlier version held.
+    for key, value in (("depth", 3), ("attention", "dense"), ("layer_norm", False),
+                       ("alpha", 0.5)):
+        path = _edited_checkpoint(tmp_path, lambda p: p["config"].update({key: value}))
+        with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
+            M.load_checkpoint(path)
 
 
 def test_config_has_one_time_distribution():
@@ -148,10 +152,10 @@ def test_config_has_one_time_distribution():
     ("num_types", None), ("causal", None), ("distribution", None), ("pe", None),
     ("causal", "yes"), ("causal", 1), ("distribution", ["weibull"]), ("pe", 0),
 ])
-def test_config_rejects_wrongly_typed_fields(field, value):
-    d = M.ModelConfig(d_model=8, num_heads=2).to_dict()
+def test_config_rejects_wrongly_typed_fields(tmp_path, field, value):
+    path = _edited_checkpoint(tmp_path, lambda p: p["config"].update({field: value}))
     with pytest.raises(ConfigError, match=field):
-        M.ModelConfig.from_dict({**d, field: value})
+        M.load_checkpoint(path)
 
 
 def test_encode_rejects_a_history_shorter_than_the_scales_need():
@@ -170,26 +174,44 @@ def test_hierarchy_for_rejects_more_scales_than_merges():
 
 
 def test_load_checkpoint_rejects_an_older_version(tmp_path):
-    # A version-7 file is the last to hold the loss weight alpha.
-    path = tmp_path / "v7.json"
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
-    payload = json.loads(path.read_text())
-    payload["version"] = 7
-    payload["config"]["alpha"] = 0.5
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 7"):
-        M.load_checkpoint(path)
+    # A version-7 file is the last to hold the loss weight alpha, and a
+    # version-8 file the last to hold the mean gap in a "norm" object.
+    def v7(payload):
+        payload.update(version=7)
+        payload["config"]["alpha"] = 0.5
+
+    def v8(payload):
+        payload.update(version=8, norm={"mean_gap": payload.pop("mean_gap")})
+
+    for version, edit in ((7, v7), (8, v8)):
+        with pytest.raises(ConfigError, match=f"unsupported checkpoint version {version}"):
+            M.load_checkpoint(_edited_checkpoint(tmp_path, edit))
 
 
 def test_checkpoint_round_trips_a_config_and_norm_given_numpy_scalars(tmp_path):
     config = M.ModelConfig(d_model=np.int64(8), num_types=np.uint8(3), causal=np.bool_(True))
     path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(config, seed=0), NormStats(np.float32(2.5)))
-    loaded, stats = M.load_checkpoint(path)
+    M.save_checkpoint(path, M.init_model_params(config, seed=0), np.float32(2.5))
+    loaded, mean_gap = M.load_checkpoint(path)
     assert loaded.config == config == M.ModelConfig(d_model=8, num_types=3, causal=True)
     for cfg in (config, loaded.config):
         assert (type(cfg.d_model), type(cfg.num_types), type(cfg.causal)) == (int, int, bool)
-    assert type(stats.mean_gap) is float and stats.mean_gap == 2.5
+    assert type(mean_gap) is float and mean_gap == 2.5
+    M.save_checkpoint(path, loaded)
+    assert M.load_checkpoint(path)[1] is None
+
+
+def test_leaf_names_are_spelled_once(tmp_path):
+    # The checkpoint's keys are all_named()'s, and pe="base" freezes exactly
+    # the frequencies and the amplitude map.
+    params = M.init_model_params(_config(False), seed=0)
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, params)
+    assert set(json.loads(path.read_text())["params"]) == set(params.all_named())
+    assert set(params.named_parameters()) == set(params.all_named())
+    base = M.init_model_params(_config(False, pe="base"), seed=0)
+    assert set(base.all_named()) - set(base.named_parameters()) == {"fcpe.freqs",
+                                                                    "fcpe.density_map"}
 
 
 def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
@@ -220,17 +242,22 @@ def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
         M.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("mean_gap", ["nan", -2.0, 0.0, "2.5", True])
+# The stored value is checked as it is, never coerced through float().
+@pytest.mark.parametrize("mean_gap", ["nan", "-inf", -2.0, -1.0, 0, 0.0, "2.5", True])
 def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0),
-                      NormStats(2.0))
-    payload = json.loads(path.read_text())
-    payload["norm"]["mean_gap"] = mean_gap
-    path.write_text(json.dumps(payload))
+    path = _edited_checkpoint(tmp_path, lambda p: p.update(mean_gap=mean_gap))
     match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
     with pytest.raises(ConfigError, match=match):
         M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mean_gap", [-2.0, np.nan, np.inf, "2", True])
+def test_save_checkpoint_rejects_a_bad_mean_gap_before_writing(tmp_path, mean_gap):
+    path = tmp_path / "ckpt.json"
+    match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
+    with pytest.raises(ConfigError, match=match):
+        M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), mean_gap)
+    assert not path.exists()
 
 
 _MALFORMED_CHECKPOINTS = {
@@ -239,16 +266,15 @@ _MALFORMED_CHECKPOINTS = {
     "no config": "checkpoint needs a config object and a params object",
     "no params": "checkpoint needs a config object and a params object",
     "short data": "'dec.type' needs numeric data that fills its shape",
-    "norm without mean_gap": "norm stats need a mean_gap",
+    "norm without mean_gap": "checkpoint needs a mean_gap, a number or null",
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_CHECKPOINTS))
 def test_load_checkpoint_rejects_a_malformed_file(tmp_path, case):
     path = tmp_path / "ckpt.json"
-    norm = NormStats(2.0)
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), norm)
-    assert M.load_checkpoint(path)[1] == norm
+    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), 2.0)
+    assert M.load_checkpoint(path)[1] == 2.0
     payload = json.loads(path.read_text())
     if case == "no config":
         del payload["config"]
@@ -256,8 +282,8 @@ def test_load_checkpoint_rejects_a_malformed_file(tmp_path, case):
         del payload["params"]
     elif case == "short data":
         payload["params"]["dec.type"]["data"].pop()
-    elif case == "norm without mean_gap":
-        del payload["norm"]["mean_gap"]
+    elif case == "norm without mean_gap":  # a version-8 norm object under version 9
+        payload["norm"] = {"mean_gap": payload.pop("mean_gap")}
     text = {"not JSON": "{not json", "not an object": "[5]"}.get(case, json.dumps(payload))
     path.write_text(text)
     with pytest.raises(DataError, match=rf"ckpt\.json: {_MALFORMED_CHECKPOINTS[case]}"):
