@@ -10,10 +10,12 @@ start at zero and may divide by one global mean gap. That mean gap, a
 ``float``, is all the state it returns; it keeps none per sequence, so
 sequences that share an id are normalized independently.
 
-Windows are read-only views: :func:`make_examples` checks a sequence once,
-however many windows it gives, and each window's history is a slice that
-shares the sequence's storage, so window memory grows with the number of
-windows N, not with N times the window length.
+Windows cost nothing until they are read: :func:`make_examples` checks a
+sequence once and returns a read-only sequence of windows that builds each
+window when it is read. A window's history is a read-only view of the
+sequence's arrays and its target is read from them at that moment, so the
+windows of a long sequence hold no memory until read and one that is read
+holds a few small objects, not a copy of its events.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,6 +211,7 @@ def load_sequences(
     one past the largest type id seen. ``vocab`` optionally maps string
     labels to dense integer ids, each one :func:`errors.is_type_id` accepts.
     A numeric type id in JSONL follows that rule too, so ``1.0`` is type 1.
+    A JSONL ``id`` must be a string, as a CSV one is by construction.
     """
     path = Path(path)
     if not path.exists():
@@ -288,10 +292,11 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             try:
-                seq_id = str(obj["id"])
-                times, types = obj["times"], obj["types"]
+                seq_id, times, types = obj["id"], obj["times"], obj["types"]
             except KeyError as e:
                 raise DataError(f"{path}:{lineno}: missing key {e}") from None
+            if not isinstance(seq_id, str):
+                raise DataError(f"{path}:{lineno}: id must be a string, got {json.dumps(seq_id)}")
             if not isinstance(times, list) or not isinstance(types, list):
                 raise DataError(f"{path}:{lineno}: times and types must be lists")
             try:
@@ -497,33 +502,59 @@ def generate_multiscale(
 # ---------------------------------------------------------------------------
 
 
-def make_examples(seq: EventSequence, window: int) -> list[PredictionExample]:
+def make_examples(seq: EventSequence, window: int) -> Sequence[PredictionExample]:
     """Sliding windows: history = events [i-window, i), target = event i.
 
     The sequence is checked once, with the same :class:`DataError` as its
-    constructor, because its arrays may have been edited in place since. Each
-    history is then a read-only view of the sequence's times and types, so
-    the windows share its storage and hold no copies: their memory grows with
-    the number of windows N, not with N times ``window``. Editing the
-    sequence's arrays afterwards changes its windows too.
+    constructor, because its arrays may have been edited in place since. The
+    result is a read-only sequence of the ``len(seq) - window`` windows (none
+    when that is not positive) that builds each window when it is read, so
+    it costs no memory per window until then. It takes integer indices,
+    negative ones too, and slices, which give the same kind of sequence, as
+    a list would; but each read builds a new example with equal content, and
+    the sequence never compares equal to a list. A history is a read-only
+    view of the sequence's times and types, and the target time and type
+    are read from them as a ``float`` and an ``int`` when the window is
+    read: editing the sequence's arrays afterwards changes its windows, their
+    targets included.
     """
     window = check_int("window", window, low=2)
     seq = EventSequence(seq.times, seq.types, seq.num_types, seq.seq_id)
     times, types = seq.times.view(), seq.types.view()
     times.flags.writeable = types.flags.writeable = False
-    targets = zip(times.tolist()[window:], types.tolist()[window:])
-    return [_window(seq, times, types, i - window, i, t, k)
-            for i, (t, k) in enumerate(targets, start=window)]
+    return _Windows(seq, times, types, window, range(max(0, len(seq) - window)))
 
 
-def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int, hi: int,
-            target_time: float, target_type: int) -> PredictionExample:
+class _Windows(Sequence):
+    """The windows of ``make_examples`` whose histories start at ``starts``."""
+
+    __slots__ = ("_seq", "_times", "_types", "_window", "_starts")
+
+    def __init__(self, seq: EventSequence, times: np.ndarray, types: np.ndarray, window: int,
+                 starts: range):
+        self._seq, self._times, self._types = seq, times, types
+        self._window, self._starts = window, starts
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Windows(self._seq, self._times, self._types, self._window,
+                            self._starts[index])
+        lo = self._starts[index]  # range raises IndexError and TypeError as a list does
+        return _window(self._seq, self._times, self._types, lo, lo + self._window)
+
+
+def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int,
+            hi: int) -> PredictionExample:
     """The example whose history is events ``[lo, hi)`` of ``seq`` and whose
-    target is event ``hi``, built without the checks of either dataclass;
-    ``times`` and ``types`` are read-only views of ``seq``'s arrays.
+    target is event ``hi``, read as a ``float`` and an ``int``, built without
+    the checks of either dataclass; ``times`` and ``types`` are read-only
+    views of ``seq``'s arrays.
 
-    ``seq`` has just passed those checks, and the window inherits all of
-    them: a contiguous slice of finite, strictly increasing times is finite
+    ``seq`` passed those checks in :func:`make_examples`, and the window
+    inherits all of them: a contiguous slice of finite, strictly increasing times is finite
     and strictly increasing, its types lie in the same range, it holds
     ``hi - lo >= 2`` events, and the target follows the last of them. Running
     them again for every window would cost more than building it.
@@ -532,7 +563,8 @@ def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int, h
     history.times, history.types = times[lo:hi], types[lo:hi]
     history.num_types, history.seq_id = seq.num_types, f"{seq.seq_id}[{lo}:{hi}]"
     example = object.__new__(PredictionExample)
-    example.history, example.target_time, example.target_type = history, target_time, target_type
+    example.history = history
+    example.target_time, example.target_type = times.item(hi), types.item(hi)
     return example
 
 

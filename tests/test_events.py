@@ -4,7 +4,9 @@ import contextlib
 import itertools
 import re
 import signal
+import tracemalloc
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -274,6 +276,17 @@ class TestLoadSequences:
         with pytest.raises(DataError, match=rf"bad\.jsonl:2: {message}"):
             load_sequences(p)
 
+    @pytest.mark.parametrize("seq_id", ["null", "3", "2.5", "true", '["x"]', '{"a": 1}'])
+    def test_jsonl_rejects_an_id_that_is_not_a_string(self, tmp_path, seq_id):
+        # Coerced through str(), null would load as "None", next to a real
+        # sequence of that name.
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"id": "None", "times": [0.0], "types": [0]}\n'
+                     f'{{"id": {seq_id}, "times": [0.0, 1.0], "types": [0, 1]}}\n')
+        with pytest.raises(DataError, match=rf"bad\.jsonl:2: id must be a string,"
+                                            rf" got {re.escape(seq_id)}$"):
+            load_sequences(p)
+
     def test_jsonl_times_may_be_decimal_strings_as_csv_cells_are(self, tmp_path):
         p = tmp_path / "data.jsonl"
         p.write_text('{"id": "a", "times": ["0.5", 2.0], "types": [0, 1]}\n')
@@ -540,7 +553,7 @@ class TestMakeExamples:
         np.testing.assert_array_equal(ex.history.times, seq.times[:4])
 
     def test_too_short_yields_nothing(self):
-        assert make_examples(self.seq(4), 4) == []
+        assert list(make_examples(self.seq(4), 4)) == []
 
     def test_window_must_be_at_least_two(self):
         with pytest.raises(ConfigError):
@@ -562,18 +575,63 @@ class TestMakeExamples:
     def test_windows_equal_the_copying_oracle(self, make, window):
         seq = make()
         got, want = make_examples(seq, window), O.copied_examples(seq, window)
+        assert isinstance(got, Sequence)
         assert len(got) == len(want) == len(seq) - window > 0
-        for ex, ref in zip(got, want):
-            np.testing.assert_array_equal(ex.history.times, ref.history.times)
-            np.testing.assert_array_equal(ex.history.types, ref.history.types)
-            assert ex.history.num_types == ref.history.num_types
-            assert ex.history.seq_id == ref.history.seq_id
-            assert type(ex.target_time) is float and ex.target_time == ref.target_time
-            assert type(ex.target_type) is int and ex.target_type == ref.target_type
+        for ex, ref in zip(got, want, strict=True):
+            _assert_same_example(ex, ref)
+
+    def hawkes_windows(self):
+        seq = generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0]
+        return make_examples(seq, 8), O.copied_examples(seq, 8)
+
+    def test_every_index_reads_as_the_oracle_does(self):
+        got, want = self.hawkes_windows()
+        n = len(want)
+        for i in range(-n, n):
+            for index in (i, np.int64(i), np.int32(i)):
+                _assert_same_example(got[index], want[index])
+        for i in (n, -n - 1, np.int64(n)):
+            with pytest.raises(IndexError):
+                want[i]
+            with pytest.raises(IndexError):
+                got[i]
+        with pytest.raises(TypeError):
+            got[1.0]
+
+    @pytest.mark.parametrize("index", [
+        slice(None), slice(2, None, 3), slice(None, None, -1), slice(-2, 1, -4),
+        slice(5, 2), slice(100, None), slice(-100, 3),
+    ], ids=["all", "step", "reversed", "negative step", "empty", "past the end",
+            "before the start"])
+    def test_slices_read_as_the_oracle_does(self, index):
+        got, want = self.hawkes_windows()
+        part = got[index]
+        assert type(part) is type(got)
+        assert len(part) == len(want[index])
+        for ex, ref in zip(part, want[index], strict=True):
+            _assert_same_example(ex, ref)
+        for inner in (slice(1, None), slice(None, None, -2)):
+            assert len(part[inner]) == len(want[index][inner])
+            for ex, ref in zip(part[inner], want[index][inner], strict=True):
+                _assert_same_example(ex, ref)
+
+    def test_iteration_follows_the_window_starts(self):
+        got, want = self.hawkes_windows()
+        assert [ex.history.seq_id for ex in got] == [ex.history.seq_id for ex in want]
+        assert [ex.history.seq_id for ex in reversed(got)] == [
+            ex.history.seq_id for ex in reversed(want)]
+
+    def test_each_read_builds_an_equal_window(self):
+        got, _ = self.hawkes_windows()
+        first, again = got[3], got[3]
+        assert first is not again
+        _assert_same_example(first, again)
 
     def test_windows_are_read_only_views_of_the_sequence(self):
         seq = generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0]
-        for ex in make_examples(seq, 8):
+        windows = make_examples(seq, 8)
+        reads = [*windows, windows[-1], windows[np.int64(2)], *windows[::-3]]
+        for ex in reads:
             h = ex.history
             assert np.shares_memory(h.times, seq.times)
             assert np.shares_memory(h.types, seq.types)
@@ -584,11 +642,47 @@ class TestMakeExamples:
             EventSequence(h.times, h.types, h.num_types, h.seq_id)  # passes every check
         assert seq.times.flags.writeable and seq.types.flags.writeable
 
+    def test_targets_are_read_when_the_window_is_read(self):
+        seq = EventSequence(np.arange(10.0), np.zeros(10, dtype=np.int64), 2)
+        windows = make_examples(seq, 4)
+        seq.times[4:] += 0.5
+        seq.types[4] = 1
+        ex = windows[0]
+        assert ex.target_time == 4.5 and ex.target_type == 1
+        assert ex.history.times[-1] == 3.0
+
+    def test_unread_windows_hold_no_memory(self):
+        # 10**5 events: the windows made all at once would hold about 50 MB.
+        # A read builds one window over views, whatever its length.
+        n = 10**5
+        seq = EventSequence(np.arange(float(n)), np.zeros(n, dtype=np.int64), 1, "s")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            windows = make_examples(seq, 4096)
+            held = tracemalloc.get_traced_memory()[0] - before
+            ex = windows[n // 2]
+            one = tracemalloc.get_traced_memory()[0] - before - held
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == n - 4096 and len(ex.history) == 4096
+        assert held < 64 * 1024
+        assert one < 2 * 1024
+
     def test_a_sequence_edited_in_place_is_checked_again(self):
         seq = EventSequence(np.arange(10.0), np.zeros(10, dtype=int), 1, seq_id="s")
         seq.times[6] = seq.times[5]
         with pytest.raises(DataError, match="'s': tied time at event 6"):
             make_examples(seq, 4)
+
+
+def _assert_same_example(ex, ref):
+    np.testing.assert_array_equal(ex.history.times, ref.history.times)
+    np.testing.assert_array_equal(ex.history.types, ref.history.types)
+    assert ex.history.num_types == ref.history.num_types
+    assert ex.history.seq_id == ref.history.seq_id
+    assert type(ex.target_time) is float and ex.target_time == ref.target_time
+    assert type(ex.target_type) is int and ex.target_type == ref.target_type
 
 
 class TestNormalization:
