@@ -23,8 +23,8 @@ of type weights that sums to one. Feed post-normalization times so the
 initial frequencies land in a sensible range.
 
 :func:`fcpe_matrix` is one graph node per call, with a hand-written backward
-to the frequencies and the amplitude map; :func:`fcpe_trig` gives its cos
-and sin, which the model computes once per window for every node.
+to the frequencies and the amplitude map. Its cos and sin come from
+:func:`fcpe_trig`, which the model runs once per window for every node id.
 """
 
 from __future__ import annotations
@@ -85,14 +85,13 @@ def fcpe_trig(params: FcpeParams, times) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(phases), np.sin(phases)
 
 
-def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
+def fcpe_matrix(params: FcpeParams, times, type_weights, trig) -> DiffNode:
     """Encodings for a batch: times (n,), type_weights (n, K) rows of one-hots
     or mixture weights. Returns (n, d) with ``mu^k cos(w_k t)`` in column 2k
     and ``mu^k sin(w_k t)`` in column 2k + 1.
 
-    ``trig`` is ``fcpe_trig(params, times)``, for a caller that has it
-    already: the model takes it from one table per window, because a node
-    carried over to a later scale is encoded again there. Each phase is one
+    ``trig`` is ``fcpe_trig(params, times)``; the model reads it, like the
+    times and weights, by id from one table per window. Each phase is one
     product and cos and sin work element by element, so a row is the same
     number whichever call computes it.
 
@@ -104,7 +103,7 @@ def fcpe_matrix(params: FcpeParams, times, type_weights, trig=None) -> DiffNode:
     freqs, density_map = params.freqs, params.density_map
     t = T.as_tensor(times).reshape(-1, 1)
     w = T.as_tensor(type_weights)
-    c, s = fcpe_trig(params, t) if trig is None else trig
+    c, s = trig
     mu = w @ density_map.value  # (n, d/2)
     out = np.empty((len(t), params.type_embed.shape[1]))
     np.multiply(mu, c, out=out[:, 0::2])

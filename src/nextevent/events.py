@@ -104,6 +104,13 @@ class EventSequence:
     def __len__(self):
         return len(self.times)
 
+    def __eq__(self, other):
+        """Equal content: the same times and types, ``num_types`` and ``seq_id``."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_types, self.seq_id) == (other.num_types, other.seq_id) and all(
+            map(np.array_equal, (self.times, self.types), (other.times, other.types)))
+
 
 @dataclass
 class PredictionExample:

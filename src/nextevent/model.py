@@ -3,7 +3,8 @@ decoder that predicts the next event's type and a Weibull gap distribution.
 
 Forward pass per history window:
 
-1. embed every event: type column + positional encoding, one
+1. embed every event from its row of one table per window, ``(time, mix,
+   cos, sin)`` by node id: type column + positional encoding, one
    :func:`encoding.fcpe_matrix` node (``pe="base"`` is the same encoding
    initialized to unit amplitudes, frozen and fed in as a constant),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
@@ -20,9 +21,7 @@ Forward pass per history window:
    contiguous group of rows it absorbs, starting where the hierarchy stored
    (a carried-over node is a group of one); each pooled row is concatenated
    with its node's positional context (one more ``fcpe_matrix`` node per
-   scale) and projected back to ``d_model``; every node's type mixture and
-   the cos and sin of its phases are rows, read by node id, of one table per
-   window, so a node carried over to later scales does not compute them again,
+   scale, from the table's rows at the next ids) and projected to ``d_model``,
 3. one more :func:`tensor.multi_head_attention` node reads every top-scale
    row, with the temporally last node as the sole query and the one output
    row; then a dense layer gives the sequence summary ``H_L``,
@@ -174,6 +173,10 @@ class ModelParams:
         for k, v in values.items():
             if k not in named:
                 raise ConfigError(f"unknown parameter {k!r} in state")
+            try:
+                v = np.asarray(v, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ConfigError(f"parameter {k!r}: not an array of reals") from None
             if named[k].value.shape != v.shape:
                 raise ConfigError(
                     f"parameter {k!r}: shape {v.shape} does not match {named[k].value.shape}"
@@ -236,7 +239,7 @@ def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
     return T.constant(pos.value) if params.config.pe == "base" else pos
 
 
-def _embed(params: ModelParams, times, type_weights, trig=None) -> DiffNode:
+def _embed(params: ModelParams, times, type_weights, trig) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
     type_part = T.matmul(T.constant(type_weights), params.fcpe.type_embed)
     return T.add(type_part, _positional(params, times, type_weights, trig))
@@ -283,16 +286,16 @@ def hierarchical_pool(H_active: DiffNode, hierarchy: ScaleHierarchy, s: int,
     concat each row with its positional context and project back to d_model.
 
     The groups are the stored :meth:`ScaleHierarchy.pool_groups`. ``table``
-    is ``(mix, cos, sin)`` with a row per node id, as ``type_mixture`` and
-    :func:`encoding.fcpe_trig` give them; it is read by the next scale's ids.
+    is ``(time, mix, cos, sin)`` by node id, as ``rep_time``, ``type_mixture``
+    and :func:`encoding.fcpe_trig` give them; the next scale's ids read it.
     """
     nxt_ids, starts = hierarchy.pool_groups(s)
     if H_active.shape[0] != len(hierarchy.active[s - 1]):
         raise HierarchyError(f"pooling at scale {s}: got {H_active.shape[0]} rows for"
                              f" {len(hierarchy.active[s - 1])} active nodes")
-    mix, cos, sin = (column[nxt_ids] for column in table)
+    time, mix, cos, sin = (column[nxt_ids] for column in table)
     pooled = T.segment_mean(H_active, starts)
-    context = _positional(params, hierarchy.rep_time[nxt_ids], mix, (cos, sin))
+    context = _positional(params, time, mix, (cos, sin))
     return T.matmul(T.concat_cols(pooled, context), params.pool_proj[s - 1])
 
 
@@ -317,16 +320,12 @@ def encode(params: ModelParams, seq: EventSequence,
         )
     hierarchy = hierarchy_for(cfg, seq.times)
     S = hierarchy.num_scales
-    n = len(seq.times)
-    # One table per window, a row per node id: each node's type mixture (a
-    # leaf's one-hot row) and the cos and sin of its phases. Pooling reads it
-    # by id, so a node carried over to later scales is encoded from one row.
-    mix = hierarchy.type_mixture(np.arange(len(hierarchy.lo)), seq.types, cfg.num_types)
-    cos, sin = fcpe_trig(params.fcpe, hierarchy.rep_time)
-    # Each node keeps its trig rows until backward. The leaves take copies,
-    # not views, so the trig table is freed when encode returns and a step's
-    # peak memory does not grow.
-    H = _embed(params, seq.times, mix[:n], (cos[:n].copy(), sin[:n].copy()))
+    # (time, mix, cos, sin), a row per node id: a node carried over is encoded from one row.
+    ids = np.arange(len(hierarchy.lo))
+    table = (hierarchy.rep_time, hierarchy.type_mixture(ids, seq.types, cfg.num_types),
+             *fcpe_trig(params.fcpe, hierarchy.rep_time))
+    time, mix, cos, sin = (column[hierarchy.active[0]] for column in table)
+    H = _embed(params, time, mix, (cos, sin))
     for s in range(1, S + 1):
         # ScaleHierarchy.key_set's causal rule keeps the keys whose mean time
         # is no later than the query's. Frontier runs are disjoint and times
@@ -335,7 +334,7 @@ def encode(params: ModelParams, seq: EventSequence,
         H = cross_scale_attention(H, cfg.causal, params, s, counter,
                                   rows=hierarchy.frontier_pos[s - 1])
         if s < S:
-            H = hierarchical_pool(H, hierarchy, s, params, (mix, cos, sin))
+            H = hierarchical_pool(H, hierarchy, s, params, table)
     return H
 
 

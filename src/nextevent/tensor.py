@@ -276,10 +276,8 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
 
     The heads' projections are batched ``np.matmul`` calls over the copy
     ``x[rows]``, which make the same 2-D BLAS call per head as
-    :func:`matmul`. When ``rows`` is every row of ``x`` nothing is copied:
-    the projections read ``x`` itself, the value is the attended rows, and
-    backward adds the rows' gradient to ``x``'s without a scatter. Scores,
-    the in-place softmax, ``P @ V`` and their backward run tile by tile (see
+    :func:`matmul`, whether or not ``rows`` covers all of ``x``. Scores, the
+    in-place softmax, ``P @ V`` and their backward run tile by tile (see
     ``_plan_tiles``): a tile is a group of heads, a block of query rows and
     the keys ``[0, k1)`` those rows read, so a causal block never forms the
     scores right of its diagonal square, and only that square's upper
@@ -318,8 +316,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     if rows[0] < 0 or rows[-1] >= x.shape[0]:
         raise HierarchyError(f"multi_head_attention: rows out of range [0, {x.shape[0]})")
     causal = causal and not last_only  # the last row reads every row either way
-    every = rows.size == x.shape[0]  # then rows is arange(len(x)): nothing to gather
-    r = x.value if every else x.value[rows]
+    r = x.value[rows]
     xq = r[-1:] if last_only else r
     n, m = xq.shape[0], r.shape[0]
     c = 1.0 / np.sqrt(dk)
@@ -344,7 +341,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     # concat_cols of the heads' outputs
     a = o.transpose(1, 0, 2).reshape(n, nh * dk)  # C-ordered
     attended = a @ w_out.value + xq
-    if last_only or every:
+    if last_only:
         value = attended
     else:  # the attended rows replace theirs; the others pass through
         value = x.value.copy()
@@ -352,9 +349,9 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     out = DiffNode(value, parents=(x, w_qkv, w_out))
 
     def backward(g):
-        g_out = g if last_only or every else g[rows]  # the queries' output gradient
-        w_out.grad += a.T @ g_out
-        ga = (g_out @ w_out.value.T).reshape(n, nh, dk)
+        g_q = g.copy() if last_only else g[rows]  # the queries' output gradient, a copy
+        w_out.grad += a.T @ g_q
+        ga = (g_q @ w_out.value.T).reshape(n, nh, dk)
         go = np.ascontiguousarray(ga.transpose(1, 0, 2))  # (heads, n, d_k)
         gq = np.empty_like(q)
         gkt = np.zeros_like(kt)  # gk transposed, so that each tile adds whole rows
@@ -375,7 +372,6 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
         # The chain adds the residual first, then each head's Q, K and V
         # parts. With last_only the query sums its own and joins the last key
         # row at the end, as the gather of that row added it.
-        g_q = g_out.copy() if g_out is g else g_out  # never add into g itself
         g_keys = np.zeros_like(r) if last_only else g_q
         for h in range(nh):
             g_q += dxq[h]
@@ -383,12 +379,9 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
             g_keys += dx[nh + h]
         if last_only:
             g_keys[-1] += g_q[0]
-        if every:  # no other row to pass a gradient through
-            x.grad += g_keys
-        else:
-            gx = np.zeros_like(x.value) if last_only else g.copy()
-            gx[rows] = g_keys
-            x.grad += gx
+        gx = np.zeros_like(x.value) if last_only else g.copy()
+        gx[rows] = g_keys
+        x.grad += gx
         w_qkv.grad[:nh] += np.matmul(xq.T, gq)
         w_qkv.grad[nh:] += np.matmul(r.T, gkv)
 

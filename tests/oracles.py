@@ -358,7 +358,7 @@ def attention_chain(xq, x, w_qkv, w_out, causal):
     return T.add(T.matmul(T.concat_cols(*outs), w_out), xq)
 
 
-def fcpe_chain(params, times, type_weights, trig=None):
+def fcpe_chain(params, times, type_weights, trig):
     """``encoding.fcpe_matrix`` as 10 nodes: phases and amplitudes as
     matmuls, cos/sin, the two products, then the interleave as a column
     gather of their concatenation. ``trig`` is ignored: the chain computes

@@ -8,6 +8,7 @@ from nextevent import tensor as T
 from nextevent.encoding import (
     FcpeParams,
     fcpe_matrix,
+    fcpe_trig,
     init_fcpe_params,
     initial_frequencies,
 )
@@ -24,9 +25,14 @@ def onehot(types, num_types):
     return np.eye(num_types)[types]
 
 
+def fcpe_node(params, times, weights):
+    """fcpe_matrix with the cos and sin of fcpe_trig, as the model passes them."""
+    return fcpe_matrix(params, times, weights, fcpe_trig(params, times))
+
+
 def encode_rows(params, times, types):
     """fcpe_matrix rows for one-hot types, as a numpy array (n, d)."""
-    return fcpe_matrix(params, times, onehot(types, params.type_embed.shape[0])).value
+    return fcpe_node(params, times, onehot(types, params.type_embed.shape[0])).value
 
 
 def amplitudes(params, types):
@@ -44,8 +50,13 @@ def make_model(dim=6, num_types=2, seed=0):
     return M.init_model_params(config, seed)
 
 
+def embed_node(model, times, weights):
+    """model._embed with the cos and sin of fcpe_trig, as the model passes them."""
+    return M._embed(model, times, weights, fcpe_trig(model.fcpe, times))
+
+
 def embed_rows(model, times, types):
-    return M._embed(model, times, onehot(types, model.config.num_types)).value
+    return embed_node(model, times, onehot(types, model.config.num_types)).value
 
 
 class TestDensity:
@@ -63,7 +74,7 @@ class TestDensity:
         params = make_params(dim=6, num_types=2)
 
         def f(_leaves):
-            enc = fcpe_matrix(params, [0.0, 1.7], onehot([1, 0], 2))
+            enc = fcpe_node(params, [0.0, 1.7], onehot([1, 0], 2))
             return O.sum_all(O.mul(enc, enc))
 
         report = check_gradients(f, {"W_mu": params.density_map})
@@ -126,7 +137,7 @@ class TestFcpe:
         params = make_params(dim=6, num_types=2)
 
         def f(_leaves):
-            enc = fcpe_matrix(params, [0.3, 1.7, 4.1], onehot([1, 0, 1], 2))
+            enc = fcpe_node(params, [0.3, 1.7, 4.1], onehot([1, 0, 1], 2))
             return O.sum_all(O.mul(enc, enc))
 
         report = check_gradients(f, {"freqs": params.freqs})
@@ -146,7 +157,7 @@ class TestFcpe:
             params.freqs.zero_grad()
             only = np.zeros_like(weight)
             only[:, slot::2] = weight[:, slot::2]
-            enc = fcpe_matrix(params, [1.0], onehot([1], 2))
+            enc = fcpe_node(params, [1.0], onehot([1], 2))
             O.sum_all(O.mul(enc, T.constant(only))).backward()
             np.testing.assert_array_equal(params.freqs.grad[0], expected)
 
@@ -181,7 +192,7 @@ class TestEmbedEvent:
         model = make_model(seed=6)
 
         def f(_leaves):
-            emb = M._embed(model, [0.8, 1.9], onehot([1, 0], 2))
+            emb = embed_node(model, [0.8, 1.9], onehot([1, 0], 2))
             return O.sum_all(O.mul(emb, emb))
 
         fcpe = {k: v for k, v in model.all_named().items() if k.startswith("fcpe.")}

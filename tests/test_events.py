@@ -56,6 +56,16 @@ class TestEventSequence:
     def test_accepts_a_numpy_integer_num_types(self):
         assert EventSequence([0.0, 1.0], [0, 1], np.int64(2)).num_types == 2
 
+    def test_equality_compares_content(self):
+        seq = EventSequence([0.0, 1.0, 2.5], [0, 1, 1], 2, seq_id="s")
+        assert seq == EventSequence(seq.times.copy(), seq.types.copy(), 2, seq_id="s")
+        for times, types, num_types, seq_id in (
+                ([0.0, 1.0, 2.0], [0, 1, 1], 2, "s"), ([0.0, 1.0, 2.5], [0, 0, 1], 2, "s"),
+                ([0.0, 1.0, 2.5], [0, 1, 1], 3, "s"), ([0.0, 1.0, 2.5], [0, 1, 1], 2, "t"),
+                ([0.0, 1.0], [0, 1], 2, "s")):
+            assert seq != EventSequence(times, types, num_types, seq_id=seq_id)
+        assert seq != (seq.times, seq.types, 2, "s")
+
     @pytest.mark.parametrize("types", [
         [0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 2], dtype=np.int32),
         [0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0], dtype=np.float32),
@@ -626,6 +636,14 @@ class TestMakeExamples:
         first, again = got[3], got[3]
         assert first is not again
         _assert_same_example(first, again)
+        assert first == again and first != got[4]
+
+    def test_windows_are_found_by_content(self):
+        got, want = self.hawkes_windows()
+        assert got.index(got[5]) == 5 and got.index(want[5]) == 5
+        assert got[1] in got and want[-1] in got and got.count(got[2]) == 1
+        other = make_examples(generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=5)[0], 8)
+        assert other[0] not in got and got.count(other[0]) == 0
 
     def test_windows_are_read_only_views_of_the_sequence(self):
         seq = generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0]

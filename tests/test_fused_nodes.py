@@ -9,7 +9,7 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.encoding import fcpe_matrix
+from nextevent.encoding import fcpe_matrix, fcpe_trig
 from nextevent.errors import NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 import oracles as O
@@ -59,6 +59,15 @@ def test_fcpe_node_rounds_like_its_chain(monkeypatch, name):
     M.forward(params, example)
     assert len(calls) == params.config.num_scales
     fcpe = params.fcpe
+    # One path for every node: each call reads rows of one table, a row per
+    # node id, at the leaves' ids and then at each pooled scale's.
+    seq = example.history
+    h = M.hierarchy_for(params.config, seq.times)
+    table = (h.rep_time, h.type_mixture(np.arange(len(h.lo)), seq.types, seq.num_types),
+             *fcpe_trig(fcpe, h.rep_time))
+    for (times, weights, (cos, sin)), ids in zip(calls, h.active):
+        for got, column in zip((times, weights, cos, sin), table):
+            np.testing.assert_array_equal(got, column[ids])
     rng = np.random.default_rng(0)
     for times, weights, trig in calls:
         results = []

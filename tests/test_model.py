@@ -242,6 +242,23 @@ def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
         M.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value, match", [
+    ([[0.0] * 4] * 8, r"shape \(8, 4\) does not match \(4, 8\)"),
+    ([[0.0, 1.0], [2.0]], "not an array of reals"),
+    ({"data": [0.0]}, "not an array of reals"),
+    ("abc", "not an array of reals"),
+], ids=["nested-list", "ragged", "dict", "str"])
+def test_load_values_raises_config_error_for_what_is_not_a_leaf(value, match):
+    params = M.init_model_params(_config(False), seed=0)
+    before = params.fcpe.type_embed.value.copy()
+    with pytest.raises(ConfigError, match=rf"parameter 'fcpe.type_embed': {match}"):
+        params.load_values({"fcpe.type_embed": value})
+    np.testing.assert_array_equal(params.fcpe.type_embed.value, before)
+    # A nested list of the leaf's shape loads as its array would.
+    params.load_values({"fcpe.type_embed": (before + 1.0).tolist()})
+    np.testing.assert_array_equal(params.fcpe.type_embed.value, before + 1.0)
+
+
 # The stored value is checked as it is, never coerced through float().
 @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -2.0, -1.0, 0, 0.0, "2.5", True])
 def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):

@@ -75,7 +75,7 @@ def test_embedding_matches_a_numpy_encoding(pe):
     rng = np.random.default_rng(5)
     times = rng.uniform(-4.0, 9.0, size=7)
     weights = np.eye(3)[rng.integers(0, 3, size=7)]
-    got = M._embed(params, times, weights).value
+    got = M._embed(params, times, weights, fcpe_trig(params.fcpe, times)).value
     np.testing.assert_allclose(got, _numpy_embedding(params, times, weights), rtol=0, atol=1e-15)
 
 
@@ -84,7 +84,7 @@ def test_base_mode_pooled_context_has_unit_amplitude():
     # within rounding.
     params = M.init_model_params(M.ModelConfig(d_model=8, num_heads=2, num_types=3, pe="base"), 2)
     mixture = np.array([[3.0, 2.0, 2.0]]) / 7.0
-    got = M._embed(params, [2.37], mixture).value
+    got = M._embed(params, [2.37], mixture, fcpe_trig(params.fcpe, [2.37])).value
     np.testing.assert_allclose(got, _numpy_embedding(params, [2.37], mixture), rtol=0, atol=1e-15)
 
 
@@ -108,7 +108,7 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     params = M.init_model_params(config, seed=4)
     seq = _example(length=64).history
     h = M.hierarchy_for(config, seq.times)
-    table = (h.type_mixture(np.arange(len(h.lo)), seq.types, 3),
+    table = (h.rep_time, h.type_mixture(np.arange(len(h.lo)), seq.types, 3),
              *fcpe_trig(params.fcpe, h.rep_time))
     rng = np.random.default_rng(8)
     for s in range(1, h.num_scales):

@@ -375,12 +375,14 @@ class TestMaskedAttention:
         # model's: d_model 32, 4 heads of 8. Causal attention over more than
         # one tile of rows is cut into narrower tiles, which round
         # differently; test_causal_at_model_width_matches_dense_oracle holds
-        # it to the oracle instead, and here it runs over a single tile.
+        # it to the oracle instead, and here it runs over a single tile, both
+        # as a subset of x and as every row of x.
         subset = self._rows(300, 211, seed=10)
         for name in ("none", "one-query"):
             self._check_rounds_like_the_chain(300, np.arange(300), name)
             self._check_rounds_like_the_chain(300, subset, name)
         self._check_rounds_like_the_chain(50, self._rows(50, T._TILE_ROWS, seed=11), "causal")
+        self._check_rounds_like_the_chain(T._TILE_ROWS, np.arange(T._TILE_ROWS), "causal")
 
     def _check_rounds_like_the_chain(self, n, rows, name):
         causal, last_only = name == "causal", name == "one-query"
