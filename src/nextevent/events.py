@@ -1,8 +1,12 @@
 """Event sequence data model, file ingestion, synthetic generators, windowing
 and time normalization.
 
+Files are JSONL in and out, whatever their suffix: one object per sequence,
+``{"id": ..., "times": [...], "types": [...]}``, so an empty sequence has a
+line of its own.
+
 An event sequence is an ordered list of (time, type) pairs with integer
-types in ``[0, num_types)``. Loaders validate ordering rather than silently
+types in ``[0, num_types)``. The loader validates ordering rather than silently
 re-sorting; exact duplicate timestamps are nudged forward by a tiny fraction
 of the mean gap (with a warning) because exact ties would make the
 clustering hierarchy order-dependent. Normalization shifts every sequence to
@@ -20,7 +24,6 @@ holds a few small objects, not a copy of its events.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -180,16 +183,6 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     return out
 
 
-def _file_format(path: Path, format: str | None) -> str:
-    """``format``, or when it is None the one the suffix names: JSONL for
-    ``.jsonl`` and ``.json``, CSV for anything else."""
-    if format is None:
-        format = "jsonl" if path.suffix in (".jsonl", ".json") else "csv"
-    if format not in ("csv", "jsonl"):
-        raise ConfigError(f"unknown format {format!r}, expected csv or jsonl")
-    return format
-
-
 def _coerce_type(raw, vocab: dict | None, where: str) -> int:
     """A file's type id: a ``vocab`` label, a decimal string or an ``is_type_id`` number."""
     if not isinstance(raw, str):
@@ -205,34 +198,27 @@ def _coerce_type(raw, vocab: dict | None, where: str) -> int:
     raise DataError(f"{where}: unknown type id {raw!r}")
 
 
-def load_sequences(
-    path,
-    format: str | None = None,
-    num_types: int | None = None,
-    vocab: dict | None = None,
-) -> list[EventSequence]:
-    """Load sequences from a CSV (``seq_id,time,type``) or JSONL file.
+def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
+                   ) -> list[EventSequence]:
+    """Load sequences from a JSONL file, whatever its suffix: one object
+    ``{"id": ..., "times": [...], "types": [...]}`` per line, blank lines
+    skipped.
 
-    Times must be ascending within each sequence; a regression raises a
-    :class:`DataError` naming the offending row. ``num_types`` defaults to
-    one past the largest type id seen. ``vocab`` optionally maps string
-    labels to dense integer ids, each one :func:`errors.is_type_id` accepts.
-    A numeric type id in JSONL follows that rule too, so ``1.0`` is type 1.
-    A JSONL ``id`` must be a string, as a CSV one is by construction.
+    ``id`` must be a string. Times are numbers or decimal strings and must be
+    ascending within each sequence; a regression raises a :class:`DataError`
+    naming the offending line. ``num_types`` defaults to one past the largest
+    type id seen. ``vocab`` optionally maps string labels to dense integer
+    ids, each one :func:`errors.is_type_id` accepts. A numeric type id follows
+    that rule too, so ``1.0`` is type 1, and a decimal string is its integer.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    format = _file_format(path, format)
     bad = [label for label, k in (vocab or {}).items() if not is_type_id(k)]
     if bad:
         raise ConfigError(f"vocab id of label {bad[0]!r} is not an integer: {vocab[bad[0]]!r}")
 
-    if format == "csv":
-        raw = _read_csv(path, vocab)
-    else:
-        raw = _read_jsonl(path, vocab)
-
+    raw = _read_jsonl(path, vocab)
     if not raw:
         warnings.warn(f"{path}: no sequences found", stacklevel=2)
         return []
@@ -248,41 +234,6 @@ def load_sequences(
         times = _dedupe_times(np.asarray(times, dtype=np.float64), seq_id)
         out.append(EventSequence(times, np.asarray(types), num_types, seq_id))
     return out
-
-
-def _read_csv(path: Path, vocab) -> list[tuple[str, list, list]]:
-    order: list[str] = []
-    grouped: dict[str, tuple[list, list]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header[:3]] != ["seq_id", "time", "type"]:
-            raise DataError(f"{path}:1: expected header seq_id,time,type")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            seq_id = row[0].strip()
-            try:
-                t = float(row[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad time {row[1]!r}") from None
-            k = _coerce_type(row[2].strip(), vocab, f"{path}:{lineno}")
-            if seq_id not in grouped:
-                grouped[seq_id] = ([], [])
-                order.append(seq_id)
-            times, types = grouped[seq_id]
-            if times and t < times[-1]:
-                raise DataError(
-                    f"{path}:{lineno}: time regression in sequence {seq_id!r}"
-                    f" ({t} after {times[-1]})"
-                )
-            times.append(t)
-            types.append(k)
-    return [(sid, *grouped[sid]) for sid in order]
 
 
 def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
@@ -321,31 +272,13 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
     return out
 
 
-def save_sequences(path, sequences: list[EventSequence], format: str | None = None) -> None:
-    """Write sequences in one of the two loadable formats, by default the one
-    :func:`load_sequences` reads from the path's suffix."""
-    path = Path(path)
-    if _file_format(path, format) == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seq_id", "time", "type"])
-            for seq in sequences:
-                for t, k in zip(seq.times, seq.types):
-                    writer.writerow([seq.seq_id, repr(float(t)), int(k)])
-    else:
-        with open(path, "w") as fh:
-            for seq in sequences:
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": seq.seq_id,
-                            "times": [float(t) for t in seq.times],
-                            "types": [int(k) for k in seq.types],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+def save_sequences(path, sequences: list[EventSequence]) -> None:
+    """Write sequences as the JSONL that :func:`load_sequences` reads,
+    whatever the path's suffix: one line per sequence, empty ones included."""
+    with open(path, "w") as fh:
+        for seq in sequences:
+            record = {"id": seq.seq_id, "times": seq.times.tolist(), "types": seq.types.tolist()}
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,10 @@ class ModelParams:
         return {k: v.value.copy() for k, v in self.all_named().items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Write each named leaf's value, after checking every entry: a bad
+        one raises :class:`ConfigError` and leaves every leaf as it was."""
         named = self.all_named()
+        checked = {}
         for k, v in values.items():
             if k not in named:
                 raise ConfigError(f"unknown parameter {k!r} in state")
@@ -181,6 +184,8 @@ class ModelParams:
                 raise ConfigError(
                     f"parameter {k!r}: shape {v.shape} does not match {named[k].value.shape}"
                 )
+            checked[k] = v
+        for k, v in checked.items():
             named[k].value[...] = v
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import itertools
+import json
+import math
 import re
 import signal
 import tracemalloc
@@ -10,6 +12,8 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from nextevent.errors import ConfigError, DataError
@@ -149,10 +153,33 @@ class TestEventSequence:
             PredictionExample(seq, bad, 0)
 
 
+def _jsonl(*records) -> str:
+    """One line per ``(id, times, types)`` record, as ``save_sequences`` writes it."""
+    return "".join(json.dumps({"id": i, "times": t, "types": k}) + "\n" for i, t, k in records)
+
+
+# Ids that JSON must escape or encode: quotes, commas, line breaks and
+# characters outside ASCII, among any others hypothesis draws.
+_IDS = st.text(st.sampled_from('"\',\n\r\\\té漢\u2028') | st.characters(), max_size=6)
+
+
+@st.composite
+def _sequences(draw, num_types):
+    """An ``EventSequence`` of up to 6 events, possibly none, whose next time
+    is one ulp or a drawn gap after the last."""
+    times, t = [], draw(st.floats(-1e9, 1e9))
+    for _ in range(draw(st.integers(0, 6))):
+        times.append(t)
+        t = math.nextafter(t, math.inf) if draw(st.booleans()) else t + draw(st.floats(1e-3, 1e3))
+    types = draw(st.lists(st.integers(0, num_types - 1), min_size=len(times),
+                          max_size=len(times)))
+    return EventSequence(times, types, num_types, draw(_IDS))
+
+
 class TestLoadSequences:
-    def test_minimal_csv(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("seq_id,time,type\n0,0.0,1\n0,2.5,0\n")
+    def test_minimal_jsonl(self, tmp_path):
+        p = tmp_path / "data.jsonl"
+        p.write_text('{"id": "0", "times": [0.0, 2.5], "types": [1, 0]}\n')
         seqs = load_sequences(p)
         assert len(seqs) == 1
         assert len(seqs[0]) == 2
@@ -160,33 +187,34 @@ class TestLoadSequences:
         np.testing.assert_array_equal(seqs[0].times, [0.0, 2.5])
 
     def test_empty_file_warns(self, tmp_path):
-        p = tmp_path / "empty.csv"
-        p.write_text("seq_id,time,type\n")
+        p = tmp_path / "empty.jsonl"
+        p.write_text("\n")
         with pytest.warns(UserWarning, match="no sequences"):
             assert load_sequences(p) == []
 
     def test_time_regression_names_line(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("seq_id,time,type\n0,0.0,0\n0,5.0,0\n0,3.0,0\n")
-        with pytest.raises(DataError, match=r"bad\.csv:4"):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(_jsonl(("a", [0.0, 1.0], [0, 0]), ("b", [0.0, 5.0], [0, 0]),
+                            ("", [], []), ("c", [0.0, 5.0, 3.0], [0, 0, 0])))
+        with pytest.raises(DataError, match=r"bad\.jsonl:4: time regression in sequence 'c'"):
             load_sequences(p)
 
     def test_unknown_type_id(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("seq_id,time,type\n0,0.0,aspirin\n")
-        with pytest.raises(DataError, match="unknown type id"):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(_jsonl(("0", [0.0], ["aspirin"])))
+        with pytest.raises(DataError, match=r"bad\.jsonl:1: unknown type id 'aspirin'"):
             load_sequences(p)
 
     def test_vocab_maps_labels(self, tmp_path):
-        p = tmp_path / "label.csv"
-        p.write_text("seq_id,time,type\n0,0.0,aspirin\n0,1.0,statin\n")
+        p = tmp_path / "label.jsonl"
+        p.write_text(_jsonl(("0", [0.0, 1.0], ["aspirin", "statin"])))
         seqs = load_sequences(p, vocab={"aspirin": 0, "statin": 1})
         np.testing.assert_array_equal(seqs[0].types, [0, 1])
 
     @pytest.mark.parametrize("label_id", [1.7, "1", True, None])
     def test_vocab_rejects_an_id_that_is_not_an_integer(self, tmp_path, label_id):
-        p = tmp_path / "label.csv"
-        p.write_text("seq_id,time,type\n0,0.0,aspirin\n0,1.0,statin\n")
+        p = tmp_path / "label.jsonl"
+        p.write_text(_jsonl(("0", [0.0, 1.0], ["aspirin", "statin"])))
         match = rf"vocab id of label 'statin' is not an integer: {re.escape(repr(label_id))}"
         with pytest.raises(ConfigError, match=match):
             load_sequences(p, vocab={"aspirin": 0, "statin": label_id})
@@ -209,16 +237,15 @@ class TestLoadSequences:
         with pytest.raises(DataError, match=r"data\.jsonl:1: unknown type id"):
             load_sequences(p)
 
-    @pytest.mark.parametrize("cell", ["1.0", "true"])
-    def test_csv_type_ids_stay_labels_or_decimal_integers(self, tmp_path, cell):
+    def test_a_csv_file_is_a_data_error_at_line_1(self, tmp_path):
         p = tmp_path / "data.csv"
-        p.write_text(f"seq_id,time,type\n0,0.0,0\n0,1.0,{cell}\n")
-        with pytest.raises(DataError, match=rf"data\.csv:3: unknown type id '{cell}'"):
+        p.write_text("seq_id,time,type\n0,0.0,1\n0,2.5,0\n")
+        with pytest.raises(DataError, match=r"data\.csv:1: invalid JSON"):
             load_sequences(p)
 
     def test_duplicate_times_perturbed_with_warning(self, tmp_path):
-        p = tmp_path / "dup.csv"
-        p.write_text("seq_id,time,type\n0,0.0,0\n0,1.0,0\n0,1.0,0\n0,4.0,0\n")
+        p = tmp_path / "dup.jsonl"
+        p.write_text(_jsonl(("0", [0.0, 1.0, 1.0, 4.0], [0, 0, 0, 0])))
         with pytest.warns(UserWarning, match="duplicate"):
             seqs = load_sequences(p)
         assert np.all(np.diff(seqs[0].times) > 0)
@@ -227,8 +254,8 @@ class TestLoadSequences:
         # At ~1.7e9 s, 1e-9 of the mean gap is below one ulp (2.4e-7).
         t0 = 1.7e9
         times = [t0, t0 + 10, t0 + 10, t0 + 25, t0 + 40]
-        p = tmp_path / "epoch.csv"
-        p.write_text("seq_id,time,type\n" + "".join(f"0,{t!r},0\n" for t in times))
+        p = tmp_path / "epoch.jsonl"
+        p.write_text(_jsonl(("0", times, [0] * len(times))))
         with pytest.warns(UserWarning, match=r"perturbed by up to 2\.38e-07"):
             seqs = load_sequences(p)
         out = seqs[0].times
@@ -239,37 +266,43 @@ class TestLoadSequences:
     def test_jsonl_round_trip(self, tmp_path):
         seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
         p = tmp_path / "data.jsonl"
-        save_sequences(p, seqs, format="jsonl")
+        save_sequences(p, seqs)
         loaded = load_sequences(p)
         np.testing.assert_array_equal(loaded[0].times, seqs[0].times)
         np.testing.assert_array_equal(loaded[0].types, seqs[0].types)
 
-    @pytest.mark.parametrize("name", ["data.jsonl", "data.json", "data.csv", "data.txt"])
-    def test_save_picks_the_format_load_reads_from_the_suffix(self, tmp_path, name):
+    @pytest.mark.parametrize("name", ["data.jsonl", "data.csv", "data"])
+    def test_any_suffix_is_written_and_read_as_jsonl(self, tmp_path, name):
         seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
         p = tmp_path / name
         save_sequences(p, seqs)
-        assert p.read_text().startswith("{" if name.endswith((".jsonl", ".json")) else "seq_id,")
-        loaded = load_sequences(p)
-        np.testing.assert_array_equal(loaded[0].times, seqs[0].times)
-        np.testing.assert_array_equal(loaded[0].types, seqs[0].types)
+        assert p.read_text() == '{"id": "a", "times": [0.0, 1.5, 2.0], "types": [0, 1, 0]}\n'
+        assert load_sequences(p) == seqs
 
-    def test_save_rejects_an_unknown_format(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown format 'xml'"):
-            save_sequences(tmp_path / "data.xml", [], format="xml")
-
-    def test_csv_round_trip_exact(self, tmp_path):
+    def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         t = np.cumsum(rng.exponential(1.0, size=20))
         seqs = [EventSequence(t, rng.integers(0, 3, size=20), 3, seq_id="s0")]
-        p = tmp_path / "data.csv"
-        save_sequences(p, seqs, format="csv")
+        p = tmp_path / "data.jsonl"
+        save_sequences(p, seqs)
         loaded = load_sequences(p)
         np.testing.assert_array_equal(loaded[0].times, t)
 
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(_sequences(k),
+                                                                             max_size=4))))
+    def test_save_then_load_returns_what_was_saved(self, tmp_path_factory, drawn):
+        num_types, seqs = drawn
+        p = tmp_path_factory.mktemp("round") / "data.jsonl"
+        save_sequences(p, seqs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert load_sequences(p, num_types=num_types) == seqs
+        # Times that differ are never nudged: only an empty file warns.
+        assert [str(w.message) for w in caught] == ([] if seqs else [f"{p}: no sequences found"])
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="no such file"):
-            load_sequences("/nonexistent/x.csv")
+            load_sequences("/nonexistent/x.jsonl")
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}', "times must be numbers"),
@@ -297,24 +330,24 @@ class TestLoadSequences:
                                             rf" got {re.escape(seq_id)}$"):
             load_sequences(p)
 
-    def test_jsonl_times_may_be_decimal_strings_as_csv_cells_are(self, tmp_path):
+    def test_jsonl_times_may_be_decimal_strings(self, tmp_path):
         p = tmp_path / "data.jsonl"
         p.write_text('{"id": "a", "times": ["0.5", 2.0], "types": [0, 1]}\n')
         assert load_sequences(p)[0].times.tolist() == [0.5, 2.0]
 
-    _TOP = repr(float(np.finfo(np.float64).max))
+    _TOP = float(np.finfo(np.float64).max)
 
-    @pytest.mark.parametrize("rows, message", [
-        ("a,-1e308,0\na,1e308,1\n", "time span overflow at event 1"),
-        ("a,-1e308,0\na,1e308,1\na,1e308,0\n", "time span overflow at event 1"),
-        (f"a,0.0,0\na,{_TOP},0\na,{_TOP},0\n", "tied time at event 2 cannot be nudged"),
+    @pytest.mark.parametrize("times, message", [
+        ([-1e308, 1e308], "time span overflow at event 1"),
+        ([-1e308, 1e308, 1e308], "time span overflow at event 1"),
+        ([0.0, _TOP, _TOP], "tied time at event 2 cannot be nudged"),
     ], ids=["no tie", "tie", "tie at the largest float"])
-    def test_times_that_overflow_are_a_data_error(self, tmp_path, rows, message):
+    def test_times_that_overflow_are_a_data_error(self, tmp_path, times, message):
         # A tie in a span that overflows is not nudged: the mean gap is
         # infinite, and the sequence reports the overflow, not a non-finite
         # time. A tie at the largest float has no larger neighbour.
-        p = tmp_path / "span.csv"
-        p.write_text("seq_id,time,type\n" + rows)
+        p = tmp_path / "span.jsonl"
+        p.write_text(_jsonl(("a", times, [0] * len(times))))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=f"'a': {message}"):

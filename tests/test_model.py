@@ -259,6 +259,14 @@ def test_load_values_raises_config_error_for_what_is_not_a_leaf(value, match):
     np.testing.assert_array_equal(params.fcpe.type_embed.value, before + 1.0)
 
 
+def test_load_values_writes_nothing_when_a_later_entry_is_bad():
+    params = M.init_model_params(_config(False), seed=0)
+    freqs = params.fcpe.freqs.value.copy()
+    with pytest.raises(ConfigError, match=r"'fcpe.type_embed': shape \(1, 1\) does not match"):
+        params.load_values({"fcpe.freqs": freqs + 1.0, "fcpe.type_embed": [[1.0]]})
+    np.testing.assert_array_equal(params.fcpe.freqs.value, freqs)
+
+
 # The stored value is checked as it is, never coerced through float().
 @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -2.0, -1.0, 0, 0.0, "2.5", True])
 def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):

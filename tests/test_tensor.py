@@ -407,6 +407,27 @@ class TestMaskedAttention:
         for fused, chained in zip(*results):
             assert np.array_equal(fused, chained), (name, len(rows))
 
+    @pytest.mark.parametrize("causal, n", [(False, 300), (True, TILED_N)],
+                             ids=["none", "tiled-causal"])
+    @pytest.mark.parametrize("entries", [1, 2**30], ids=["head-by-head", "all-heads"])
+    def test_head_groups_do_not_change_outputs(self, monkeypatch, causal, n, entries):
+        # _GROUP_ENTRIES only sets how many heads share a pass: each head's
+        # products and the order its gradients are added in stay the same,
+        # so it can be retuned without moving an output.
+        x, w_qkv, w_out = self._arrays(n, seed=7, d=32, dk=8)
+        upstream = np.random.default_rng(8).normal(size=x.shape)
+
+        def run():
+            nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+            out = self._node(np.arange(n), causal)(*nodes)
+            O.sum_all(O.mul(out, T.constant(upstream))).backward()
+            return [out.value] + [node.grad for node in nodes]
+
+        default = run()
+        monkeypatch.setattr(T, "_GROUP_ENTRIES", entries)
+        for got, want in zip(run(), default):
+            assert np.array_equal(got, want)
+
     def test_masked_keys_get_no_weight_or_gradient(self):
         x, w_qkv, w_out = self._arrays(5, seed=6)
         rows = [1, 2, 4]
