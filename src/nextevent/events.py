@@ -204,15 +204,17 @@ def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
     ``{"id": ..., "times": [...], "types": [...]}`` per line, blank lines
     skipped.
 
-    ``id`` must be a string. Times are numbers or decimal strings and must be
-    ascending within each sequence; a regression raises a :class:`DataError`
-    naming the offending line. ``num_types`` defaults to one past the largest
-    type id seen. ``vocab`` optionally maps string labels to dense integer
-    ids, each one :func:`errors.is_type_id` accepts. A numeric type id follows
-    that rule too, so ``1.0`` is type 1, and a decimal string is its integer.
+    Each line is decoded as UTF-8 in any locale; one that is not UTF-8 raises
+    a :class:`DataError` naming it. ``id`` must be a string. Times are numbers
+    or decimal strings and must be ascending within each sequence; a
+    regression raises a :class:`DataError` naming the offending line.
+    ``num_types`` defaults to one past the largest type id seen. ``vocab``
+    optionally maps string labels to dense integer ids, each one
+    :func:`errors.is_type_id` accepts. A numeric type id follows that rule
+    too, so ``1.0`` is type 1, and a decimal string is its integer.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     bad = [label for label, k in (vocab or {}).items() if not is_type_id(k)]
     if bad:
@@ -238,9 +240,12 @@ def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
 
 def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
     out = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
             if not line:
                 continue
             try:

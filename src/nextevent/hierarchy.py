@@ -7,8 +7,10 @@ merge joins two time-adjacent clusters across the smallest remaining gap. The
 whole merge order is therefore ``np.argsort(np.diff(t), kind="stable")``; the
 stable order breaks distance ties toward the pair whose left cluster starts
 first. A gap's rank is its position in that order. The merge order is then
-sliced into consecutive intervals; the interval index gives the temporal
-scale.
+sliced into S consecutive intervals, one per temporal scale, as evenly as
+the L-1 merges allow: with ``base, rem = divmod(L - 1, S)``, interval
+``s + 1`` starts after ``s * base + min(s, rem)`` merges, so the first
+``rem`` intervals hold one merge more.
 
 Because only neighbours merge, every cluster is a contiguous run of leaves,
 and the clusters alive after ``k`` merges are the leaves cut at every gap of
@@ -39,7 +41,6 @@ For a single scale the two views coincide with the full leaf set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,20 +49,8 @@ from .errors import ConfigError, DataError, HierarchyError, check_int
 
 __all__ = [
     "ScaleHierarchy",
-    "default_merge_counts",
     "build_hierarchy",
 ]
-
-
-def default_merge_counts(num_points: int, num_scales: int) -> list[int]:
-    """Split L-1 merges into S near-equal interval counts, remainder first."""
-    merges = num_points - 1
-    num_scales = check_int("num_scales", num_scales)
-    if num_scales > merges:
-        raise ConfigError(f"num_scales must lie in 1..{merges} for {num_points} points,"
-                          f" got {num_scales}")
-    base, rem = divmod(merges, num_scales)
-    return [base + (1 if s < rem else 0) for s in range(num_scales)]
 
 
 @dataclass
@@ -77,7 +66,6 @@ class ScaleHierarchy:
     arrays ``active``, ``frontier_pos`` and ``group_starts`` are read-only.
     """
 
-    merge_counts: list[int]
     lo: np.ndarray  # first leaf of the node's run
     end: np.ndarray  # one past the last leaf of the node's run
     rep_time: np.ndarray  # mean time of the run's leaves; a leaf's own time
@@ -87,7 +75,7 @@ class ScaleHierarchy:
 
     @property
     def num_scales(self) -> int:
-        return len(self.merge_counts)
+        return len(self.active)
 
     @property
     def num_leaves(self) -> int:
@@ -200,13 +188,14 @@ def _span_sums(t: np.ndarray, lo: np.ndarray, end: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
+def build_hierarchy(times, num_scales) -> ScaleHierarchy:
     """Agglomerate and cut the leaves at the start of each scale interval.
 
-    ``merge_counts`` is the only spec of the scales: interval ``s`` holds
-    ``merge_counts[s-1]`` consecutive merges, each count a positive integer,
-    and together they hold all L-1. The model slices every window by
-    ``default_merge_counts(L, num_scales)``, the even split.
+    The L-1 merges are split into ``num_scales`` intervals, remainder first:
+    with ``base, rem = divmod(L - 1, num_scales)``, interval ``s + 1`` starts
+    after ``s * base + min(s, rem)`` merges. ``num_scales`` must be an
+    integer in ``1..L-1``, so that every interval holds a merge; anything
+    else raises :class:`ConfigError`.
     """
     t = np.asarray(times, dtype=np.float64)
     if t.ndim != 1:
@@ -217,11 +206,10 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     gaps = t[1:] - t[:-1]
     if not (gaps > 0).all():  # also rejects NaN, which no gap order can place
         raise HierarchyError("times must be strictly increasing with no duplicates")
-    merge_counts = [check_int("each merge count", c) for c in merge_counts]
-    if sum(merge_counts) != n - 1:
-        raise ConfigError(
-            f"merge counts sum to {sum(merge_counts)} but there are {n - 1} steps"
-        )
+    num_scales = check_int("num_scales", num_scales)
+    if num_scales > n - 1:
+        raise ConfigError(f"num_scales must lie in 1..{n - 1} for {n} points, got {num_scales}")
+    base, rem = divmod(n - 1, num_scales)
 
     # rank[i]: the rank of the gap before leaf i. The two ends, 0 and n,
     # outrank every gap, so they bound a run at every cut.
@@ -232,9 +220,10 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     los, ends = [ids], [ids + 1]
     active, frontier_pos, group_starts = [ids], [], []
     next_id = n
-    # Interval s + 1 starts after `cut` merges, where the runs alive are the
-    # leaves cut at every gap of rank `cut` or more.
-    for cut in itertools.accumulate(merge_counts[:-1]):
+    for s in range(1, num_scales):
+        # Interval s + 1 starts after `cut` merges, where the runs alive are
+        # the leaves cut at every gap of rank `cut` or more.
+        cut = s * base + min(s, rem)
         kept = rank[edges] >= cut
         # A run both of whose edges are kept is carried over; the others
         # merge in interval s and form its frontier.
@@ -254,7 +243,7 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
         ends.append(edges[new + 1])
         active.append(ids)
     frontier_pos.append(np.arange(len(ids)))  # the top scale's runs all merge
-    for index in itertools.chain(active, frontier_pos, group_starts):
+    for index in (*active, *frontier_pos, *group_starts):
         index.flags.writeable = False  # pool_groups returns them without a copy
     lo, end = np.concatenate(los), np.concatenate(ends)
 
@@ -264,4 +253,4 @@ def build_hierarchy(times, merge_counts) -> ScaleHierarchy:
     rep_time = np.empty(len(lo))
     rep_time[:n] = t
     rep_time[n:] = _span_sums(t, lo[n:], end[n:]) / (end[n:] - lo[n:])
-    return ScaleHierarchy(merge_counts, lo, end, rep_time, active, frontier_pos, group_starts)
+    return ScaleHierarchy(lo, end, rep_time, active, frontier_pos, group_starts)

@@ -48,7 +48,7 @@ from . import tensor as T
 from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
 from .errors import ConfigError, DataError, HierarchyError, NumericsError, check_int, check_real
 from .events import EventSequence, PredictionExample
-from .hierarchy import ScaleHierarchy, build_hierarchy, default_merge_counts
+from .hierarchy import ScaleHierarchy, build_hierarchy
 from .tensor import DiffNode
 
 __all__ = [
@@ -233,7 +233,7 @@ class FlopCounter:
 
 def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
     """Build the per-window hierarchy the encoder walks."""
-    return build_hierarchy(times, default_merge_counts(len(times), config.num_scales))
+    return build_hierarchy(times, config.num_scales)
 
 
 def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
@@ -537,13 +537,16 @@ def save_checkpoint(path, params: ModelParams, mean_gap: float | None = None) ->
 def load_checkpoint(path) -> tuple[ModelParams, float | None]:
     """Inverse of :func:`save_checkpoint`; returns ``(params, mean_gap)``, with
     ``mean_gap`` a ``float`` or None. A malformed file raises
-    :class:`DataError`; another version, an unknown config key or a bad
-    ``mean_gap`` raises :class:`ConfigError`."""
+    :class:`DataError`, and so does a file that is not UTF-8, in any locale;
+    another version, an unknown or missing config key or a bad ``mean_gap``
+    raises :class:`ConfigError`."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such checkpoint: {path}")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 ({e.reason})") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not a JSON checkpoint ({e.msg})") from None
     if not isinstance(payload, dict):
@@ -555,10 +558,11 @@ def load_checkpoint(path) -> tuple[ModelParams, float | None]:
         raise DataError(f"{path}: checkpoint needs a config object and a params object")
     if "mean_gap" not in payload:
         raise DataError(f"{path}: checkpoint needs a mean_gap, a number or null")
-    fields = payload["config"]
-    unknown = set(fields) - set(ModelConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    fields, known = payload["config"], set(ModelConfig.__dataclass_fields__)
+    if set(fields) - known:
+        raise ConfigError(f"unknown config keys: {sorted(set(fields) - known)}")
+    if known - set(fields):  # a default would stand in for the saved value unseen
+        raise ConfigError(f"missing config keys: {sorted(known - set(fields))}")
     params = init_model_params(ModelConfig(**fields), seed=0)
     saved, names = payload["params"], set(params.all_named())
     if set(saved) != names:

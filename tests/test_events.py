@@ -261,7 +261,7 @@ class TestLoadSequences:
         out = seqs[0].times
         assert np.all(np.diff(out) > 0)
         assert out[2] == np.nextafter(t0 + 10, np.inf)
-        assert build_hierarchy(out, [4]).num_leaves == 5
+        assert build_hierarchy(out, 1).num_leaves == 5
 
     def test_jsonl_round_trip(self, tmp_path):
         seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
@@ -303,6 +303,27 @@ class TestLoadSequences:
     def test_missing_file(self):
         with pytest.raises(DataError, match="no such file"):
             load_sequences("/nonexistent/x.jsonl")
+
+    def test_a_directory_is_not_a_file(self, tmp_path):
+        with pytest.raises(DataError, match="no such file"):
+            load_sequences(tmp_path)
+
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path):
+        p = tmp_path / "bad.jsonl"
+        p.write_bytes(b'{"id": "a", "times": [0.0], "types": [0]}\n'
+                      b'{"id": "\xff", "times": [0.0], "types": [0]}\n')
+        with pytest.raises(DataError, match=r"bad\.jsonl:2: not UTF-8"):
+            load_sequences(p)
+
+    def test_raw_utf8_ids_round_trip_in_any_locale(self, tmp_path):
+        # save_sequences escapes what is not ASCII; another writer may not.
+        # Under a C locale a file read in the locale's encoding fails here.
+        p = tmp_path / "data.jsonl"
+        p.write_bytes('{"id": "café", "times": [0.0, 1.0], "types": [0, 1]}\n'.encode("utf-8"))
+        seqs = load_sequences(p)
+        assert seqs[0].seq_id == "café"
+        save_sequences(p, seqs)
+        assert load_sequences(p) == seqs
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}', "times must be numbers"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nextevent import events as E
 from nextevent.errors import ConfigError, DataError, HierarchyError
-from nextevent.hierarchy import build_hierarchy, default_merge_counts
+from nextevent.hierarchy import build_hierarchy
 
 from conftest import nine_point_layout
 from oracles import brute_force_single_linkage, heap_single_linkage
@@ -27,6 +27,17 @@ def random_times(rng, n):
     return np.concatenate([[0.0], np.cumsum(gaps)])
 
 
+def interval_starts(n, num_scales):
+    """The number of merges before each interval starts, then all n - 1:
+    the even split, remainder first."""
+    base, rem = divmod(n - 1, num_scales)
+    return [s * base + min(s, rem) for s in range(num_scales + 1)]
+
+
+def active_sizes(h):
+    return [len(h.active_nodes(s)) for s in range(1, h.num_scales + 1)]
+
+
 def single_linkage(times):
     """The merge steps as (order, left, right, result, distance) tuples, read
     from the partitions of one merge per scale: interval ``o``'s frontier is
@@ -35,7 +46,7 @@ def single_linkage(times):
     takes 2L - 2, the oracles' id for it."""
     n = len(times)
     t = np.asarray(times, dtype=np.float64)
-    h = build_hierarchy(t, [1] * (n - 1))
+    h = build_hierarchy(t, n - 1)
     steps = []
     for order in range(1, n):
         left, right = h.frontier(order)
@@ -86,25 +97,25 @@ class TestAgglomerate:
 
     def test_requires_two_points(self):
         with pytest.raises(HierarchyError, match="at least 2 points"):
-            build_hierarchy([1.0], [])
+            build_hierarchy([1.0], 1)
         with pytest.raises(HierarchyError, match="at least 2 points"):
-            build_hierarchy([1.0], [1])
+            build_hierarchy([], 1)
 
     def test_rejects_duplicates(self):
         with pytest.raises(HierarchyError, match="duplicates"):
-            build_hierarchy([0.0, 1.0, 1.0, 3.0], merge_counts=[1, 1, 1])
+            build_hierarchy([0.0, 1.0, 1.0, 3.0], num_scales=3)
         with pytest.raises(HierarchyError, match="duplicates"):
-            build_hierarchy([0.0, 1.0, 1.0, 3.0], [3])
+            build_hierarchy([0.0, 1.0, 1.0, 3.0], 1)
 
     def test_rejects_nan(self):
         with pytest.raises(HierarchyError, match="strictly increasing"):
-            build_hierarchy([0.0, float("nan"), 2.0, 3.0], [3])
+            build_hierarchy([0.0, float("nan"), 2.0, 3.0], 1)
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (1, 8)])
     def test_rejects_times_that_are_not_1d(self, shape):
         times = np.arange(8.0).reshape(shape)
         with pytest.raises(HierarchyError, match="1-D"):
-            build_hierarchy(times, [times.size - 1])
+            build_hierarchy(times, 1)
 
     def test_distances_non_decreasing(self):
         rng = np.random.default_rng(7)
@@ -150,7 +161,7 @@ class TestAgglomerate:
         for t in windows:
             fast = single_linkage(t)
             assert fast == heap_single_linkage(t)
-            h = build_hierarchy(t, default_merge_counts(len(t), 4))
+            h = build_hierarchy(t, 4)
             assert_one_id_per_run(h)
             assert_group_starts(h)
             for i in range(len(h.lo)):
@@ -165,29 +176,39 @@ class TestAgglomerate:
 
 
 class TestDefaultMergeCounts:
+    """The split of the L-1 merges into num_scales intervals, remainder first
+    (build_hierarchy). Each merge joins two runs, so an interval of k merges
+    leaves k fewer runs active at the next interval's start."""
+
     def test_even_split(self):
-        assert default_merge_counts(9, 4) == [2, 2, 2, 2]
+        assert active_sizes(build_hierarchy(np.arange(9.0), 4)) == [9, 7, 5, 3]
 
     def test_remainder_goes_first(self):
-        assert default_merge_counts(10, 4) == [3, 2, 2, 2]
+        # 9 merges over 4 intervals: 3, 2, 2, 2.
+        assert active_sizes(build_hierarchy(np.arange(10.0), 4)) == [10, 7, 5, 3]
 
     def test_single_scale(self):
-        assert default_merge_counts(5, 1) == [4]
+        assert active_sizes(build_hierarchy(np.arange(5.0), 1)) == [5]
 
     def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            default_merge_counts(5, 5)
-        with pytest.raises(ConfigError):
-            default_merge_counts(5, 0)
+        with pytest.raises(ConfigError, match="num_scales must lie in 1..4 for 5 points, got 5"):
+            build_hierarchy(np.arange(5.0), 5)
+        with pytest.raises(ConfigError, match="num_scales must be an integer >= 1, got 0"):
+            build_hierarchy(np.arange(5.0), 0)
 
     @pytest.mark.parametrize("num_scales", [2.0, 2.5, "2", True, None])
     def test_rejects_a_num_scales_that_is_not_an_integer(self, num_scales):
+        # Truncating 2.5 would split the merges in two without a word.
         match = rf"num_scales must be an integer >= 1, got {re.escape(repr(num_scales))}"
         with pytest.raises(ConfigError, match=match):
-            default_merge_counts(5, num_scales)
+            build_hierarchy(np.arange(5.0), num_scales)
 
     def test_accepts_a_numpy_integer(self):
-        assert default_merge_counts(5, np.int64(2)) == [2, 2]
+        h = build_hierarchy(np.arange(5.0), 2)
+        for num_scales in (np.int64(2), np.int32(2), np.uint8(2)):
+            g = build_hierarchy(np.arange(5.0), num_scales)
+            assert type(g.num_scales) is int and g.num_scales == 2
+            assert [g.active_nodes(s) for s in (1, 2)] == [h.active_nodes(s) for s in (1, 2)]
 
 
 class TestAssignScales:
@@ -196,53 +217,40 @@ class TestAssignScales:
     def test_nine_point_scales(self):
         # A leaf's scale is the interval in which it is first merged away:
         # the one scale whose frontier holds it.
-        t = nine_point_layout()
-        h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         leaf_scales = [s for i in range(9) for s in range(1, 5) if i in h.frontier(s)]
-        assert leaf_scales[:4] == [1, 1, 1, 1]
-        assert [leaf_scales[4], leaf_scales[5]] == [2, 2]
-        assert leaf_scales[6:] == [3, 3, 3]
+        assert leaf_scales == [1, 1, 1, 1, 2, 2, 3, 3, 4]
         assert h.num_scales == 4
 
     def test_single_interval_degenerates(self):
         t = [0.0, 1.0, 3.0, 7.0, 20.0]
-        h = build_hierarchy(t, merge_counts=[4])
+        h = build_hierarchy(t, 1)
         assert h.num_scales == 1
         assert h.active_nodes(1) == h.frontier(1) == [0, 1, 2, 3, 4]
         assert h.lo.tolist() == [0, 1, 2, 3, 4]  # the node table holds the leaves alone
 
     def test_counts_mismatch(self):
+        # Every interval holds a merge: three points merge twice, so they
+        # make at most two scales.
         t = [0.0, 1.0, 3.0]
-        with pytest.raises(ConfigError):
-            build_hierarchy(t, merge_counts=[1])
-        with pytest.raises(ConfigError):
-            build_hierarchy(t, merge_counts=[2, 0])
-
-    @pytest.mark.parametrize("counts", [[2.7, 1.2], [2.0, 2.0], ["2", 2], [True, 3]])
-    def test_rejects_merge_counts_that_are_not_integers(self, counts):
-        # Truncating [2.7, 1.2] would slice the merges as [2, 1] without a word.
-        match = rf"each merge count must be an integer >= 1, got {re.escape(repr(counts[0]))}"
-        with pytest.raises(ConfigError, match=match):
-            build_hierarchy(np.arange(5.0), counts)
-
-    def test_accepts_numpy_integer_merge_counts(self):
-        h = build_hierarchy(np.arange(5.0), np.array([3, 1]))
-        assert h.merge_counts == [3, 1]
-        assert all(type(c) is int for c in h.merge_counts)
+        assert active_sizes(build_hierarchy(t, 2)) == [3, 2]
+        with pytest.raises(ConfigError, match="num_scales must lie in 1..2 for 3 points, got 3"):
+            build_hierarchy(t, 3)
 
     def test_nine_point_node_table(self):
         # Leaves 0-8, then each run of two or more leaves where it first
         # appears: (e1 e2) and (e3 e4) at scale 2, (e1..e4) and (e5 e6) at
-        # scale 3, (e1..e6) and (e7 e8 e9) at scale 4. The root has no id.
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        # scale 3, (e1..e6) and (e7 e8) at scale 4. e9 joins e7e8 in the top
+        # interval, and the root has no id.
+        h = build_hierarchy(nine_point_layout(), 4)
         assert h.lo.tolist() == list(range(9)) + [0, 2, 0, 4, 0, 6]
-        assert h.end.tolist() == list(range(1, 10)) + [2, 4, 4, 6, 6, 9]
+        assert h.end.tolist() == list(range(1, 10)) + [2, 4, 4, 6, 6, 8]
         assert [h.active_nodes(s) for s in range(1, 5)] == [
-            list(range(9)), [9, 10, 4, 5, 6, 7, 8], [11, 12, 6, 7, 8], [13, 14]]
+            list(range(9)), [9, 10, 4, 5, 6, 7, 8], [11, 12, 6, 7, 8], [13, 14, 8]]
 
     def test_representative_time_is_member_mean(self):
         t = nine_point_layout()
-        h = build_hierarchy(t, merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(t, 4)
         for i in range(len(h.lo)):
             assert h.rep_time[i] == np.mean(np.asarray(t)[h.lo[i] : h.end[i]])
 
@@ -252,23 +260,19 @@ class TestAssignScales:
             n = int(rng.integers(4, 20))
             t = random_times(rng, n)
             S = int(rng.integers(1, n - 1)) if n > 2 else 1
-            h = build_hierarchy(t, default_merge_counts(n, S))
+            h = build_hierarchy(t, S)
             for s in range(1, S + 1):
                 members = np.concatenate(
                     [np.arange(h.lo[i], h.end[i]) for i in h.active_nodes(s)]
                 )
                 assert sorted(members.tolist()) == list(range(n))
 
-    def test_active_counts_shrink_by_merge_counts(self):
+    def test_active_counts_shrink_by_the_even_split(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             n = int(rng.integers(4, 24))
-            t = random_times(rng, n)
-            h = build_hierarchy(t, default_merge_counts(n, 3))
-            sizes = [len(h.active_nodes(s)) for s in range(1, h.num_scales + 1)]
-            assert sizes[0] == n
-            for s in range(1, h.num_scales):
-                assert sizes[s] == sizes[s - 1] - h.merge_counts[s - 1]
+            h = build_hierarchy(random_times(rng, n), 3)
+            assert active_sizes(h) == [n - cut for cut in interval_starts(n, 3)[:-1]]
 
     def test_earlier_merges_have_smaller_or_equal_scale(self):
         # A run's id is the next one free at the scale where it first
@@ -276,7 +280,7 @@ class TestAssignScales:
         rng = np.random.default_rng(8)
         for _ in range(50):
             t = random_times(rng, int(rng.integers(5, 40)))
-            h = build_hierarchy(t, default_merge_counts(len(t), 4))
+            h = build_hierarchy(t, 4)
             assert_one_id_per_run(h)
             next_id = h.num_leaves
             for s in range(2, h.num_scales + 1):
@@ -288,7 +292,7 @@ class TestAssignScales:
 
 class TestFrontier:
     def test_nine_point_frontier_at_scale_two(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         frontier = h.frontier(2)
         assert len(frontier) == 4
         # Two pair-clusters plus the two leaves merged in interval 2,
@@ -297,14 +301,14 @@ class TestFrontier:
         assert set(frontier) == {9, 10, 4, 5}
 
     def test_top_frontier_merges_into_root(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         top = h.frontier(h.num_scales)
         assert len(top) >= 1
         assert top == h.active_nodes(h.num_scales)
 
     def test_single_scale_frontier_is_all_leaves(self):
         t = [0.0, 1.0, 3.0, 7.0, 20.0]
-        h = build_hierarchy(t, merge_counts=[4])
+        h = build_hierarchy(t, 1)
         assert h.frontier(1) == [0, 1, 2, 3, 4]
 
     def test_leaves_partition_across_frontiers_by_scale(self):
@@ -312,7 +316,7 @@ class TestFrontier:
         rng = np.random.default_rng(9)
         for _ in range(100):
             n = int(rng.integers(4, 20))
-            h = build_hierarchy(random_times(rng, n), default_merge_counts(n, 3))
+            h = build_hierarchy(random_times(rng, n), 3)
             seen = []
             for s in range(1, h.num_scales + 1):
                 seen.extend(i for i in h.frontier(s) if i < h.num_leaves)
@@ -320,7 +324,7 @@ class TestFrontier:
 
     def test_frontier_ordered_by_representative_time(self):
         rng = np.random.default_rng(10)
-        h = build_hierarchy(random_times(rng, 20), default_merge_counts(20, 5))
+        h = build_hierarchy(random_times(rng, 20), 5)
         for s in range(1, 6):
             reps = [h.rep_time[i] for i in h.frontier(s)]
             assert reps == sorted(reps)
@@ -328,35 +332,35 @@ class TestFrontier:
 
 class TestKeySet:
     def test_nine_point_key_reduction(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         keys = h.key_set(2, 5)  # query is leaf e6
         assert len(keys) == 4
         assert 5 in keys
         assert h.num_leaves == 9  # reduction 9 -> 4 versus all-pair attention
 
     def test_single_node_frontier_self_only(self):
-        h = build_hierarchy([0.0, 1.0], merge_counts=[1])
+        h = build_hierarchy([0.0, 1.0], 1)
         assert h.frontier(1) == [0, 1]
-        h2 = build_hierarchy([0.0, 1.0, 2.0, 4.0], merge_counts=[2, 1])
+        h2 = build_hierarchy([0.0, 1.0, 2.0, 4.0], 2)
         top = h2.frontier(2)
         first = top[0]
         assert h2.key_set(2, first, causal=True) == [first]
 
     def test_causal_first_node_is_self(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         frontier = h.frontier(2)
         assert h.key_set(2, frontier[0], causal=True) == [frontier[0]]
         assert h.key_set(2, frontier[-1], causal=True) == frontier
 
     def test_carried_node_attends_to_itself(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         # Leaf e7 (index 6) is active at scale 2 but only merges at scale 3.
         assert 6 in h.active_nodes(2)
         assert 6 not in h.frontier(2)
         assert h.key_set(2, 6) == [6]
 
     def test_inactive_node_rejected(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         with pytest.raises(HierarchyError):
             h.key_set(3, 0)  # e1 was absorbed during interval 1
 
@@ -370,7 +374,7 @@ def position_groups(h, s):
 
 class TestPoolGroups:
     def test_nine_point_pooling_path(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         nxt, groups = position_groups(h, 1)
         active1 = h.active_nodes(1)
         assert active1 == list(range(9))
@@ -381,21 +385,22 @@ class TestPoolGroups:
         assert sizes == [1, 1, 1, 1, 1, 2, 2]
 
     def test_chain_merges_pool_flat_groups(self):
-        # Interval 3 merges e7+e8 and then absorbs e9 through a chain; the
-        # next active set must group all three leaves together.
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
-        nxt, groups = position_groups(h, 3)
-        assert len(nxt) == 2
-        sizes = sorted(len(g) for g in groups)
-        assert sizes == [2, 3]
+        # At S=3 the merges split 3, 3, 2. Interval 2 joins (e1 e2) with
+        # (e3 e4) and then absorbs (e5 e6) through a chain; the next active
+        # set must group all three runs together. (At S=4 no interval below
+        # the top one chains two merges.)
+        h = build_hierarchy(nine_point_layout(), 3)
+        nxt, groups = position_groups(h, 2)
+        assert len(nxt) == 3
+        assert [len(g) for g in groups] == [3, 2, 1]
 
     def test_pool_groups_out_of_range(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         with pytest.raises(ConfigError):
             h.pool_groups(4)
 
     def test_pool_groups_returns_the_stored_arrays_read_only(self):
-        h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+        h = build_hierarchy(nine_point_layout(), 4)
         for s in range(1, h.num_scales):
             nxt, starts = h.pool_groups(s)
             assert nxt is h.active[s] and starts is h.group_starts[s - 1]
@@ -413,7 +418,7 @@ class TestPoolGroups:
     [0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
 ], ids=["negative", "too-large", "short", "long", "2-D", "float"])
 def test_type_mixture_rejects_types_that_are_not_one_id_per_leaf(types):
-    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    h = build_hierarchy(nine_point_layout(), 4)
     with pytest.raises(DataError, match=r"one integer id in \[0, 3\) for each of the 9 leaves"):
         h.type_mixture(14, np.array(types), 3)
 
@@ -424,7 +429,7 @@ def test_type_mixture_rejects_types_that_are_not_one_id_per_leaf(types):
                               "array-negative", "float-array"])
 def test_type_mixture_rejects_ids_that_are_not_nodes(node_ids):
     # The nine-point hierarchy has 15 node ids.
-    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    h = build_hierarchy(nine_point_layout(), 4)
     with pytest.raises(HierarchyError, match=r"node ids must be integers in \[0, 15\)"):
         h.type_mixture(node_ids, np.arange(9) % 3, 3)
 
@@ -433,14 +438,14 @@ def test_type_mixture_rejects_ids_that_are_not_nodes(node_ids):
 @pytest.mark.parametrize("node_id", [5.0, np.float64(5.0), True, "5", None, -1],
                          ids=["float", "numpy-float", "bool", "str", "none", "negative"])
 def test_key_set_rejects_ids_that_are_not_integers(node_id, causal):
-    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    h = build_hierarchy(nine_point_layout(), 4)
     with pytest.raises(HierarchyError, match="node_id must be an integer >= 0"):
         h.key_set(2, node_id, causal=causal)
 
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_key_set_takes_numpy_integer_ids(causal):
-    h = build_hierarchy(nine_point_layout(), merge_counts=[2, 2, 3, 1])
+    h = build_hierarchy(nine_point_layout(), 4)
     for node_id in h.active_nodes(2):
         expected = h.key_set(2, node_id, causal=causal)
         for cast in (np.int64, np.int32, np.uint8):
@@ -475,7 +480,7 @@ class TestHierarchyProperties:
         types = np.arange(n) * 7 % 3
         assert [step[:4] for step in single_linkage(t)] == [step[:4] for step in oracle]
         for S in range(1, n):
-            h = build_hierarchy(t, default_merge_counts(n, S))
+            h = build_hierarchy(t, S)
             assert_one_id_per_run(h)
             assert_group_starts(h)
             runs = [set(range(lo, end)) for lo, end in zip(h.lo.tolist(), h.end.tolist())]
@@ -489,7 +494,7 @@ class TestHierarchyProperties:
                 mixture = h.type_mixture(node_id, types, 3)
                 np.testing.assert_array_equal(mixture, counts / len(expected))
                 np.testing.assert_array_equal(mixtures[node_id], counts / len(expected))
-            bounds = np.concatenate([[0], np.cumsum(h.merge_counts)])
+            bounds = interval_starts(n, S)
             for s in range(1, S + 1):
                 start, end = bounds[s - 1], bounds[s]
                 done = [step for step in oracle if step[0] <= start]
@@ -528,9 +533,9 @@ class TestHierarchyProperties:
         assert [s[:4] for s in steps_g] == [s[:4] for s in steps_h]
         assert [s[4] for s in steps_g] == [a * s[4] for s in steps_h]
         S = data.draw(st.integers(1, len(t) - 1))
-        h = build_hierarchy(t, default_merge_counts(len(t), S))
-        g = build_hierarchy(a * t + b, default_merge_counts(len(t), S))
-        assert g.merge_counts == h.merge_counts
+        h = build_hierarchy(t, S)
+        g = build_hierarchy(a * t + b, S)
+        assert g.num_scales == h.num_scales == S
         for s in range(1, S + 1):
             assert g.active_nodes(s) == h.active_nodes(s)
             assert g.frontier(s) == h.frontier(s)

@@ -1,7 +1,8 @@
 """numpy is the only runtime dependency: every module of the package imports
 nothing but numpy, the standard library and the package itself. Only
 ``errors`` imports ``numbers``, so the scalar input rules have one home. And
-every name ``tensor`` exports has a caller in the package."""
+every name ``tensor`` or ``hierarchy`` exports has a caller in the package, so
+a helper that only tests call is not public API."""
 
 import ast
 import importlib.util
@@ -12,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import nextevent
-from nextevent import tensor
 
 ALLOWED = {"numpy", "nextevent"} | set(sys.stdlib_module_names)
 SOURCES = [
@@ -56,15 +56,15 @@ def test_only_errors_imports_numbers(path):
         f"{path.name}:{lines}: imports numbers; check scalars with the helpers in errors.py")
 
 
-def _tensor_names_used(tree: ast.AST) -> set[str]:
-    """Names of ``nextevent.tensor`` a module reaches through ``from . import
-    tensor as T`` (as ``T.<name>``) or ``from .tensor import <name>``."""
+def _names_used(tree: ast.AST, module: str) -> set[str]:
+    """Names of ``nextevent.<module>`` a module reaches through ``from . import
+    <module> as X`` (as ``X.<name>``) or ``from .<module> import <name>``."""
     aliases, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
-                aliases |= {a.asname or a.name for a in node.names if a.name == "tensor"}
-            elif node.module == "tensor":
+                aliases |= {a.asname or a.name for a in node.names if a.name == module}
+            elif node.module == module:
                 used |= {a.name for a in node.names}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -73,10 +73,11 @@ def _tensor_names_used(tree: ast.AST) -> set[str]:
     return used
 
 
-def test_every_tensor_export_is_used_by_the_package():
+@pytest.mark.parametrize("module", ["tensor", "hierarchy"])
+def test_every_export_is_used_by_the_package(module):
     used = set()
     for path in SOURCES:
-        if path.name != "tensor.py":
-            used |= _tensor_names_used(ast.parse(path.read_text(), filename=str(path)))
-    unused = set(tensor.__all__) - used
-    assert not unused, f"tensor.__all__ names nothing in the package uses: {sorted(unused)}"
+        if path.name != f"{module}.py":
+            used |= _names_used(ast.parse(path.read_text(), filename=str(path)), module)
+    unused = set(importlib.import_module(f"nextevent.{module}").__all__) - used
+    assert not unused, f"{module}.__all__ names nothing in the package uses: {sorted(unused)}"

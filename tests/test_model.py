@@ -1,5 +1,6 @@
 """Tests for the encoder's attention key sets, score accounting and boundaries."""
 
+import dataclasses
 import json
 import math
 import re
@@ -139,6 +140,28 @@ def test_load_checkpoint_rejects_unknown_config_keys(tmp_path):
         path = _edited_checkpoint(tmp_path, lambda p: p["config"].update({key: value}))
         with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
             M.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(M.ModelConfig)])
+def test_load_checkpoint_rejects_a_missing_config_key(tmp_path, field):
+    # Without the check a config saved with causal=True and pe="base" but
+    # lacking those keys loaded as causal=False and pe="fcpe", whose leaves
+    # have the same names and shapes.
+    path = _edited_checkpoint(tmp_path, lambda p: p["config"].pop(field))
+    with pytest.raises(ConfigError, match=rf"missing config keys: \['{field}'\]"):
+        M.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda p: p["config"].update(pe="fcpe"))
+    path.write_bytes(path.read_bytes().replace(b'"fcpe"', b'"fc\xffpe"'))
+    with pytest.raises(DataError, match=r"ckpt\.json: not UTF-8"):
+        M.load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_directory(tmp_path):
+    with pytest.raises(DataError, match="no such checkpoint"):
+        M.load_checkpoint(tmp_path)
 
 
 def test_config_has_one_time_distribution():
