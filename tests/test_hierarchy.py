@@ -237,6 +237,15 @@ class TestAssignScales:
         with pytest.raises(ConfigError, match="num_scales must lie in 1..2 for 3 points, got 3"):
             build_hierarchy(t, 3)
 
+    def test_accepts_numpy_integer_merge_counts(self):
+        # A num_scales read out of a numpy array slices the merges as the
+        # plain int does, and is stored as a Python int.
+        h = build_hierarchy(nine_point_layout(), 4)
+        g = build_hierarchy(nine_point_layout(), np.array([4])[0])
+        assert type(g.num_scales) is int and g.num_scales == 4
+        assert g.lo.tolist() == h.lo.tolist() and g.end.tolist() == h.end.tolist()
+        assert [g.frontier(s) for s in range(1, 5)] == [h.frontier(s) for s in range(1, 5)]
+
     def test_nine_point_node_table(self):
         # Leaves 0-8, then each run of two or more leaves where it first
         # appears: (e1 e2) and (e3 e4) at scale 2, (e1..e4) and (e5 e6) at
