@@ -152,13 +152,13 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     """Nudge exact duplicate timestamps forward by 1e-9 * mean gap, and by at
     least one ulp so that large timestamps still become distinct.
 
-    Times whose span overflows, or that are not finite, are returned as they
-    are, for :class:`EventSequence` to reject by event."""
+    Times that regress, whose span overflows, or that are not finite, are
+    returned as they are, for :class:`EventSequence` to reject by event."""
     if times.size < 2:
         return times
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.diff(times)
-        if not np.any(diffs == 0.0):
+        if not np.any(diffs == 0.0) or np.any(diffs < 0.0):
             return times
         mean_gap = float(diffs.mean())
     if not math.isfinite(mean_gap):
@@ -204,18 +204,20 @@ def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
     ``{"id": ..., "times": [...], "types": [...]}`` per line, blank lines
     skipped.
 
-    Each line is decoded as UTF-8 in any locale; one that is not UTF-8 raises
-    a :class:`DataError` naming it. ``id`` must be a string. Times are numbers
-    or decimal strings and must be ascending within each sequence; a
-    regression raises a :class:`DataError` naming the offending line.
-    ``num_types`` defaults to one past the largest type id seen. ``vocab``
-    optionally maps string labels to dense integer ids, each one
-    :func:`errors.is_type_id` accepts. A numeric type id follows that rule
-    too, so ``1.0`` is type 1, and a decimal string is its integer.
+    Each line is decoded as UTF-8 in any locale. ``id`` must be a string.
+    Times are numbers or decimal strings and must be ascending within each
+    sequence. Every :class:`DataError` a line causes names its ``path:line``.
+    ``num_types`` must be an integer >= 1, else :class:`ConfigError`, and
+    defaults to one past the largest type id seen. ``vocab`` optionally maps
+    string labels to dense integer ids, each one :func:`errors.is_type_id`
+    accepts. A numeric type id follows that rule too, so ``1.0`` is type 1,
+    and a decimal string is its integer.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
+    if num_types is not None:
+        num_types = check_int("num_types", num_types)
     bad = [label for label, k in (vocab or {}).items() if not is_type_id(k)]
     if bad:
         raise ConfigError(f"vocab id of label {bad[0]!r} is not an integer: {vocab[bad[0]]!r}")
@@ -226,19 +228,22 @@ def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
         return []
 
     if num_types is None:
-        seen = [max(types) for _, _, types in raw if types]
+        seen = [max(types) for _, _, _, types in raw if types]
         if not seen:
             raise DataError(f"{path}: every sequence is empty, so num_types must be given")
         num_types = 1 + max(seen)
 
     out = []
-    for seq_id, times, types in raw:
-        times = _dedupe_times(np.asarray(times, dtype=np.float64), seq_id)
-        out.append(EventSequence(times, np.asarray(types), num_types, seq_id))
+    for lineno, seq_id, times, types in raw:
+        try:
+            times = _dedupe_times(np.asarray(times, dtype=np.float64), seq_id)
+            out.append(EventSequence(times, np.asarray(types), num_types, seq_id))
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     return out
 
 
-def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
+def _read_jsonl(path: Path, vocab) -> list[tuple[int, str, list, list]]:
     out = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -268,12 +273,8 @@ def _read_jsonl(path: Path, vocab) -> list[tuple[str, list, list]]:
                 times = [float(t) for t in times]
             except (TypeError, ValueError):
                 raise DataError(f"{path}:{lineno}: times must be numbers") from None
-            if len(times) != len(types):
-                raise DataError(f"{path}:{lineno}: {len(times)} times but {len(types)} types")
             types = [_coerce_type(k, vocab, f"{path}:{lineno}") for k in types]
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise DataError(f"{path}:{lineno}: time regression in sequence {seq_id!r}")
-            out.append((seq_id, times, types))
+            out.append((lineno, seq_id, times, types))
     return out
 
 

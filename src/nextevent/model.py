@@ -33,6 +33,9 @@ Forward pass per history window:
 ``num_scales=1`` is the dense, all-pair baseline: the hierarchy has a single
 scale whose frontier is every event, so the encoder is one all-pair
 attention pass and nothing is pooled.
+
+Every learnable leaf is an attribute of :class:`ModelParams`, and
+:func:`init_model_params` draws them all, the encoding's two included.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .encoding import FcpeParams, fcpe_matrix, fcpe_trig, init_fcpe_params
+from .encoding import fcpe_matrix, fcpe_trig
 from .errors import ConfigError, DataError, HierarchyError, NumericsError, check_int, check_real
 from .events import EventSequence, PredictionExample
 from .hierarchy import ScaleHierarchy, build_hierarchy
@@ -112,24 +115,23 @@ class ModelConfig:
         return self.d_model // self.num_heads
 
 
-@dataclass
-class ScaleAttentionParams:
-    """Per-scale projections: ``w_qkv`` stacks every head's W_Q, then W_K,
-    then W_V, as :func:`tensor.multi_head_attention` takes them; W_O."""
-
-    w_qkv: DiffNode
-    w_out: DiffNode
-
-
 class ModelParams:
-    """All learnable leaves, addressable by name for the optimizer and I/O."""
+    """All learnable leaves, addressable by name for the optimizer and I/O.
+    Each is stored as the forward multiplies by it: the encoding's ``freqs``
+    (1, d/2) and ``density_map`` (K, d/2), ``type_embed`` (K, d); per scale,
+    ``w_qkv[s]`` (3 * heads, d, d_k), every head's W_Q, then W_K, then W_V, as
+    :func:`tensor.multi_head_attention` takes them, and W_O ``w_out[s]`` (d, d)."""
 
-    def __init__(self, config: ModelConfig, fcpe: FcpeParams,
-                 attn: list[ScaleAttentionParams], pool_proj: list[DiffNode],
-                 w_summary: DiffNode, w_type: DiffNode, w_time: DiffNode):
+    def __init__(self, config: ModelConfig, freqs: DiffNode, density_map: DiffNode,
+                 type_embed: DiffNode, w_qkv: list[DiffNode], w_out: list[DiffNode],
+                 pool_proj: list[DiffNode], w_summary: DiffNode, w_type: DiffNode,
+                 w_time: DiffNode):
         self.config = config
-        self.fcpe = fcpe
-        self.attn = attn
+        self.freqs = freqs
+        self.density_map = density_map
+        self.type_embed = type_embed
+        self.w_qkv = w_qkv
+        self.w_out = w_out
         self.pool_proj = pool_proj
         self.w_summary = w_summary
         self.w_type = w_type
@@ -138,13 +140,13 @@ class ModelParams:
     def all_named(self) -> dict[str, DiffNode]:
         """Every leaf by name; the names are the checkpoint's keys."""
         out = {
-            "fcpe.freqs": self.fcpe.freqs,
-            "fcpe.density_map": self.fcpe.density_map,
-            "fcpe.type_embed": self.fcpe.type_embed,
+            "fcpe.freqs": self.freqs,
+            "fcpe.density_map": self.density_map,
+            "fcpe.type_embed": self.type_embed,
         }
-        for s, sp in enumerate(self.attn, start=1):
-            out[f"attn{s}.wqkv"] = sp.w_qkv
-            out[f"attn{s}.wo"] = sp.w_out
+        for s, (w_qkv, w_out) in enumerate(zip(self.w_qkv, self.w_out), start=1):
+            out[f"attn{s}.wqkv"] = w_qkv
+            out[f"attn{s}.wo"] = w_out
         for s, wc in enumerate(self.pool_proj, start=1):
             out[f"pool{s}.wc"] = wc
         out["dec.summary"] = self.w_summary
@@ -190,21 +192,27 @@ class ModelParams:
 
 
 def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Seeded initialization; identical (config, seed) gives identical values."""
+    """Seeded initialization; identical (config, seed) gives identical values.
+
+    The frequencies sit on the DFT grid ``2*pi*k / (d/2)``. The amplitude map
+    and the type embedding are drawn as (d/2, K) and (d, K) and stored
+    transposed, so a seed gives the values it always has."""
     rng = np.random.default_rng(seed)
-    d, dk = config.d_model, config.head_dim
+    d, dk, half = config.d_model, config.head_dim, config.d_model // 2
     sigma = 1.0 / math.sqrt(d)
-    fcpe = init_fcpe_params(d, config.num_types, rng)
+    freqs = T.parameter((2.0 * np.pi * np.arange(half) / half).reshape(1, half))
+    density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, config.num_types)).T)
+    type_embed = T.parameter(rng.normal(0.0, sigma, size=(d, config.num_types)).T)
     if config.pe == "base":
-        # Fixed sinusoidal encoding: unit amplitudes on the DFT grid that
-        # init_fcpe_params already set, both frozen by named_parameters.
-        fcpe.density_map.value[...] = 1.0
-    attn = []
+        # Fixed sinusoidal encoding: unit amplitudes on the DFT grid, both
+        # frozen by named_parameters.
+        density_map.value[...] = 1.0
+    w_qkv, w_out = [], []
     for _ in range(config.num_scales):
         # Drawn head by head as (W_Q, W_K, W_V), stored as Q, K and V blocks.
         qkv = rng.normal(0.0, sigma, size=(config.num_heads, 3, d, dk))
-        w_qkv = T.parameter(qkv.transpose(1, 0, 2, 3).reshape(-1, d, dk))
-        attn.append(ScaleAttentionParams(w_qkv, T.parameter(rng.normal(0.0, sigma, size=(d, d)))))
+        w_qkv.append(T.parameter(qkv.transpose(1, 0, 2, 3).reshape(-1, d, dk)))
+        w_out.append(T.parameter(rng.normal(0.0, sigma, size=(d, d))))
     pool_proj = [
         T.parameter(rng.normal(0.0, 1.0 / math.sqrt(2 * d), size=(2 * d, d)))
         for _ in range(config.num_scales - 1)
@@ -212,7 +220,8 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     w_summary = T.parameter(rng.normal(0.0, sigma, size=(d, d)))
     w_type = T.parameter(rng.normal(0.0, sigma, size=(d, config.num_types)))
     w_time = T.parameter(rng.normal(0.0, sigma, size=(d, 2)))
-    return ModelParams(config, fcpe, attn, pool_proj, w_summary, w_type, w_time)
+    return ModelParams(config, freqs, density_map, type_embed, w_qkv, w_out, pool_proj,
+                       w_summary, w_type, w_time)
 
 
 class FlopCounter:
@@ -240,17 +249,17 @@ def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
     """Positional encodings (n, d); a constant under ``pe="base"``, whose
     frequencies and amplitudes are frozen, so backward skips them. ``trig``
     is as :func:`encoding.fcpe_matrix` takes it."""
-    pos = fcpe_matrix(params.fcpe, times, type_weights, trig)
+    pos = fcpe_matrix(params.freqs, params.density_map, times, type_weights, trig)
     return T.constant(pos.value) if params.config.pe == "base" else pos
 
 
 def _embed(params: ModelParams, times, type_weights, trig) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
-    type_part = T.matmul(T.constant(type_weights), params.fcpe.type_embed)
+    type_part = T.matmul(T.constant(type_weights), params.type_embed)
     return T.add(type_part, _positional(params, times, type_weights, trig))
 
 
-def _attend(H: DiffNode, rows, causal: bool, sp: ScaleAttentionParams,
+def _attend(H: DiffNode, rows, causal: bool, w_qkv: DiffNode, w_out: DiffNode,
             counter: FlopCounter | None, last_only: bool = False) -> DiffNode:
     """One :func:`tensor.multi_head_attention` node over ``H[rows]``: every
     head, concat(heads) @ W_O and the residual. Counts the keys each query
@@ -258,8 +267,8 @@ def _attend(H: DiffNode, rows, causal: bool, sp: ScaleAttentionParams,
     if counter is not None:
         n = len(rows)
         keys = n * (n + 1) // 2 if causal else (1 if last_only else n) * n
-        counter.add(sp.w_qkv.shape[0] // 3 * keys * sp.w_qkv.shape[2])
-    return T.multi_head_attention(H, rows, sp.w_qkv, sp.w_out, causal, last_only)
+        counter.add(w_qkv.shape[0] // 3 * keys * w_qkv.shape[2])
+    return T.multi_head_attention(H, rows, w_qkv, w_out, causal, last_only)
 
 
 def cross_scale_attention(
@@ -281,7 +290,7 @@ def cross_scale_attention(
     multiplications are ``n * n * d_k`` per head over n rows, or
     ``n (n + 1) / 2 * d_k`` with ``causal``.
     """
-    return _attend(H, rows, causal, params.attn[s - 1], counter)
+    return _attend(H, rows, causal, params.w_qkv[s - 1], params.w_out[s - 1], counter)
 
 
 def hierarchical_pool(H_active: DiffNode, hierarchy: ScaleHierarchy, s: int,
@@ -328,7 +337,7 @@ def encode(params: ModelParams, seq: EventSequence,
     # (time, mix, cos, sin), a row per node id: a node carried over is encoded from one row.
     ids = np.arange(len(hierarchy.lo))
     table = (hierarchy.rep_time, hierarchy.type_mixture(ids, seq.types, cfg.num_types),
-             *fcpe_trig(params.fcpe, hierarchy.rep_time))
+             *fcpe_trig(params.freqs, hierarchy.rep_time))
     time, mix, cos, sin = (column[hierarchy.active[0]] for column in table)
     H = _embed(params, time, mix, (cos, sin))
     for s in range(1, S + 1):
@@ -349,7 +358,8 @@ def summarize(params: ModelParams, H_top: DiffNode,
     every top node in one :func:`tensor.multi_head_attention` node, then a
     dense layer produces the sequence summary H_L."""
     rows = np.arange(H_top.shape[0])
-    attended = _attend(H_top, rows, False, params.attn[-1], counter, last_only=True)
+    attended = _attend(H_top, rows, False, params.w_qkv[-1], params.w_out[-1], counter,
+                       last_only=True)
     return T.matmul(attended, params.w_summary)
 
 
@@ -518,16 +528,21 @@ def save_checkpoint(path, params: ModelParams, mean_gap: float | None = None) ->
     """One JSON file: the version, the config's fields, each leaf of
     :meth:`ModelParams.all_named` as shape and row-major data, and
     ``mean_gap`` as :func:`events.normalize_times` returns it, or null. A
-    ``mean_gap`` that is not a finite real > 0 raises :class:`ConfigError`
-    before anything is written. Floats round-trip exactly."""
+    ``mean_gap`` that is not a finite real > 0 raises :class:`ConfigError`,
+    and a leaf that holds a non-finite value :class:`NumericsError`, before
+    anything is written. Floats round-trip exactly."""
     if mean_gap is not None:
         mean_gap = check_real("mean_gap", mean_gap)
+    named = sorted(params.all_named().items())
+    for name, node in named:
+        if not np.isfinite(node.value).all():
+            raise NumericsError(f"parameter {name!r} holds non-finite values")
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "params": {
             name: {"shape": list(node.value.shape), "data": node.value.reshape(-1).tolist()}
-            for name, node in sorted(params.all_named().items())
+            for name, node in named
         },
         "mean_gap": mean_gap,
     }

@@ -358,20 +358,20 @@ def attention_chain(xq, x, w_qkv, w_out, causal):
     return T.add(T.matmul(T.concat_cols(*outs), w_out), xq)
 
 
-def fcpe_chain(params, times, type_weights, trig):
+def fcpe_chain(freqs, density_map, times, type_weights, trig):
     """``encoding.fcpe_matrix`` as 10 nodes: phases and amplitudes as
     matmuls, cos/sin, the two products, then the interleave as a column
     gather of their concatenation. ``trig`` is ignored: the chain computes
     its own cos and sin."""
-    dim = params.type_embed.shape[1]
-    half = dim // 2
+    half = freqs.shape[1]
+    dim = 2 * half
     interleave = np.empty(dim, dtype=np.int64)
     interleave[0::2] = np.arange(half)
     interleave[1::2] = np.arange(half) + half
     t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
-    phases = T.matmul(t_col, params.freqs)
+    phases = T.matmul(t_col, freqs)
     weights = T.constant(np.asarray(type_weights, dtype=np.float64))
-    mu = T.matmul(weights, params.density_map)
+    mu = T.matmul(weights, density_map)
     cos_phases, sin_phases = cos_sin(phases)
     return gather_cols(T.concat_cols(mul(mu, cos_phases), mul(mu, sin_phases)), interleave)
 

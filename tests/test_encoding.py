@@ -5,20 +5,16 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.encoding import (
-    FcpeParams,
-    fcpe_matrix,
-    fcpe_trig,
-    init_fcpe_params,
-    initial_frequencies,
-)
+from nextevent.encoding import fcpe_matrix, fcpe_trig
 from nextevent.errors import ConfigError
 from gradcheck import check_gradients
 import oracles as O
 
 
 def make_params(dim=8, num_types=3, seed=0):
-    return init_fcpe_params(dim, num_types, np.random.default_rng(seed))
+    """A one-scale model's leaves; the encoding's are the first it draws."""
+    config = M.ModelConfig(d_model=dim, num_heads=1, num_scales=1, num_types=num_types)
+    return M.init_model_params(config, seed)
 
 
 def onehot(types, num_types):
@@ -27,12 +23,13 @@ def onehot(types, num_types):
 
 def fcpe_node(params, times, weights):
     """fcpe_matrix with the cos and sin of fcpe_trig, as the model passes them."""
-    return fcpe_matrix(params, times, weights, fcpe_trig(params, times))
+    return fcpe_matrix(params.freqs, params.density_map, times, weights,
+                       fcpe_trig(params.freqs, times))
 
 
 def encode_rows(params, times, types):
     """fcpe_matrix rows for one-hot types, as a numpy array (n, d)."""
-    return fcpe_node(params, times, onehot(types, params.type_embed.shape[0])).value
+    return fcpe_node(params, times, onehot(types, params.config.num_types)).value
 
 
 def amplitudes(params, types):
@@ -45,14 +42,9 @@ def kernel(params, ta, tb, ka, kb):
     return float(pa @ pb)
 
 
-def make_model(dim=6, num_types=2, seed=0):
-    config = M.ModelConfig(d_model=dim, num_heads=1, num_scales=1, num_types=num_types)
-    return M.init_model_params(config, seed)
-
-
 def embed_node(model, times, weights):
     """model._embed with the cos and sin of fcpe_trig, as the model passes them."""
-    return M._embed(model, times, weights, fcpe_trig(model.fcpe, times))
+    return M._embed(model, times, weights, fcpe_trig(model.freqs, times))
 
 
 def embed_rows(model, times, types):
@@ -126,11 +118,9 @@ class TestFcpe:
             np.testing.assert_allclose(enc[k, 2 * k:2 * k + 2], enc[0, 2 * k:2 * k + 2],
                                        rtol=0, atol=1e-10)
 
-    def test_initial_frequencies_follow_dft_grid(self):
+    def test_frequencies_start_on_the_dft_grid(self):
         params = make_params(dim=8, num_types=2)
-        np.testing.assert_allclose(
-            params.freqs.value, initial_frequencies(8), rtol=0, atol=0
-        )
+        np.testing.assert_array_equal(params.freqs.value, [2 * np.pi * np.arange(4) / 4])
         assert params.freqs.value[0, 0] == 0.0
 
     def test_gradient_through_frequencies(self):
@@ -166,22 +156,22 @@ class TestEmbedEvent:
     """The model's single embedding path: type column plus fcpe_matrix."""
 
     def test_zero_type_embedding_reduces_to_fcpe(self):
-        model = make_model()
-        model.fcpe.type_embed.value[:] = 0.0
+        model = make_params(dim=6, num_types=2)
+        model.type_embed.value[:] = 0.0
         emb = embed_rows(model, [1.3, 2.0], [1, 0])
-        np.testing.assert_allclose(emb, encode_rows(model.fcpe, [1.3, 2.0], [1, 0]), atol=1e-15)
+        np.testing.assert_allclose(emb, encode_rows(model, [1.3, 2.0], [1, 0]), atol=1e-15)
 
     def test_zero_density_reduces_to_type_column(self):
-        model = make_model()
-        model.fcpe.density_map.value[:] = 0.0
+        model = make_params(dim=6, num_types=2)
+        model.density_map.value[:] = 0.0
         emb = embed_rows(model, [2.9], [1])
-        np.testing.assert_allclose(emb[0], model.fcpe.type_embed.value[1], atol=1e-15)
+        np.testing.assert_allclose(emb[0], model.type_embed.value[1], atol=1e-15)
 
     def test_same_type_kernel_translation_after_embedding(self):
         # With zero type columns the embedding kernel inherits the
         # positional kernel's shift invariance.
-        model = make_model(dim=8, seed=5)
-        model.fcpe.type_embed.value[:] = 0.0
+        model = make_params(dim=8, num_types=2, seed=5)
+        model.type_embed.value[:] = 0.0
         rng = np.random.default_rng(17)
         for _ in range(50):
             ta, tb, c = rng.uniform(-10, 10, size=3)
@@ -189,7 +179,7 @@ class TestEmbedEvent:
             assert abs(a0 @ b0 - a1 @ b1) < 1e-10
 
     def test_gradients_through_all_parameters(self):
-        model = make_model(seed=6)
+        model = make_params(dim=6, num_types=2, seed=6)
 
         def f(_leaves):
             emb = embed_node(model, [0.8, 1.9], onehot([1, 0], 2))
@@ -200,26 +190,15 @@ class TestEmbedEvent:
         assert report.max_rel_error < 1e-4
 
     def test_dim_must_be_even(self):
-        with pytest.raises(ConfigError):
-            init_fcpe_params(7, 2, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            FcpeParams(T.parameter(np.zeros((1, 3))),
-                       T.parameter(np.zeros((2, 3))), T.parameter(np.zeros((2, 7))))
+        with pytest.raises(ConfigError, match="d_model must be even, got 7"):
+            M.ModelConfig(d_model=7, num_heads=1)
 
     @pytest.mark.parametrize("dim", [0, -2, 8.0, True])
     def test_dim_must_be_a_positive_integer(self, dim):
-        with pytest.raises(ConfigError, match=rf"encoding dim must be an integer >= 1, got {dim}"):
-            init_fcpe_params(dim, 2, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=rf"d_model must be an integer >= 1, got {dim}"):
+            M.ModelConfig(d_model=dim, num_heads=1)
 
     def test_leaves_are_stored_as_the_forward_multiplies_by_them(self):
         params = make_params(dim=8, num_types=3)
         assert (params.freqs.shape, params.density_map.shape, params.type_embed.shape) == (
             (1, 4), (3, 4), (3, 8))
-        leaves = dict(freqs=np.zeros((1, 4)), density_map=np.zeros((3, 4)),
-                      type_embed=np.zeros((3, 8)))
-        for name, transposed in (("freqs", (4, 1)), ("density_map", (4, 3)),
-                                 ("type_embed", (8, 3))):
-            nodes = {k: T.parameter(v) for k, v in leaves.items()}
-            nodes[name] = T.parameter(np.zeros(transposed))
-            with pytest.raises(ConfigError, match=rf"{name} must have shape"):
-                FcpeParams(**nodes)

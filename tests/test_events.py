@@ -196,7 +196,8 @@ class TestLoadSequences:
         p = tmp_path / "bad.jsonl"
         p.write_text(_jsonl(("a", [0.0, 1.0], [0, 0]), ("b", [0.0, 5.0], [0, 0]),
                             ("", [], []), ("c", [0.0, 5.0, 3.0], [0, 0, 0])))
-        with pytest.raises(DataError, match=r"bad\.jsonl:4: time regression in sequence 'c'"):
+        match = r"bad\.jsonl:4: sequence 'c': time regression at event 2"
+        with pytest.raises(DataError, match=match):
             load_sequences(p)
 
     def test_unknown_type_id(self, tmp_path):
@@ -331,7 +332,8 @@ class TestLoadSequences:
         ('{"id": "b", "times": [true, 2.0], "types": [0, 1]}', "times must be numbers"),
         ('[0.0, 1.0]', "expected a JSON object"),
         ('{"id": "b", "times": 1.0, "types": [0]}', "times and types must be lists"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": [0]}', "2 times but 1 types"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": [0]}',
+         r"sequence 'b': times and types must be equal-length 1-D arrays, got \(2,\) and \(1,\)"),
     ], ids=["non-numeric time", "null time", "bool time", "not an object",
             "times not a list", "fewer types than times"])
     def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
@@ -373,6 +375,37 @@ class TestLoadSequences:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=f"'a': {message}"):
                 load_sequences(p)
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "times": [0.0, NaN], "types": [0, 0]}', "non-finite time at event 1"),
+        ('{"id": "b", "times": [0.0, "inf"], "types": [0, 0]}', "non-finite time at event 1"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": [0, 2]}', r"type ids must lie in \[0, 2\)"),
+        ('{"id": "b", "times": [-1e308, 1e308], "types": [0, 0]}',
+         "time span overflow at event 1"),
+        ('{"id": "b", "times": [3.0, 3.0, 3.0], "types": [0, 0, 0]}',
+         "all timestamps identical"),
+        ('{"id": "b", "times": [1.0, 3.0, 2.0, 2.0], "types": [0, 0, 0, 0]}',
+         "time regression at event 2"),
+    ], ids=["NaN time", "inf string", "type outside num_types", "span overflow",
+            "identical times", "regression next to a tie"])
+    def test_a_sequence_error_names_its_line(self, tmp_path, line, message):
+        # Line 1 holds a good sequence with the same id, so only the line
+        # number tells them apart. A regression next to a tie is reported,
+        # not nudged away with a warning.
+        p = tmp_path / "f.jsonl"
+        p.write_text('{"id": "b", "times": [0.0], "types": [0]}\n' + line + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=rf"f\.jsonl:2: sequence 'b': {message}"):
+                load_sequences(p, num_types=2)
+
+    @pytest.mark.parametrize("num_types", [0, True, 2.0, "3"])
+    def test_num_types_is_checked_before_reading(self, tmp_path, num_types):
+        p = tmp_path / "f.jsonl"
+        p.write_text("not JSON\n")
+        match = rf"num_types must be an integer >= 1, got {re.escape(repr(num_types))}"
+        with pytest.raises(ConfigError, match=match):
+            load_sequences(p, num_types=num_types)
 
     def test_all_empty_sequences_need_num_types(self, tmp_path):
         p = tmp_path / "empty.jsonl"

@@ -51,33 +51,33 @@ def test_fcpe_node_rounds_like_its_chain(monkeypatch, name):
     params, example = _setup(name)
     calls = []
 
-    def recording(fcpe, times, type_weights, trig):
+    def recording(freqs, density_map, times, type_weights, trig):
         calls.append((times, type_weights, trig))
-        return fcpe_matrix(fcpe, times, type_weights, trig)
+        return fcpe_matrix(freqs, density_map, times, type_weights, trig)
 
     monkeypatch.setattr(M, "fcpe_matrix", recording)
     M.forward(params, example)
     assert len(calls) == params.config.num_scales
-    fcpe = params.fcpe
+    freqs, density_map = params.freqs, params.density_map
     # One path for every node: each call reads rows of one table, a row per
     # node id, at the leaves' ids and then at each pooled scale's.
     seq = example.history
     h = M.hierarchy_for(params.config, seq.times)
     table = (h.rep_time, h.type_mixture(np.arange(len(h.lo)), seq.types, seq.num_types),
-             *fcpe_trig(fcpe, h.rep_time))
+             *fcpe_trig(freqs, h.rep_time))
     for (times, weights, (cos, sin)), ids in zip(calls, h.active):
         for got, column in zip((times, weights, cos, sin), table):
             np.testing.assert_array_equal(got, column[ids])
     rng = np.random.default_rng(0)
     for times, weights, trig in calls:
         results = []
-        upstream = rng.normal(size=(len(times), fcpe.type_embed.shape[1]))
+        upstream = rng.normal(size=(len(times), params.config.d_model))
         for build in (fcpe_matrix, O.fcpe_chain):
-            fcpe.freqs.zero_grad()
-            fcpe.density_map.zero_grad()
-            out = build(fcpe, times, weights, trig)
+            freqs.zero_grad()
+            density_map.zero_grad()
+            out = build(freqs, density_map, times, weights, trig)
             O.sum_all(O.mul(out, T.constant(upstream))).backward()
-            results.append([out.value, fcpe.freqs.grad.copy(), fcpe.density_map.grad.copy()])
+            results.append([out.value, freqs.grad.copy(), density_map.grad.copy()])
         for fused, chained in zip(*results):
             np.testing.assert_array_equal(fused, chained)
 

@@ -1,8 +1,8 @@
 """numpy is the only runtime dependency: every module of the package imports
 nothing but numpy, the standard library and the package itself. Only
 ``errors`` imports ``numbers``, so the scalar input rules have one home. And
-every name ``tensor`` or ``hierarchy`` exports has a caller in the package, so
-a helper that only tests call is not public API."""
+every name ``tensor``, ``hierarchy`` or ``encoding`` exports has a caller in
+the package, so a helper that only tests call is not public API."""
 
 import ast
 import importlib.util
@@ -73,7 +73,7 @@ def _names_used(tree: ast.AST, module: str) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", ["tensor", "hierarchy"])
+@pytest.mark.parametrize("module", ["tensor", "hierarchy", "encoding"])
 def test_every_export_is_used_by_the_package(module):
     used = set()
     for path in SOURCES:

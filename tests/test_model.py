@@ -28,9 +28,9 @@ def _config(causal, **kw):
     return M.ModelConfig(d_model=8, num_heads=2, num_scales=4, num_types=4, causal=causal, **kw)
 
 
-def _heads(sp):
-    """Each head's (W_Q, W_K, W_V) slices of the scale's stacked W_QKV."""
-    w, nh = sp.w_qkv.value, sp.w_qkv.shape[0] // 3
+def _heads(w_qkv):
+    """Each head's (W_Q, W_K, W_V) slices of a scale's stacked W_QKV."""
+    w, nh = w_qkv.value, w_qkv.shape[0] // 3
     return [(w[h], w[nh + h], w[2 * nh + h]) for h in range(nh)]
 
 
@@ -93,12 +93,11 @@ def test_cross_scale_attention_matches_dense_oracle(kind):
     out = M.cross_scale_attention(T.constant(H), causal, params, 1, rows=np.arange(n))
 
     keys = [range(j + 1) if causal else range(n) for j in range(n)]
-    sp = params.attn[0]
     heads = [
         dense_masked_attention(H, wq, wk, wv, keys, 1.0 / math.sqrt(cfg.head_dim))[0]
-        for wq, wk, wv in _heads(sp)
+        for wq, wk, wv in _heads(params.w_qkv[0])
     ]
-    expected = np.concatenate(heads, axis=1) @ sp.w_out.value + H
+    expected = np.concatenate(heads, axis=1) @ params.w_out[0].value + H
     np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -111,13 +110,12 @@ def test_summarize_matches_dense_oracle():
     out = M.summarize(params, T.constant(H), counter)
 
     # Every row attends to all rows; the summary keeps the last one.
-    sp = params.attn[-1]
     heads = [
         dense_masked_attention(H, wq, wk, wv, [range(n)] * n,
                                1.0 / math.sqrt(cfg.head_dim))[0][-1]
-        for wq, wk, wv in _heads(sp)
+        for wq, wk, wv in _heads(params.w_qkv[-1])
     ]
-    attended = np.concatenate(heads) @ sp.w_out.value + H[-1]
+    attended = np.concatenate(heads) @ params.w_out[-1].value + H[-1]
     expected = (attended @ params.w_summary.value)[None, :]
     np.testing.assert_allclose(out.value, expected, rtol=1e-12, atol=1e-12)
     assert counter.count == cfg.num_heads * cfg.head_dim * n
@@ -245,11 +243,22 @@ def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
     for name, node in params.all_named().items():
         np.testing.assert_array_equal(loaded.all_named()[name].value, node.value)
 
-    params.w_type.value[0, 1] = np.nan
-    bad = tmp_path / "bad.json"
-    M.save_checkpoint(bad, params)
+    def put_nan(payload):  # save_checkpoint refuses to write one
+        payload["params"]["dec.type"]["data"][1] = math.nan
+
     with pytest.raises(NumericsError, match="dec.type"):
-        M.load_checkpoint(bad)
+        M.load_checkpoint(_edited_checkpoint(tmp_path, put_nan))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("fcpe.freqs", math.nan), ("attn2.wqkv", math.inf), ("dec.type", -math.inf)])
+def test_save_checkpoint_rejects_a_non_finite_leaf_before_writing(tmp_path, name, value):
+    params = M.init_model_params(_config(False), seed=0)
+    params.all_named()[name].value.flat[1] = value
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(NumericsError, match=rf"parameter '{name}' holds non-finite values"):
+        M.save_checkpoint(path, params)
+    assert not path.exists()
 
 
 def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
@@ -273,21 +282,21 @@ def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
 ], ids=["nested-list", "ragged", "dict", "str"])
 def test_load_values_raises_config_error_for_what_is_not_a_leaf(value, match):
     params = M.init_model_params(_config(False), seed=0)
-    before = params.fcpe.type_embed.value.copy()
+    before = params.type_embed.value.copy()
     with pytest.raises(ConfigError, match=rf"parameter 'fcpe.type_embed': {match}"):
         params.load_values({"fcpe.type_embed": value})
-    np.testing.assert_array_equal(params.fcpe.type_embed.value, before)
+    np.testing.assert_array_equal(params.type_embed.value, before)
     # A nested list of the leaf's shape loads as its array would.
     params.load_values({"fcpe.type_embed": (before + 1.0).tolist()})
-    np.testing.assert_array_equal(params.fcpe.type_embed.value, before + 1.0)
+    np.testing.assert_array_equal(params.type_embed.value, before + 1.0)
 
 
 def test_load_values_writes_nothing_when_a_later_entry_is_bad():
     params = M.init_model_params(_config(False), seed=0)
-    freqs = params.fcpe.freqs.value.copy()
+    freqs = params.freqs.value.copy()
     with pytest.raises(ConfigError, match=r"'fcpe.type_embed': shape \(1, 1\) does not match"):
         params.load_values({"fcpe.freqs": freqs + 1.0, "fcpe.type_embed": [[1.0]]})
-    np.testing.assert_array_equal(params.fcpe.freqs.value, freqs)
+    np.testing.assert_array_equal(params.freqs.value, freqs)
 
 
 # The stored value is checked as it is, never coerced through float().

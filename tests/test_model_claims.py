@@ -53,10 +53,9 @@ def test_point_estimate_rejects_an_overflowing_mean():
 def _numpy_positional(params, times, type_weights):
     """Interleaved amplitude * (cos, sin) pairs, in plain numpy: learned
     amplitudes for pe="fcpe", unit amplitudes for pe="base"."""
-    fcpe = params.fcpe
     weights = np.asarray(type_weights, dtype=np.float64)
-    phases = np.asarray(times, dtype=np.float64).reshape(-1, 1) * fcpe.freqs.value.reshape(1, -1)
-    mu = weights @ fcpe.density_map.value if params.config.pe == "fcpe" else 1.0
+    phases = np.asarray(times, dtype=np.float64).reshape(-1, 1) * params.freqs.value.reshape(1, -1)
+    mu = weights @ params.density_map.value if params.config.pe == "fcpe" else 1.0
     pos = np.empty((len(weights), params.config.d_model))
     pos[:, 0::2] = mu * np.cos(phases)
     pos[:, 1::2] = mu * np.sin(phases)
@@ -66,7 +65,7 @@ def _numpy_positional(params, times, type_weights):
 def _numpy_embedding(params, times, type_weights):
     """Type rows plus the positional pairs of :func:`_numpy_positional`."""
     weights = np.asarray(type_weights, dtype=np.float64)
-    return weights @ params.fcpe.type_embed.value + _numpy_positional(params, times, weights)
+    return weights @ params.type_embed.value + _numpy_positional(params, times, weights)
 
 
 @pytest.mark.parametrize("pe", ["fcpe", "base"])
@@ -75,7 +74,7 @@ def test_embedding_matches_a_numpy_encoding(pe):
     rng = np.random.default_rng(5)
     times = rng.uniform(-4.0, 9.0, size=7)
     weights = np.eye(3)[rng.integers(0, 3, size=7)]
-    got = M._embed(params, times, weights, fcpe_trig(params.fcpe, times)).value
+    got = M._embed(params, times, weights, fcpe_trig(params.freqs, times)).value
     np.testing.assert_allclose(got, _numpy_embedding(params, times, weights), rtol=0, atol=1e-15)
 
 
@@ -84,7 +83,7 @@ def test_base_mode_pooled_context_has_unit_amplitude():
     # within rounding.
     params = M.init_model_params(M.ModelConfig(d_model=8, num_heads=2, num_types=3, pe="base"), 2)
     mixture = np.array([[3.0, 2.0, 2.0]]) / 7.0
-    got = M._embed(params, [2.37], mixture, fcpe_trig(params.fcpe, [2.37])).value
+    got = M._embed(params, [2.37], mixture, fcpe_trig(params.freqs, [2.37])).value
     np.testing.assert_allclose(got, _numpy_embedding(params, [2.37], mixture), rtol=0, atol=1e-15)
 
 
@@ -94,9 +93,9 @@ def test_base_mode_backward_leaves_the_frozen_encoding_alone():
     config = M.ModelConfig(d_model=8, num_heads=2, num_scales=3, num_types=3, pe="base")
     params = M.init_model_params(config, seed=1)
     M.forward(params, _example()).total.backward()
-    assert not params.fcpe.freqs.grad.any()
-    assert not params.fcpe.density_map.grad.any()
-    assert params.fcpe.type_embed.grad.any()
+    assert not params.freqs.grad.any()
+    assert not params.density_map.grad.any()
+    assert params.type_embed.grad.any()
 
 
 @pytest.mark.parametrize("pe", ["fcpe", "base"])
@@ -109,7 +108,7 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     seq = _example(length=64).history
     h = M.hierarchy_for(config, seq.times)
     table = (h.rep_time, h.type_mixture(np.arange(len(h.lo)), seq.types, 3),
-             *fcpe_trig(params.fcpe, h.rep_time))
+             *fcpe_trig(params.freqs, h.rep_time))
     rng = np.random.default_rng(8)
     for s in range(1, h.num_scales):
         active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
