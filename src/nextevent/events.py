@@ -6,13 +6,18 @@ Files are JSONL in and out, whatever their suffix: one object per sequence,
 line of its own.
 
 An event sequence is an ordered list of (time, type) pairs with integer
-types in ``[0, num_types)``. The loader validates ordering rather than silently
-re-sorting; exact duplicate timestamps are nudged forward by a tiny fraction
-of the mean gap (with a warning) because exact ties would make the
-clustering hierarchy order-dependent. Normalization shifts every sequence to
-start at zero and may divide by one global mean gap. That mean gap, a
-``float``, is all the state it returns; it keeps none per sequence, so
-sequences that share an id are normalized independently.
+types in ``[0, num_types)``. One rule, which :class:`EventSequence` applies to
+every caller, says what a time and a type id are. A time is a real number
+that numpy holds as an int, uint or float. A type id is an integer or a float
+that holds a whole number; anything else is rejected, not truncated. A bool
+or a string is neither, in a list or as an array's dtype, and an int, uint or
+float array is judged with no per-element Python work. The loader validates
+ordering rather than silently re-sorting; exact duplicate timestamps are
+nudged forward by a tiny fraction of the mean gap (with a warning) because
+exact ties would make the clustering hierarchy order-dependent. Normalization
+shifts every sequence to start at zero and may divide by one global mean gap.
+That mean gap, a ``float``, is all the state it returns; it keeps none per
+sequence, so sequences that share an id are normalized independently.
 
 Windows cost nothing until they are read: :func:`make_examples` checks a
 sequence once and returns a read-only sequence of windows that builds each
@@ -48,16 +53,53 @@ __all__ = [
 ]
 
 
+def _checked(values, seq_id: str, name: str, rule: str, passes, ok) -> np.ndarray:
+    """``values`` as an array whose elements are each ``rule``: ``passes``
+    judges the whole array with no per-element work, and only when it fails
+    does ``ok`` look for the first element that is not."""
+    array = values
+    if not isinstance(values, np.ndarray):
+        try:  # np.asarray would read a bool among numbers as 0 or 1
+            bools = isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+                map(type, values))
+            array = np.array(values, dtype=object) if bools else np.asarray(values)
+        except ValueError:
+            raise DataError(f"sequence {seq_id!r}: {name}s are a ragged list") from None
+    if not passes(array):
+        # Read a flat list as given: np.asarray turns its numbers to str if it holds one.
+        flat = (values if isinstance(values, (list, tuple)) and array.ndim == 1
+                else array.reshape(-1).tolist())
+        bad = next((i for i, v in enumerate(flat) if not ok(v)), None)
+        if bad is not None:
+            raise DataError(f"sequence {seq_id!r}: {name} at event {bad} is not {rule}:"
+                            f" {flat[bad]!r}")
+    return array
+
+
+def _time_array(values, seq_id: str) -> np.ndarray:
+    """``values`` as ``float64`` times, if numpy holds each as an int, uint or float."""
+    return _checked(values, seq_id, "time", "a real number", lambda a: a.dtype.kind in "iuf",
+                    lambda v: np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"
+                    ).astype(np.float64, copy=False)
+
+
+def _whole(types: np.ndarray) -> bool:
+    return types.dtype.kind in "iu" or types.dtype.kind == "f" and bool(
+        (np.isfinite(types) & (np.floor(types) == types)).all())
+
+
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
-    integer types in [0, num_types). Types may come as integers or as floats
-    that hold whole numbers; anything else is rejected, not truncated. No
+    integer types in [0, num_types). It judges times and type ids for every
+    caller: a time is a number numpy holds as an int, uint or float, a type
+    id an integer or a whole float, and a bool or a string neither. No
     difference of two times may overflow, and ``seq_id`` must be a ``str``.
 
-    Construction checks the whole sequence and stores ``num_types`` as an
-    ``int``. The histories that :func:`make_examples` cuts from a sequence skip
-    these checks, which a contiguous slice of a checked sequence passes by
+    Construction checks the whole sequence and stores ``times`` as
+    ``float64``, ``types`` as ``int64`` and ``num_types`` as an ``int``. The
+    histories that :func:`make_examples` cuts from a sequence skip these
+    checks, which a contiguous slice of a checked sequence passes by
     construction; they are read-only views of the sequence's arrays.
     """
 
@@ -69,16 +111,9 @@ class EventSequence:
     def __post_init__(self):
         if not isinstance(self.seq_id, str):
             raise DataError(f"seq_id must be a str, got {self.seq_id!r}")
-        self.times = np.asarray(self.times, dtype=np.float64)
-        types = np.asarray(self.types)
-        if types.dtype.kind not in "iu":
-            values = types.reshape(-1).tolist()
-            whole = [is_type_id(v) for v in values]
-            if not all(whole):
-                bad = whole.index(False)
-                raise DataError(f"sequence {self.seq_id!r}: type id at event {bad} is not"
-                                f" an integer: {values[bad]!r}")
-        self.types = types
+        self.times = _time_array(self.times, self.seq_id)
+        self.types = _checked(self.types, self.seq_id, "type id", "an integer", _whole,
+                              is_type_id)
         if self.times.shape != self.types.shape or self.times.ndim != 1:
             raise DataError(
                 f"sequence {self.seq_id!r}: times and types must be equal-length"
@@ -183,98 +218,64 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
     return out
 
 
-def _coerce_type(raw, vocab: dict | None, where: str) -> int:
-    """A file's type id: a ``vocab`` label, a decimal string or an ``is_type_id`` number."""
-    if not isinstance(raw, str):
-        if is_type_id(raw):
-            return int(raw)
-    elif vocab is not None and raw in vocab:
-        return int(vocab[raw])
-    else:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    raise DataError(f"{where}: unknown type id {raw!r}")
+# Until every line is read, a type id must only fit int64.
+_NO_BOUND = int(np.iinfo(np.int64).max)
 
 
-def load_sequences(path, num_types: int | None = None, vocab: dict | None = None
-                   ) -> list[EventSequence]:
+def load_sequences(path, num_types: int | None = None) -> list[EventSequence]:
     """Load sequences from a JSONL file, whatever its suffix: one object
     ``{"id": ..., "times": [...], "types": [...]}`` per line, blank lines
     skipped.
 
-    Each line is decoded as UTF-8 in any locale. ``id`` must be a string.
-    Times are numbers or decimal strings and must be ascending within each
-    sequence. Every :class:`DataError` a line causes names its ``path:line``.
+    Each line is decoded as UTF-8 in any locale. ``id`` must be a string and
+    ``times`` and ``types`` lists. :class:`EventSequence` judges those as it
+    judges every caller's, once exact duplicate times are nudged apart: a
+    time is a real number, a type id an integer or a whole float, and a bool
+    or a string is neither. Every :class:`DataError` a line causes names its
+    ``path:line``.
     ``num_types`` must be an integer >= 1, else :class:`ConfigError`, and
-    defaults to one past the largest type id seen. ``vocab`` optionally maps
-    string labels to dense integer ids, each one :func:`errors.is_type_id`
-    accepts. A numeric type id follows that rule too, so ``1.0`` is type 1,
-    and a decimal string is its integer.
+    defaults to one past the largest type id seen.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     if num_types is not None:
         num_types = check_int("num_types", num_types)
-    bad = [label for label, k in (vocab or {}).items() if not is_type_id(k)]
-    if bad:
-        raise ConfigError(f"vocab id of label {bad[0]!r} is not an integer: {vocab[bad[0]]!r}")
-
-    raw = _read_jsonl(path, vocab)
-    if not raw:
-        warnings.warn(f"{path}: no sequences found", stacklevel=2)
-        return []
-
-    if num_types is None:
-        seen = [max(types) for _, _, _, types in raw if types]
-        if not seen:
-            raise DataError(f"{path}: every sequence is empty, so num_types must be given")
-        num_types = 1 + max(seen)
-
-    out = []
-    for lineno, seq_id, times, types in raw:
-        try:
-            times = _dedupe_times(np.asarray(times, dtype=np.float64), seq_id)
-            out.append(EventSequence(times, np.asarray(types), num_types, seq_id))
-        except DataError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from None
-    return out
-
-
-def _read_jsonl(path: Path, vocab) -> list[tuple[int, str, list, list]]:
     out = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                line = line.decode("utf-8").strip()
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
-            if not line:
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
+                del line  # as large as the lists it holds, which become arrays below
+                if not isinstance(obj, dict):
+                    raise DataError("expected a JSON object")
+                seq_id, times, types = obj["id"], obj["times"], obj["types"]
+                if not isinstance(seq_id, str):
+                    raise DataError(f"id must be a string, got {json.dumps(seq_id)}")
+                if not isinstance(times, list) or not isinstance(types, list):
+                    raise DataError("times and types must be lists")
+                times = _dedupe_times(_time_array(times, seq_id), seq_id)
+                out.append(EventSequence(times, types, num_types or _NO_BOUND, seq_id))
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            try:
-                seq_id, times, types = obj["id"], obj["times"], obj["types"]
             except KeyError as e:
                 raise DataError(f"{path}:{lineno}: missing key {e}") from None
-            if not isinstance(seq_id, str):
-                raise DataError(f"{path}:{lineno}: id must be a string, got {json.dumps(seq_id)}")
-            if not isinstance(times, list) or not isinstance(types, list):
-                raise DataError(f"{path}:{lineno}: times and types must be lists")
-            try:
-                if any(isinstance(t, bool) for t in times):  # a bool is never a number
-                    raise TypeError
-                times = [float(t) for t in times]
-            except (TypeError, ValueError):
-                raise DataError(f"{path}:{lineno}: times must be numbers") from None
-            types = [_coerce_type(k, vocab, f"{path}:{lineno}") for k in types]
-            out.append((lineno, seq_id, times, types))
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+    if not out:
+        warnings.warn(f"{path}: no sequences found", stacklevel=2)
+        return []
+    if num_types is None:
+        seen = [seq.types.max() for seq in out if len(seq)]
+        if not seen:
+            raise DataError(f"{path}: every sequence is empty, so num_types must be given")
+        num_types = 1 + int(max(seen))
+        for seq in out:  # every id is below it
+            seq.num_types = num_types
     return out
 
 

@@ -81,20 +81,20 @@ class ScaleHierarchy:
     def num_leaves(self) -> int:
         return len(self.active[0])
 
-    def _check_scale(self, s: int) -> None:
-        if not 1 <= s <= self.num_scales:
-            raise ConfigError(f"scale {s} out of range [1, {self.num_scales}]")
+    def _check_scale(self, s: int, top: int) -> None:
+        if check_int("scale", s, error=ConfigError) > top:
+            raise ConfigError(f"scale {s} out of range [1, {top}]")
 
     def active_nodes(self, s: int) -> list[int]:
         """Runs alive at the start of interval ``s``: a partition of all
         leaves, in time order."""
-        self._check_scale(s)
+        self._check_scale(s, self.num_scales)
         return self.active[s - 1].tolist()
 
     def frontier(self, s: int) -> list[int]:
         """Attention participants at scale ``s``: the active runs that one
         of interval ``s``'s merges consumes, in time order."""
-        self._check_scale(s)
+        self._check_scale(s, self.num_scales)
         return self.active[s - 1][self.frontier_pos[s - 1]].tolist()
 
     def key_set(self, s: int, node_id: int, causal: bool = False) -> list[int]:
@@ -127,8 +127,7 @@ class ScaleHierarchy:
         contiguous run of positions from ``starts[g]`` up to ``starts[g + 1]``
         (the last run goes to the end); a carried-over node is a group of one.
         """
-        if not 1 <= s < self.num_scales:
-            raise ConfigError(f"pooling needs 1 <= s < {self.num_scales}, got {s}")
+        self._check_scale(s, self.num_scales - 1)
         return self.active[s], self.group_starts[s - 1]
 
     def type_mixture(self, node_ids: int | np.ndarray, types: np.ndarray,

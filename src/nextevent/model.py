@@ -115,6 +115,7 @@ class ModelConfig:
         return self.d_model // self.num_heads
 
 
+@dataclass(eq=False)
 class ModelParams:
     """All learnable leaves, addressable by name for the optimizer and I/O.
     Each is stored as the forward multiplies by it: the encoding's ``freqs``
@@ -122,20 +123,16 @@ class ModelParams:
     ``w_qkv[s]`` (3 * heads, d, d_k), every head's W_Q, then W_K, then W_V, as
     :func:`tensor.multi_head_attention` takes them, and W_O ``w_out[s]`` (d, d)."""
 
-    def __init__(self, config: ModelConfig, freqs: DiffNode, density_map: DiffNode,
-                 type_embed: DiffNode, w_qkv: list[DiffNode], w_out: list[DiffNode],
-                 pool_proj: list[DiffNode], w_summary: DiffNode, w_type: DiffNode,
-                 w_time: DiffNode):
-        self.config = config
-        self.freqs = freqs
-        self.density_map = density_map
-        self.type_embed = type_embed
-        self.w_qkv = w_qkv
-        self.w_out = w_out
-        self.pool_proj = pool_proj
-        self.w_summary = w_summary
-        self.w_type = w_type
-        self.w_time = w_time
+    config: ModelConfig
+    freqs: DiffNode
+    density_map: DiffNode
+    type_embed: DiffNode
+    w_qkv: list[DiffNode]
+    w_out: list[DiffNode]
+    pool_proj: list[DiffNode]
+    w_summary: DiffNode
+    w_type: DiffNode
+    w_time: DiffNode
 
     def all_named(self) -> dict[str, DiffNode]:
         """Every leaf by name; the names are the checkpoint's keys."""
@@ -366,10 +363,9 @@ def summarize(params: ModelParams, H_top: DiffNode,
 def point_estimate_time(lam: float, gamma: float) -> float:
     """Weibull mean lambda * Gamma(1 + 1/gamma) as the point prediction.
 
-    Raises :class:`NumericsError` when the mean is too large for a float,
-    which happens for shapes below about 1/171."""
-    if lam <= 0 or gamma <= 0:
-        raise ConfigError("Weibull parameters must be positive")
+    Both must be finite reals > 0, else :class:`ConfigError`; a mean too large
+    for a float, as for shapes below about 1/171, raises :class:`NumericsError`."""
+    lam, gamma = check_real("lam", lam), check_real("gamma", gamma)
     try:
         mean = lam * math.gamma(1.0 + 1.0 / gamma)
     except OverflowError:

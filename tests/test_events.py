@@ -57,6 +57,40 @@ class TestEventSequence:
         with pytest.raises(DataError, match=match):
             EventSequence([0.0, 1.0], [0, 1], bad)
 
+    @pytest.mark.parametrize("times, bad", [
+        (["0.5", "2"], "0 is not a real number: '0.5'"),
+        ([0.0, "2"], "1 is not a real number: '2'"),
+        ([False, True], "0 is not a real number: False"),
+        ([0.0, True], "1 is not a real number: True"),
+        ([0.0, np.True_], f"1 is not a real number: {np.True_!r}"),
+        (np.array([False, True]), "0 is not a real number: False"),
+        (np.array(["0.5", "2"]), "0 is not a real number: '0.5'"),
+        ([0.0, None], "1 is not a real number: None"),
+        (np.array([0.0, 1j]), "0 is not a real number: 0j"),
+    ], ids=["str list", "str after a number", "bool list", "bool after a number",
+            "numpy bool after a number", "bool array", "str array", "none", "complex array"])
+    def test_rejects_times_that_are_not_real_numbers(self, times, bad):
+        # np.asarray reads [0.0, True] as [0.0, 1.0] and ["0.5", "2"] as strings
+        # that float() would parse; neither is a time.
+        with pytest.raises(DataError, match=rf"'s': time at event {re.escape(bad)}$"):
+            EventSequence(times, [0, 0], 1, seq_id="s")
+
+    @pytest.mark.parametrize("times", [
+        [0, 1], np.array([0, 1], dtype=np.uint8), np.array([0.0, 1.0], dtype=np.float32),
+        np.array([0, 1.0], dtype=object), (0, 1.0),
+    ], ids=["int list", "uint8", "float32", "object", "tuple"])
+    def test_accepts_real_times_of_any_int_uint_or_float_kind(self, times):
+        seq = EventSequence(times, [0, 0], 1)
+        assert seq.times.dtype == np.float64
+        np.testing.assert_array_equal(seq.times, [0.0, 1.0])
+
+    @pytest.mark.parametrize("name, times, types", [
+        ("times", [0.0, [1.0]], [0, 0]), ("type ids", [0.0, 1.0], [0, [1]]),
+    ])
+    def test_rejects_a_ragged_list(self, name, times, types):
+        with pytest.raises(DataError, match=f"'s': {name} are a ragged list"):
+            EventSequence(times, types, 2, seq_id="s")
+
     def test_accepts_a_numpy_integer_num_types(self):
         assert EventSequence([0.0, 1.0], [0, 1], np.int64(2)).num_types == 2
 
@@ -88,7 +122,12 @@ class TestEventSequence:
         ([True, False, True, False], "event 0 is not an integer"),
         (["0", "1", "0", "1"], "event 0 is not an integer"),
         ([0, 1, None, 1], "event 2 is not an integer: None"),
-    ], ids=["fraction", "fractions", "nan", "inf", "bool", "str", "none"])
+        ([True, 0, 1, 0], "event 0 is not an integer: True"),
+        ([0, 1, np.True_, 0], f"event 2 is not an integer: {re.escape(repr(np.True_))}"),
+        ([0, 1, "1", 0], "event 2 is not an integer: '1'"),
+        (np.array([0, 1, 1.5, 0]), "event 2 is not an integer: 1.5"),
+    ], ids=["fraction", "fractions", "nan", "inf", "bool", "str", "none", "bool before ints",
+            "numpy bool among ints", "str among ints", "fraction array"])
     def test_rejects_type_ids_that_are_not_integers(self, types, bad):
         # Truncation would read [0, 1.7, 0.2, 1] as [0, 1, 0, 1] without a word.
         with pytest.raises(DataError, match=rf"'s': type id at {bad}"):
@@ -203,39 +242,25 @@ class TestLoadSequences:
     def test_unknown_type_id(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         p.write_text(_jsonl(("0", [0.0], ["aspirin"])))
-        with pytest.raises(DataError, match=r"bad\.jsonl:1: unknown type id 'aspirin'"):
+        match = r"bad\.jsonl:1: sequence '0': type id at event 0 is not an integer: 'aspirin'"
+        with pytest.raises(DataError, match=match):
             load_sequences(p)
-
-    def test_vocab_maps_labels(self, tmp_path):
-        p = tmp_path / "label.jsonl"
-        p.write_text(_jsonl(("0", [0.0, 1.0], ["aspirin", "statin"])))
-        seqs = load_sequences(p, vocab={"aspirin": 0, "statin": 1})
-        np.testing.assert_array_equal(seqs[0].types, [0, 1])
-
-    @pytest.mark.parametrize("label_id", [1.7, "1", True, None])
-    def test_vocab_rejects_an_id_that_is_not_an_integer(self, tmp_path, label_id):
-        p = tmp_path / "label.jsonl"
-        p.write_text(_jsonl(("0", [0.0, 1.0], ["aspirin", "statin"])))
-        match = rf"vocab id of label 'statin' is not an integer: {re.escape(repr(label_id))}"
-        with pytest.raises(ConfigError, match=match):
-            load_sequences(p, vocab={"aspirin": 0, "statin": label_id})
-
-    def test_vocab_accepts_numpy_and_whole_float_ids(self, tmp_path):
-        p = tmp_path / "label.jsonl"
-        p.write_text('{"id": "a", "times": [0.0, 1.0], "types": ["aspirin", "statin"]}\n')
-        seqs = load_sequences(p, vocab={"aspirin": np.int64(0), "statin": 1.0})
-        assert seqs[0].types.tolist() == [0, 1]
 
     def test_jsonl_numeric_type_ids_follow_the_in_memory_rule(self, tmp_path):
         p = tmp_path / "data.jsonl"
-        p.write_text('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, "1"]}\n')
+        p.write_text('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, 1]}\n')
         assert load_sequences(p)[0].types.tolist() == [1, 0, 1]
 
-    @pytest.mark.parametrize("bad", ["true", "1.5", "null", "[1]"])
-    def test_jsonl_rejects_a_type_id_that_is_not_a_whole_number(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("true", "type id at event 1 is not an integer: True"),
+        ("1.5", "type id at event 1 is not an integer: 1.5"),
+        ("null", "type id at event 1 is not an integer: None"),
+        ("[1]", "type ids are a ragged list"),
+    ], ids=["true", "1.5", "null", "[1]"])
+    def test_jsonl_rejects_a_type_id_that_is_not_a_whole_number(self, tmp_path, bad, message):
         p = tmp_path / "data.jsonl"
         p.write_text('{"id": "a", "times": [0.0, 1.0], "types": [0, %s]}\n' % bad)
-        with pytest.raises(DataError, match=r"data\.jsonl:1: unknown type id"):
+        with pytest.raises(DataError, match=rf"data\.jsonl:1: sequence 'a': {re.escape(message)}$"):
             load_sequences(p)
 
     def test_a_csv_file_is_a_data_error_at_line_1(self, tmp_path):
@@ -327,15 +352,29 @@ class TestLoadSequences:
         assert load_sequences(p) == seqs
 
     @pytest.mark.parametrize("line, message", [
-        ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}', "times must be numbers"),
-        ('{"id": "b", "times": [0.0, null], "types": [0, 1]}', "times must be numbers"),
-        ('{"id": "b", "times": [true, 2.0], "types": [0, 1]}', "times must be numbers"),
+        ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}',
+         "sequence 'b': time at event 1 is not a real number: 'soon'"),
+        ('{"id": "b", "times": [0.0, null], "types": [0, 1]}',
+         "sequence 'b': time at event 1 is not a real number: None"),
+        ('{"id": "b", "times": [true, 2.0], "types": [0, 1]}',
+         "sequence 'b': time at event 0 is not a real number: True"),
         ('[0.0, 1.0]', "expected a JSON object"),
         ('{"id": "b", "times": 1.0, "types": [0]}', "times and types must be lists"),
         ('{"id": "b", "times": [0.0, 1.0], "types": [0]}',
          r"sequence 'b': times and types must be equal-length 1-D arrays, got \(2,\) and \(1,\)"),
+        ('{"id": "b", "times": ["0.5", 2.0], "types": [0, 1]}',
+         "sequence 'b': time at event 0 is not a real number: '0.5'"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": [0, "1"]}',
+         "sequence 'b': type id at event 1 is not an integer: '1'"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": ["aspirin", 1]}',
+         "sequence 'b': type id at event 0 is not an integer: 'aspirin'"),
+        ('{"id": "b", "times": [0.0, 1.0], "types": [0, NaN]}',
+         "sequence 'b': type id at event 1 is not an integer: nan"),
+        ('{"id": "b", "times": [0, [1]], "types": [0, 1]}',
+         "sequence 'b': times are a ragged list"),
     ], ids=["non-numeric time", "null time", "bool time", "not an object",
-            "times not a list", "fewer types than times"])
+            "times not a list", "fewer types than times", "decimal-string time",
+            "decimal-string type id", "label type id", "NaN type id", "ragged times"])
     def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
         p = tmp_path / "bad.jsonl"
         p.write_text('{"id": "a", "times": [0.0], "types": [0]}\n' + line + "\n")
@@ -352,11 +391,6 @@ class TestLoadSequences:
         with pytest.raises(DataError, match=rf"bad\.jsonl:2: id must be a string,"
                                             rf" got {re.escape(seq_id)}$"):
             load_sequences(p)
-
-    def test_jsonl_times_may_be_decimal_strings(self, tmp_path):
-        p = tmp_path / "data.jsonl"
-        p.write_text('{"id": "a", "times": ["0.5", 2.0], "types": [0, 1]}\n')
-        assert load_sequences(p)[0].times.tolist() == [0.5, 2.0]
 
     _TOP = float(np.finfo(np.float64).max)
 
@@ -378,7 +412,8 @@ class TestLoadSequences:
 
     @pytest.mark.parametrize("line, message", [
         ('{"id": "b", "times": [0.0, NaN], "types": [0, 0]}', "non-finite time at event 1"),
-        ('{"id": "b", "times": [0.0, "inf"], "types": [0, 0]}', "non-finite time at event 1"),
+        ('{"id": "b", "times": [0.0, "inf"], "types": [0, 0]}',
+         "time at event 1 is not a real number: 'inf'"),
         ('{"id": "b", "times": [0.0, 1.0], "types": [0, 2]}', r"type ids must lie in \[0, 2\)"),
         ('{"id": "b", "times": [-1e308, 1e308], "types": [0, 0]}',
          "time span overflow at event 1"),

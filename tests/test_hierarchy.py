@@ -461,6 +461,34 @@ def test_key_set_takes_numpy_integer_ids(causal):
             assert h.key_set(2, cast(node_id), causal=causal) == expected
 
 
+@pytest.mark.parametrize("scale", [1.5, True, "1", None], ids=["float", "bool", "str", "none"])
+@pytest.mark.parametrize("call", [
+    lambda h, s: h.frontier(s), lambda h, s: h.active_nodes(s),
+    lambda h, s: h.pool_groups(s), lambda h, s: h.key_set(s, 0),
+], ids=["frontier", "active_nodes", "pool_groups", "key_set"])
+def test_scale_arguments_must_be_integers(call, scale):
+    # True would index scale 1, and 1.5 or "1" would fail in list indexing.
+    h = build_hierarchy(nine_point_layout(), 4)
+    match = rf"scale must be an integer >= 1, got {re.escape(repr(scale))}"
+    with pytest.raises(ConfigError, match=match):
+        call(h, scale)
+
+
+@pytest.mark.parametrize("call, top", [
+    (lambda h, s: h.frontier(s), 4), (lambda h, s: h.active_nodes(s), 4),
+    (lambda h, s: h.pool_groups(s), 3),
+], ids=["frontier", "active_nodes", "pool_groups"])
+def test_scale_arguments_take_numpy_integers_up_to_their_top(call, top):
+    h = build_hierarchy(nine_point_layout(), 4)
+    for s in range(1, top + 1):
+        for cast in (np.int64, np.uint8):
+            assert repr(call(h, cast(s))) == repr(call(h, s))  # lists, or pool_groups' arrays
+    with pytest.raises(ConfigError, match=rf"scale {top + 1} out of range \[1, {top}\]"):
+        call(h, top + 1)
+    with pytest.raises(ConfigError, match="scale must be an integer >= 1, got 0"):
+        call(h, 0)
+
+
 # Strictly increasing floats: distinct values, sorted (0.0 and -0.0 count as one).
 increasing_times = st.lists(
     st.floats(-1e12, 1e12, allow_nan=False), min_size=2, max_size=24, unique=True

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from nextevent import model as M
 from nextevent import tensor as T
 from nextevent.encoding import fcpe_trig
-from nextevent.errors import NumericsError
+from nextevent.errors import ConfigError, NumericsError
 from nextevent.events import generate_multiscale, make_examples, normalize_times
 from gradcheck import check_gradients
 from oracles import weibull_mean_by_quadrature
@@ -48,6 +49,17 @@ def test_point_estimate_rejects_an_overflowing_mean():
     with pytest.raises(NumericsError, match="Weibull mean"):
         M.point_estimate_time(1e300, 0.05)
     assert M.point_estimate_time(1.0, 0.006) == math.gamma(1.0 + 1.0 / 0.006)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, "a", None],
+                         ids=["zero", "negative", "nan", "inf", "bool", "str", "none"])
+@pytest.mark.parametrize("name", ["lam", "gamma"])
+def test_point_estimate_rejects_a_parameter_that_is_not_a_positive_real(name, bad):
+    # NaN used to read as an overflowing mean, True as 1.0 and "a" as a TypeError.
+    args = {"lam": 1.0, "gamma": 1.0, name: bad}
+    match = rf"{name} must be a finite number > 0\.0, got {re.escape(repr(bad))}"
+    with pytest.raises(ConfigError, match=match):
+        M.point_estimate_time(**args)
 
 
 def _numpy_positional(params, times, type_weights):
