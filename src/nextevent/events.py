@@ -88,13 +88,19 @@ def _whole(types: np.ndarray) -> bool:
         (np.isfinite(types) & (np.floor(types) == types)).all())
 
 
+# The largest num_types, so that every type id below it fits int64. The
+# loader passes it until every line is read.
+_NO_BOUND = int(np.iinfo(np.int64).max)
+
+
 @dataclass
 class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
     integer types in [0, num_types). It judges times and type ids for every
     caller: a time is a number numpy holds as an int, uint or float, a type
     id an integer or a whole float, and a bool or a string neither. No
-    difference of two times may overflow, and ``seq_id`` must be a ``str``.
+    difference of two times may overflow, ``num_types`` may not exceed the
+    int64 maximum, and ``seq_id`` must be a ``str``.
 
     Construction checks the whole sequence and stores ``times`` as
     ``float64``, ``types`` as ``int64`` and ``num_types`` as an ``int``. The
@@ -132,6 +138,9 @@ class EventSequence:
                     else "time span overflow")
             raise DataError(f"sequence {self.seq_id!r}: {kind} at event {bad + 1}")
         self.num_types = check_int("num_types", self.num_types, error=DataError)
+        if self.num_types > _NO_BOUND:
+            raise DataError(f"num_types must be at most {_NO_BOUND}, the int64 maximum,"
+                            f" got {self.num_types}")
         if self.types.size and (self.types.min() < 0 or self.types.max() >= self.num_types):
             raise DataError(
                 f"sequence {self.seq_id!r}: type ids must lie in [0, {self.num_types})"
@@ -216,10 +225,6 @@ def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
         stacklevel=3,
     )
     return out
-
-
-# Until every line is read, a type id must only fit int64.
-_NO_BOUND = int(np.iinfo(np.int64).max)
 
 
 def load_sequences(path, num_types: int | None = None) -> list[EventSequence]:

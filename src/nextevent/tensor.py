@@ -23,11 +23,24 @@ The model's three hot spots are one node each, with a hand-written backward:
 head in ``model``. The attention node reads the rows it attends among by
 index and writes them back into the whole matrix, so attention over a subset
 of rows needs no separate gather or scatter node.
+
+The attention backward takes its largest temporaries from a workspace that
+persists across calls, so that a train step does not grow the heap back,
+page by page, after releasing the graph has trimmed it. The workspace is per
+thread and holds one buffer per role: a tile's score gradient, that
+gradient times the probabilities, and one head's Q, K or V input-gradient
+product. Each buffer grows to the largest request it has served, up to
+``_WORKSPACE_BYTES`` (2 MB); a larger request takes a fresh array for that
+call alone. Every buffer is written in full before it is read and no result
+keeps a view of one, so values and gradients are bit for bit those of fresh
+arrays. Forward and inference allocate as before.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 
 import numpy as np
 
@@ -235,6 +248,34 @@ _TILE_ROWS = 32
 _CAUSAL_FILL = np.triu(np.ones((_TILE_ROWS, _TILE_ROWS), dtype=bool), 1)
 
 
+# The attention backward's workspace keeps no buffer larger than this (2 MB).
+_WORKSPACE_BYTES = 1 << 21
+
+
+class _Workspace(threading.local):
+    """One thread's reusable temporaries for the attention backward: a
+    flat float64 buffer per role, grown to the largest request it served."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple) -> np.ndarray:
+        """An uninitialised float64 array of ``shape``: a view of this
+        thread's buffer for ``role``, or a fresh array when it would take
+        more than ``_WORKSPACE_BYTES``. The view is valid until the next
+        request for the same role."""
+        size = math.prod(shape)
+        if 8 * size > _WORKSPACE_BYTES:
+            return np.empty(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+_workspace = _Workspace()
+
+
 def _plan_tiles(n: int, m: int, nh: int, causal: bool) -> list:
     """The tiles ``(heads, rows, keys)`` that :func:`multi_head_attention`
     forms scores on, each a slice: a group of heads, a block of query rows
@@ -283,6 +324,16 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     scores right of its diagonal square, and only that square's upper
     triangle takes the ``-inf`` fill. ``gq`` is written per tile; ``gk`` and
     ``gv`` start at zero and each tile adds its part to ``[0, k1)``.
+
+    Backward takes three temporaries from the calling thread's workspace
+    (see the module docstring): a tile's ``dS``, the product ``dS * P``, and
+    one ``(rows, d)`` buffer that receives each head's Q, K and V
+    input-gradient product in turn, the same 2-D product a batched matmul
+    over the heads forms. Each buffer grows to the largest request it has
+    served and never past ``_WORKSPACE_BYTES`` (2 MB); a larger request is
+    allocated for the call alone. Every buffer is written in full before it
+    is read, so values and gradients are bit for bit those of fresh arrays.
+    Forward allocates as before.
 
     Exactness: when the plan is one full-width tile per head group (not
     causal, or causal over at most ``_TILE_ROWS`` rows) the operations and
@@ -359,24 +410,26 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
         gv = gkv[nh:]
         for (hs, qrows, keys), p in zip(tiles, probs):
             gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, qrows])
-            ds = np.matmul(go[hs, qrows], v[hs, keys].transpose(0, 2, 1))
-            ds -= (ds * p).sum(axis=2, keepdims=True)
+            ds = np.matmul(go[hs, qrows], v[hs, keys].transpose(0, 2, 1),
+                           out=_workspace.take("ds", p.shape))
+            ds -= np.multiply(ds, p, out=_workspace.take("ds*p", p.shape)).sum(
+                axis=2, keepdims=True)
             ds *= p
             ds *= c
             np.matmul(ds, kt[hs, :, keys].transpose(0, 2, 1), out=gq[hs, qrows])
             gkt[hs, :, keys] += np.matmul(q[hs, qrows].transpose(0, 2, 1), ds)
         gkv[:nh] = gkt.transpose(0, 2, 1)
         wt = w_qkv.value.transpose(0, 2, 1)
-        dxq = np.matmul(gq, wt[:nh])
-        dx = np.matmul(gkv, wt[nh:])
         # The chain adds the residual first, then each head's Q, K and V
         # parts. With last_only the query sums its own and joins the last key
-        # row at the end, as the gather of that row added it.
+        # row at the end, as the gather of that row added it. Each part is
+        # the 2-D product a batched matmul over the heads would form.
+        part = _workspace.take("part", r.shape)
         g_keys = np.zeros_like(r) if last_only else g_q
         for h in range(nh):
-            g_q += dxq[h]
-            g_keys += dx[h]
-            g_keys += dx[nh + h]
+            g_q += np.matmul(gq[h], wt[h], out=part[:n])
+            g_keys += np.matmul(gkv[h], wt[nh + h], out=part)
+            g_keys += np.matmul(gkv[nh + h], wt[2 * nh + h], out=part)
         if last_only:
             g_keys[-1] += g_q[0]
         gx = np.zeros_like(x.value) if last_only else g.copy()

@@ -91,6 +91,14 @@ class TestEventSequence:
         with pytest.raises(DataError, match=f"'s': {name} are a ragged list"):
             EventSequence(times, types, 2, seq_id="s")
 
+    def test_rejects_num_types_above_the_int64_maximum(self):
+        # Above it, a type id that passes the range check would wrap in the
+        # cast to int64: 10**19 used to be stored as -2**63.
+        with pytest.raises(DataError, match=rf"num_types must be at most {2**63 - 1}"):
+            EventSequence([0.0, 1.0], [0, 10**19], 10**20)
+        seq = EventSequence([0.0, 1.0], [0, 2**63 - 2], 2**63 - 1)
+        np.testing.assert_array_equal(seq.types, [0, 2**63 - 2])
+
     def test_accepts_a_numpy_integer_num_types(self):
         assert EventSequence([0.0, 1.0], [0, 1], np.int64(2)).num_types == 2
 

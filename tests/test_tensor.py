@@ -5,6 +5,9 @@ where the exactness tests build the old chains from them; they are checked
 here like the engine's own ops."""
 
 import gc
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -428,6 +431,22 @@ class TestMaskedAttention:
         for got, want in zip(run(), default):
             assert np.array_equal(got, want)
 
+    def test_tile_above_the_workspace_bound_rounds_like_the_chain(self):
+        # A head's score tile over 600 rows takes 2.9 MB, above the bound on
+        # the backward's workspace: the backward allocates that tile's
+        # temporaries for the call alone and neither keeps them nor grows
+        # the buffers an earlier, smaller call left.
+        n = 600
+        assert 8 * n * n > T._WORKSPACE_BYTES
+        T._workspace.buffers.clear()
+        self._check_rounds_like_the_chain(50, np.arange(50), "none")
+        small = dict(T._workspace.buffers)
+        self._check_rounds_like_the_chain(n, np.arange(n), "none")
+        held = T._workspace.buffers
+        assert held["ds"] is small["ds"] and held["ds*p"] is small["ds*p"]
+        assert held["part"].shape == (n * 32,)  # one head's (600, 32) product fits
+        assert all(buf.nbytes <= T._WORKSPACE_BYTES for buf in held.values())
+
     def test_masked_keys_get_no_weight_or_gradient(self):
         x, w_qkv, w_out = self._arrays(5, seed=6)
         rows = [1, 2, 4]
@@ -537,6 +556,98 @@ class TestTilePlan:
         tiles, covered = self._coverage(n, m, name.startswith("causal"))
         assert all(rows == slice(0, n) and keys == slice(0, m) for _, rows, keys in tiles)
         assert (covered == 1).all()  # each head in exactly one group
+
+
+class TestBackwardWorkspace:
+    """The attention backward's per-thread workspace: a buffer reused from
+    an earlier call never carries that call's data into a gradient."""
+
+    CASES = [(False, 300, False), (True, TILED_N, False), (False, 300, True)]
+
+    def _loss(self, causal, n, last_only):
+        """(loss, leaves) of one attention node over n of n + 7 rows, at the
+        benchmark model's widths: d_model 32, 4 heads of 8."""
+        rng = np.random.default_rng(n)
+        leaves = [T.parameter(rng.normal(size=shape))
+                  for shape in ((n + 7, 32), (12, 32, 8), (32, 32))]
+        rows = np.sort(rng.choice(n + 7, size=n, replace=False))
+        out = T.multi_head_attention(leaves[0], rows, *leaves[1:], causal, last_only)
+        return O.sum_all(O.mul(out, T.constant(rng.normal(size=out.shape)))), leaves
+
+    @staticmethod
+    def _grads(loss, leaves):
+        loss.backward()
+        return [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("causal, n, last_only", CASES,
+                             ids=["none", "tiled-causal", "last-only"])
+    def test_stale_buffers_never_reach_the_gradients(self, causal, n, last_only):
+        T._workspace.buffers.clear()
+        fresh = self._grads(*self._loss(causal, n, last_only))
+        assert T._workspace.buffers  # the run left its buffers behind
+        for buf in T._workspace.buffers.values():
+            buf.fill(np.nan)
+        again = self._grads(*self._loss(causal, n, last_only))
+        for got, want in zip(again, fresh):
+            assert np.array_equal(got, want)
+
+    def test_interleaved_graphs_match_each_graph_alone(self):
+        # B's tiles are the larger, so B's backward regrows the buffers that
+        # A's backward then reads from.
+        a, b = self.CASES[1], self.CASES[0]
+        alone = self._grads(*self._loss(*a)) + self._grads(*self._loss(*b))
+        graph_a = self._loss(*a)
+        graph_b = self._loss(*b)
+        got_b = self._grads(*graph_b)
+        got_a = self._grads(*graph_a)
+        for got, want in zip(got_a + got_b, alone):
+            assert np.array_equal(got, want)
+
+    def test_two_threads_train_as_a_serial_run_does(self, monkeypatch):
+        # Each request for a buffer sleeps for a moment, which hands the
+        # interpreter to the other thread while this one holds its buffer,
+        # and a short switch interval makes the threads trade places often,
+        # so each thread's backward runs while the other's does. A workspace
+        # shared between threads fails this test.
+        jobs = [(256, False), (128, True)]
+        take = T._Workspace.take
+
+        def take_then_yield(self, role, shape):
+            buf = take(self, role, shape)
+            time.sleep(1e-4)
+            return buf
+
+        def train(length, causal, grads):
+            params, window = _train_window(length, causal)
+            for _ in range(3):
+                params.zero_grad()
+                M.forward(params, window).total.backward()
+                grads.append({k: leaf.grad.copy() for k, leaf in params.all_named().items()})
+                for leaf in params.all_named().values():
+                    leaf.value -= 0.01 * leaf.grad
+
+        serial = [[], []]
+        for job, grads in zip(jobs, serial):
+            train(*job, grads)
+        threaded = [[], []]
+        threads = [threading.Thread(target=train, args=(*job, grads))
+                   for job, grads in zip(jobs, threaded)]
+        monkeypatch.setattr(T._Workspace, "take", take_then_yield)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(threaded, serial):
+            assert len(got) == len(want) == 3  # a thread that raised stops short
+            for step_got, step_want in zip(got, want):
+                for name, grad in step_want.items():
+                    assert np.array_equal(step_got[name], grad), name
 
 
 class TestCheckGradients:
