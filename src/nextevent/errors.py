@@ -17,7 +17,7 @@ class ConfigError(ValueError):
 
 
 class DataError(ValueError):
-    """Malformed input data (bad file, unsorted times, bad target)."""
+    """Malformed input data (unsorted times, bad type ids, bad target)."""
 
 
 class HierarchyError(ValueError):
@@ -26,14 +26,6 @@ class HierarchyError(ValueError):
 
 class NumericsError(RuntimeError):
     """Non-finite values where finite ones are required."""
-
-
-class TrainingDivergedError(NumericsError):
-    """Loss became non-finite during optimization; carries the batch id."""
-
-    def __init__(self, message, batch_id=None):
-        super().__init__(message)
-        self.batch_id = batch_id
 
 
 def is_type_id(value) -> bool:

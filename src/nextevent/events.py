@@ -1,9 +1,5 @@
-"""Event sequence data model, file ingestion, synthetic generators, windowing
-and time normalization.
-
-Files are JSONL in and out, whatever their suffix: one object per sequence,
-``{"id": ..., "times": [...], "types": [...]}``, so an empty sequence has a
-line of its own.
+"""Event sequence data model, synthetic generators, windowing and time
+normalization.
 
 An event sequence is an ordered list of (time, type) pairs with integer
 types in ``[0, num_types)``. One rule, which :class:`EventSequence` applies to
@@ -11,13 +7,13 @@ every caller, says what a time and a type id are. A time is a real number
 that numpy holds as an int, uint or float. A type id is an integer or a float
 that holds a whole number; anything else is rejected, not truncated. A bool
 or a string is neither, in a list or as an array's dtype, and an int, uint or
-float array is judged with no per-element Python work. The loader validates
-ordering rather than silently re-sorting; exact duplicate timestamps are
-nudged forward by a tiny fraction of the mean gap (with a warning) because
-exact ties would make the clustering hierarchy order-dependent. Normalization
-shifts every sequence to start at zero and may divide by one global mean gap.
-That mean gap, a ``float``, is all the state it returns; it keeps none per
-sequence, so sequences that share an id are normalized independently.
+float array is judged with no per-element Python work. Times must strictly
+increase: a regression is rejected rather than re-sorted, and an exact tie is
+rejected too, because it would make the clustering hierarchy order-dependent.
+Normalization shifts every sequence to start at zero and may divide by one
+global mean gap. That mean gap, a ``float``, is all the state it returns; it
+keeps none per sequence, so sequences that share an id are normalized
+independently.
 
 Windows cost nothing until they are read: :func:`make_examples` checks a
 sequence once and returns a read-only sequence of windows that builds each
@@ -29,12 +25,10 @@ holds a few small objects, not a copy of its events.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +37,6 @@ from .errors import ConfigError, DataError, check_int, check_real, is_type_id
 __all__ = [
     "EventSequence",
     "PredictionExample",
-    "load_sequences",
-    "save_sequences",
     "generate_hawkes",
     "generate_multiscale",
     "make_examples",
@@ -88,9 +80,8 @@ def _whole(types: np.ndarray) -> bool:
         (np.isfinite(types) & (np.floor(types) == types)).all())
 
 
-# The largest num_types, so that every type id below it fits int64. The
-# loader passes it until every line is read.
-_NO_BOUND = int(np.iinfo(np.int64).max)
+# The largest num_types, so that every type id below it fits int64.
+_MAX_NUM_TYPES = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -138,8 +129,8 @@ class EventSequence:
                     else "time span overflow")
             raise DataError(f"sequence {self.seq_id!r}: {kind} at event {bad + 1}")
         self.num_types = check_int("num_types", self.num_types, error=DataError)
-        if self.num_types > _NO_BOUND:
-            raise DataError(f"num_types must be at most {_NO_BOUND}, the int64 maximum,"
+        if self.num_types > _MAX_NUM_TYPES:
+            raise DataError(f"num_types must be at most {_MAX_NUM_TYPES}, the int64 maximum,"
                             f" got {self.num_types}")
         if self.types.size and (self.types.min() < 0 or self.types.max() >= self.num_types):
             raise DataError(
@@ -185,112 +176,6 @@ class PredictionExample:
     @property
     def target_gap(self) -> float:
         return float(self.target_time - self.history.times[-1])
-
-
-# ---------------------------------------------------------------------------
-# File ingestion
-# ---------------------------------------------------------------------------
-
-
-def _dedupe_times(times: np.ndarray, seq_id: str) -> np.ndarray:
-    """Nudge exact duplicate timestamps forward by 1e-9 * mean gap, and by at
-    least one ulp so that large timestamps still become distinct.
-
-    Times that regress, whose span overflows, or that are not finite, are
-    returned as they are, for :class:`EventSequence` to reject by event."""
-    if times.size < 2:
-        return times
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = np.diff(times)
-        if not np.any(diffs == 0.0) or np.any(diffs < 0.0):
-            return times
-        mean_gap = float(diffs.mean())
-    if not math.isfinite(mean_gap):
-        return times
-    if mean_gap == 0.0:
-        raise DataError(f"sequence {seq_id!r}: all timestamps identical")
-    eps = 1e-9 * mean_gap
-    out = times.copy()
-    with np.errstate(over="ignore"):
-        for i in range(1, len(out)):
-            if out[i] <= out[i - 1]:
-                out[i] = max(out[i - 1] + eps, np.nextafter(out[i - 1], np.inf))
-    if np.isinf(out[-1]):  # a tie at the largest float has no larger neighbour
-        bad = int(np.argmax(np.isinf(out)))
-        raise DataError(f"sequence {seq_id!r}: tied time at event {bad} cannot be nudged"
-                        f" without overflow")
-    warnings.warn(
-        f"sequence {seq_id!r}: duplicate timestamps perturbed by up to"
-        f" {np.max(out - times):.3g}",
-        stacklevel=3,
-    )
-    return out
-
-
-def load_sequences(path, num_types: int | None = None) -> list[EventSequence]:
-    """Load sequences from a JSONL file, whatever its suffix: one object
-    ``{"id": ..., "times": [...], "types": [...]}`` per line, blank lines
-    skipped.
-
-    Each line is decoded as UTF-8 in any locale. ``id`` must be a string and
-    ``times`` and ``types`` lists. :class:`EventSequence` judges those as it
-    judges every caller's, once exact duplicate times are nudged apart: a
-    time is a real number, a type id an integer or a whole float, and a bool
-    or a string is neither. Every :class:`DataError` a line causes names its
-    ``path:line``.
-    ``num_types`` must be an integer >= 1, else :class:`ConfigError`, and
-    defaults to one past the largest type id seen.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    if num_types is not None:
-        num_types = check_int("num_types", num_types)
-    out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line.decode("utf-8"))
-                del line  # as large as the lists it holds, which become arrays below
-                if not isinstance(obj, dict):
-                    raise DataError("expected a JSON object")
-                seq_id, times, types = obj["id"], obj["times"], obj["types"]
-                if not isinstance(seq_id, str):
-                    raise DataError(f"id must be a string, got {json.dumps(seq_id)}")
-                if not isinstance(times, list) or not isinstance(types, list):
-                    raise DataError("times and types must be lists")
-                times = _dedupe_times(_time_array(times, seq_id), seq_id)
-                out.append(EventSequence(times, types, num_types or _NO_BOUND, seq_id))
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}:{lineno}: not UTF-8 ({e.reason})") from None
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            except KeyError as e:
-                raise DataError(f"{path}:{lineno}: missing key {e}") from None
-            except DataError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-    if not out:
-        warnings.warn(f"{path}: no sequences found", stacklevel=2)
-        return []
-    if num_types is None:
-        seen = [seq.types.max() for seq in out if len(seq)]
-        if not seen:
-            raise DataError(f"{path}: every sequence is empty, so num_types must be given")
-        num_types = 1 + int(max(seen))
-        for seq in out:  # every id is below it
-            seq.num_types = num_types
-    return out
-
-
-def save_sequences(path, sequences: list[EventSequence]) -> None:
-    """Write sequences as the JSONL that :func:`load_sequences` reads,
-    whatever the path's suffix: one line per sequence, empty ones included."""
-    with open(path, "w") as fh:
-        for seq in sequences:
-            record = {"id": seq.seq_id, "times": seq.times.tolist(), "types": seq.types.tolist()}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

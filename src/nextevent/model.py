@@ -40,10 +40,8 @@ Every learnable leaf is an attribute of :class:`ModelParams`, and
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +67,6 @@ __all__ = [
     "ForwardResult",
     "count_attention_flops",
     "hierarchy_key_set_sizes",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CHECKPOINT_VERSION",
 ]
 
 PE_MODES = ("fcpe", "base")
@@ -80,10 +75,10 @@ POSITIVE_FLOOR = 1e-6
 
 @dataclass
 class ModelConfig:
-    """Architecture switches; every field is checkpointed. The sizes are
-    stored as ``int`` and ``causal`` as ``bool``, from numpy scalars too.
-    ``distribution`` accepts only ``"weibull"``: the benchmark passes it, and
-    the next change to the benchmark (ROADMAP item 3) can delete the field."""
+    """Architecture switches. The sizes are stored as ``int`` and ``causal``
+    as ``bool``, from numpy scalars too. ``distribution`` accepts only
+    ``"weibull"``: the benchmark passes it, and the next change to the
+    benchmark (ROADMAP item 3) can delete the field."""
 
     d_model: int = 16
     num_heads: int = 2
@@ -117,7 +112,7 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ModelParams:
-    """All learnable leaves, addressable by name for the optimizer and I/O.
+    """All learnable leaves, addressable by name for the optimizer.
     Each is stored as the forward multiplies by it: the encoding's ``freqs``
     (1, d/2) and ``density_map`` (K, d/2), ``type_embed`` (K, d); per scale,
     ``w_qkv[s]`` (3 * heads, d, d_k), every head's W_Q, then W_K, then W_V, as
@@ -135,7 +130,8 @@ class ModelParams:
     w_time: DiffNode
 
     def all_named(self) -> dict[str, DiffNode]:
-        """Every leaf by name; the names are the checkpoint's keys."""
+        """Every leaf by name, frozen ones included; :meth:`copy_values` and
+        :meth:`load_values` use these names as keys."""
         out = {
             "fcpe.freqs": self.freqs,
             "fcpe.density_map": self.density_map,
@@ -512,80 +508,3 @@ def hierarchy_key_set_sizes(hierarchy: ScaleHierarchy, causal: bool = False) -> 
         )
     return sizes
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint I/O
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 9
-
-
-def save_checkpoint(path, params: ModelParams, mean_gap: float | None = None) -> None:
-    """One JSON file: the version, the config's fields, each leaf of
-    :meth:`ModelParams.all_named` as shape and row-major data, and
-    ``mean_gap`` as :func:`events.normalize_times` returns it, or null. A
-    ``mean_gap`` that is not a finite real > 0 raises :class:`ConfigError`,
-    and a leaf that holds a non-finite value :class:`NumericsError`, before
-    anything is written. Floats round-trip exactly."""
-    if mean_gap is not None:
-        mean_gap = check_real("mean_gap", mean_gap)
-    named = sorted(params.all_named().items())
-    for name, node in named:
-        if not np.isfinite(node.value).all():
-            raise NumericsError(f"parameter {name!r} holds non-finite values")
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(params.config),
-        "params": {
-            name: {"shape": list(node.value.shape), "data": node.value.reshape(-1).tolist()}
-            for name, node in named
-        },
-        "mean_gap": mean_gap,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def load_checkpoint(path) -> tuple[ModelParams, float | None]:
-    """Inverse of :func:`save_checkpoint`; returns ``(params, mean_gap)``, with
-    ``mean_gap`` a ``float`` or None. A malformed file raises
-    :class:`DataError`, and so does a file that is not UTF-8, in any locale;
-    another version, an unknown or missing config key or a bad ``mean_gap``
-    raises :class:`ConfigError`."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such checkpoint: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 ({e.reason})") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not a JSON checkpoint ({e.msg})") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: a checkpoint is a JSON object")
-    version = payload.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version!r}")
-    if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
-        raise DataError(f"{path}: checkpoint needs a config object and a params object")
-    if "mean_gap" not in payload:
-        raise DataError(f"{path}: checkpoint needs a mean_gap, a number or null")
-    fields, known = payload["config"], set(ModelConfig.__dataclass_fields__)
-    if set(fields) - known:
-        raise ConfigError(f"unknown config keys: {sorted(set(fields) - known)}")
-    if known - set(fields):  # a default would stand in for the saved value unseen
-        raise ConfigError(f"missing config keys: {sorted(known - set(fields))}")
-    params = init_model_params(ModelConfig(**fields), seed=0)
-    saved, names = payload["params"], set(params.all_named())
-    if set(saved) != names:
-        raise ConfigError(f"checkpoint parameter names mismatch: {sorted(names ^ set(saved))}")
-    values = {}
-    for name, entry in saved.items():
-        try:
-            values[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: {name!r} needs numeric data that fills its shape") from None
-        if not np.isfinite(values[name]).all():
-            raise NumericsError(f"checkpoint {name!r} holds non-finite values")
-    params.load_values(values)
-    mean_gap = payload["mean_gap"]
-    return params, None if mean_gap is None else check_real("mean_gap", mean_gap)

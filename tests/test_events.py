@@ -1,9 +1,7 @@
-"""Tests for sequence loading, synthetic generators, windowing, normalization."""
+"""Tests for event sequences, synthetic generators, windowing, normalization."""
 
 import contextlib
 import itertools
-import json
-import math
 import re
 import signal
 import tracemalloc
@@ -12,8 +10,6 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from nextevent.errors import ConfigError, DataError
@@ -22,12 +18,9 @@ from nextevent.events import (
     apply_normalization,
     generate_hawkes,
     generate_multiscale,
-    load_sequences,
     make_examples,
     normalize_times,
-    save_sequences,
 )
-from nextevent.hierarchy import build_hierarchy
 import oracles as O
 from conftest import nine_point_layout
 
@@ -91,6 +84,11 @@ class TestEventSequence:
         with pytest.raises(DataError, match=f"'s': {name} are a ragged list"):
             EventSequence(times, types, 2, seq_id="s")
 
+    def test_rejects_times_and_types_of_different_lengths(self):
+        match = r"'s': times and types must be equal-length 1-D arrays, got \(2,\) and \(1,\)"
+        with pytest.raises(DataError, match=match):
+            EventSequence([0.0, 1.0], [0], 1, seq_id="s")
+
     def test_rejects_num_types_above_the_int64_maximum(self):
         # Above it, a type id that passes the range check would wrap in the
         # cast to int64: 10**19 used to be stored as -2**63.
@@ -115,8 +113,8 @@ class TestEventSequence:
     @pytest.mark.parametrize("types", [
         [0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 2], dtype=np.int32),
         [0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0], dtype=np.float32),
-        np.array([0, 1, 2], dtype=object),
-    ], ids=["list", "uint8", "int32", "whole-floats", "float32", "object"])
+        np.array([0, 1, 2], dtype=object), [0.0, 1, 2],
+    ], ids=["list", "uint8", "int32", "whole-floats", "float32", "object", "mixed"])
     def test_accepts_integer_types_and_whole_floats(self, types):
         seq = EventSequence([0.0, 0.5, 1.0], types, 3)
         assert seq.types.dtype == np.int64
@@ -141,14 +139,15 @@ class TestEventSequence:
         with pytest.raises(DataError, match=rf"'s': type id at {bad}"):
             EventSequence([0.0, 1.0, 2.0, 3.0], types, 3, seq_id="s")
 
-    @pytest.mark.parametrize("times, event", [([-1e308, 1e308], 1), ([-1e308, 0.0, 1e308], 2)])
+    @pytest.mark.parametrize("times, event", [([-1e308, 1e308], 1), ([-1e308, 0.0, 1e308], 2),
+                                              ([-1e308, 1e308, 1e308], 1)])
     def test_rejects_times_whose_difference_overflows(self, times, event):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=f"time span overflow at event {event}"):
                 EventSequence(times, [0] * len(times), 1)
 
-    @pytest.mark.parametrize("seq_id", [np.int64(3), None, 3, b"a"])
+    @pytest.mark.parametrize("seq_id", [np.int64(3), None, 3, b"a", 2.5, True, ["x"], {"a": 1}])
     def test_rejects_a_seq_id_that_is_not_a_str(self, seq_id):
         match = rf"seq_id must be a str, got {re.escape(repr(seq_id))}"
         with pytest.raises(DataError, match=match):
@@ -198,264 +197,6 @@ class TestEventSequence:
         match = rf"target_time must be a finite number > -inf, got {re.escape(repr(bad))}"
         with pytest.raises(DataError, match=match):
             PredictionExample(seq, bad, 0)
-
-
-def _jsonl(*records) -> str:
-    """One line per ``(id, times, types)`` record, as ``save_sequences`` writes it."""
-    return "".join(json.dumps({"id": i, "times": t, "types": k}) + "\n" for i, t, k in records)
-
-
-# Ids that JSON must escape or encode: quotes, commas, line breaks and
-# characters outside ASCII, among any others hypothesis draws.
-_IDS = st.text(st.sampled_from('"\',\n\r\\\té漢\u2028') | st.characters(), max_size=6)
-
-
-@st.composite
-def _sequences(draw, num_types):
-    """An ``EventSequence`` of up to 6 events, possibly none, whose next time
-    is one ulp or a drawn gap after the last."""
-    times, t = [], draw(st.floats(-1e9, 1e9))
-    for _ in range(draw(st.integers(0, 6))):
-        times.append(t)
-        t = math.nextafter(t, math.inf) if draw(st.booleans()) else t + draw(st.floats(1e-3, 1e3))
-    types = draw(st.lists(st.integers(0, num_types - 1), min_size=len(times),
-                          max_size=len(times)))
-    return EventSequence(times, types, num_types, draw(_IDS))
-
-
-class TestLoadSequences:
-    def test_minimal_jsonl(self, tmp_path):
-        p = tmp_path / "data.jsonl"
-        p.write_text('{"id": "0", "times": [0.0, 2.5], "types": [1, 0]}\n')
-        seqs = load_sequences(p)
-        assert len(seqs) == 1
-        assert len(seqs[0]) == 2
-        assert seqs[0].num_types == 2
-        np.testing.assert_array_equal(seqs[0].times, [0.0, 2.5])
-
-    def test_empty_file_warns(self, tmp_path):
-        p = tmp_path / "empty.jsonl"
-        p.write_text("\n")
-        with pytest.warns(UserWarning, match="no sequences"):
-            assert load_sequences(p) == []
-
-    def test_time_regression_names_line(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text(_jsonl(("a", [0.0, 1.0], [0, 0]), ("b", [0.0, 5.0], [0, 0]),
-                            ("", [], []), ("c", [0.0, 5.0, 3.0], [0, 0, 0])))
-        match = r"bad\.jsonl:4: sequence 'c': time regression at event 2"
-        with pytest.raises(DataError, match=match):
-            load_sequences(p)
-
-    def test_unknown_type_id(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text(_jsonl(("0", [0.0], ["aspirin"])))
-        match = r"bad\.jsonl:1: sequence '0': type id at event 0 is not an integer: 'aspirin'"
-        with pytest.raises(DataError, match=match):
-            load_sequences(p)
-
-    def test_jsonl_numeric_type_ids_follow_the_in_memory_rule(self, tmp_path):
-        p = tmp_path / "data.jsonl"
-        p.write_text('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, 1]}\n')
-        assert load_sequences(p)[0].types.tolist() == [1, 0, 1]
-
-    @pytest.mark.parametrize("bad, message", [
-        ("true", "type id at event 1 is not an integer: True"),
-        ("1.5", "type id at event 1 is not an integer: 1.5"),
-        ("null", "type id at event 1 is not an integer: None"),
-        ("[1]", "type ids are a ragged list"),
-    ], ids=["true", "1.5", "null", "[1]"])
-    def test_jsonl_rejects_a_type_id_that_is_not_a_whole_number(self, tmp_path, bad, message):
-        p = tmp_path / "data.jsonl"
-        p.write_text('{"id": "a", "times": [0.0, 1.0], "types": [0, %s]}\n' % bad)
-        with pytest.raises(DataError, match=rf"data\.jsonl:1: sequence 'a': {re.escape(message)}$"):
-            load_sequences(p)
-
-    def test_a_csv_file_is_a_data_error_at_line_1(self, tmp_path):
-        p = tmp_path / "data.csv"
-        p.write_text("seq_id,time,type\n0,0.0,1\n0,2.5,0\n")
-        with pytest.raises(DataError, match=r"data\.csv:1: invalid JSON"):
-            load_sequences(p)
-
-    def test_duplicate_times_perturbed_with_warning(self, tmp_path):
-        p = tmp_path / "dup.jsonl"
-        p.write_text(_jsonl(("0", [0.0, 1.0, 1.0, 4.0], [0, 0, 0, 0])))
-        with pytest.warns(UserWarning, match="duplicate"):
-            seqs = load_sequences(p)
-        assert np.all(np.diff(seqs[0].times) > 0)
-
-    def test_duplicate_epoch_times_become_distinct(self, tmp_path):
-        # At ~1.7e9 s, 1e-9 of the mean gap is below one ulp (2.4e-7).
-        t0 = 1.7e9
-        times = [t0, t0 + 10, t0 + 10, t0 + 25, t0 + 40]
-        p = tmp_path / "epoch.jsonl"
-        p.write_text(_jsonl(("0", times, [0] * len(times))))
-        with pytest.warns(UserWarning, match=r"perturbed by up to 2\.38e-07"):
-            seqs = load_sequences(p)
-        out = seqs[0].times
-        assert np.all(np.diff(out) > 0)
-        assert out[2] == np.nextafter(t0 + 10, np.inf)
-        assert build_hierarchy(out, 1).num_leaves == 5
-
-    def test_jsonl_round_trip(self, tmp_path):
-        seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
-        p = tmp_path / "data.jsonl"
-        save_sequences(p, seqs)
-        loaded = load_sequences(p)
-        np.testing.assert_array_equal(loaded[0].times, seqs[0].times)
-        np.testing.assert_array_equal(loaded[0].types, seqs[0].types)
-
-    @pytest.mark.parametrize("name", ["data.jsonl", "data.csv", "data"])
-    def test_any_suffix_is_written_and_read_as_jsonl(self, tmp_path, name):
-        seqs = [EventSequence([0.0, 1.5, 2.0], [0, 1, 0], 2, seq_id="a")]
-        p = tmp_path / name
-        save_sequences(p, seqs)
-        assert p.read_text() == '{"id": "a", "times": [0.0, 1.5, 2.0], "types": [0, 1, 0]}\n'
-        assert load_sequences(p) == seqs
-
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        t = np.cumsum(rng.exponential(1.0, size=20))
-        seqs = [EventSequence(t, rng.integers(0, 3, size=20), 3, seq_id="s0")]
-        p = tmp_path / "data.jsonl"
-        save_sequences(p, seqs)
-        loaded = load_sequences(p)
-        np.testing.assert_array_equal(loaded[0].times, t)
-
-    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(_sequences(k),
-                                                                             max_size=4))))
-    def test_save_then_load_returns_what_was_saved(self, tmp_path_factory, drawn):
-        num_types, seqs = drawn
-        p = tmp_path_factory.mktemp("round") / "data.jsonl"
-        save_sequences(p, seqs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert load_sequences(p, num_types=num_types) == seqs
-        # Times that differ are never nudged: only an empty file warns.
-        assert [str(w.message) for w in caught] == ([] if seqs else [f"{p}: no sequences found"])
-
-    def test_missing_file(self):
-        with pytest.raises(DataError, match="no such file"):
-            load_sequences("/nonexistent/x.jsonl")
-
-    def test_a_directory_is_not_a_file(self, tmp_path):
-        with pytest.raises(DataError, match="no such file"):
-            load_sequences(tmp_path)
-
-    def test_a_line_that_is_not_utf8_is_named(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_bytes(b'{"id": "a", "times": [0.0], "types": [0]}\n'
-                      b'{"id": "\xff", "times": [0.0], "types": [0]}\n')
-        with pytest.raises(DataError, match=r"bad\.jsonl:2: not UTF-8"):
-            load_sequences(p)
-
-    def test_raw_utf8_ids_round_trip_in_any_locale(self, tmp_path):
-        # save_sequences escapes what is not ASCII; another writer may not.
-        # Under a C locale a file read in the locale's encoding fails here.
-        p = tmp_path / "data.jsonl"
-        p.write_bytes('{"id": "café", "times": [0.0, 1.0], "types": [0, 1]}\n'.encode("utf-8"))
-        seqs = load_sequences(p)
-        assert seqs[0].seq_id == "café"
-        save_sequences(p, seqs)
-        assert load_sequences(p) == seqs
-
-    @pytest.mark.parametrize("line, message", [
-        ('{"id": "b", "times": [0.0, "soon"], "types": [0, 1]}',
-         "sequence 'b': time at event 1 is not a real number: 'soon'"),
-        ('{"id": "b", "times": [0.0, null], "types": [0, 1]}',
-         "sequence 'b': time at event 1 is not a real number: None"),
-        ('{"id": "b", "times": [true, 2.0], "types": [0, 1]}',
-         "sequence 'b': time at event 0 is not a real number: True"),
-        ('[0.0, 1.0]', "expected a JSON object"),
-        ('{"id": "b", "times": 1.0, "types": [0]}', "times and types must be lists"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": [0]}',
-         r"sequence 'b': times and types must be equal-length 1-D arrays, got \(2,\) and \(1,\)"),
-        ('{"id": "b", "times": ["0.5", 2.0], "types": [0, 1]}',
-         "sequence 'b': time at event 0 is not a real number: '0.5'"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": [0, "1"]}',
-         "sequence 'b': type id at event 1 is not an integer: '1'"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": ["aspirin", 1]}',
-         "sequence 'b': type id at event 0 is not an integer: 'aspirin'"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": [0, NaN]}',
-         "sequence 'b': type id at event 1 is not an integer: nan"),
-        ('{"id": "b", "times": [0, [1]], "types": [0, 1]}',
-         "sequence 'b': times are a ragged list"),
-    ], ids=["non-numeric time", "null time", "bool time", "not an object",
-            "times not a list", "fewer types than times", "decimal-string time",
-            "decimal-string type id", "label type id", "NaN type id", "ragged times"])
-    def test_bad_jsonl_line_names_line(self, tmp_path, line, message):
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"id": "a", "times": [0.0], "types": [0]}\n' + line + "\n")
-        with pytest.raises(DataError, match=rf"bad\.jsonl:2: {message}"):
-            load_sequences(p)
-
-    @pytest.mark.parametrize("seq_id", ["null", "3", "2.5", "true", '["x"]', '{"a": 1}'])
-    def test_jsonl_rejects_an_id_that_is_not_a_string(self, tmp_path, seq_id):
-        # Coerced through str(), null would load as "None", next to a real
-        # sequence of that name.
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"id": "None", "times": [0.0], "types": [0]}\n'
-                     f'{{"id": {seq_id}, "times": [0.0, 1.0], "types": [0, 1]}}\n')
-        with pytest.raises(DataError, match=rf"bad\.jsonl:2: id must be a string,"
-                                            rf" got {re.escape(seq_id)}$"):
-            load_sequences(p)
-
-    _TOP = float(np.finfo(np.float64).max)
-
-    @pytest.mark.parametrize("times, message", [
-        ([-1e308, 1e308], "time span overflow at event 1"),
-        ([-1e308, 1e308, 1e308], "time span overflow at event 1"),
-        ([0.0, _TOP, _TOP], "tied time at event 2 cannot be nudged"),
-    ], ids=["no tie", "tie", "tie at the largest float"])
-    def test_times_that_overflow_are_a_data_error(self, tmp_path, times, message):
-        # A tie in a span that overflows is not nudged: the mean gap is
-        # infinite, and the sequence reports the overflow, not a non-finite
-        # time. A tie at the largest float has no larger neighbour.
-        p = tmp_path / "span.jsonl"
-        p.write_text(_jsonl(("a", times, [0] * len(times))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=f"'a': {message}"):
-                load_sequences(p)
-
-    @pytest.mark.parametrize("line, message", [
-        ('{"id": "b", "times": [0.0, NaN], "types": [0, 0]}', "non-finite time at event 1"),
-        ('{"id": "b", "times": [0.0, "inf"], "types": [0, 0]}',
-         "time at event 1 is not a real number: 'inf'"),
-        ('{"id": "b", "times": [0.0, 1.0], "types": [0, 2]}', r"type ids must lie in \[0, 2\)"),
-        ('{"id": "b", "times": [-1e308, 1e308], "types": [0, 0]}',
-         "time span overflow at event 1"),
-        ('{"id": "b", "times": [3.0, 3.0, 3.0], "types": [0, 0, 0]}',
-         "all timestamps identical"),
-        ('{"id": "b", "times": [1.0, 3.0, 2.0, 2.0], "types": [0, 0, 0, 0]}',
-         "time regression at event 2"),
-    ], ids=["NaN time", "inf string", "type outside num_types", "span overflow",
-            "identical times", "regression next to a tie"])
-    def test_a_sequence_error_names_its_line(self, tmp_path, line, message):
-        # Line 1 holds a good sequence with the same id, so only the line
-        # number tells them apart. A regression next to a tie is reported,
-        # not nudged away with a warning.
-        p = tmp_path / "f.jsonl"
-        p.write_text('{"id": "b", "times": [0.0], "types": [0]}\n' + line + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=rf"f\.jsonl:2: sequence 'b': {message}"):
-                load_sequences(p, num_types=2)
-
-    @pytest.mark.parametrize("num_types", [0, True, 2.0, "3"])
-    def test_num_types_is_checked_before_reading(self, tmp_path, num_types):
-        p = tmp_path / "f.jsonl"
-        p.write_text("not JSON\n")
-        match = rf"num_types must be an integer >= 1, got {re.escape(repr(num_types))}"
-        with pytest.raises(ConfigError, match=match):
-            load_sequences(p, num_types=num_types)
-
-    def test_all_empty_sequences_need_num_types(self, tmp_path):
-        p = tmp_path / "empty.jsonl"
-        p.write_text('{"id": "a", "times": [], "types": []}\n')
-        with pytest.raises(DataError, match=r"empty\.jsonl: every sequence is empty"):
-            load_sequences(p)
-        assert len(load_sequences(p, num_types=2)[0]) == 0
 
 
 @pytest.mark.parametrize("generate", [

@@ -1,16 +1,13 @@
 """Tests for the encoder's attention key sets, score accounting and boundaries."""
 
-import dataclasses
-import json
 import math
-import re
 
 import numpy as np
 import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.errors import ConfigError, DataError, NumericsError
+from nextevent.errors import ConfigError, DataError
 from nextevent.events import EventSequence, generate_multiscale, make_examples, normalize_times
 from oracles import dense_masked_attention
 
@@ -121,47 +118,6 @@ def test_summarize_matches_dense_oracle():
     assert counter.count == cfg.num_heads * cfg.head_dim * n
 
 
-def _edited_checkpoint(tmp_path, edit):
-    """A checkpoint of a fresh model and a mean gap of 2, passed through ``edit(payload)``."""
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), 2.0)
-    payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def test_load_checkpoint_rejects_unknown_config_keys(tmp_path):
-    # Each key is a field an earlier version held.
-    for key, value in (("depth", 3), ("attention", "dense"), ("layer_norm", False),
-                       ("alpha", 0.5)):
-        path = _edited_checkpoint(tmp_path, lambda p: p["config"].update({key: value}))
-        with pytest.raises(ConfigError, match=f"unknown config keys.*'{key}'"):
-            M.load_checkpoint(path)
-
-
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(M.ModelConfig)])
-def test_load_checkpoint_rejects_a_missing_config_key(tmp_path, field):
-    # Without the check a config saved with causal=True and pe="base" but
-    # lacking those keys loaded as causal=False and pe="fcpe", whose leaves
-    # have the same names and shapes.
-    path = _edited_checkpoint(tmp_path, lambda p: p["config"].pop(field))
-    with pytest.raises(ConfigError, match=rf"missing config keys: \['{field}'\]"):
-        M.load_checkpoint(path)
-
-
-def test_load_checkpoint_rejects_a_file_that_is_not_utf8(tmp_path):
-    path = _edited_checkpoint(tmp_path, lambda p: p["config"].update(pe="fcpe"))
-    path.write_bytes(path.read_bytes().replace(b'"fcpe"', b'"fc\xffpe"'))
-    with pytest.raises(DataError, match=r"ckpt\.json: not UTF-8"):
-        M.load_checkpoint(path)
-
-
-def test_load_checkpoint_rejects_a_directory(tmp_path):
-    with pytest.raises(DataError, match="no such checkpoint"):
-        M.load_checkpoint(tmp_path)
-
-
 def test_config_has_one_time_distribution():
     assert M.ModelConfig(distribution="weibull").distribution == "weibull"
     with pytest.raises(ConfigError, match="distribution must be 'weibull'"):
@@ -173,10 +129,9 @@ def test_config_has_one_time_distribution():
     ("num_types", None), ("causal", None), ("distribution", None), ("pe", None),
     ("causal", "yes"), ("causal", 1), ("distribution", ["weibull"]), ("pe", 0),
 ])
-def test_config_rejects_wrongly_typed_fields(tmp_path, field, value):
-    path = _edited_checkpoint(tmp_path, lambda p: p["config"].update({field: value}))
+def test_config_rejects_wrongly_typed_fields(field, value):
     with pytest.raises(ConfigError, match=field):
-        M.load_checkpoint(path)
+        M.ModelConfig(**{field: value})
 
 
 def test_encode_rejects_a_history_shorter_than_the_scales_need():
@@ -194,84 +149,20 @@ def test_hierarchy_for_rejects_more_scales_than_merges():
         M.hierarchy_for(M.ModelConfig(d_model=8, num_heads=2, num_scales=5), times)
 
 
-def test_load_checkpoint_rejects_an_older_version(tmp_path):
-    # A version-7 file is the last to hold the loss weight alpha, and a
-    # version-8 file the last to hold the mean gap in a "norm" object.
-    def v7(payload):
-        payload.update(version=7)
-        payload["config"]["alpha"] = 0.5
-
-    def v8(payload):
-        payload.update(version=8, norm={"mean_gap": payload.pop("mean_gap")})
-
-    for version, edit in ((7, v7), (8, v8)):
-        with pytest.raises(ConfigError, match=f"unsupported checkpoint version {version}"):
-            M.load_checkpoint(_edited_checkpoint(tmp_path, edit))
-
-
-def test_checkpoint_round_trips_a_config_and_norm_given_numpy_scalars(tmp_path):
+def test_config_stores_numpy_scalars_as_python_values():
     config = M.ModelConfig(d_model=np.int64(8), num_types=np.uint8(3), causal=np.bool_(True))
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(config, seed=0), np.float32(2.5))
-    loaded, mean_gap = M.load_checkpoint(path)
-    assert loaded.config == config == M.ModelConfig(d_model=8, num_types=3, causal=True)
-    for cfg in (config, loaded.config):
-        assert (type(cfg.d_model), type(cfg.num_types), type(cfg.causal)) == (int, int, bool)
-    assert type(mean_gap) is float and mean_gap == 2.5
-    M.save_checkpoint(path, loaded)
-    assert M.load_checkpoint(path)[1] is None
+    assert config == M.ModelConfig(d_model=8, num_types=3, causal=True)
+    assert (type(config.d_model), type(config.num_types), type(config.causal)) == (int, int, bool)
 
 
-def test_leaf_names_are_spelled_once(tmp_path):
-    # The checkpoint's keys are all_named()'s, and pe="base" freezes exactly
+def test_leaf_names_are_spelled_once():
+    # named_parameters() is all_named() less what pe="base" freezes: exactly
     # the frequencies and the amplitude map.
     params = M.init_model_params(_config(False), seed=0)
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, params)
-    assert set(json.loads(path.read_text())["params"]) == set(params.all_named())
     assert set(params.named_parameters()) == set(params.all_named())
     base = M.init_model_params(_config(False, pe="base"), seed=0)
     assert set(base.all_named()) - set(base.named_parameters()) == {"fcpe.freqs",
                                                                     "fcpe.density_map"}
-
-
-def test_load_checkpoint_rejects_non_finite_parameters(tmp_path):
-    params = M.init_model_params(_config(False), seed=0)
-    good = tmp_path / "good.json"
-    M.save_checkpoint(good, params)
-    loaded, _ = M.load_checkpoint(good)
-    for name, node in params.all_named().items():
-        np.testing.assert_array_equal(loaded.all_named()[name].value, node.value)
-
-    def put_nan(payload):  # save_checkpoint refuses to write one
-        payload["params"]["dec.type"]["data"][1] = math.nan
-
-    with pytest.raises(NumericsError, match="dec.type"):
-        M.load_checkpoint(_edited_checkpoint(tmp_path, put_nan))
-
-
-@pytest.mark.parametrize("name, value", [
-    ("fcpe.freqs", math.nan), ("attn2.wqkv", math.inf), ("dec.type", -math.inf)])
-def test_save_checkpoint_rejects_a_non_finite_leaf_before_writing(tmp_path, name, value):
-    params = M.init_model_params(_config(False), seed=0)
-    params.all_named()[name].value.flat[1] = value
-    path = tmp_path / "ckpt.json"
-    with pytest.raises(NumericsError, match=rf"parameter '{name}' holds non-finite values"):
-        M.save_checkpoint(path, params)
-    assert not path.exists()
-
-
-def test_load_checkpoint_rejects_a_parameter_of_the_wrong_shape(tmp_path):
-    # A checkpoint written before the FCPE leaves were stored transposed holds
-    # fcpe.type_embed as (d, K); the data fill that shape, but it is not this
-    # model's.
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0))
-    payload = json.loads(path.read_text())
-    payload["params"]["fcpe.type_embed"]["shape"] = [8, 4]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match=r"'fcpe.type_embed': shape \(8, 4\) does not match"):
-        M.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value, match", [
@@ -297,51 +188,3 @@ def test_load_values_writes_nothing_when_a_later_entry_is_bad():
     with pytest.raises(ConfigError, match=r"'fcpe.type_embed': shape \(1, 1\) does not match"):
         params.load_values({"fcpe.freqs": freqs + 1.0, "fcpe.type_embed": [[1.0]]})
     np.testing.assert_array_equal(params.freqs.value, freqs)
-
-
-# The stored value is checked as it is, never coerced through float().
-@pytest.mark.parametrize("mean_gap", ["nan", "-inf", -2.0, -1.0, 0, 0.0, "2.5", True])
-def test_load_checkpoint_rejects_a_norm_whose_mean_gap_is_not_positive(tmp_path, mean_gap):
-    path = _edited_checkpoint(tmp_path, lambda p: p.update(mean_gap=mean_gap))
-    match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
-    with pytest.raises(ConfigError, match=match):
-        M.load_checkpoint(path)
-
-
-@pytest.mark.parametrize("mean_gap", [-2.0, np.nan, np.inf, "2", True])
-def test_save_checkpoint_rejects_a_bad_mean_gap_before_writing(tmp_path, mean_gap):
-    path = tmp_path / "ckpt.json"
-    match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
-    with pytest.raises(ConfigError, match=match):
-        M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), mean_gap)
-    assert not path.exists()
-
-
-_MALFORMED_CHECKPOINTS = {
-    "not JSON": "not a JSON checkpoint",
-    "not an object": "a checkpoint is a JSON object",
-    "no config": "checkpoint needs a config object and a params object",
-    "no params": "checkpoint needs a config object and a params object",
-    "short data": "'dec.type' needs numeric data that fills its shape",
-    "norm without mean_gap": "checkpoint needs a mean_gap, a number or null",
-}
-
-
-@pytest.mark.parametrize("case", list(_MALFORMED_CHECKPOINTS))
-def test_load_checkpoint_rejects_a_malformed_file(tmp_path, case):
-    path = tmp_path / "ckpt.json"
-    M.save_checkpoint(path, M.init_model_params(_config(False), seed=0), 2.0)
-    assert M.load_checkpoint(path)[1] == 2.0
-    payload = json.loads(path.read_text())
-    if case == "no config":
-        del payload["config"]
-    elif case == "no params":
-        del payload["params"]
-    elif case == "short data":
-        payload["params"]["dec.type"]["data"].pop()
-    elif case == "norm without mean_gap":  # a version-8 norm object under version 9
-        payload["norm"] = {"mean_gap": payload.pop("mean_gap")}
-    text = {"not JSON": "{not json", "not an object": "[5]"}.get(case, json.dumps(payload))
-    path.write_text(text)
-    with pytest.raises(DataError, match=rf"ckpt\.json: {_MALFORMED_CHECKPOINTS[case]}"):
-        M.load_checkpoint(path)
