@@ -11,6 +11,9 @@ they hold, ``bool`` never does, and the checks return plain Python values.
 import math
 from numbers import Integral, Real
 
+__all__ = ["ConfigError", "DataError", "HierarchyError", "NumericsError", "check_int",
+           "check_real"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or combination."""
@@ -26,12 +29,6 @@ class HierarchyError(ValueError):
 
 class NumericsError(RuntimeError):
     """Non-finite values where finite ones are required."""
-
-
-def is_type_id(value) -> bool:
-    """Integers and whole floats pass; fractions, NaN, bool, str and None do not."""
-    return (isinstance(value, float) and value.is_integer()
-            or isinstance(value, Integral) and not isinstance(value, bool))
 
 
 def check_int(name: str, value, low: int = 1, error=ConfigError) -> int:

@@ -3,17 +3,16 @@ normalization.
 
 An event sequence is an ordered list of (time, type) pairs with integer
 types in ``[0, num_types)``. One rule, which :class:`EventSequence` applies to
-every caller, says what a time and a type id are. A time is a real number
-that numpy holds as an int, uint or float. A type id is an integer or a float
-that holds a whole number; anything else is rejected, not truncated. A bool
-or a string is neither, in a list or as an array's dtype, and an int, uint or
-float array is judged with no per-element Python work. Times must strictly
-increase: a regression is rejected rather than re-sorted, and an exact tie is
-rejected too, because it would make the clustering hierarchy order-dependent.
-Normalization shifts every sequence to start at zero and may divide by one
-global mean gap. That mean gap, a ``float``, is all the state it returns; it
-keeps none per sequence, so sequences that share an id are normalized
-independently.
+every caller, says what a time and a type id are: a time is a number that
+numpy holds as an int, uint or float, and a type id one it holds as an int or
+uint. Anything else is rejected, not cast: a float type id such as ``2.0``, a
+bool or a string. An array of an accepted dtype kind is judged with no
+per-element Python work. Times must strictly increase: a regression is
+rejected rather than re-sorted, and an exact tie is rejected too, because it
+would make the clustering hierarchy order-dependent. Normalization shifts
+every sequence to start at zero and divides by one global mean gap. That mean
+gap, a ``float``, is all the state it returns; it keeps none per sequence, so
+sequences that share an id are normalized independently.
 
 Windows cost nothing until they are read: :func:`make_examples` checks a
 sequence once and returns a read-only sequence of windows that builds each
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_int, check_real, is_type_id
+from .errors import ConfigError, DataError, check_int, check_real
 
 __all__ = [
     "EventSequence",
@@ -41,14 +40,18 @@ __all__ = [
     "generate_multiscale",
     "make_examples",
     "normalize_times",
-    "apply_normalization",
 ]
 
 
-def _checked(values, seq_id: str, name: str, rule: str, passes, ok) -> np.ndarray:
-    """``values`` as an array whose elements are each ``rule``: ``passes``
-    judges the whole array with no per-element work, and only when it fails
-    does ``ok`` look for the first element that is not."""
+def _holds(value, kinds: str) -> bool:
+    """Whether numpy holds ``value`` as one scalar of a dtype kind in ``kinds``."""
+    return isinstance(value, (int, float, np.generic)) and np.asarray(value).dtype.kind in kinds
+
+
+def _checked(values, seq_id: str, name: str, rule: str, kinds: str) -> np.ndarray:
+    """``values`` as an array whose elements numpy each holds as a dtype kind in
+    ``kinds``: an array of such a kind passes with no per-element work, and
+    otherwise the first element that is not is named."""
     array = values
     if not isinstance(values, np.ndarray):
         try:  # np.asarray would read a bool among numbers as 0 or 1
@@ -57,27 +60,15 @@ def _checked(values, seq_id: str, name: str, rule: str, passes, ok) -> np.ndarra
             array = np.array(values, dtype=object) if bools else np.asarray(values)
         except ValueError:
             raise DataError(f"sequence {seq_id!r}: {name}s are a ragged list") from None
-    if not passes(array):
+    if array.dtype.kind not in kinds:
         # Read a flat list as given: np.asarray turns its numbers to str if it holds one.
         flat = (values if isinstance(values, (list, tuple)) and array.ndim == 1
                 else array.reshape(-1).tolist())
-        bad = next((i for i, v in enumerate(flat) if not ok(v)), None)
+        bad = next((i for i, v in enumerate(flat) if not _holds(v, kinds)), None)
         if bad is not None:
             raise DataError(f"sequence {seq_id!r}: {name} at event {bad} is not {rule}:"
                             f" {flat[bad]!r}")
     return array
-
-
-def _time_array(values, seq_id: str) -> np.ndarray:
-    """``values`` as ``float64`` times, if numpy holds each as an int, uint or float."""
-    return _checked(values, seq_id, "time", "a real number", lambda a: a.dtype.kind in "iuf",
-                    lambda v: np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"
-                    ).astype(np.float64, copy=False)
-
-
-def _whole(types: np.ndarray) -> bool:
-    return types.dtype.kind in "iu" or types.dtype.kind == "f" and bool(
-        (np.isfinite(types) & (np.floor(types) == types)).all())
 
 
 # The largest num_types, so that every type id below it fits int64.
@@ -89,7 +80,7 @@ class EventSequence:
     """(time, type) pairs: finite, strictly increasing times and dense
     integer types in [0, num_types). It judges times and type ids for every
     caller: a time is a number numpy holds as an int, uint or float, a type
-    id an integer or a whole float, and a bool or a string neither. No
+    id one it holds as an int or uint, and a bool or a string neither. No
     difference of two times may overflow, ``num_types`` may not exceed the
     int64 maximum, and ``seq_id`` must be a ``str``.
 
@@ -108,9 +99,9 @@ class EventSequence:
     def __post_init__(self):
         if not isinstance(self.seq_id, str):
             raise DataError(f"seq_id must be a str, got {self.seq_id!r}")
-        self.times = _time_array(self.times, self.seq_id)
-        self.types = _checked(self.types, self.seq_id, "type id", "an integer", _whole,
-                              is_type_id)
+        self.times = _checked(self.times, self.seq_id, "time", "a real number", "iuf"
+                              ).astype(np.float64, copy=False)
+        self.types = _checked(self.types, self.seq_id, "type id", "an integer", "iu")
         if self.times.shape != self.types.shape or self.times.ndim != 1:
             raise DataError(
                 f"sequence {self.seq_id!r}: times and types must be equal-length"
@@ -136,7 +127,7 @@ class EventSequence:
             raise DataError(
                 f"sequence {self.seq_id!r}: type ids must lie in [0, {self.num_types})"
             )
-        # In range, so a float type id casts exactly.
+        # In range, so a uint64 type id casts exactly.
         self.types = self.types.astype(np.int64, copy=False)
 
     def __len__(self):
@@ -152,20 +143,23 @@ class EventSequence:
 
 @dataclass
 class PredictionExample:
-    """A history window plus the next event it should predict. The target
-    type follows the rule for a sequence's types: an integer, or a float that
-    holds a whole number, in ``[0, history.num_types)``, stored as an ``int``;
-    the target time is a finite real after the history, stored as a ``float``."""
+    """A history window plus the next event it should predict. The history
+    must be an :class:`EventSequence`. The target type follows the rule for a
+    sequence's types: a number numpy holds as an int or uint, in
+    ``[0, history.num_types)``, stored as an ``int``; the target time is a
+    finite real after the history, stored as a ``float``."""
 
     history: EventSequence
     target_time: float
     target_type: int
 
     def __post_init__(self):
+        if not isinstance(self.history, EventSequence):
+            raise DataError(f"history must be an EventSequence, got {type(self.history).__name__}")
         if len(self.history) < 2:
             raise DataError("history must contain at least 2 events")
         k = self.target_type
-        if not is_type_id(k) or not 0 <= k < self.history.num_types:
+        if not _holds(k, "iu") or not 0 <= k < self.history.num_types:
             raise DataError(f"target_type must be an integer in"
                             f" [0, {self.history.num_types}), got {k!r}")
         self.target_type = int(k)
@@ -356,6 +350,8 @@ def make_examples(seq: EventSequence, window: int) -> Sequence[PredictionExample
     targets included.
     """
     window = check_int("window", window, low=2)
+    if not isinstance(seq, EventSequence):
+        raise DataError(f"seq must be an EventSequence, got {type(seq).__name__}")
     seq = EventSequence(seq.times, seq.types, seq.num_types, seq.seq_id)
     times, types = seq.times.view(), seq.types.view()
     times.flags.writeable = types.flags.writeable = False
@@ -405,42 +401,25 @@ def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int,
     return example
 
 
-NORM_MODES = ("shift_to_zero", "shift_and_scale")
-
-
 def normalize_times(seqs: list[EventSequence], mode: str) -> tuple[list[EventSequence], float]:
-    """Shift each sequence to start at zero, and with ``"shift_and_scale"``
-    divide by the mean gap: the times become ``(times - times[0]) / mean_gap``.
+    """Shift each sequence to start at zero and divide by the mean gap: the
+    times become ``(times - times[0]) / mean_gap``. ``mode`` must be
+    ``"shift_and_scale"``; the benchmark passes it.
 
     Returns the sequences and ``mean_gap``, a ``float``: the mean inter-event
-    gap of ``seqs`` under ``"shift_and_scale"`` and 1.0 under
-    ``"shift_to_zero"``. A gap ``g`` in model units is ``g * mean_gap`` in the
-    original ones. Use :func:`apply_normalization` to reuse the scale on
-    held-out data.
+    gap of ``seqs``. A gap ``g`` in model units is ``g * mean_gap`` in the
+    original ones.
     """
-    if mode not in NORM_MODES:
-        raise ConfigError(f"unknown normalization mode {mode!r}, expected {NORM_MODES}")
-    mean_gap = 1.0
-    if mode == "shift_and_scale":
-        gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
-        if gaps.size == 0:  # times strictly increase, so any gap is positive
-            raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
-        with np.errstate(over="ignore"):
-            mean_gap = gaps.mean()
-        if not np.isfinite(mean_gap):  # finite gaps whose sum overflows
-            peak = gaps.max()
-            mean_gap = (gaps / peak).mean() * peak
-        mean_gap = float(mean_gap)
-    return apply_normalization(seqs, mean_gap), mean_gap
-
-
-def apply_normalization(seqs: list[EventSequence], mean_gap: float) -> list[EventSequence]:
-    """Shift each of ``seqs`` to start at zero and divide by ``mean_gap``, which
-    must be a finite real number > 0 (:class:`ConfigError` otherwise); each
-    sequence is normalized on its own."""
-    mean_gap = check_real("mean_gap", mean_gap)
-    return [
-        EventSequence((seq.times - seq.times[:1]) / mean_gap, seq.types.copy(),
-                      seq.num_types, seq.seq_id)
-        for seq in seqs
-    ]
+    if mode != "shift_and_scale":
+        raise ConfigError(f"mode must be 'shift_and_scale', got {mode!r}")
+    gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
+    if gaps.size == 0:  # times strictly increase, so any gap is positive
+        raise ConfigError("cannot scale: no sequence has a mean inter-event gap")
+    with np.errstate(over="ignore"):
+        mean_gap = gaps.mean()
+    if not np.isfinite(mean_gap):  # finite gaps whose sum overflows
+        peak = gaps.max()
+        mean_gap = (gaps / peak).mean() * peak
+    mean_gap = float(mean_gap)
+    return [EventSequence((seq.times - seq.times[:1]) / mean_gap, seq.types.copy(),
+                          seq.num_types, seq.seq_id) for seq in seqs], mean_gap

@@ -164,17 +164,25 @@ class ModelParams:
         return {k: v.value.copy() for k, v in self.all_named().items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Write each named leaf's value, after checking every entry: a bad
-        one raises :class:`ConfigError` and leaves every leaf as it was."""
+        """Write each named leaf's value, after checking every entry: each must
+        be an array of finite numbers that numpy holds as int, uint or float,
+        of the leaf's shape. A bad one raises :class:`ConfigError` and leaves
+        every leaf as it was."""
         named = self.all_named()
         checked = {}
         for k, v in values.items():
             if k not in named:
                 raise ConfigError(f"unknown parameter {k!r} in state")
             try:
-                v = np.asarray(v, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ConfigError(f"parameter {k!r}: not an array of reals") from None
+                # np.asarray would read a bool among numbers as 0 or 1.
+                bools = not isinstance(v, np.ndarray) and any(
+                    isinstance(x, (bool, np.bool_)) for x in np.array(v, dtype=object).flat)
+                v = np.asarray(v)
+                ok = not bools and v.dtype.kind in "iuf" and np.isfinite(v).all()
+            except (TypeError, ValueError):  # a ragged list
+                ok = False
+            if not ok:
+                raise ConfigError(f"parameter {k!r}: not an array of reals, each finite")
             if named[k].value.shape != v.shape:
                 raise ConfigError(
                     f"parameter {k!r}: shape {v.shape} does not match {named[k].value.shape}"
@@ -189,8 +197,12 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
 
     The frequencies sit on the DFT grid ``2*pi*k / (d/2)``. The amplitude map
     and the type embedding are drawn as (d/2, K) and (d, K) and stored
-    transposed, so a seed gives the values it always has."""
-    rng = np.random.default_rng(seed)
+    transposed, so a seed gives the values it always has. ``seed`` must be an
+    integer >= 0 and ``config`` a :class:`ModelConfig` (:class:`ConfigError`
+    otherwise)."""
+    if not isinstance(config, ModelConfig):
+        raise ConfigError(f"config must be a ModelConfig, got {type(config).__name__}")
+    rng = np.random.default_rng(check_int("seed", seed, low=0))
     d, dk, half = config.d_model, config.head_dim, config.d_model // 2
     sigma = 1.0 / math.sqrt(d)
     freqs = T.parameter((2.0 * np.pi * np.arange(half) / half).reshape(1, half))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nextevent.errors import ConfigError, DataError, check_int, check_real, is_type_id
+from nextevent.errors import ConfigError, DataError, check_int, check_real
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
@@ -47,10 +47,3 @@ def test_check_real_bounds():
     with pytest.raises(DataError, match=r"p must be a finite number >= 0\.0 and <= 1\.0"):
         check_real("p", 1.5, high=1.0, low_included=True, error=DataError)
 
-
-@pytest.mark.parametrize("value, expected", [
-    (1, True), (np.int64(1), True), (1.0, True), (-2.0, True), (1.5, False), (math.nan, False),
-    (math.inf, False), (True, False), (np.True_, False), ("1", False), (None, False),
-])
-def test_is_type_id(value, expected):
-    assert is_type_id(value) is expected

@@ -16,7 +16,6 @@ from scipy import stats as scipy_stats
 from nextevent.errors import ConfigError, DataError
 from nextevent.events import (
     EventSequence,
-    apply_normalization,
     generate_hawkes,
     generate_multiscale,
     make_examples,
@@ -108,16 +107,15 @@ class TestEventSequence:
 
     @pytest.mark.parametrize("types", [
         [0, 1, 2], np.array([0, 1, 2], dtype=np.uint8), np.array([0, 1, 2], dtype=np.int32),
-        [0.0, 1.0, 2.0], np.array([0.0, 1.0, 2.0], dtype=np.float32),
         np.array([0, 1, 2], dtype=object),
-    ], ids=["list", "uint8", "int32", "whole-floats", "float32", "object"])
-    def test_accepts_integer_types_and_whole_floats(self, types):
+    ], ids=["list", "uint8", "int32", "object"])
+    def test_accepts_integer_types(self, types):
         seq = EventSequence([0.0, 0.5, 1.0], types, 3)
         assert seq.types.dtype == np.int64
         np.testing.assert_array_equal(seq.types, [0, 1, 2])
 
     @pytest.mark.parametrize("types, bad", [
-        ([0.0, 1.0, 2.0, 0.9], "event 3 is not an integer: 0.9"),
+        ([0.0, 1.0, 2.0, 0.9], "event 0 is not an integer: 0.0"),
         ([0, 1.7, 0.2, 1], "event 1 is not an integer: 1.7"),
         ([0, np.nan, 1, 1], "event 1 is not an integer: nan"),
         ([0, 1, np.inf, 1], "event 2 is not an integer: inf"),
@@ -127,11 +125,15 @@ class TestEventSequence:
         ([True, 0, 1, 0], "event 0 is not an integer: True"),
         ([0, 1, np.True_, 0], f"event 2 is not an integer: {re.escape(repr(np.True_))}"),
         ([0, 1, "1", 0], "event 2 is not an integer: '1'"),
-        (np.array([0, 1, 1.5, 0]), "event 2 is not an integer: 1.5"),
+        (np.array([0, 1, 1.5, 0]), "event 0 is not an integer: 0.0"),
+        ([0, 1, 2.0, 0], "event 2 is not an integer: 2.0"),
+        (np.array([0.0, 1.0, 2.0, 0.0], dtype=np.float32), "event 0 is not an integer: 0.0"),
     ], ids=["fraction", "fractions", "nan", "inf", "bool", "str", "none", "bool before ints",
-            "numpy bool among ints", "str among ints", "fraction array"])
+            "numpy bool among ints", "str among ints", "fraction array", "whole float",
+            "whole float32 array"])
     def test_rejects_type_ids_that_are_not_integers(self, types, bad):
-        # Truncation would read [0, 1.7, 0.2, 1] as [0, 1, 0, 1] without a word.
+        # Truncation would read [0, 1.7, 0.2, 1] as [0, 1, 0, 1] without a word, and
+        # a float type id is rejected even when it holds a whole number.
         with pytest.raises(DataError, match=rf"'s': type id at {bad}"):
             EventSequence([0.0, 1.0, 2.0, 3.0], types, 3, seq_id="s")
 
@@ -170,7 +172,7 @@ class TestEventSequence:
             PredictionExample(seq, bad, 0)
 
     @pytest.mark.parametrize("bad", [1.5, 1.9, 0.7, -1, 2, 2.0, np.nan, True, np.True_, "1",
-                                     None])
+                                     None, 1.0, np.float64(1.0), [1], [0, [1]], np.array(1)])
     def test_example_rejects_a_target_type_that_is_not_a_type_id(self, bad):
         from nextevent.events import PredictionExample
 
@@ -178,11 +180,19 @@ class TestEventSequence:
         with pytest.raises(DataError, match=r"target_type must be an integer in \[0, 2\)"):
             PredictionExample(seq, 2.0, bad)
 
-    @pytest.mark.parametrize("good", [1, 1.0, np.int64(1), np.uint8(1), np.float64(1.0)])
-    def test_example_accepts_an_integer_or_whole_float_target_type(self, good):
+    @pytest.mark.parametrize("good", [1, np.int64(1), np.uint8(1)])
+    def test_example_accepts_an_integer_target_type(self, good):
         from nextevent.events import PredictionExample
 
         assert PredictionExample(EventSequence([0.0, 1.0], [0, 1], 2), 2.0, good).target_type == 1
+
+    @pytest.mark.parametrize("history", [[0.0, 1.0], np.array([0.0, 1.0]), None])
+    def test_example_rejects_a_history_that_is_not_an_event_sequence(self, history):
+        from nextevent.events import PredictionExample
+
+        match = rf"history must be an EventSequence, got {type(history).__name__}$"
+        with pytest.raises(DataError, match=match):
+            PredictionExample(history, 2.0, 0)
 
     @pytest.mark.parametrize("bad", ["9", None, True, [9.0]])
     def test_example_rejects_a_target_time_that_is_not_a_number(self, bad):
@@ -222,8 +232,11 @@ class TestLoadSequences:
             _record('{"id": "0", "times": [0.0], "types": ["aspirin"]}')
 
     def test_jsonl_numeric_type_ids_follow_the_in_memory_rule(self):
-        seq = _record('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, 1]}')
+        # JSON's 1.0 is a float, so it is rejected as a float type id is in memory.
+        seq = _record('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1, 0, 1]}')
         assert seq.types.tolist() == [1, 0, 1]
+        with pytest.raises(DataError, match="'a': type id at event 0 is not an integer: 1.0$"):
+            _record('{"id": "a", "times": [0.0, 1.0, 2.0], "types": [1.0, 0, 1]}')
 
     @pytest.mark.parametrize("bad, message", [
         ("true", "type id at event 1 is not an integer: True"),
@@ -554,6 +567,12 @@ class TestMakeExamples:
     def test_window_may_be_a_numpy_integer(self):
         assert len(make_examples(self.seq(5), np.int64(3))) == 2
 
+    @pytest.mark.parametrize("seq", [[0.0, 1.0, 2.0], np.arange(3.0), None])
+    def test_rejects_a_sequence_that_is_not_an_event_sequence(self, seq):
+        match = rf"seq must be an EventSequence, got {type(seq).__name__}$"
+        with pytest.raises(DataError, match=match):
+            make_examples(seq, 2)
+
     @pytest.mark.parametrize("make, window", [
         (lambda: generate_hawkes(1, 20.0, 1.0, 0.5, 1.0, 3, seed=4)[0], 8),
         (lambda: generate_multiscale(1, 5.0, 4, 20.0, 3, seed=4, num_bursts=6)[0], 8),
@@ -681,12 +700,6 @@ def _assert_same_example(ex, ref):
 
 
 class TestNormalization:
-    def test_shift_to_zero(self):
-        seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a")]
-        out, mean_gap = normalize_times(seqs, "shift_to_zero")
-        np.testing.assert_allclose(out[0].times, [0.0, 1.0, 3.0])
-        assert type(mean_gap) is float and mean_gap == 1.0
-
     def test_shift_and_scale(self):
         seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a")]
         out, mean_gap = normalize_times(seqs, "shift_and_scale")
@@ -715,16 +728,10 @@ class TestNormalization:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             normalize_times([], "weird")
-        with pytest.raises(ConfigError, match="'none'"):
-            normalize_times([EventSequence([0.0, 1.0], [0, 0], 1)], "none")
-
-    def test_apply_reuses_fit_scale(self):
-        train = [EventSequence([0.0, 2.0, 4.0], [0, 0, 0], 1, seq_id="tr")]
-        _, mean_gap = normalize_times(train, "shift_and_scale")
-        held = apply_normalization(
-            [EventSequence([10.0, 11.0], [0, 0], 1, seq_id="te")], mean_gap
-        )
-        np.testing.assert_allclose(held[0].times, [0.0, 0.5])
+        seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
+        for mode in ("none", "shift_to_zero"):
+            with pytest.raises(ConfigError, match=f"mode must be 'shift_and_scale', got '{mode}'"):
+                normalize_times(seqs, mode)
 
     def test_sequences_sharing_an_id_normalize_independently(self):
         # Both use the default seq_id "": each still starts at its own zero.
@@ -734,22 +741,6 @@ class TestNormalization:
         assert mean_gap == 5.0 / 3.0
         np.testing.assert_array_equal(out[0].times, np.array([0.0, 1.0, 3.0]) / mean_gap)
         np.testing.assert_array_equal(out[1].times, np.array([0.0, 2.0]) / mean_gap)
-
-    @pytest.mark.parametrize("mean_gap", [-2.0, 0.0, np.nan, np.inf, "2", True, None])
-    def test_stats_reject_a_mean_gap_that_is_not_finite_and_positive(self, mean_gap):
-        seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
-        match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
-        with pytest.raises(ConfigError, match=match):
-            apply_normalization(seqs, mean_gap)
-
-    @pytest.mark.parametrize("mean_gap", ["nan", "-inf", -1.0, 0, "2.5", True])
-    def test_stats_from_dict_reject_a_bad_mean_gap(self, mean_gap):
-        # A stored mean gap is checked as it is, never coerced through
-        # float(): "2.5" and True are rejected, not accepted.
-        seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
-        match = rf"mean_gap must be a finite number > 0\.0, got {re.escape(repr(mean_gap))}"
-        with pytest.raises(ConfigError, match=match):
-            apply_normalization(seqs, mean_gap)
 
     def test_gap_to_original_undoes_the_scaling(self):
         # Gaps 2, 4 and 6: the mean gap is 4, so a model-unit gap g is 4 g.

@@ -2,7 +2,8 @@
 nothing but numpy, the standard library and the package itself. Only
 ``errors`` imports ``numbers``, so the scalar input rules have one home. And
 every name ``tensor``, ``hierarchy`` or ``encoding`` exports has a caller in
-the package, so a helper that only tests call is not public API."""
+the package, and every name ``events`` exports one in the package, ``bench/``
+or ``tools/``, so a helper that only tests call is not public API."""
 
 import ast
 import importlib.util
@@ -19,6 +20,10 @@ SOURCES = [
     Path(importlib.util.find_spec(m.name).origin)
     for m in sorted(pkgutil.iter_modules(nextevent.__path__, "nextevent."), key=lambda m: m.name)
 ]
+# The benchmark and the tools, less the benchmark's tests.
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(p for d in ("bench", "tools") for p in (ROOT / d).glob("*.py")
+                 if not p.name.startswith("test_"))
 
 
 def _imported_roots(tree: ast.AST) -> list[tuple[int, str]]:
@@ -58,13 +63,14 @@ def test_only_errors_imports_numbers(path):
 
 def _names_used(tree: ast.AST, module: str) -> set[str]:
     """Names of ``nextevent.<module>`` a module reaches through ``from . import
-    <module> as X`` (as ``X.<name>``) or ``from .<module> import <name>``."""
+    <module> as X`` or ``from nextevent import <module> as X`` (as
+    ``X.<name>``), or ``from .<module> import <name>``."""
     aliases, used = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module is None:
+        if isinstance(node, ast.ImportFrom):
+            if (node.level, node.module) in ((1, None), (0, "nextevent")):
                 aliases |= {a.asname or a.name for a in node.names if a.name == module}
-            elif node.module == module:
+            elif (node.level, node.module) == (1, module):
                 used |= {a.name for a in node.names}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -73,11 +79,16 @@ def _names_used(tree: ast.AST, module: str) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", ["tensor", "hierarchy", "encoding"])
+def test_the_check_sees_the_absolute_import_form():
+    tree = ast.parse("from nextevent import events as E\nE.make_examples(s, 2)\n")
+    assert _names_used(tree, "events") == {"make_examples"}
+
+
+@pytest.mark.parametrize("module", ["tensor", "hierarchy", "encoding", "events"])
 def test_every_export_is_used_by_the_package(module):
     used = set()
-    for path in SOURCES:
+    for path in SOURCES + (CALLERS if module == "events" else []):
         if path.name != f"{module}.py":
             used |= _names_used(ast.parse(path.read_text(), filename=str(path)), module)
     unused = set(importlib.import_module(f"nextevent.{module}").__all__) - used
-    assert not unused, f"{module}.__all__ names nothing in the package uses: {sorted(unused)}"
+    assert not unused, f"{module}.__all__ names what only tests use: {sorted(unused)}"

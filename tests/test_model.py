@@ -170,7 +170,15 @@ def test_leaf_names_are_spelled_once():
     ([[0.0, 1.0], [2.0]], "not an array of reals"),
     ({"data": [0.0]}, "not an array of reals"),
     ("abc", "not an array of reals"),
-], ids=["nested-list", "ragged", "dict", "str"])
+    (np.full((4, 8), "1.5"), "not an array of reals"),
+    (np.ones((4, 8), dtype=bool), "not an array of reals"),
+    ([[True] + [0.0] * 7] + [[0.0] * 8] * 3, "not an array of reals"),
+    (np.full((4, 8), 1.0 + 1.0j), "not an array of reals"),
+    ([[None] * 8] * 4, "not an array of reals"),
+    (np.full((4, 8), np.nan), "not an array of reals, each finite"),
+    (np.full((4, 8), -np.inf), "not an array of reals, each finite"),
+], ids=["nested-list", "ragged", "dict", "str", "decimal-strings", "bools", "bool among floats",
+        "complex", "none", "nan", "inf"])
 def test_load_values_raises_config_error_for_what_is_not_a_leaf(value, match):
     params = M.init_model_params(_config(False), seed=0)
     before = params.type_embed.value.copy()
@@ -180,6 +188,18 @@ def test_load_values_raises_config_error_for_what_is_not_a_leaf(value, match):
     # A nested list of the leaf's shape loads as its array would.
     params.load_values({"fcpe.type_embed": (before + 1.0).tolist()})
     np.testing.assert_array_equal(params.type_embed.value, before + 1.0)
+
+
+@pytest.mark.parametrize("seed", [None, True, [1, 2], 1.0, -1, "0"])
+def test_init_model_params_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0, got "):
+        M.init_model_params(_config(False), seed)
+
+
+@pytest.mark.parametrize("config", [None, {"d_model": 8}])
+def test_init_model_params_rejects_a_config_that_is_not_a_model_config(config):
+    with pytest.raises(ConfigError, match="config must be a ModelConfig, got "):
+        M.init_model_params(config, 0)
 
 
 def test_load_values_writes_nothing_when_a_later_entry_is_bad():
