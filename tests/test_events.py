@@ -700,6 +700,18 @@ def _assert_same_example(ex, ref):
 
 
 class TestNormalization:
+    def test_shift_to_zero(self):
+        # The shift is no longer a mode of its own; "shift_and_scale" starts
+        # every sequence at zero, so with unit gaps the times are the offsets.
+        seqs = [EventSequence([5.0, 6.0, 7.0], [0, 0, 0], 1, seq_id="a"),
+                EventSequence([10.0, 11.0], [0, 0], 1, seq_id="b")]
+        out, mean_gap = normalize_times(seqs, "shift_and_scale")
+        assert type(mean_gap) is float and mean_gap == 1.0
+        np.testing.assert_array_equal(out[0].times, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(out[1].times, [0.0, 1.0])
+        with pytest.raises(ConfigError, match="mode must be 'shift_and_scale', got 'shift_to_zero'"):
+            normalize_times(seqs, "shift_to_zero")
+
     def test_shift_and_scale(self):
         seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a")]
         out, mean_gap = normalize_times(seqs, "shift_and_scale")
@@ -729,9 +741,8 @@ class TestNormalization:
         with pytest.raises(ConfigError):
             normalize_times([], "weird")
         seqs = [EventSequence([0.0, 1.0], [0, 0], 1)]
-        for mode in ("none", "shift_to_zero"):
-            with pytest.raises(ConfigError, match=f"mode must be 'shift_and_scale', got '{mode}'"):
-                normalize_times(seqs, mode)
+        with pytest.raises(ConfigError, match="mode must be 'shift_and_scale', got 'none'"):
+            normalize_times(seqs, "none")
 
     def test_sequences_sharing_an_id_normalize_independently(self):
         # Both use the default seq_id "": each still starts at its own zero.
