@@ -242,7 +242,7 @@ class FlopCounter:
         self.count = 0
 
     def add(self, n: int) -> None:
-        self.count += int(n)
+        self.count += check_int("n", n, low=0)
 
 
 def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
@@ -503,9 +503,12 @@ def count_attention_flops(seq_len: int, batch: int, heads: int, head_dim: int,
     all-pair reference costs batch * heads * seq_len^2 * head_dim. These are
     accounting figures for the score computation, not hardware FLOPs.
     """
-    if seq_len <= 0 or batch <= 0 or heads <= 0 or head_dim <= 0:
-        raise ConfigError("count_attention_flops requires positive dimensions")
-    cross = batch * heads * head_dim * sum(map(sum, key_set_sizes))
+    seq_len = check_int("seq_len", seq_len)
+    batch = check_int("batch", batch)
+    heads = check_int("heads", heads)
+    head_dim = check_int("head_dim", head_dim)
+    keys = sum(check_int("key-set size", size) for sizes in key_set_sizes for size in sizes)
+    cross = batch * heads * head_dim * keys
     dense = batch * heads * seq_len * seq_len * head_dim
     return cross, dense
 

@@ -24,16 +24,18 @@ head in ``model``. The attention node reads the rows it attends among by
 index and writes them back into the whole matrix, so attention over a subset
 of rows needs no separate gather or scatter node.
 
-The attention backward takes its largest temporaries from a workspace that
+The attention node takes its largest temporaries from a workspace that
 persists across calls, so that a train step does not grow the heap back,
 page by page, after releasing the graph has trimmed it. The workspace is per
-thread and holds one buffer per role: a tile's score gradient, that
-gradient times the probabilities, and one head's Q, K or V input-gradient
+thread and holds one buffer per role: ``"p"``, the probabilities of a tile
+too large to keep until backward, which forward forms there and backward
+rebuilds there; ``"ds"``, a tile's score gradient; ``"ds*p"``, that gradient
+times the probabilities; and ``"part"``, one head's Q, K or V input-gradient
 product. Each buffer grows to the largest request it has served, up to
 ``_WORKSPACE_BYTES`` (2 MB); a larger request takes a fresh array for that
 call alone. Every buffer is written in full before it is read and no result
 keeps a view of one, so values and gradients are bit for bit those of fresh
-arrays. Forward and inference allocate as before.
+arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import threading
 
 import numpy as np
 
-from .errors import HierarchyError
+from .errors import ConfigError, HierarchyError
 
 __all__ = [
     "DiffNode",
@@ -253,8 +255,8 @@ _WORKSPACE_BYTES = 1 << 21
 
 
 class _Workspace(threading.local):
-    """One thread's reusable temporaries for the attention backward: a
-    flat float64 buffer per role, grown to the largest request it served."""
+    """One thread's reusable temporaries for the attention node: a flat
+    float64 buffer per role, grown to the largest request it served."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -298,6 +300,36 @@ def _plan_tiles(n: int, m: int, nh: int, causal: bool) -> list:
     return tiles
 
 
+def _tile_probs(q, kt, tile, c, causal, stats=None):
+    """``(P, stats)`` of one tile ``(heads, rows, keys)``: ``P`` is the
+    softmax over the keys of the scores ``q kt * c``; with ``causal`` the
+    scores right of the diagonal of its diagonal square take ``-inf``.
+
+    A tile whose scores hold at most ``_GROUP_ENTRIES`` entries forms them in
+    a fresh array and returns ``stats`` None. A larger one forms them in the
+    workspace's ``"p"`` buffer and returns ``stats``, the row max and row sum
+    ``P`` was normalised with, each ``(heads, rows, 1)``. Called again with
+    those ``stats``, it rebuilds the same ``P`` by the same operations on the
+    same operands, so bit for bit.
+    """
+    hs, qrows, keys = tile
+    shape = (hs.stop - hs.start, qrows.stop - qrows.start, keys.stop - keys.start)
+    large = math.prod(shape) > _GROUP_ENTRIES
+    p = np.matmul(q[hs, qrows], kt[hs, :, keys],
+                  out=_workspace.take("p", shape) if large else None)
+    p *= c
+    if causal:
+        b = shape[1]
+        np.copyto(p[:, :, qrows], -np.inf, where=_CAUSAL_FILL[:b, :b])
+    row_max, row_sum = (p.max(axis=2, keepdims=True), None) if stats is None else stats
+    p -= row_max
+    np.exp(p, out=p)
+    if row_sum is None:
+        row_sum = p.sum(axis=2, keepdims=True)
+    p /= row_sum
+    return p, (row_max, row_sum) if large else None
+
+
 def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = False) -> DiffNode:
     """Attention among the rows ``r = x[rows]``, all heads in one node:
     ``concat_h(softmax((q Wq_h) (r Wk_h).T / sqrt(d_k)) (r Wv_h)) @ w_out + q``.
@@ -325,15 +357,31 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     triangle takes the ``-inf`` fill. ``gq`` is written per tile; ``gk`` and
     ``gv`` start at zero and each tile adds its part to ``[0, k1)``.
 
-    Backward takes three temporaries from the calling thread's workspace
-    (see the module docstring): a tile's ``dS``, the product ``dS * P``, and
-    one ``(rows, d)`` buffer that receives each head's Q, K and V
-    input-gradient product in turn, the same 2-D product a batched matmul
-    over the heads forms. Each buffer grows to the largest request it has
-    served and never past ``_WORKSPACE_BYTES`` (2 MB); a larger request is
-    allocated for the call alone. Every buffer is written in full before it
-    is read, so values and gradients are bit for bit those of fresh arrays.
-    Forward allocates as before.
+    What backward keeps per tile depends on its size. A tile whose scores
+    hold at most ``_GROUP_ENTRIES`` entries (256 KB, the budget that groups
+    the heads) keeps its probabilities ``P``. A larger tile, always a single
+    head's (without ``causal``, one over more than 181 rows), keeps only
+    each row's max and sum, ``(heads, rows, 1)`` each, and forms its scores
+    in the workspace's ``"p"`` buffer; backward rebuilds ``P`` there (see
+    ``_tile_probs``). The rebuild is exact: it is the same ``np.matmul`` of
+    the same slices of ``q`` and ``kt``, the same scale and ``-inf`` fill,
+    then the kept max is subtracted, ``exp`` taken and the kept sum divided
+    out, so ``P`` and every gradient are bit for bit what a kept ``P``
+    gives. Small tiles keep ``P`` because rebuilding one saves little memory
+    and costs numpy calls, and those calls bound short causal tiles.
+
+    Backward also takes three temporaries from the calling thread's
+    workspace (see the module docstring): a tile's ``dS``, the product
+    ``dS * P``, and one ``(rows, d)`` buffer that receives each head's Q, K
+    and V input-gradient product in turn, the same 2-D product a batched
+    matmul over the heads forms. Each buffer grows to the largest request it
+    has served and never past ``_WORKSPACE_BYTES`` (2 MB); a larger request
+    is allocated for the call alone. Every buffer is written in full before
+    it is read, so values and gradients are bit for bit those of fresh
+    arrays.
+
+    ``causal`` and ``last_only`` must be ``bool`` or ``np.bool_``, or
+    :class:`ConfigError` is raised.
 
     Exactness: when the plan is one full-width tile per head group (not
     causal, or causal over at most ``_TILE_ROWS`` rows) the operations and
@@ -349,6 +397,9 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     round differently, so they agree with the chain to within rounding
     (1e-12 in the tests), not bit for bit.
     """
+    for name, flag in (("causal", causal), ("last_only", last_only)):
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ConfigError(f"multi_head_attention: {name} must be True or False, got {flag!r}")
     x, w_qkv, w_out = _wrap(x), _wrap(w_qkv), _wrap(w_out)
     if (any(a.value.ndim != 2 for a in (x, w_out)) or w_qkv.value.ndim != 3
             or w_qkv.shape[0] % 3 or not w_qkv.shape[0]):
@@ -376,19 +427,13 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     kt = np.ascontiguousarray(kv[:nh].transpose(0, 2, 1))
     v = kv[nh:]
     tiles = _plan_tiles(n, m, nh, causal)
-    probs = []  # one (heads, rows, keys) array per tile
+    kept = []  # per tile, its P or, past _GROUP_ENTRIES, its row max and row sum
     o = np.empty((nh, n, dk))
-    for hs, qrows, keys in tiles:
-        p = np.matmul(q[hs, qrows], kt[hs, :, keys])
-        p *= c
-        if causal:
-            b = qrows.stop - qrows.start
-            np.copyto(p[:, :, qrows], -np.inf, where=_CAUSAL_FILL[:b, :b])
-        p -= p.max(axis=2, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=2, keepdims=True)
+    for tile in tiles:
+        hs, qrows, keys = tile
+        p, stats = _tile_probs(q, kt, tile, c, causal)
         np.matmul(p, v[hs, keys], out=o[hs, qrows])
-        probs.append(p)
+        kept.append(p if stats is None else stats)
     # concat_cols of the heads' outputs
     a = o.transpose(1, 0, 2).reshape(n, nh * dk)  # C-ordered
     attended = a @ w_out.value + xq
@@ -408,7 +453,10 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
         gkt = np.zeros_like(kt)  # gk transposed, so that each tile adds whole rows
         gkv = np.zeros_like(kv)
         gv = gkv[nh:]
-        for (hs, qrows, keys), p in zip(tiles, probs):
+        for tile, p in zip(tiles, kept):
+            hs, qrows, keys = tile
+            if isinstance(p, tuple):
+                p, _ = _tile_probs(q, kt, tile, c, causal, p)
             gv[hs, keys] += np.matmul(p.transpose(0, 2, 1), go[hs, qrows])
             ds = np.matmul(go[hs, qrows], v[hs, keys].transpose(0, 2, 1),
                            out=_workspace.take("ds", p.shape))

@@ -80,6 +80,28 @@ def test_count_attention_flops_takes_the_per_scale_sizes():
     assert M.count_attention_flops(5, 1, 1, 1, [[2, 2], [], [3]]) == (7, 25)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 1, 1, 1, [[1]]), "seq_len"), ((True, 1, 1, 1, [[1]]), "seq_len"),
+    ((4, 0, 1, 1, [[1]]), "batch"), ((4, 1, 1.0, 1, [[1]]), "heads"),
+    ((4, 1, 1, "2", [[1]]), "head_dim"), ((4, 1, 1, 1, [[1, "2"]]), "key-set size"),
+    ((4, 1, 1, 1, [[1.5]]), "key-set size"), ((4, 1, 1, 1, [[True]]), "key-set size"),
+    ((4, 1, 1, 1, [[0]]), "key-set size"),
+], ids=["fractional-length", "bool-length", "zero-batch", "float-heads", "string-head-dim",
+        "string-size", "fractional-size", "bool-size", "empty-key-set"])
+def test_count_attention_flops_takes_integers_only(args, name):
+    with pytest.raises(ConfigError, match=name):
+        M.count_attention_flops(*args)
+
+
+@pytest.mark.parametrize("n", [2.7, True, -1, "3", None])
+def test_flop_counter_adds_integers_only(n):
+    counter = M.FlopCounter()
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        counter.add(n)
+    counter.add(np.int64(3))
+    assert counter.count == 3 and type(counter.count) is int
+
+
 @pytest.mark.parametrize("kind", ["none", "causal"])
 def test_cross_scale_attention_matches_dense_oracle(kind):
     cfg = _config(False)

@@ -15,7 +15,7 @@ import pytest
 
 from nextevent import model as M
 from nextevent import tensor as T
-from nextevent.errors import HierarchyError, NumericsError
+from nextevent.errors import ConfigError, HierarchyError, NumericsError
 from gradcheck import check_gradients
 import oracles as O
 from oracles import dense_masked_attention
@@ -414,9 +414,11 @@ class TestMaskedAttention:
                              ids=["none", "tiled-causal"])
     @pytest.mark.parametrize("entries", [1, 2**30], ids=["head-by-head", "all-heads"])
     def test_head_groups_do_not_change_outputs(self, monkeypatch, causal, n, entries):
-        # _GROUP_ENTRIES only sets how many heads share a pass: each head's
-        # products and the order its gradients are added in stay the same,
-        # so it can be retuned without moving an output.
+        # _GROUP_ENTRIES sets how many heads share a pass, and which tiles
+        # keep only their row max and row sum and rebuild P in backward: at
+        # 1 every tile rebuilds it, at 2**30 none does. Each head's products
+        # and the order its gradients are added in stay the same, so it can
+        # be retuned without moving an output.
         x, w_qkv, w_out = self._arrays(n, seed=7, d=32, dk=8)
         upstream = np.random.default_rng(8).normal(size=x.shape)
 
@@ -506,6 +508,24 @@ class TestMaskedAttention:
         x, w_qkv, w_out = self._arrays(3)
         with pytest.raises(HierarchyError, match=match):
             T.multi_head_attention(x, rows, w_qkv, w_out, False)
+
+    @pytest.mark.parametrize("flag", ["causal", "last_only"])
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, np.array([True])],
+                             ids=["string", "one", "zero", "None", "array"])
+    def test_rejects_flags_that_are_not_bools(self, flag, value):
+        # "no" is truthy: taken as a flag it would run the causal tiles.
+        x, w_qkv, w_out = self._arrays(3)
+        flags = {"causal": False, "last_only": False, flag: value}
+        with pytest.raises(ConfigError, match=flag):
+            T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **flags)
+
+    @pytest.mark.parametrize("flag", ["causal", "last_only"])
+    def test_numpy_bool_flags_act_as_bools(self, flag):
+        x, w_qkv, w_out = self._arrays(3)
+        flags = {"causal": False, "last_only": False}
+        want = T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **{**flags, flag: True})
+        got = T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **{**flags, flag: np.True_})
+        assert np.array_equal(got.value, want.value)
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
     def test_rejects_w_qkv_without_whole_heads(self, shape):
@@ -806,3 +826,20 @@ class TestGraphRelease:
         finally:
             tracemalloc.stop()
         assert held < 0.5 * (peak - base), (held, peak - base)
+
+    def test_forward_graph_at_L1024_holds_under_12_mb(self):
+        # Each tile past _GROUP_ENTRIES keeps its row max and row sum, not
+        # its P, so the graph a forward pass leaves grows with the rows and
+        # keys, not with their product. Keeping every P, it holds 25 MB here.
+        params, window = _train_window(1024, False)
+        self._step(params, window)  # the workspace grows to its largest tiles
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = M.forward(params, window)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 12e6, held
+        result.total.backward()
