@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -401,17 +401,22 @@ def _window(seq: EventSequence, times: np.ndarray, types: np.ndarray, lo: int,
     return example
 
 
-def normalize_times(seqs: list[EventSequence], mode: str) -> tuple[list[EventSequence], float]:
+def normalize_times(seqs: Iterable[EventSequence], mode: str) -> tuple[list[EventSequence], float]:
     """Shift each sequence to start at zero and divide by the mean gap: the
     times become ``(times - times[0]) / mean_gap``. ``mode`` must be
     ``"shift_and_scale"``; the benchmark passes it.
 
     Returns the sequences and ``mean_gap``, a ``float``: the mean inter-event
     gap of ``seqs``. A gap ``g`` in model units is ``g * mean_gap`` in the
-    original ones.
+    original ones. ``seqs`` may be any iterable, read once; an item that is
+    not an :class:`EventSequence` raises :class:`DataError`.
     """
     if mode != "shift_and_scale":
         raise ConfigError(f"mode must be 'shift_and_scale', got {mode!r}")
+    seqs = list(seqs)
+    for i, seq in enumerate(seqs):
+        if not isinstance(seq, EventSequence):
+            raise DataError(f"seqs[{i}] must be an EventSequence, got {type(seq).__name__}")
     gaps = np.concatenate([np.empty(0)] + [np.diff(s.times) for s in seqs])
     if gaps.size == 0:  # times strictly increase, so any gap is positive
         raise ConfigError("cannot scale: no sequence has a mean inter-event gap")

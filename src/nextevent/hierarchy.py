@@ -41,6 +41,7 @@ For a single scale the two views coincide with the full leaf set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,20 +99,16 @@ class ScaleHierarchy:
         return self.active[s - 1][self.frontier_pos[s - 1]].tolist()
 
     def key_set(self, s: int, node_id: int, causal: bool = False) -> list[int]:
-        """Keys for query ``node_id`` at scale ``s``: the whole frontier there
-        (itself included), optionally restricted to nodes no later than it.
-
-        A carried-over node (active at ``s`` but not in the frontier) runs no
-        query: ``encode`` passes its row through untouched and
-        ``hierarchy_key_set_sizes`` counts frontier queries only. Its key set
-        is ``[node_id]`` by convention. A non-integer id raises HierarchyError.
+        """Keys for frontier node ``node_id`` at scale ``s``: the whole
+        frontier there (itself included), optionally restricted to nodes no
+        later than it. Only frontier nodes run a query; any other id,
+        carried-over nodes included, or a non-integer one raises
+        :class:`HierarchyError`.
         """
         node_id = check_int("node_id", node_id, low=0, error=HierarchyError)
         frontier = self.frontier(s)
         if node_id not in frontier:
-            if node_id in self.active_nodes(s):
-                return [node_id]
-            raise HierarchyError(f"node {node_id} is not active at scale {s}")
+            raise HierarchyError(f"node {node_id} is not in the frontier at scale {s}")
         if not causal:
             return frontier
         t_q = self.rep_time[node_id]
@@ -194,17 +191,26 @@ def build_hierarchy(times, num_scales) -> ScaleHierarchy:
     with ``base, rem = divmod(L - 1, num_scales)``, interval ``s + 1`` starts
     after ``s * base + min(s, rem)`` merges. ``num_scales`` must be an
     integer in ``1..L-1``, so that every interval holds a merge; anything
-    else raises :class:`ConfigError`.
+    else raises :class:`ConfigError`. ``times`` must be a 1-D array of int,
+    uint or float kind, finite and strictly increasing, with no difference
+    of two times that overflows; anything else raises
+    :class:`HierarchyError`.
     """
-    t = np.asarray(times, dtype=np.float64)
+    t = np.asarray(times)
+    if t.dtype.kind not in "iuf":  # a cast would read bools and strings as times
+        raise HierarchyError(f"times must be int, uint or float numbers, got dtype {t.dtype}")
+    t = t.astype(np.float64, copy=False)
     if t.ndim != 1:
         raise HierarchyError(f"times must be a 1-D array, got shape {t.shape}")
     n = len(t)
     if n < 2:
         raise HierarchyError(f"need at least 2 points to cluster, got {n}")
-    gaps = t[1:] - t[:-1]
-    if not (gaps > 0).all():  # also rejects NaN, which no gap order can place
-        raise HierarchyError("times must be strictly increasing with no duplicates")
+    with np.errstate(over="ignore"):  # an overflow is rejected below, not warned
+        gaps = t[1:] - t[:-1]
+    # Positive gaps (which NaN fails) under a finite span are all finite.
+    if not ((gaps > 0).all() and math.isfinite(float(t[-1]) - float(t[0]))):
+        raise HierarchyError("times must be finite and strictly increasing, with no"
+                             " duplicates and no difference that overflows")
     num_scales = check_int("num_scales", num_scales)
     if num_scales > n - 1:
         raise ConfigError(f"num_scales must lie in 1..{n - 1} for {n} points, got {num_scales}")

@@ -6,7 +6,7 @@ Forward pass per history window:
 1. embed every event from its row of one table per window, ``(time, mix,
    cos, sin)`` by node id: type column + positional encoding, one
    :func:`encoding.fcpe_matrix` node (``pe="base"`` is the same encoding
-   initialized to unit amplitudes, frozen and fed in as a constant),
+   initialized to unit amplitudes, frozen and fed in as a leaf),
 2. for each scale s = 1..S: multi-head attention among the frontier nodes
    of scale s, one :func:`tensor.multi_head_attention` node for all heads
    that reads the frontier rows by position and writes them back, over all
@@ -165,23 +165,15 @@ class ModelParams:
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         """Write each named leaf's value, after checking every entry: each must
-        be an array of finite numbers that numpy holds as int, uint or float,
-        of the leaf's shape. A bad one raises :class:`ConfigError` and leaves
-        every leaf as it was."""
+        be a numpy array, as :meth:`copy_values` gives them, of int, uint or
+        float kind, finite, of the leaf's shape. A bad one raises
+        :class:`ConfigError` and leaves every leaf as it was."""
         named = self.all_named()
         checked = {}
         for k, v in values.items():
             if k not in named:
                 raise ConfigError(f"unknown parameter {k!r} in state")
-            try:
-                # np.asarray would read a bool among numbers as 0 or 1.
-                bools = not isinstance(v, np.ndarray) and any(
-                    isinstance(x, (bool, np.bool_)) for x in np.array(v, dtype=object).flat)
-                v = np.asarray(v)
-                ok = not bools and v.dtype.kind in "iuf" and np.isfinite(v).all()
-            except (TypeError, ValueError):  # a ragged list
-                ok = False
-            if not ok:
+            if not (isinstance(v, np.ndarray) and v.dtype.kind in "iuf" and np.isfinite(v).all()):
                 raise ConfigError(f"parameter {k!r}: not an array of reals, each finite")
             if named[k].value.shape != v.shape:
                 raise ConfigError(
@@ -205,9 +197,9 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     rng = np.random.default_rng(check_int("seed", seed, low=0))
     d, dk, half = config.d_model, config.head_dim, config.d_model // 2
     sigma = 1.0 / math.sqrt(d)
-    freqs = T.parameter((2.0 * np.pi * np.arange(half) / half).reshape(1, half))
-    density_map = T.parameter(rng.normal(0.0, 0.5, size=(half, config.num_types)).T)
-    type_embed = T.parameter(rng.normal(0.0, sigma, size=(d, config.num_types)).T)
+    freqs = DiffNode((2.0 * np.pi * np.arange(half) / half).reshape(1, half))
+    density_map = DiffNode(rng.normal(0.0, 0.5, size=(half, config.num_types)).T)
+    type_embed = DiffNode(rng.normal(0.0, sigma, size=(d, config.num_types)).T)
     if config.pe == "base":
         # Fixed sinusoidal encoding: unit amplitudes on the DFT grid, both
         # frozen by named_parameters.
@@ -216,15 +208,15 @@ def init_model_params(config: ModelConfig, seed: int) -> ModelParams:
     for _ in range(config.num_scales):
         # Drawn head by head as (W_Q, W_K, W_V), stored as Q, K and V blocks.
         qkv = rng.normal(0.0, sigma, size=(config.num_heads, 3, d, dk))
-        w_qkv.append(T.parameter(qkv.transpose(1, 0, 2, 3).reshape(-1, d, dk)))
-        w_out.append(T.parameter(rng.normal(0.0, sigma, size=(d, d))))
+        w_qkv.append(DiffNode(qkv.transpose(1, 0, 2, 3).reshape(-1, d, dk)))
+        w_out.append(DiffNode(rng.normal(0.0, sigma, size=(d, d))))
     pool_proj = [
-        T.parameter(rng.normal(0.0, 1.0 / math.sqrt(2 * d), size=(2 * d, d)))
+        DiffNode(rng.normal(0.0, 1.0 / math.sqrt(2 * d), size=(2 * d, d)))
         for _ in range(config.num_scales - 1)
     ]
-    w_summary = T.parameter(rng.normal(0.0, sigma, size=(d, d)))
-    w_type = T.parameter(rng.normal(0.0, sigma, size=(d, config.num_types)))
-    w_time = T.parameter(rng.normal(0.0, sigma, size=(d, 2)))
+    w_summary = DiffNode(rng.normal(0.0, sigma, size=(d, d)))
+    w_type = DiffNode(rng.normal(0.0, sigma, size=(d, config.num_types)))
+    w_time = DiffNode(rng.normal(0.0, sigma, size=(d, 2)))
     return ModelParams(config, freqs, density_map, type_embed, w_qkv, w_out, pool_proj,
                        w_summary, w_type, w_time)
 
@@ -251,16 +243,16 @@ def hierarchy_for(config: ModelConfig, times) -> ScaleHierarchy:
 
 
 def _positional(params: ModelParams, times, type_weights, trig) -> DiffNode:
-    """Positional encodings (n, d); a constant under ``pe="base"``, whose
+    """Positional encodings (n, d); a leaf under ``pe="base"``, whose
     frequencies and amplitudes are frozen, so backward skips them. ``trig``
     is as :func:`encoding.fcpe_matrix` takes it."""
     pos = fcpe_matrix(params.freqs, params.density_map, times, type_weights, trig)
-    return T.constant(pos.value) if params.config.pe == "base" else pos
+    return DiffNode(pos.value) if params.config.pe == "base" else pos
 
 
 def _embed(params: ModelParams, times, type_weights, trig) -> DiffNode:
     """Event embeddings (n, d): type-embedding rows plus positional encodings."""
-    type_part = T.matmul(T.constant(type_weights), params.type_embed)
+    type_part = T.matmul(DiffNode(type_weights), params.type_embed)
     return T.add(type_part, _positional(params, times, type_weights, trig))
 
 
@@ -268,10 +260,11 @@ def _attend(H: DiffNode, rows, causal: bool, w_qkv: DiffNode, w_out: DiffNode,
             counter: FlopCounter | None, last_only: bool = False) -> DiffNode:
     """One :func:`tensor.multi_head_attention` node over ``H[rows]``: every
     head, concat(heads) @ W_O and the residual. Counts the keys each query
-    reads times ``d_k`` score multiplications per head."""
+    reads times ``d_k`` score multiplications per head; with ``last_only``
+    the one query reads all n keys, causal or not, as the kernel runs it."""
     if counter is not None:
         n = len(rows)
-        keys = n * (n + 1) // 2 if causal else (1 if last_only else n) * n
+        keys = n if last_only else n * (n + 1) // 2 if causal else n * n
         counter.add(w_qkv.shape[0] // 3 * keys * w_qkv.shape[2])
     return T.multi_head_attention(H, rows, w_qkv, w_out, causal, last_only)
 

@@ -2,6 +2,7 @@
 
 Every operation returns a new :class:`DiffNode` holding a value, its parent
 nodes, and a closure that routes the output gradient back to those parents.
+A leaf, trained or not, is ``DiffNode(value)``.
 The graph is rebuilt on every forward pass, which keeps variable-length
 sequences simple. ``backward()`` on a scalar root runs a topological sort
 and accumulates gradients by addition, so a node feeding several consumers
@@ -51,8 +52,6 @@ from .errors import ConfigError, HierarchyError
 __all__ = [
     "DiffNode",
     "as_tensor",
-    "constant",
-    "parameter",
     "add",
     "matmul",
     "concat_cols",
@@ -69,10 +68,9 @@ def as_tensor(data) -> np.ndarray:
 class DiffNode:
     """A value in the computation graph plus its accumulated gradient.
 
-    ``value`` and ``grad`` are float64 arrays of identical shape. Leaf nodes
-    (parameters, constants) have no parents; interior nodes carry a backward
-    closure installed by the operation that created them, until
-    :meth:`backward` releases it.
+    ``value`` and ``grad`` are float64 arrays of identical shape. A leaf has
+    no parents; interior nodes carry a backward closure installed by the
+    operation that created them, until :meth:`backward` releases it.
     """
 
     __slots__ = ("value", "_grad", "parents", "_backward")
@@ -160,18 +158,8 @@ def _toposort(root: DiffNode) -> list[DiffNode]:
     return order
 
 
-def constant(data) -> DiffNode:
-    """Leaf node whose gradient nobody reads."""
-    return DiffNode(data)
-
-
-def parameter(data) -> DiffNode:
-    """Leaf node intended as a trainable parameter."""
-    return DiffNode(data)
-
-
 def _wrap(x) -> DiffNode:
-    return x if isinstance(x, DiffNode) else constant(x)
+    return x if isinstance(x, DiffNode) else DiffNode(x)
 
 
 # ---------------------------------------------------------------------------

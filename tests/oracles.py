@@ -158,7 +158,7 @@ def weibull_mean_by_quadrature(lam, gamma):
 
 
 def _wrap(x):
-    return x if isinstance(x, DiffNode) else T.constant(x)
+    return x if isinstance(x, DiffNode) else T.DiffNode(x)
 
 
 def transpose(a):
@@ -353,7 +353,7 @@ def attention_chain(xq, x, w_qkv, w_out, causal):
         scores = scale(T.matmul(T.matmul(xq, wq), transpose(T.matmul(x, wk))), c)
         if causal:
             n = x.shape[0]
-            scores = T.add(scores, T.constant(np.where(np.tri(n), 0.0, -np.inf)))
+            scores = T.add(scores, T.DiffNode(np.where(np.tri(n), 0.0, -np.inf)))
         outs.append(T.matmul(softmax(scores, axis=1), T.matmul(x, wv)))
     return T.add(T.matmul(T.concat_cols(*outs), w_out), xq)
 
@@ -368,9 +368,9 @@ def fcpe_chain(freqs, density_map, times, type_weights, trig):
     interleave = np.empty(dim, dtype=np.int64)
     interleave[0::2] = np.arange(half)
     interleave[1::2] = np.arange(half) + half
-    t_col = T.constant(np.asarray(times, dtype=np.float64).reshape(-1, 1))
+    t_col = T.DiffNode(np.asarray(times, dtype=np.float64).reshape(-1, 1))
     phases = T.matmul(t_col, freqs)
-    weights = T.constant(np.asarray(type_weights, dtype=np.float64))
+    weights = T.DiffNode(np.asarray(type_weights, dtype=np.float64))
     mu = T.matmul(weights, density_map)
     cos_phases, sin_phases = cos_sin(phases)
     return gather_cols(T.concat_cols(mul(mu, cos_phases), mul(mu, sin_phases)), interleave)
@@ -378,9 +378,9 @@ def fcpe_chain(freqs, density_map, times, type_weights, trig):
 
 def weibull_nll_chain(lam, gamma, gap):
     """-[ log g - log l + (g - 1)(log t - log l) - (t / l)^g ] as nodes."""
-    u = sub(T.constant([[math.log(gap)]]), log(lam))
+    u = sub(T.DiffNode([[math.log(gap)]]), log(lam))
     z = exp(mul(gamma, u))
-    term = sub(T.add(sub(log(gamma), log(lam)), mul(sub(gamma, T.constant([[1.0]])), u)), z)
+    term = sub(T.add(sub(log(gamma), log(lam)), mul(sub(gamma, T.DiffNode([[1.0]])), u)), z)
     return scale(term, -1.0)
 
 
@@ -393,7 +393,7 @@ def decode_chain(params, H_L, target, gap):
     logits = T.matmul(H_L, params.w_type)
     ce = sub(logsumexp(logits, axis=1), gather_cols(logits, [target]))
     pre = T.matmul(H_L, params.w_time)
-    floor = T.constant([[M.POSITIVE_FLOOR]])
+    floor = T.DiffNode([[M.POSITIVE_FLOOR]])
     lam = T.add(softplus(gather_cols(pre, [0])), floor)
     gamma = T.add(softplus(gather_cols(pre, [1])), floor)
     nll = weibull_nll_chain(lam, gamma, gap)

@@ -148,7 +148,7 @@ class TestFcpe:
             only = np.zeros_like(weight)
             only[:, slot::2] = weight[:, slot::2]
             enc = fcpe_node(params, [1.0], onehot([1], 2))
-            O.sum_all(O.mul(enc, T.constant(only))).backward()
+            O.sum_all(O.mul(enc, T.DiffNode(only))).backward()
             np.testing.assert_array_equal(params.freqs.grad[0], expected)
 
 

@@ -744,6 +744,21 @@ class TestNormalization:
         with pytest.raises(ConfigError, match="mode must be 'shift_and_scale', got 'none'"):
             normalize_times(seqs, "none")
 
+    def test_an_iterator_is_read_once_and_keeps_every_sequence(self):
+        seqs = [EventSequence([5.0, 6.0, 8.0], [0, 0, 0], 1, seq_id="a"),
+                EventSequence([1.0, 4.0], [0, 0], 1, seq_id="b")]
+        out, mean_gap = normalize_times(iter(seqs), "shift_and_scale")
+        expected, expected_gap = normalize_times(seqs, "shift_and_scale")
+        assert mean_gap == expected_gap == 2.0
+        assert out == expected and [s.seq_id for s in out] == ["a", "b"]
+
+    def test_an_item_that_is_not_a_sequence_is_named_by_position(self):
+        with pytest.raises(DataError, match=r"seqs\[0\] must be an EventSequence, got list"):
+            normalize_times([[0, 1, 2]], "shift_and_scale")
+        seqs = [EventSequence([0.0, 1.0], [0, 0], 1), (0.0, 2.0)]
+        with pytest.raises(DataError, match=r"seqs\[1\] must be an EventSequence, got tuple"):
+            normalize_times(iter(seqs), "shift_and_scale")
+
     def test_sequences_sharing_an_id_normalize_independently(self):
         # Both use the default seq_id "": each still starts at its own zero.
         seqs = [EventSequence([10.0, 11.0, 13.0], [0, 0, 0], 1),

@@ -76,7 +76,7 @@ def test_fcpe_node_rounds_like_its_chain(monkeypatch, name):
             freqs.zero_grad()
             density_map.zero_grad()
             out = build(freqs, density_map, times, weights, trig)
-            O.sum_all(O.mul(out, T.constant(upstream))).backward()
+            O.sum_all(O.mul(out, T.DiffNode(upstream))).backward()
             results.append([out.value, freqs.grad.copy(), density_map.grad.copy()])
         for fused, chained in zip(*results):
             np.testing.assert_array_equal(fused, chained)
@@ -89,7 +89,7 @@ def test_head_node_rounds_like_its_chain(name):
     results = []
     for decode in (M._decode, O.decode_chain):
         params.zero_grad()
-        h = T.parameter(H_L.copy())
+        h = T.DiffNode(H_L.copy())
         r = decode(params, h, int(example.target_type), example.target_gap)
         r.total.backward()
         results.append([r.total.value, r.time_nll, r.type_ce, r.type_probs, r.lam, r.gamma,
@@ -131,7 +131,7 @@ def test_head_raises_before_the_weibull_term_overflows():
     H_L = M.summarize(params, M.encode(params, example.history)).value
     params.w_time.value[...] = np.outer(H_L[0] / (H_L[0] @ H_L[0]), [-40.0, 60.0])
     with np.errstate(over="ignore"):
-        chained = O.decode_chain(params, T.constant(H_L), int(example.target_type),
+        chained = O.decode_chain(params, T.DiffNode(H_L), int(example.target_type),
                                  example.target_gap)
     assert chained.total.value.item() == np.inf
     with pytest.raises(NumericsError, match=r"lambda=1\.0\d*e-06, gamma=60\.0\d*, gap="):

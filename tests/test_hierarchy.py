@@ -111,6 +111,24 @@ class TestAgglomerate:
         with pytest.raises(HierarchyError, match="strictly increasing"):
             build_hierarchy([0.0, float("nan"), 2.0, 3.0], 1)
 
+    @pytest.mark.parametrize("times", [["0", "1", "3"], [False, True], [0, None, 2],
+                                       [0j, 1j]])
+    def test_rejects_times_that_are_not_real_numbers(self, times):
+        with pytest.raises(HierarchyError, match="int, uint or float numbers"):
+            build_hierarchy(times, 1)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                                       [-1.7e308, 1.7e308], [-1e308, 0.0, 1e308]])
+    def test_rejects_a_gap_or_span_that_is_not_finite(self, times):
+        # The filterwarnings setting turns numpy's overflow warning into a failure.
+        with pytest.raises(HierarchyError, match="no difference that overflows"):
+            build_hierarchy(times, 1)
+
+    def test_integer_times_build_what_their_floats_build(self):
+        a, b = build_hierarchy([0, 1, 3, 7], 2), build_hierarchy([0.0, 1.0, 3.0, 7.0], 2)
+        np.testing.assert_array_equal(a.rep_time, b.rep_time)
+        assert [a.active_nodes(s) for s in (1, 2)] == [b.active_nodes(s) for s in (1, 2)]
+
     @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (1, 8)])
     def test_rejects_times_that_are_not_1d(self, shape):
         times = np.arange(8.0).reshape(shape)
@@ -361,12 +379,15 @@ class TestKeySet:
         assert h.key_set(2, frontier[0], causal=True) == [frontier[0]]
         assert h.key_set(2, frontier[-1], causal=True) == frontier
 
-    def test_carried_node_attends_to_itself(self):
+    def test_carried_node_has_no_key_set(self):
         h = build_hierarchy(nine_point_layout(), 4)
-        # Leaf e7 (index 6) is active at scale 2 but only merges at scale 3.
+        # Leaf e7 (index 6) is active at scale 2 but only merges at scale 3,
+        # so it runs no query there.
         assert 6 in h.active_nodes(2)
         assert 6 not in h.frontier(2)
-        assert h.key_set(2, 6) == [6]
+        for causal in (False, True):
+            with pytest.raises(HierarchyError, match="node 6 is not in the frontier at scale 2"):
+                h.key_set(2, 6, causal=causal)
 
     def test_inactive_node_rejected(self):
         h = build_hierarchy(nine_point_layout(), 4)
@@ -455,7 +476,7 @@ def test_key_set_rejects_ids_that_are_not_integers(node_id, causal):
 @pytest.mark.parametrize("causal", [False, True])
 def test_key_set_takes_numpy_integer_ids(causal):
     h = build_hierarchy(nine_point_layout(), 4)
-    for node_id in h.active_nodes(2):
+    for node_id in h.frontier(2):
         expected = h.key_set(2, node_id, causal=causal)
         for cast in (np.int64, np.int32, np.uint8):
             assert h.key_set(2, cast(node_id), causal=causal) == expected

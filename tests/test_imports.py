@@ -84,7 +84,7 @@ def test_the_check_sees_the_absolute_import_form():
     assert _names_used(tree, "events") == {"make_examples"}
 
 
-@pytest.mark.parametrize("module", ["tensor", "hierarchy", "encoding", "events"])
+@pytest.mark.parametrize("module", ["tensor", "hierarchy", "encoding", "events", "errors"])
 def test_every_export_is_used_by_the_package(module):
     used = set()
     for path in SOURCES + (CALLERS if module == "events" else []):

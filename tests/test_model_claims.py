@@ -125,7 +125,7 @@ def test_hierarchical_pool_matches_a_numpy_pooling(pe):
     for s in range(1, h.num_scales):
         active, nxt = h.active_nodes(s), h.active_nodes(s + 1)
         H = rng.normal(size=(len(active), config.d_model))
-        got = M.hierarchical_pool(T.constant(H), h, s, params, table).value
+        got = M.hierarchical_pool(T.DiffNode(H), h, s, params, table).value
         pooled, mixtures = [], []
         for node_id in nxt:
             lo, end = h.lo[node_id], h.end[node_id]

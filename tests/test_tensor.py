@@ -39,13 +39,13 @@ def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
 
 def assert_grad_matches(build, arrays, tol=1e-4, step=1e-5):
     """Check analytic gradients of sum(build(nodes)) against central differences."""
-    nodes = [T.parameter(a) for a in arrays]
+    nodes = [T.DiffNode(a) for a in arrays]
     out = O.sum_all(build(*nodes))
     out.backward()
     for k, node in enumerate(nodes):
         def f(x, k=k):
-            probe = [T.constant(a) for a in arrays]
-            probe[k] = T.constant(x)
+            probe = [T.DiffNode(a) for a in arrays]
+            probe[k] = T.DiffNode(x)
             return O.sum_all(build(*probe)).value.item()
 
         numeric = finite_diff_grad(f, arrays[k].copy(), step)
@@ -56,53 +56,53 @@ def assert_grad_matches(build, arrays, tol=1e-4, step=1e-5):
 
 class TestForwardValues:
     def test_matmul_identity(self):
-        out = T.matmul(T.constant([[1.0, 0.0], [0.0, 1.0]]), T.constant([[3.0], [4.0]]))
+        out = T.matmul(T.DiffNode([[1.0, 0.0], [0.0, 1.0]]), T.DiffNode([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.value, [[3.0], [4.0]])
 
     def test_matmul_hand_computed(self):
-        out = T.matmul(T.constant([[1.0, 2.0]]), T.constant([[3.0], [4.0]]))
+        out = T.matmul(T.DiffNode([[1.0, 2.0]]), T.DiffNode([[3.0], [4.0]]))
         np.testing.assert_array_equal(out.value, [[11.0]])
 
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 2))))
+            T.matmul(T.DiffNode(np.zeros((2, 3))), T.DiffNode(np.zeros((2, 2))))
 
     def test_softmax_symmetry(self):
-        out = O.softmax(T.constant([[0.0, 0.0, 0.0]]), axis=1)
+        out = O.softmax(T.DiffNode([[0.0, 0.0, 0.0]]), axis=1)
         np.testing.assert_allclose(out.value, [[1 / 3] * 3], atol=1e-15)
 
     def test_softmax_no_overflow(self):
-        out = O.softmax(T.constant([[1000.0, 0.0]]), axis=1)
+        out = O.softmax(T.DiffNode([[1000.0, 0.0]]), axis=1)
         assert np.isfinite(out.value).all()
         np.testing.assert_allclose(out.value, [[1.0, 0.0]], atol=1e-12)
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)
-        out = O.softmax(T.constant(rng.uniform(-50, 50, size=(7, 5))), axis=1)
+        out = O.softmax(T.DiffNode(rng.uniform(-50, 50, size=(7, 5))), axis=1)
         np.testing.assert_allclose(out.value.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            O.softmax(T.constant([[1.0, 2.0]]), axis=2)
+            O.softmax(T.DiffNode([[1.0, 2.0]]), axis=2)
 
     def test_softplus_values(self):
-        out = O.softplus(T.constant([0.0, 100.0, -100.0]))
+        out = O.softplus(T.DiffNode([0.0, 100.0, -100.0]))
         np.testing.assert_allclose(out.value[0], np.log(2.0), rtol=1e-12)
         np.testing.assert_allclose(out.value[1], 100.0, rtol=1e-12)
         assert 0.0 < out.value[2] < 1e-40
 
     def test_segment_mean_mean_of_two(self):
-        out = T.segment_mean(T.constant([[2.0, 2.0], [4.0, 4.0]]), [0])
+        out = T.segment_mean(T.DiffNode([[2.0, 2.0], [4.0, 4.0]]), [0])
         np.testing.assert_array_equal(out.value, [[3.0, 3.0]])
 
     def test_segment_mean_singleton_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        out = T.segment_mean(T.constant(x), [0, 1])
+        out = T.segment_mean(T.DiffNode(x), [0, 1])
         np.testing.assert_array_equal(out.value, x)
 
     def test_segment_mean_empty_segment_raises(self):
         with pytest.raises(HierarchyError, match="empty segment"):
-            T.segment_mean(T.constant(np.zeros((2, 2))), [0, 1, 1])
+            T.segment_mean(T.DiffNode(np.zeros((2, 2))), [0, 1, 1])
 
     def test_segment_mean_equals_the_mean_of_each_run(self):
         # Runs longer than 8 rows would expose a summation order other than
@@ -113,7 +113,7 @@ class TestForwardValues:
             cuts = np.flatnonzero(rng.random(n - 1) < rng.choice([0.05, 0.3, 0.9])) + 1
             starts = np.concatenate([[0], cuts])
             expected = np.stack([run.mean(axis=0) for run in np.split(x, cuts)])
-            assert np.array_equal(T.segment_mean(T.constant(x), starts).value, expected)
+            assert np.array_equal(T.segment_mean(T.DiffNode(x), starts).value, expected)
 
     def test_segment_mean_of_3d_rows_equals_the_mean_of_each_run(self):
         rng = np.random.default_rng(22)
@@ -121,7 +121,7 @@ class TestForwardValues:
             x = rng.normal(size=(n, 2, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1, 1))
             cuts = np.flatnonzero(rng.random(n - 1) < rng.choice([0.05, 0.3, 0.9])) + 1
             expected = np.stack([run.mean(axis=0) for run in np.split(x, cuts)])
-            out = T.segment_mean(T.constant(x), np.concatenate([[0], cuts]))
+            out = T.segment_mean(T.DiffNode(x), np.concatenate([[0], cuts]))
             np.testing.assert_array_equal(out.value, expected)
 
     def test_segment_mean_of_1d_rows_adds_them_in_order(self):
@@ -135,7 +135,7 @@ class TestForwardValues:
             cuts = np.flatnonzero(rng.random(n - 1) < rng.choice([0.05, 0.3, 0.9])) + 1
             runs = np.split(x, cuts)
             in_order = [sum(run.tolist(), 0.0) / len(run) for run in runs]
-            out = T.segment_mean(T.constant(x), np.concatenate([[0], cuts]))
+            out = T.segment_mean(T.DiffNode(x), np.concatenate([[0], cuts]))
             np.testing.assert_array_equal(out.value, in_order)
             short = [i for i, run in enumerate(runs) if len(run) < 8]
             np.testing.assert_array_equal(out.value[short], [runs[i].mean() for i in short])
@@ -153,35 +153,35 @@ class TestForwardValues:
             "fractional", "whole-floats", "bool"])
     def test_segment_mean_rejects_bad_starts(self, starts, match):
         with pytest.raises(HierarchyError, match=match):
-            T.segment_mean(T.constant(np.zeros((4, 2))), starts)
+            T.segment_mean(T.DiffNode(np.zeros((4, 2))), starts)
 
     def test_gather_rows_identity_permutation(self):
         x = np.arange(12.0).reshape(4, 3)
-        out = O.gather_rows(T.constant(x), [0, 1, 2, 3])
+        out = O.gather_rows(T.DiffNode(x), [0, 1, 2, 3])
         np.testing.assert_array_equal(out.value, x)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NumericsError):
-            O.log(T.constant([1.0, 0.0]))
+            O.log(T.DiffNode([1.0, 0.0]))
 
     def test_scatter_rows_values(self):
         base = np.zeros((4, 2))
-        out = O.scatter_rows(T.constant(base), [1, 3], T.constant(np.ones((2, 2))))
+        out = O.scatter_rows(T.DiffNode(base), [1, 3], T.DiffNode(np.ones((2, 2))))
         np.testing.assert_array_equal(out.value[[1, 3]], 1.0)
         np.testing.assert_array_equal(out.value[[0, 2]], 0.0)
 
     def test_scatter_rows_rejects_repeats(self):
         for idx in ([1, 1], [2, 0, 2]):  # adjacent and apart
             with pytest.raises(ValueError, match="distinct"):
-                O.scatter_rows(T.constant(np.zeros((3, 1))), idx, T.constant(np.zeros((len(idx), 1))))
+                O.scatter_rows(T.DiffNode(np.zeros((3, 1))), idx, T.DiffNode(np.zeros((len(idx), 1))))
 
     @pytest.mark.parametrize("idx", [[3], [-1], [0, 5]])
     def test_gather_and_scatter_reject_out_of_range_rows(self, idx):
-        x = T.constant(np.zeros((3, 2)))
+        x = T.DiffNode(np.zeros((3, 2)))
         with pytest.raises(IndexError, match="out of range"):
             O.gather_rows(x, idx)
         with pytest.raises(IndexError, match="out of range"):
-            O.scatter_rows(x, idx, T.constant(np.zeros((len(idx), 2))))
+            O.scatter_rows(x, idx, T.DiffNode(np.zeros((len(idx), 2))))
 
 
 class TestBackwardRules:
@@ -199,7 +199,7 @@ class TestBackwardRules:
         for r in range(5):
             w = np.zeros((1, 5))
             w[0, r] = 1.0
-            assert_grad_matches(lambda a: O.mul(O.softmax(a, axis=1), T.constant(w)), [x])
+            assert_grad_matches(lambda a: O.mul(O.softmax(a, axis=1), T.DiffNode(w)), [x])
 
     def test_softplus_grad(self):
         assert_grad_matches(O.softplus, [self.rand(4, 3, seed=4)])
@@ -208,14 +208,14 @@ class TestBackwardRules:
         x = self.rand(6, 3, seed=5)
         starts = [0, 3, 4]
         assert_grad_matches(lambda a: T.segment_mean(a, starts), [x])
-        node = T.parameter(x)
+        node = T.DiffNode(x)
         O.sum_all(T.segment_mean(node, starts)).backward()
         np.testing.assert_allclose(node.grad[0], 1 / 3)
         np.testing.assert_allclose(node.grad[3], 1.0)
 
     def test_gather_repeated_index_sums(self):
         x = self.rand(4, 2, seed=6)
-        node = T.parameter(x)
+        node = T.DiffNode(x)
         O.sum_all(O.gather_rows(node, [1, 1, 2])).backward()
         np.testing.assert_allclose(node.grad[1], 2.0)
         np.testing.assert_allclose(node.grad[2], 1.0)
@@ -230,7 +230,7 @@ class TestBackwardRules:
         for rows, cols in ((5, 3), (64, 32)):
             idx = rng.permutation(rows)[: rows // 2 + 1]
             g = rng.normal(size=(len(idx), cols)) * 10.0 ** rng.integers(-3, 4, size=(len(idx), 1))
-            node = T.parameter(rng.normal(size=(rows, cols)))
+            node = T.DiffNode(rng.normal(size=(rows, cols)))
             node.grad = rng.normal(size=(rows, cols))  # gradient from other consumers
             expected = node.grad.copy()
             expected[idx] += g
@@ -257,7 +257,7 @@ class TestBackwardRules:
 
     @pytest.mark.parametrize("op", [T.add, O.sub, O.mul])
     def test_elementwise_ops_do_not_broadcast(self, op):
-        col, mat = T.constant(self.rand(3, 1, seed=14)), T.constant(self.rand(3, 4, seed=15))
+        col, mat = T.DiffNode(self.rand(3, 1, seed=14)), T.DiffNode(self.rand(3, 4, seed=15))
         with pytest.raises(ValueError, match="incompatible shapes"):
             op(col, mat)
         with pytest.raises(ValueError, match="incompatible shapes"):
@@ -276,7 +276,7 @@ class TestBackwardRules:
 
     def test_fanout_accumulates_both_contributions(self):
         # One node feeding two consumers must receive the sum of both gradients.
-        x = T.parameter([[1.5]])
+        x = T.DiffNode([[1.5]])
         out = T.add(O.scale(x, 2.0), O.mul(x, x))
         out.backward()
         np.testing.assert_allclose(x.grad, [[2.0 + 2.0 * 1.5]])
@@ -401,10 +401,10 @@ class TestMaskedAttention:
 
         results = []
         for build, ws in ((self._node(rows, causal, last_only), [w_qkv]), (chain, list(w_qkv))):
-            ws = [T.parameter(w) for w in ws] + [T.parameter(w_out)]
-            x_node = T.parameter(x)
+            ws = [T.DiffNode(w) for w in ws] + [T.DiffNode(w_out)]
+            x_node = T.DiffNode(x)
             out = build(x_node, *ws)
-            O.sum_all(O.mul(out, T.constant(upstream))).backward()
+            O.sum_all(O.mul(out, T.DiffNode(upstream))).backward()
             w_grads = [np.stack([w.grad for w in ws[:-1]]).reshape(w_qkv.shape), ws[-1].grad]
             results.append([out.value, x_node.grad] + w_grads)
         for fused, chained in zip(*results):
@@ -423,9 +423,9 @@ class TestMaskedAttention:
         upstream = np.random.default_rng(8).normal(size=x.shape)
 
         def run():
-            nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+            nodes = [T.DiffNode(a) for a in (x, w_qkv, w_out)]
             out = self._node(np.arange(n), causal)(*nodes)
-            O.sum_all(O.mul(out, T.constant(upstream))).backward()
+            O.sum_all(O.mul(out, T.DiffNode(upstream))).backward()
             return [out.value] + [node.grad for node in nodes]
 
         default = run()
@@ -452,7 +452,7 @@ class TestMaskedAttention:
     def test_masked_keys_get_no_weight_or_gradient(self):
         x, w_qkv, w_out = self._arrays(5, seed=6)
         rows = [1, 2, 4]
-        nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+        nodes = [T.DiffNode(a) for a in (x, w_qkv, w_out)]
         out = self._node(rows, True)(*nodes)
         # The first query reads only its own key, with weight exactly one,
         # and the rows outside ``rows`` pass through.
@@ -462,7 +462,7 @@ class TestMaskedAttention:
         np.testing.assert_array_equal(out.value[[0, 3]], x[[0, 3]])
         upstream = np.zeros_like(x)
         upstream[1] = 1.0
-        O.sum_all(O.mul(out, T.constant(upstream))).backward()
+        O.sum_all(O.mul(out, T.DiffNode(upstream))).backward()
         np.testing.assert_array_equal(nodes[0].grad[[0, 2, 3, 4]], 0.0)  # no row but the query's
         np.testing.assert_array_equal(nodes[1].grad[:2 * self.HEADS], 0.0)  # every Wq and Wk
 
@@ -478,23 +478,23 @@ class TestMaskedAttention:
         moved[unread] += 1.0
         before, after = build(x, w_qkv, w_out).value, build(moved, w_qkv, w_out).value
         np.testing.assert_array_equal(after[rows], before[rows])
-        nodes = [T.parameter(a) for a in (x, w_qkv, w_out)]
+        nodes = [T.DiffNode(a) for a in (x, w_qkv, w_out)]
         upstream = np.zeros_like(x)
         upstream[rows] = 1.0
-        O.sum_all(O.mul(build(*nodes), T.constant(upstream))).backward()
+        O.sum_all(O.mul(build(*nodes), T.DiffNode(upstream))).backward()
         np.testing.assert_array_equal(nodes[0].grad[unread], 0.0)
         assert np.abs(nodes[0].grad[~unread]).max(axis=1).all()
 
     def test_rejects_empty_row_and_bad_shapes(self):
-        x = T.constant(np.ones((3, 2)))
-        w_qkv = T.constant(np.ones((3, 2, 2)))
-        w_out = T.constant(np.ones((2, 2)))
+        x = T.DiffNode(np.ones((3, 2)))
+        w_qkv = T.DiffNode(np.ones((3, 2, 2)))
+        w_out = T.DiffNode(np.ones((2, 2)))
         with pytest.raises(HierarchyError, match="non-empty"):
             T.multi_head_attention(x, [], w_qkv, w_out, False)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(T.constant(np.ones((3, 4))), [0, 1], w_qkv, w_out, False)
+            T.multi_head_attention(T.DiffNode(np.ones((3, 4))), [0, 1], w_qkv, w_out, False)
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, [0], w_qkv, T.constant(np.ones((4, 2))), False)
+            T.multi_head_attention(x, [0], w_qkv, T.DiffNode(np.ones((4, 2))), False)
 
     @pytest.mark.parametrize("rows, match", [
         ([-1], "out of range"), ([3], "out of range"), ([0, 5], "out of range"),
@@ -529,12 +529,12 @@ class TestMaskedAttention:
 
     @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2, 2), (4, 2, 2), (2, 2)])
     def test_rejects_w_qkv_without_whole_heads(self, shape):
-        x = T.constant(np.ones((3, 2)))
+        x = T.DiffNode(np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least one head"):
             T.multi_head_attention(x, [0, 1, 2], np.ones(shape), np.ones((2, 2)), False)
 
     def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
-        x = T.constant(np.ones((3, 2)))
+        x = T.DiffNode(np.ones((3, 2)))
         with pytest.raises(ValueError, match="disagree"):
             T.multi_head_attention(x, [0, 1, 2], np.ones((3, 4, 2)), np.ones((2, 2)), False)
 
@@ -588,11 +588,11 @@ class TestBackwardWorkspace:
         """(loss, leaves) of one attention node over n of n + 7 rows, at the
         benchmark model's widths: d_model 32, 4 heads of 8."""
         rng = np.random.default_rng(n)
-        leaves = [T.parameter(rng.normal(size=shape))
+        leaves = [T.DiffNode(rng.normal(size=shape))
                   for shape in ((n + 7, 32), (12, 32, 8), (32, 32))]
         rows = np.sort(rng.choice(n + 7, size=n, replace=False))
         out = T.multi_head_attention(leaves[0], rows, *leaves[1:], causal, last_only)
-        return O.sum_all(O.mul(out, T.constant(rng.normal(size=out.shape)))), leaves
+        return O.sum_all(O.mul(out, T.DiffNode(rng.normal(size=out.shape)))), leaves
 
     @staticmethod
     def _grads(loss, leaves):
@@ -672,7 +672,7 @@ class TestBackwardWorkspace:
 
 class TestCheckGradients:
     def test_quadratic_analytic(self):
-        w = T.parameter([1.0, 2.0])
+        w = T.DiffNode([1.0, 2.0])
 
         def f(params):
             v = params["w"]
@@ -687,7 +687,7 @@ class TestCheckGradients:
 
     def test_softmax_cross_entropy_composite(self):
         rng = np.random.default_rng(42)
-        logits = T.parameter(rng.normal(size=(1, 6)))
+        logits = T.DiffNode(rng.normal(size=(1, 6)))
         target = 2
 
         def f(params):
@@ -699,7 +699,7 @@ class TestCheckGradients:
         assert report.max_rel_error < 1e-4
 
     def test_non_finite_loss_raises(self):
-        w = T.parameter([1.0])
+        w = T.DiffNode([1.0])
 
         def f(params):
             return O.sum_all(O.scale(params["w"], np.inf))
@@ -709,7 +709,7 @@ class TestCheckGradients:
 
     def test_large_tensor_sampling(self):
         rng = np.random.default_rng(1)
-        w = T.parameter(rng.normal(size=(30, 30)))
+        w = T.DiffNode(rng.normal(size=(30, 30)))
 
         def f(params):
             return O.sum_all(O.mul(params["w"], params["w"]))
@@ -720,7 +720,7 @@ class TestCheckGradients:
 
     def test_backward_requires_scalar_root(self):
         with pytest.raises(ValueError, match="scalar"):
-            T.constant(np.zeros((2, 2))).backward()
+            T.DiffNode(np.zeros((2, 2))).backward()
 
 
 def _keep_graph_backward(root):
@@ -783,7 +783,7 @@ class TestGraphRelease:
             np.testing.assert_array_equal(node.grad, grads[name], err_msg=name)
 
     def test_graph_built_on_a_released_node_raises(self):
-        x = T.parameter([[1.5, -2.0]])
+        x = T.DiffNode([[1.5, -2.0]])
         hidden = O.scale(x, 3.0)
         O.sum_all(hidden).backward()
         again = O.sum_all(O.mul(hidden, hidden))
@@ -794,12 +794,12 @@ class TestGraphRelease:
     def test_a_leaf_keeps_the_zeros_its_gradient_reads(self):
         # Ops add into slices of a leaf's gradient (w_qkv.grad[:nh] += ...),
         # which never calls the setter, so a leaf keeps what .grad allocates.
-        w = T.parameter(np.zeros((3, 2)))
+        w = T.DiffNode(np.zeros((3, 2)))
         w.grad[:1] += 1.0
         np.testing.assert_array_equal(w.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
     def test_leaf_root_keeps_its_gradient(self):
-        x = T.parameter([[2.0]])
+        x = T.DiffNode([[2.0]])
         x.backward()
         x.backward()  # a leaf has nothing to release
         np.testing.assert_array_equal(x.grad, [[1.0]])
