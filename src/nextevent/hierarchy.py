@@ -103,8 +103,11 @@ class ScaleHierarchy:
         frontier there (itself included), optionally restricted to nodes no
         later than it. Only frontier nodes run a query; any other id,
         carried-over nodes included, or a non-integer one raises
-        :class:`HierarchyError`.
+        :class:`HierarchyError`. ``causal`` must be ``bool`` or ``np.bool_``,
+        or :class:`ConfigError` is raised.
         """
+        if not isinstance(causal, (bool, np.bool_)):
+            raise ConfigError(f"key_set: causal must be True or False, got {causal!r}")
         node_id = check_int("node_id", node_id, low=0, error=HierarchyError)
         frontier = self.frontier(s)
         if node_id not in frontier:
@@ -193,8 +196,8 @@ def build_hierarchy(times, num_scales) -> ScaleHierarchy:
     integer in ``1..L-1``, so that every interval holds a merge; anything
     else raises :class:`ConfigError`. ``times`` must be a 1-D array of int,
     uint or float kind, finite and strictly increasing, with no difference
-    of two times that overflows; anything else raises
-    :class:`HierarchyError`.
+    of two times that overflows and no pooled run whose times sum past the
+    float range; anything else raises :class:`HierarchyError`.
     """
     t = np.asarray(times)
     if t.dtype.kind not in "iuf":  # a cast would read bools and strings as times
@@ -257,5 +260,10 @@ def build_hierarchy(times, num_scales) -> ScaleHierarchy:
     # means are bit-identical; prefix sums or np.add.reduceat would not be.
     rep_time = np.empty(len(lo))
     rep_time[:n] = t
-    rep_time[n:] = _span_sums(t, lo[n:], end[n:]) / (end[n:] - lo[n:])
+    # A sum past the float range, or +inf meeting -inf in a pairwise sum, is
+    # rejected below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep_time[n:] = _span_sums(t, lo[n:], end[n:]) / (end[n:] - lo[n:])
+    if not np.isfinite(rep_time[n:]).all():
+        raise HierarchyError("the times of a pooled run sum past the float range")
     return ScaleHierarchy(lo, end, rep_time, active, frontier_pos, group_starts)

@@ -1,8 +1,8 @@
 """Dense float64 arrays with reverse-mode automatic differentiation.
 
-Every operation returns a new :class:`DiffNode` holding a value, its parent
-nodes, and a closure that routes the output gradient back to those parents.
-A leaf, trained or not, is ``DiffNode(value)``.
+Every operation takes :class:`DiffNode` operands, never bare arrays, and
+returns a new node made at once with its value, its parents and the closure
+that routes its gradient back to them. A leaf is ``DiffNode(value)``.
 The graph is rebuilt on every forward pass, which keeps variable-length
 sequences simple. ``backward()`` on a scalar root runs a topological sort
 and accumulates gradients by addition, so a node feeding several consumers
@@ -69,8 +69,8 @@ class DiffNode:
     """A value in the computation graph plus its accumulated gradient.
 
     ``value`` and ``grad`` are float64 arrays of identical shape. A leaf has
-    no parents; interior nodes carry a backward closure installed by the
-    operation that created them, until :meth:`backward` releases it.
+    no parents; an interior node is given its backward closure when it is
+    made, and :meth:`backward` drops the closure once it has run.
     """
 
     __slots__ = ("value", "_grad", "parents", "_backward")
@@ -158,10 +158,6 @@ def _toposort(root: DiffNode) -> list[DiffNode]:
     return order
 
 
-def _wrap(x) -> DiffNode:
-    return x if isinstance(x, DiffNode) else DiffNode(x)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise and structural operations
 # ---------------------------------------------------------------------------
@@ -169,50 +165,40 @@ def _wrap(x) -> DiffNode:
 
 def add(a, b) -> DiffNode:
     """Elementwise sum of two nodes of the same shape."""
-    a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape:
         raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = DiffNode(a.value + b.value, parents=(a, b))
 
     def backward(g):
         a.grad += g
         b.grad += g
 
-    out._backward = backward
-    return out
+    return DiffNode(a.value + b.value, (a, b), backward)
 
 
 def matmul(a, b) -> DiffNode:
-    a, b = _wrap(a), _wrap(b)
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ValueError(f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
-    out = DiffNode(a.value @ b.value, parents=(a, b))
 
     def backward(g):
         a.grad += g @ b.value.T
         b.grad += a.value.T @ g
 
-    out._backward = backward
-    return out
+    return DiffNode(a.value @ b.value, (a, b), backward)
 
 
 def concat_cols(*nodes) -> DiffNode:
     """Stack matrices horizontally (axis 1)."""
-    nodes = [_wrap(n) for n in nodes]
     if not nodes:
         raise ValueError("concat of zero nodes")
-    values = [n.value for n in nodes]
-    out = DiffNode(np.concatenate(values, axis=1), parents=tuple(nodes))
-    offsets = list(itertools.accumulate([v.shape[1] for v in values], initial=0))
+    offsets = list(itertools.accumulate([n.shape[1] for n in nodes], initial=0))
 
     def backward(g):
         for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             node.grad += g[:, lo:hi]
 
-    out._backward = backward
-    return out
+    return DiffNode(np.concatenate([n.value for n in nodes], axis=1), nodes, backward)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -388,7 +374,6 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     for name, flag in (("causal", causal), ("last_only", last_only)):
         if not isinstance(flag, (bool, np.bool_)):
             raise ConfigError(f"multi_head_attention: {name} must be True or False, got {flag!r}")
-    x, w_qkv, w_out = _wrap(x), _wrap(w_qkv), _wrap(w_out)
     if (any(a.value.ndim != 2 for a in (x, w_out)) or w_qkv.value.ndim != 3
             or w_qkv.shape[0] % 3 or not w_qkv.shape[0]):
         raise ValueError("multi_head_attention requires 2-D operands and a"
@@ -430,7 +415,6 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
     else:  # the attended rows replace theirs; the others pass through
         value = x.value.copy()
         value[rows] = attended
-    out = DiffNode(value, parents=(x, w_qkv, w_out))
 
     def backward(g):
         g_q = g.copy() if last_only else g[rows]  # the queries' output gradient, a copy
@@ -474,8 +458,7 @@ def multi_head_attention(x, rows, w_qkv, w_out, causal: bool, last_only: bool = 
         w_qkv.grad[:nh] += np.matmul(xq.T, gq)
         w_qkv.grad[nh:] += np.matmul(r.T, gkv)
 
-    out._backward = backward
-    return out
+    return DiffNode(value, (x, w_qkv, w_out), backward)
 
 
 def segment_mean(a, starts) -> DiffNode:
@@ -494,7 +477,6 @@ def segment_mean(a, starts) -> DiffNode:
     (``np.add.reduceat`` adds in another order, and ``np.mean`` of a 1-D run
     of 8 or more values sums pairwise, so both round differently.)
     """
-    a = _wrap(a)
     starts = np.asarray(starts)  # floats and bools are refused, not truncated
     n = a.shape[0]
     if starts.ndim != 1 or starts.size == 0 or starts.dtype.kind not in "iu" or starts[0] != 0:
@@ -514,10 +496,8 @@ def segment_mean(a, starts) -> DiffNode:
     cells = np.arange(k * c).reshape(k, c).repeat(counts, axis=0).ravel()
     sums = np.bincount(cells, weights=rows.ravel(), minlength=k * c)
     per_row = counts.reshape((-1,) + (1,) * (a.value.ndim - 1))
-    out = DiffNode(sums.reshape((k,) + a.shape[1:]) / per_row, parents=(a,))
 
     def backward(g):
         a.grad += (g / per_row).repeat(counts, axis=0)
 
-    out._backward = backward
-    return out
+    return DiffNode(sums.reshape((k,) + a.shape[1:]) / per_row, (a,), backward)

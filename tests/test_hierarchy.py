@@ -124,6 +124,17 @@ class TestAgglomerate:
         with pytest.raises(HierarchyError, match="no difference that overflows"):
             build_hierarchy(times, 1)
 
+    @pytest.mark.parametrize("times, num_scales", [
+        ([1e308, 1.5e308, 1.7e308, 1.75e308], 2),
+        # 256 times in one run: numpy sums its halves pairwise, to -inf and
+        # +inf, and adds those.
+        (np.append(np.linspace(-0.75e308, 0.75e308, 256), 0.79e308), 256),
+    ], ids=["overflow", "inf-minus-inf"])
+    def test_rejects_a_run_whose_times_sum_past_the_float_range(self, times, num_scales):
+        # Every gap and the span are finite; the pooled run's sum is not.
+        with pytest.raises(HierarchyError, match="sum past the float range"):
+            build_hierarchy(times, num_scales)
+
     def test_integer_times_build_what_their_floats_build(self):
         a, b = build_hierarchy([0, 1, 3, 7], 2), build_hierarchy([0.0, 1.0, 3.0, 7.0], 2)
         np.testing.assert_array_equal(a.rep_time, b.rep_time)
@@ -471,6 +482,20 @@ def test_key_set_rejects_ids_that_are_not_integers(node_id, causal):
     h = build_hierarchy(nine_point_layout(), 4)
     with pytest.raises(HierarchyError, match="node_id must be an integer >= 0"):
         h.key_set(2, node_id, causal=causal)
+
+
+@pytest.mark.parametrize("causal", [None, "no", 1, 0.0], ids=["none", "str", "one", "float-zero"])
+def test_key_set_rejects_causal_flags_that_are_not_bools(causal):
+    # "no" is truthy: taken as a flag it would give the causal key set.
+    h = build_hierarchy(np.arange(9.0), 4)
+    with pytest.raises(ConfigError, match="causal must be True or False"):
+        h.key_set(2, 9, causal=causal)
+
+
+def test_key_set_takes_a_numpy_bool_causal():
+    h = build_hierarchy(np.arange(9.0), 4)
+    for flag in (False, True):
+        assert h.key_set(2, 9, causal=np.bool_(flag)) == h.key_set(2, 9, causal=flag)
 
 
 @pytest.mark.parametrize("causal", [False, True])

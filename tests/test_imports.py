@@ -3,7 +3,9 @@ nothing but numpy, the standard library and the package itself. Only
 ``errors`` imports ``numbers``, so the scalar input rules have one home. And
 every name ``tensor``, ``hierarchy`` or ``encoding`` exports has a caller in
 the package, and every name ``events`` exports one in the package, ``bench/``
-or ``tools/``, so a helper that only tests call is not public API."""
+or ``tools/``, so a helper that only tests call is not public API. Nodes are
+built one way: only ``tensor.DiffNode``'s own methods assign ``_backward``,
+so an op hands its closure to ``DiffNode(value, parents, backward)``."""
 
 import ast
 import importlib.util
@@ -92,3 +94,27 @@ def test_every_export_is_used_by_the_package(module):
             used |= _names_used(ast.parse(path.read_text(), filename=str(path)), module)
     unused = set(importlib.import_module(f"nextevent.{module}").__all__) - used
     assert not unused, f"{module}.__all__ names what only tests use: {sorted(unused)}"
+
+
+def _backward_stores(tree: ast.AST) -> list[int]:
+    """Lines that assign an attribute named ``_backward`` outside the methods
+    of a class named ``DiffNode``."""
+    inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "DiffNode"
+              for n in ast.walk(c)}
+    return [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "_backward"
+            and isinstance(n.ctx, ast.Store) and id(n) not in inside]
+
+
+def test_the_check_sees_a_backward_set_after_the_node_is_made():
+    tree = ast.parse("class DiffNode:\n    def __init__(self, b):\n        self._backward = b\n"
+                     "out = DiffNode(None)\nout._backward = backward\n"
+                     "out._backward, n = None, 0\n")
+    assert _backward_stores(tree) == [5, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_diffnode_assigns_backward(path):
+    lines = _backward_stores(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, (f"{path.name}:{lines}: assigns _backward to a made node;"
+                       " pass the closure to DiffNode(value, parents, backward)")

@@ -22,36 +22,12 @@ from oracles import dense_masked_attention
 from test_fused_nodes import BENCHMARK, _benchmark_example
 
 
-def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, entry by entry."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = f(x)
-        flat[i] = orig - step
-        down = f(x)
-        flat[i] = orig
-        g.reshape(-1)[i] = (up - down) / (2.0 * step)
-    return g
-
-
 def assert_grad_matches(build, arrays, tol=1e-4, step=1e-5):
-    """Check analytic gradients of sum(build(nodes)) against central differences."""
-    nodes = [T.DiffNode(a) for a in arrays]
-    out = O.sum_all(build(*nodes))
-    out.backward()
-    for k, node in enumerate(nodes):
-        def f(x, k=k):
-            probe = [T.DiffNode(a) for a in arrays]
-            probe[k] = T.DiffNode(x)
-            return O.sum_all(build(*probe)).value.item()
-
-        numeric = finite_diff_grad(f, arrays[k].copy(), step)
-        denom = np.maximum(np.maximum(np.abs(node.grad), np.abs(numeric)), 1e-6)
-        rel = np.abs(node.grad - numeric) / denom
-        assert rel.max() < tol, f"operand {k}: max rel err {rel.max():.2e}"
+    """Check analytic gradients of sum(build(nodes)) against central
+    differences at every entry of every operand."""
+    leaves = {str(k): T.DiffNode(np.copy(a)) for k, a in enumerate(arrays)}
+    check_gradients(lambda p: O.sum_all(build(*p.values())), leaves, step=step, tol=tol,
+                    max_entries=max(leaf.size for leaf in leaves.values()))
 
 
 class TestForwardValues:
@@ -306,6 +282,10 @@ class TestMaskedAttention:
         w_qkv = rng.normal(size=(self.HEADS, 3, d, dk)).transpose(1, 0, 2, 3).reshape(-1, d, dk)
         return x, w_qkv, rng.normal(size=(self.HEADS * dk, d))
 
+    def _leaves(self, n):
+        """``_arrays(n)``, each as a leaf node."""
+        return [T.DiffNode(a) for a in self._arrays(n)]
+
     def _rows(self, n, k, seed):
         """k of the n row indices, drawn at random, in increasing order."""
         return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
@@ -335,7 +315,8 @@ class TestMaskedAttention:
         n = k + k // 2 + 1
         x, w_qkv, w_out = self._arrays(n, d=d, dk=dk)
         rows = self._rows(n, k, seed=k)
-        out = T.multi_head_attention(x, rows, w_qkv, w_out, causal, last_only)
+        out = T.multi_head_attention(T.DiffNode(x), rows, T.DiffNode(w_qkv), T.DiffNode(w_out),
+                                     causal, last_only)
         expected = self._dense(x[rows], w_qkv, w_out, causal and not last_only, dk)
         if last_only:
             np.testing.assert_allclose(out.value, expected[-1:], rtol=1e-12, atol=1e-12)
@@ -476,7 +457,7 @@ class TestMaskedAttention:
         unread = np.arange(TILED_N) >= rows.stop
         moved = x.copy()
         moved[unread] += 1.0
-        before, after = build(x, w_qkv, w_out).value, build(moved, w_qkv, w_out).value
+        before, after = (build(*map(T.DiffNode, (a, w_qkv, w_out))).value for a in (x, moved))
         np.testing.assert_array_equal(after[rows], before[rows])
         nodes = [T.DiffNode(a) for a in (x, w_qkv, w_out)]
         upstream = np.zeros_like(x)
@@ -505,7 +486,7 @@ class TestMaskedAttention:
     ], ids=["negative", "past-the-end", "past-the-end-after-a-valid-row",
             "repeated", "decreasing", "2-D", "fractional", "whole-floats", "bool"])
     def test_rejects_bad_rows(self, rows, match):
-        x, w_qkv, w_out = self._arrays(3)
+        x, w_qkv, w_out = self._leaves(3)
         with pytest.raises(HierarchyError, match=match):
             T.multi_head_attention(x, rows, w_qkv, w_out, False)
 
@@ -514,14 +495,14 @@ class TestMaskedAttention:
                              ids=["string", "one", "zero", "None", "array"])
     def test_rejects_flags_that_are_not_bools(self, flag, value):
         # "no" is truthy: taken as a flag it would run the causal tiles.
-        x, w_qkv, w_out = self._arrays(3)
+        x, w_qkv, w_out = self._leaves(3)
         flags = {"causal": False, "last_only": False, flag: value}
         with pytest.raises(ConfigError, match=flag):
             T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **flags)
 
     @pytest.mark.parametrize("flag", ["causal", "last_only"])
     def test_numpy_bool_flags_act_as_bools(self, flag):
-        x, w_qkv, w_out = self._arrays(3)
+        x, w_qkv, w_out = self._leaves(3)
         flags = {"causal": False, "last_only": False}
         want = T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **{**flags, flag: True})
         got = T.multi_head_attention(x, [0, 1, 2], w_qkv, w_out, **{**flags, flag: np.True_})
@@ -531,12 +512,14 @@ class TestMaskedAttention:
     def test_rejects_w_qkv_without_whole_heads(self, shape):
         x = T.DiffNode(np.ones((3, 2)))
         with pytest.raises(ValueError, match="at least one head"):
-            T.multi_head_attention(x, [0, 1, 2], np.ones(shape), np.ones((2, 2)), False)
+            T.multi_head_attention(x, [0, 1, 2], T.DiffNode(np.ones(shape)),
+                                   T.DiffNode(np.ones((2, 2))), False)
 
     def test_rejects_w_qkv_whose_width_disagrees_with_xq(self):
         x = T.DiffNode(np.ones((3, 2)))
         with pytest.raises(ValueError, match="disagree"):
-            T.multi_head_attention(x, [0, 1, 2], np.ones((3, 4, 2)), np.ones((2, 2)), False)
+            T.multi_head_attention(x, [0, 1, 2], T.DiffNode(np.ones((3, 4, 2))),
+                                   T.DiffNode(np.ones((2, 2))), False)
 
 
 class TestTilePlan:
